@@ -25,7 +25,7 @@ class NotPrimeError(DomainError):
 
 
 class ReducibleModulusError(DomainError):
-    """Supplied field-defining polynomial is reducible over F_p."""
+    """A field-defining polynomial or a modulus is not irreducible."""
 
 
 class PolyParseError(DomainError):

@@ -54,119 +54,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Polynomials over F_p as plain int lists (ascending, trailing zeros stripped).
-# Only what the field-modulus search and validation need.
-
-def _fp_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _fp_trim([v % p for v in out])
-
-
-def _fp_mod(a, b, p):
-    # b is nonzero; reduces a copy of a modulo b
-    r = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    while len(r) - 1 >= db and r:
-        f = r[-1] * inv_lead % p
-        shift = len(r) - 1 - db
-        for j in range(len(b)):
-            r[shift + j] = (r[shift + j] - f * b[j]) % p
-        _fp_trim(r)
-    return r
-
-
-def _fp_sub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % p
-    return _fp_trim(out)
-
-
-def _fp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fp_mod(a, b, p)
-    return a
-
-
-def _fp_powmod(a, n, m, p):
-    result = [1]
-    base = _fp_mod(a, m, p)
-    while n > 0:
-        if n & 1:
-            result = _fp_mod(_fp_mul(result, base, p), m, p)
-        base = _fp_mod(_fp_mul(base, base, p), m, p)
-        n >>= 1
-    return result
-
-
-def _prime_divisors(k):
-    out = []
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            out.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1
-    if k > 1:
-        out.append(k)
-    return out
-
-
-def _fp_is_irreducible(f, p):
-    """Irreducibility over F_p via the Frobenius/gcd criterion.
-
-    f of degree k is irreducible iff x^(p^k) = x mod f and, for every prime
-    r | k, gcd(x^(p^(k/r)) - x, f) = 1.
-    """
-    k = len(f) - 1
-    if k < 1:
-        return False
-    x_red = _fp_mod([0, 1], f, p)
-    # x^(p^j) mod f for j = 0..k, by iterated p-th powers
-    xq = [x_red]
-    for _ in range(k):
-        xq.append(_fp_powmod(xq[-1], p, f, p))
-    if xq[k] != x_red:
-        return False
-    for r in _prime_divisors(k):
-        diff = _fp_sub(xq[k // r], x_red, p)
-        g = _fp_gcd(f, diff, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
-def _default_field_modulus(p, e):
-    # Least monic irreducible of degree e, scanning (a_0, ..., a_{e-1}) by
-    # ascending code a_0 + a_1 p + ... (a_0 fastest).
-    for idx in range(p**e):
-        cand = [(idx // p**j) % p for j in range(e)] + [1]
-        if _fp_is_irreducible(cand, p):
-            return tuple(cand)
-    raise AssertionError("no irreducible of degree e exists")  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-
-
 class FieldCtx:
     """The field F_q = F_{p^e} with a fixed defining polynomial.
 
@@ -367,12 +254,16 @@ def make_field(p: int, e: int = 1, field_modulus=None,
     q = p**e
     if q > limit:
         raise OverflowLimitError("q = p^e", q, limit)
+    prime = FieldCtx(p, 1, (0, 1), limit)
     if e == 1:
         if field_modulus is not None and tuple(field_modulus) != (0, 1):
             raise DomainError("field_modulus is only meaningful for e > 1")
-        return FieldCtx(p, 1, (0, 1), limit)
+        return prime
+    # polyring imports this module, so its F_p[x] arithmetic is imported late
+    from .polyring import FqPoly, is_irreducible, monic_enumerate
     if field_modulus is None:
-        field_modulus = _default_field_modulus(p, e)
+        field_modulus = next(f.coeffs for f in monic_enumerate(prime, e)
+                             if is_irreducible(f))
     else:
         field_modulus = tuple(int(c) for c in field_modulus)
         if len(field_modulus) != e + 1 or field_modulus[-1] != 1:
@@ -380,7 +271,7 @@ def make_field(p: int, e: int = 1, field_modulus=None,
                 f"field_modulus must be monic of degree {e} (length {e + 1})")
         if any(not 0 <= c < p for c in field_modulus):
             raise CoefficientRangeError("field_modulus coefficients must lie in [0,p)")
-        if not _fp_is_irreducible(list(field_modulus), p):
+        if not is_irreducible(FqPoly(prime, field_modulus, check=False)):
             raise ReducibleModulusError(
                 f"field_modulus is reducible over F_{p}")
     return FieldCtx(p, e, field_modulus, limit)

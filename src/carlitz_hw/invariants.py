@@ -9,10 +9,15 @@ exceeds the combinatorial target floor(l(n)/(q-1)) (minus one in the zero
 class), the genus is the sum of the targets, and a strict drop at any n is a
 defect certifying non-ordinariness.
 
-Multiplying n by p modulo q^d - 1 raises every coefficient to the p-th
-power and therefore preserves the u-degree, so degrees need only be
-computed once per orbit of n -> p*n; the orbit route is the default and
-must stay exactly equivalent to the naive scan (use_orbit=False).
+All consumers read one degree engine, degree_stream, which yields
+(n, degree, target) over ascending exponents: hasse_witt takes the whole
+stream, and first_defects (behind is_ordinary and is_ordinary_plus) takes
+one early-exit pass.  Multiplying n by p modulo q^d - 1 raises every
+coefficient to the p-th power and therefore preserves the u-degree, so the
+stream computes degrees once per orbit of n -> p*n; the orbit route is the
+default and must stay exactly equivalent to the naive scan
+(use_orbit=False).  z_bar and the frobenius suite compute every degree
+without sharing and so check that equivalence independently.
 """
 
 from __future__ import annotations
@@ -114,52 +119,45 @@ def _bbar_degree(n: int, m: Modulus) -> int:
     return b.u_degree
 
 
-def frobenius_orbits(group_order: int, p: int):
-    """Orbits of n -> p*n mod group_order on [1, group_order - 1], each as an
-    ascending-start list; yielded by ascending representative."""
-    seen = bytearray(group_order)
-    for n in range(1, group_order):
-        if seen[n]:
-            continue
-        orbit = []
-        cur = n
-        while not seen[cur]:
-            seen[cur] = 1
-            orbit.append(cur)
-            cur = cur * p % group_order
-        yield orbit
+def degree_stream(m: Modulus, use_orbit: bool = True, exponents=None):
+    """Yield (n, degree, target) for ascending exponents n, by default every
+    1 <= n <= q^d - 2: the u-degree of the reduced generating polynomial and
+    its digit-sum target.
 
-
-def hasse_witt(m: Modulus, use_orbit: bool = True) -> InvariantsReport:
-    """Full invariant report for one modulus.
-
-    With use_orbit the reduced degree is computed once per Frobenius orbit
-    and shared; targets and defects are still evaluated per exponent, since
-    the digit sum is not orbit-invariant unless q = p.
+    With use_orbit each degree is computed once per Frobenius orbit
+    n -> p*n mod (q^d - 1) and remembered for the whole orbit; without it
+    every degree is computed.  Targets are evaluated per exponent, since the
+    digit sum is not orbit-invariant unless q = p.
     """
-    ctx = m.ctx
-    d = m.d
-    q = ctx.q
-    g, g_plus = genus(ctx, d)
-    order = m.group_order
-    degrees = [0] * order
-    if use_orbit:
-        for orbit in frobenius_orbits(order, ctx.p):
-            deg = _bbar_degree(orbit[0], m)
-            for n in orbit:
-                degrees[n] = deg
-    else:
-        for n in range(1, order):
-            degrees[n] = _bbar_degree(n, m)
-    lam = lam_plus = 0
-    defects: list[Defect] = []
-    defects_plus: list[Defect] = []
-    for n in range(1, order):
-        deg = degrees[n]
+    ctx, d, order = m.ctx, m.d, m.group_order
+    p = ctx.p
+    known = [None] * order if use_orbit else None
+    for n in range(1, order) if exponents is None else exponents:
+        deg = known[n] if use_orbit else None
+        if deg is None:
+            deg = _bbar_degree(n, m)
+            if use_orbit:
+                cur = n
+                while known[cur] is None:
+                    known[cur] = deg
+                    cur = cur * p % order
         tgt = target_degree(n, ctx, d)
         if deg > tgt:
             raise InternalError(
                 f"degree {deg} exceeds target {tgt} at n={n} mod {format_poly(m.poly)}")
+        yield n, deg, tgt
+
+
+def hasse_witt(m: Modulus, use_orbit: bool = True) -> InvariantsReport:
+    """Full invariant report for one modulus, from the whole degree stream."""
+    ctx = m.ctx
+    d = m.d
+    q = ctx.q
+    g, g_plus = genus(ctx, d)
+    lam = lam_plus = 0
+    defects: list[Defect] = []
+    defects_plus: list[Defect] = []
+    for n, deg, tgt in degree_stream(m, use_orbit):
         lam += deg
         zero_class = n % (q - 1) == 0
         if zero_class:
@@ -184,25 +182,39 @@ def hasse_witt(m: Modulus, use_orbit: bool = True) -> InvariantsReport:
         defects=defects, defects_plus=defects_plus)
 
 
+def first_defects(m: Modulus, use_orbit: bool = True) -> tuple[int | None, int | None]:
+    """The least defective exponent and the least defective zero-class
+    exponent, None where there is none, in one early-exit pass over the
+    degree stream: after the first defect only zero-class exponents are
+    evaluated."""
+    q1 = m.ctx.q - 1
+    first = None
+
+    def exponents():  # reads `first` as the stream asks for the next n
+        n = 1
+        while n < m.group_order:
+            yield n
+            n = n + 1 if first is None else n + q1 - n % q1
+
+    for n, deg, tgt in degree_stream(m, use_orbit, exponents()):
+        if deg != tgt:
+            if first is None:
+                first = n
+            if n % q1 == 0:
+                return first, n
+    return first, None
+
+
 def is_ordinary(m: Modulus) -> tuple[bool, int | None]:
-    """Early-exit scan; on failure returns the least defective exponent."""
-    ctx = m.ctx
-    for n in range(1, m.group_order):
-        if _bbar_degree(n, m) != target_degree(n, ctx, m.d):
-            return False, n
-    return True, None
+    """(ordinary, least defective exponent or None)."""
+    n = first_defects(m)[0]
+    return n is None, n
 
 
 def is_ordinary_plus(m: Modulus) -> tuple[bool, int | None]:
-    """Early-exit scan over zero-class exponents only."""
-    ctx = m.ctx
-    q = ctx.q
-    for n in range(1, m.group_order):
-        if n % (q - 1) != 0:
-            continue
-        if _bbar_degree(n, m) != target_degree(n, ctx, m.d):
-            return False, n
-    return True, None
+    """(ordinary_plus, least defective zero-class exponent or None)."""
+    n = first_defects(m)[1]
+    return n is None, n
 
 
 def z_bar(m: Modulus):

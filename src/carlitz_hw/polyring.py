@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
-
 from .errors import (
     DegreeTooSmallError,
     DomainError,
@@ -30,6 +28,7 @@ from .errors import (
     OutOfRangeError,
     OverflowLimitError,
     PolyParseError,
+    ReducibleModulusError,
 )
 from .fieldcore import FieldCtx
 
@@ -135,6 +134,7 @@ class FqPoly:
             return FqPoly(ctx, (), check=False)
         if (ctx.e == 1 and len(a) + len(b) >= _NUMPY_MIN_TERMS
                 and (ctx.p - 1) ** 2 * min(len(a), len(b)) < 2**62):
+            import numpy as np  # here, not at the top: most runs never get here
             out = np.convolve(np.asarray(a, dtype=np.int64),
                               np.asarray(b, dtype=np.int64)) % ctx.p
             return FqPoly(ctx, out.tolist(), check=False)
@@ -387,7 +387,7 @@ class Modulus:
             raise DomainError(f"modulus must be monic: {format_poly(poly)}")
         d = len(poly.coeffs) - 1
         if d < 1 or not is_irreducible(poly):
-            raise DomainError(f"modulus is not irreducible: {format_poly(poly)}")
+            raise ReducibleModulusError(f"modulus is not irreducible: {format_poly(poly)}")
         ctx = poly.ctx
         order = ctx.q**d - 1
         if order > ctx.limit:
@@ -456,11 +456,17 @@ class Modulus:
 def irreducible_enumerate(ctx: FieldCtx, d: int) -> list[Modulus]:
     """All monic irreducible degree-d moduli in enumeration order.
 
-    The length is cross-checked against the necklace formula.
+    Each monic polynomial is tested once, by Modulus itself; the length is
+    cross-checked against the necklace formula.
     """
     if d < 1:
         raise OutOfRangeError(f"degree must be >= 1, got {d}")
-    out = [Modulus(f) for f in monic_enumerate(ctx, d) if is_irreducible(f)]
+    out = []
+    for f in monic_enumerate(ctx, d):
+        try:
+            out.append(Modulus(f))
+        except ReducibleModulusError:
+            pass
     expected = irreducible_count(ctx, d)
     if len(out) != expected:
         raise InternalError(

@@ -11,8 +11,9 @@ Output formats share one column set:
     first_defect_n,elapsed_ms
 CSV writes lowercase booleans and empty cells for unknown values; JSONL
 writes one object per line with the same key order and null for unknowns.
-In witness-only mode the ordinariness flags come from the early-exit scans
-and the lambda/supersingular fields stay unknown.
+In witness-only mode the ordinariness flags and first_defect_n come from
+one early-exit pass (invariants.first_defects) and the lambda/supersingular
+fields stay unknown.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ from time import perf_counter
 
 from .errors import DomainError
 from .fieldcore import FieldCtx, make_field
-from .invariants import hasse_witt, is_ordinary, is_ordinary_plus, genus
+from .invariants import first_defects, genus, hasse_witt
 from .polyring import FqPoly, Modulus, format_poly, irreducible_enumerate
 
 MODE_FULL = "full"
-MODE_ORDINARY_ONLY = "ordinary-only"
 MODE_WITNESS = "witness-only"
 
 CSV_HEADER = ("m,d,g,g_plus,lambda,lambda_plus,ordinary,ordinary_plus,"
@@ -75,13 +75,12 @@ def _scan_one(task) -> ScanRecord:
     start = perf_counter()
     m = Modulus(FqPoly(ctx, m_coeffs, check=False))
     if mode == MODE_WITNESS:
-        ordinary, witness = is_ordinary(m)
-        ordinary_plus, _ = is_ordinary_plus(m)
+        witness, witness_plus = first_defects(m, use_orbit)
         g, g_plus = genus(ctx, m.d)
         record = ScanRecord(
             m=format_poly(m.poly), d=m.d, g=g, g_plus=g_plus,
             lambda_=None, lambda_plus=None,
-            ordinary=ordinary, ordinary_plus=ordinary_plus,
+            ordinary=witness is None, ordinary_plus=witness_plus is None,
             supersingular=None, first_defect_n=witness,
             elapsed_ms=_ms_since(start))
     else:
@@ -105,24 +104,19 @@ def scan_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
                 use_orbit: bool = True) -> list[ScanRecord]:
     """One record per monic irreducible modulus of degree d, in enumeration
     order; `limit` truncates the modulus list, `workers` sizes the pool."""
-    if mode not in (MODE_FULL, MODE_ORDINARY_ONLY, MODE_WITNESS):
+    if mode not in (MODE_FULL, MODE_WITNESS):
         raise DomainError(f"unknown scan mode {mode!r}")
     moduli = irreducible_enumerate(ctx, d)
     if limit is not None:
         if limit < 0:
             raise DomainError(f"limit must be >= 0, got {limit}")
         moduli = moduli[:limit]
-    worker_mode = MODE_WITNESS if mode == MODE_WITNESS else MODE_FULL
     tasks = [(ctx.p, ctx.e, ctx.field_modulus, ctx.limit,
-              m.poly.coeffs, worker_mode, use_orbit) for m in moduli]
+              m.poly.coeffs, mode, use_orbit) for m in moduli]
     if workers <= 1 or len(tasks) <= 1:
-        records = [_scan_one(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            records = list(pool.map(_scan_one, tasks))
-    if mode == MODE_ORDINARY_ONLY:
-        records = [r for r in records if r.ordinary]
-    return records
+        return [_scan_one(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        return list(pool.map(_scan_one, tasks))
 
 
 def _csv_cell(v) -> str:

@@ -1,4 +1,5 @@
 import json
+import re
 
 from carlitz_hw.cli import run
 from carlitz_hw.scan import CSV_HEADER
@@ -113,6 +114,18 @@ def test_scan_witness_mode(capsys):
     for cells in rows[1:]:
         assert cells[4] == "" and cells[5] == "" and cells[8] == ""
         assert cells[9] == "10"
+
+
+def test_scan_witness_output_independent_of_orbit_and_workers(capsys):
+    base = ["scan", "--p", "3", "--d", "3", "--mode", "witness"]
+    outs = set()
+    for extra in ([], ["--no-orbit"]):
+        for workers in ("1", "2"):
+            code, out, _ = _run(capsys, *base, *extra, "--workers", workers)
+            assert code == 0
+            outs.add(re.sub(r"\d+$", "X", out, flags=re.M))
+    assert len(outs) == 1
+    assert outs.pop().count(",false,true,,13,X") == 2
 
 
 def test_verify_pass(capsys):

@@ -35,6 +35,22 @@ def test_make_field_default_modulus_f4():
     assert ctx.format_field_modulus() == "x^2+x+1"
 
 
+@pytest.mark.parametrize("p,e,modulus", [
+    (2, 3, (1, 1, 0, 1)),
+    (2, 4, (1, 1, 0, 0, 1)),
+    (2, 5, (1, 0, 1, 0, 0, 1)),
+    (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),
+    (3, 2, (1, 0, 1)),
+    (3, 4, (2, 1, 0, 0, 1)),
+    (5, 2, (2, 0, 1)),
+    (5, 4, (2, 0, 0, 0, 1)),
+    (7, 3, (2, 0, 0, 1)),
+    (13, 2, (2, 0, 1)),
+])
+def test_make_field_default_modulus_is_code_order_least(p, e, modulus):
+    assert make_field(p, e).field_modulus == modulus
+
+
 def test_make_field_rejects_reducible():
     with pytest.raises(ReducibleModulusError):
         make_field(2, 2, [1, 0, 1])  # x^2+1 = (x+1)^2

@@ -16,7 +16,8 @@ from carlitz_hw import (
     z_bar,
 )
 from carlitz_hw.errors import OutOfRangeError, OverflowLimitError
-from carlitz_hw.invariants import SUITE_NAMES, frobenius_orbits
+from carlitz_hw import invariants
+from carlitz_hw.invariants import SUITE_NAMES, degree_stream, first_defects
 
 
 def test_genus_values(f3, f4):
@@ -105,15 +106,44 @@ def test_orbit_and_naive_reports_are_identical(p, e, d):
         assert hasse_witt(m, use_orbit=True) == hasse_witt(m, use_orbit=False)
 
 
-def test_frobenius_orbits_partition():
-    order = 26
-    seen = []
-    for orbit in frobenius_orbits(order, 3):
-        assert orbit[0] == min(orbit)
-        assert all(orbit[(k + 1) % len(orbit)] == orbit[k] * 3 % order
-                   for k in range(len(orbit)))
-        seen.extend(orbit)
-    assert sorted(seen) == list(range(1, order))
+@pytest.mark.parametrize("p,e,d", [(2, 1, 3), (2, 1, 4), (3, 1, 3), (2, 2, 2),
+                                   (2, 2, 3), (5, 1, 2)])
+@pytest.mark.parametrize("use_orbit", [True, False])
+def test_first_defects_match_report(p, e, d, use_orbit):
+    ctx = make_field(p, e)
+    for m in irreducible_enumerate(ctx, d):
+        rep = hasse_witt(m, use_orbit=use_orbit)
+        want = tuple(fs[0].n if fs else None for fs in (rep.defects, rep.defects_plus))
+        assert first_defects(m, use_orbit) == want
+
+
+def _orbit_of(n, p, order):
+    orbit, cur = set(), n
+    while cur not in orbit:
+        orbit.add(cur)
+        cur = cur * p % order
+    return frozenset(orbit)
+
+
+def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline):
+    calls = []
+    real = invariants._bbar_degree
+
+    def counted(n, m):
+        calls.append(n)
+        return real(n, m)
+
+    monkeypatch.setattr(invariants, "_bbar_degree", counted)
+    assert [n for n, _, _ in degree_stream(m_headline)] == list(range(1, 26))
+    orbits = {_orbit_of(n, 3, 26) for n in range(1, 26)}
+    assert sorted(map(min, orbits)) == calls
+
+    calls.clear()
+    assert first_defects(m_headline) == (13, None)
+    assert len({_orbit_of(n, 3, 26) for n in calls}) == len(calls)
+    calls.clear()
+    list(degree_stream(m_headline, use_orbit=False))
+    assert calls == list(range(1, 26))
 
 
 @pytest.mark.parametrize("p,e,d", [(3, 1, 3), (2, 2, 2), (2, 1, 4), (5, 1, 2)])

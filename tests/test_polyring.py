@@ -20,6 +20,7 @@ from carlitz_hw.errors import (
     DomainError,
     OutOfRangeError,
     PolyParseError,
+    ReducibleModulusError,
 )
 from carlitz_hw.polyring import irreducible_count
 
@@ -197,8 +198,8 @@ def test_irreducible_enumerate_counts(f2, f3, f4):
 
 
 def test_modulus_validation(f3):
-    with pytest.raises(DomainError):
-        Modulus(parse_poly("T^2", f3))  # reducible
+    with pytest.raises(ReducibleModulusError):
+        Modulus(parse_poly("T^2", f3))
     with pytest.raises(DomainError):
         Modulus(parse_poly("2*T+1", f3))  # not monic
     m = Modulus(parse_poly("T^2+1", f3))

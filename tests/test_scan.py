@@ -6,12 +6,7 @@ import pytest
 from carlitz_hw import scan_degree, write_records
 from carlitz_hw.errors import DomainError
 from carlitz_hw.polyring import irreducible_count
-from carlitz_hw.scan import (
-    CSV_HEADER,
-    MODE_ORDINARY_ONLY,
-    MODE_WITNESS,
-    ScanRecord,
-)
+from carlitz_hw.scan import CSV_HEADER, MODE_WITNESS, ScanRecord
 
 _ELAPSED = re.compile(r"\d+$", re.M)
 
@@ -30,6 +25,7 @@ def test_scan_f3_quadratics(f3):
 def test_scan_f3_cubics(f3):
     records = scan_degree(f3, 3)
     assert len(records) == 8
+    assert sum(r.ordinary for r in records) == 6
     assert all(r.ordinary_plus for r in records)
     headline = next(r for r in records if r.m == "T^3+2*T+1")
     assert headline.lambda_ == 18
@@ -61,12 +57,6 @@ def test_scan_witness_mode(f4):
         assert r.supersingular is None
         assert not r.ordinary and r.ordinary_plus
         assert r.first_defect_n == 10
-
-
-def test_scan_ordinary_only_mode(f3):
-    records = scan_degree(f3, 3, mode=MODE_ORDINARY_ONLY)
-    assert len(records) == 6
-    assert all(r.ordinary for r in records)
 
 
 def test_scan_unknown_mode(f3):
