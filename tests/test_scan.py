@@ -59,6 +59,17 @@ def test_scan_witness_mode(f4):
         assert r.first_defect_n == 10
 
 
+def test_scan_ordinary_only_mode(f3):
+    # The ordinary moduli are the witness-mode records with no witness;
+    # "ordinary-only" is not a scan mode of its own.
+    records = [r for r in scan_degree(f3, 3, mode=MODE_WITNESS) if r.ordinary]
+    assert len(records) == 6
+    full = {r.m: r.ordinary for r in scan_degree(f3, 3)}
+    assert all(full[r.m] for r in records)
+    with pytest.raises(DomainError):
+        scan_degree(f3, 3, mode="ordinary-only")
+
+
 def test_scan_unknown_mode(f3):
     with pytest.raises(DomainError):
         scan_degree(f3, 2, mode="everything")
