@@ -4,7 +4,8 @@ Subcommands: invariants, scan, bpoly, powersum, genus, verify.  Machine
 payload goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 domain errors (bad input, reducible modulus, failed verify), 2 internal
 invariant violations, 3 resource limits.  The environment variable
-CARLITZ_HW_BUDGET (decimal integer) overrides the exact-mode cost ceiling.
+CARLITZ_HW_BUDGET (decimal integer) overrides the exact-mode and the
+residue-mode cost ceilings.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def _fmt_degree(deg) -> str:
 def _cmd_invariants(args) -> int:
     ctx = _make_ctx(args)
     rep = invariants.hasse_witt(_parse_modulus(args.m, ctx),
-                                use_orbit=not args.no_orbit)
+                                use_orbit=not args.no_orbit, budget=_budget())
     print(json.dumps(rep.to_json_dict(), separators=(",", ":")))
     return 0
 
@@ -132,7 +133,7 @@ def _cmd_scan(args) -> int:
     mode = scan.MODE_WITNESS if args.mode == "witness" else scan.MODE_FULL
     records = scan.scan_degree(ctx, args.d, mode=mode, limit=args.limit,
                                workers=args.workers,
-                               use_orbit=not args.no_orbit)
+                               use_orbit=not args.no_orbit, budget=_budget())
     scan.write_records(records, args.format, args.out)
     return 0
 

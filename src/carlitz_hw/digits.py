@@ -13,6 +13,7 @@ is equivalent to (q - 1) | ell(n).  For q = 2 every exponent is zero-class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import OutOfRangeError
 from .fieldcore import FieldCtx
@@ -65,6 +66,18 @@ def target_degree(n: int, ctx: FieldCtx, d: int) -> int:
     prof = digit_profile(n, ctx, d)
     t = prof.ell // (ctx.q - 1)
     return t - 1 if prof.zero_class else t
+
+
+@lru_cache(maxsize=4)
+def target_degrees(ctx: FieldCtx, d: int) -> tuple:
+    """target_degree(n, ctx, d) for every 1 <= n <= q^d - 2 as one tuple
+    indexed by n (entry 0 is None), computed once per field and degree."""
+    q = ctx.q
+    q1 = q - 1
+    ells = [0] * (q**d - 1)
+    for n in range(1, len(ells)):
+        ells[n] = ells[n // q] + n % q
+    return (None,) + tuple(ells[n] // q1 - (n % q1 == 0) for n in range(1, len(ells)))
 
 
 def rho(n: int, q: int):

@@ -18,6 +18,14 @@ stream computes degrees once per orbit of n -> p*n; the orbit route is the
 default and must stay exactly equivalent to the naive scan
 (use_orbit=False).  z_bar and the frobenius suite compute every degree
 without sharing and so check that equivalence independently.
+
+Each stream starts on square-and-multiply (_bbar_degree, through b_poly and
+residue_pow) and counts the products it spends.  Once they reach
+N = q^d - 1, the cost of a discrete-log table of A/mA (powersums.LogTable),
+it builds one and reads every later degree from it top-down, stopping at
+the first nonzero power sum (_table_degree).  Short streams,
+such as a witness pass that stops at its first defects, never build a
+table; the square-and-multiply route is the oracle of the table route.
 """
 
 from __future__ import annotations
@@ -25,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bpoly import RESIDUE, b_poly, c_poly, divide_by_one_minus_u, one_upoly
-from .digits import ell, gekeler_degree_bound, rho, rho_exponents, target_degree
+from .digits import ell, gekeler_degree_bound, rho, rho_exponents, target_degrees
 from .errors import (
     CostCeilingError,
+    DivisionRemainderError,
     InternalError,
     OutOfRangeError,
     OverflowLimitError,
@@ -42,7 +51,7 @@ from .polyring import (
     irreducible_enumerate,
     residue_pow,
 )
-from .powersums import s_exact, s_mod
+from .powersums import LogTable, check_budget, residue_cost, s_exact, s_mod
 
 
 def genus(ctx: FieldCtx, d: int) -> tuple[int, int]:
@@ -119,36 +128,80 @@ def _bbar_degree(n: int, m: Modulus) -> int:
     return b.u_degree
 
 
-def degree_stream(m: Modulus, use_orbit: bool = True, exponents=None):
+def _table_degree(n: int, table: LogTable, cap: int, zero_class: bool) -> int:
+    """The u-degree of B_n mod m from the log table, top-down: the largest
+    i <= cap with s_i(n) != 0, one less in the zero class.  There C_n(1) = 0
+    makes the partial sum P_(i-1) = -(s_i + ... + s_cap), which is -s_i at
+    the first nonzero s_i from the top.  An exponent at its target costs one
+    power sum."""
+    for i in range(cap, 0, -1):
+        if any(table.coordinates(table.power_sum(i, n))):
+            return i - 1 if zero_class else i
+    if zero_class:  # s_0 = 1 would be all of C_n(1)
+        raise DivisionRemainderError(f"C_{n}(1) = 1 != 0 for zero-class n")
+    return 0
+
+
+def _reduced_degree(n: int, m: Modulus, table: LogTable | None, cap: int,
+                    zero_class: bool) -> int:
+    """The u-degree of B_n mod m: by the log table once one is built, by
+    square-and-multiply (_bbar_degree) before."""
+    if table is None:
+        return _bbar_degree(n, m)
+    return _table_degree(n, table, cap, zero_class)
+
+
+def degree_stream(m: Modulus, use_orbit: bool = True, exponents=None,
+                  budget: int | None = None):
     """Yield (n, degree, target) for ascending exponents n, by default every
     1 <= n <= q^d - 2: the u-degree of the reduced generating polynomial and
     its digit-sum target.
 
     With use_orbit each degree is computed once per Frobenius orbit
     n -> p*n mod (q^d - 1) and remembered for the whole orbit; without it
-    every degree is computed.  Targets are evaluated per exponent, since the
-    digit sum is not orbit-invariant unless q = p.
+    every degree is computed.  Targets come from the per-(q, d) table, since
+    the digit sum is not orbit-invariant unless q = p.
+
+    Degrees start on square-and-multiply, and the stream counts the
+    products it spends: at most 2 bit_length(n) per residue_pow, one
+    residue_pow per monic a of degree <= cap.  Once the count reaches
+    N = q^d - 1, the cost of building the log table, it builds one and uses
+    it for every later exponent, so neither route costs much more than
+    twice the cheaper one.  residue_cost(m) is checked against budget
+    before the memo or the table is allocated (CostCeilingError).
     """
     ctx, d, order = m.ctx, m.d, m.group_order
-    p = ctx.p
+    p, q1 = ctx.p, ctx.q - 1
+    check_budget(f"degree stream mod {format_poly(m.poly)}", residue_cost(m), budget)
+    targets = target_degrees(ctx, d)
+    monic_upto = [(ctx.q**(c + 1) - 1) // q1 for c in range(d)]
+    table, spent = None, 0
     known = [None] * order if use_orbit else None
     for n in range(1, order) if exponents is None else exponents:
+        tgt = targets[n]
         deg = known[n] if use_orbit else None
         if deg is None:
-            deg = _bbar_degree(n, m)
+            zero_class = n % q1 == 0
+            cap = tgt + zero_class
+            if table is None:
+                if spent >= order:
+                    table = LogTable(m)
+                else:
+                    spent += 2 * n.bit_length() * monic_upto[cap]
+            deg = _reduced_degree(n, m, table, cap, zero_class)
             if use_orbit:
                 cur = n
                 while known[cur] is None:
                     known[cur] = deg
                     cur = cur * p % order
-        tgt = target_degree(n, ctx, d)
         if deg > tgt:
             raise InternalError(
                 f"degree {deg} exceeds target {tgt} at n={n} mod {format_poly(m.poly)}")
         yield n, deg, tgt
 
 
-def hasse_witt(m: Modulus, use_orbit: bool = True) -> InvariantsReport:
+def hasse_witt(m: Modulus, use_orbit: bool = True,
+               budget: int | None = None) -> InvariantsReport:
     """Full invariant report for one modulus, from the whole degree stream."""
     ctx = m.ctx
     d = m.d
@@ -157,7 +210,7 @@ def hasse_witt(m: Modulus, use_orbit: bool = True) -> InvariantsReport:
     lam = lam_plus = 0
     defects: list[Defect] = []
     defects_plus: list[Defect] = []
-    for n, deg, tgt in degree_stream(m, use_orbit):
+    for n, deg, tgt in degree_stream(m, use_orbit, budget=budget):
         lam += deg
         zero_class = n % (q - 1) == 0
         if zero_class:
@@ -182,7 +235,8 @@ def hasse_witt(m: Modulus, use_orbit: bool = True) -> InvariantsReport:
         defects=defects, defects_plus=defects_plus)
 
 
-def first_defects(m: Modulus, use_orbit: bool = True) -> tuple[int | None, int | None]:
+def first_defects(m: Modulus, use_orbit: bool = True,
+                  budget: int | None = None) -> tuple[int | None, int | None]:
     """The least defective exponent and the least defective zero-class
     exponent, None where there is none, in one early-exit pass over the
     degree stream: after the first defect only zero-class exponents are
@@ -196,7 +250,7 @@ def first_defects(m: Modulus, use_orbit: bool = True) -> tuple[int | None, int |
             yield n
             n = n + 1 if first is None else n + q1 - n % q1
 
-    for n, deg, tgt in degree_stream(m, use_orbit, exponents()):
+    for n, deg, tgt in degree_stream(m, use_orbit, exponents(), budget):
         if deg != tgt:
             if first is None:
                 first = n

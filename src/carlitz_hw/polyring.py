@@ -5,7 +5,10 @@ the trailing zeros stripped, so the empty tuple is the zero polynomial and
 deg f = len(coeffs) - 1 otherwise; deg 0 = -inf.  Values are immutable and
 the usual operators are overloaded.  A Modulus wraps a monic irreducible m
 of degree d together with the reduction tables used by residue_pow, the
-square-and-multiply exponentiation in A/mA.
+square-and-multiply exponentiation in A/mA.  residue_pow computes every
+reduced power sum of s_mod and b_poly and the first exponents of each
+degree stream; long degree streams move to the discrete-log table of
+powersums.LogTable, for which residue_pow stays the oracle.
 
 Enumeration orders are part of the contract: monic polynomials of degree i
 are produced by ascending coefficient code with a_0 varying fastest, and
@@ -388,6 +391,17 @@ class Modulus:
         d = len(poly.coeffs) - 1
         if d < 1 or not is_irreducible(poly):
             raise ReducibleModulusError(f"modulus is not irreducible: {format_poly(poly)}")
+        self._set_up(poly, d)
+
+    @classmethod
+    def _trusted(cls, poly: FqPoly) -> "Modulus":
+        """A Modulus for a monic irreducible poly that irreducible_enumerate
+        has already accepted: the reduction tables without the second test."""
+        m = cls.__new__(cls)
+        m._set_up(poly, len(poly.coeffs) - 1)
+        return m
+
+    def _set_up(self, poly, d):
         ctx = poly.ctx
         order = ctx.q**d - 1
         if order > ctx.limit:

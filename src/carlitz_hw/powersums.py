@@ -8,8 +8,15 @@ a cost estimate q^i * ceil(log2 n) * (i*n + 1) against a configurable
 budget (CostCeilingError beyond it).
 
 The reduced sum s_mod enumerates the same monic polynomials and accumulates
-residue powers; it never leaves degree < d and is the workhorse of the
-invariant computations.
+residue powers by square-and-multiply (residue_pow), never leaving degree
+< d.  It serves b_poly, z_bar, the verify suites and short degree streams,
+and it is the oracle for LogTable: a discrete-log table of A/mA = F_{q^d}
+with which s_i(n) mod m costs one index computation per monic a,
+a^n = g^(log a * n mod (q^d - 1)), and no polynomial multiplication.
+invariants.degree_stream switches to the table once it has spent as many
+products on residue_pow as the table costs to build.  residue_cost bounds
+the memory of one degree stream and is checked against the same budget as
+exact mode.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .errors import (
     PrimeFieldOnlyError,
 )
 from .fieldcore import FieldCtx
-from .polyring import FqPoly, Modulus, monic_enumerate, residue_pow
+from .polyring import FqPoly, Modulus, _prime_divisors, monic_enumerate, residue_pow
 
 DEFAULT_COST_CEILING = 10**9
 
@@ -42,14 +49,24 @@ def _check_exact_args(i, n):
         raise OutOfRangeError(f"n must be >= 1, got {n}")
 
 
+def residue_cost(m: Modulus) -> int:
+    """Cost estimate for a degree stream mod m, in table entries: the orbit
+    memo and the log table hold q^d - 1 entries each, a table entry d*e F_p
+    coordinates."""
+    return m.group_order * (m.d * m.ctx.e + 1)
+
+
+def check_budget(what: str, cost: int, budget: int | None) -> None:
+    """CostCeilingError when cost exceeds budget (DEFAULT_COST_CEILING if None)."""
+    limit = DEFAULT_COST_CEILING if budget is None else budget
+    if cost > limit:
+        raise CostCeilingError(f"{what} estimated cost {cost} exceeds budget {limit}")
+
+
 def s_exact(i: int, n: int, ctx: FieldCtx, budget: int | None = None) -> FqPoly:
     """The exact power sum in F_q[T], by brute force.  This is the oracle."""
     _check_exact_args(i, n)
-    limit = DEFAULT_COST_CEILING if budget is None else budget
-    cost = exact_cost(i, n, ctx)
-    if cost > limit:
-        raise CostCeilingError(
-            f"s_exact(i={i}, n={n}) estimated cost {cost} exceeds budget {limit}")
+    check_budget(f"s_exact(i={i}, n={n})", exact_cost(i, n, ctx), budget)
     return _s_exact_cached(i, n, ctx)
 
 
@@ -77,6 +94,74 @@ def s_mod(i: int, n: int, m: Modulus) -> FqPoly:
                 f"unit power vanished mod {m!r}: a^{n} = 0 for monic degree {i}")
         total = total + power
     return total
+
+
+class LogTable:
+    """Discrete-log table of the residue field A/mA = F_{q^d}, N = q^d - 1.
+
+    g is the least primitive residue in code order, exp[k] = g^k for
+    0 <= k < N, and logs[i] lists log a for the monic a of degree i < d in
+    enumeration order.  A residue is packed into one int: the F_p coordinate
+    t of its T^j coefficient sits in bit field j*e + t, and every field is
+    wide enough for a sum of q^d residues, so that s_i(n) mod m, the sum of
+    exp[log a * n mod N] over the monic a of degree i, takes integer
+    additions only.  Multiplication by g is F_p-linear, so each exp entry is
+    the previous one's coordinates times the packed images of the basis.
+    """
+
+    __slots__ = ("p", "order", "shifts", "mask", "exp", "logs")
+
+    def __init__(self, m: Modulus):
+        ctx, d, order = m.ctx, m.d, m.group_order
+        p, e, q = ctx.p, ctx.e, ctx.q
+        width = (q**d * (p - 1)).bit_length()
+        self.p, self.order = p, order
+        self.shifts = shifts = range(0, width * d * e, width)
+        self.mask = mask = (1 << width) - 1
+
+        def pack(coeffs):  # F_q codes of a residue, T^0 first
+            return sum((c // p**t % p) << shifts[j * e + t]
+                       for j, c in enumerate(coeffs) for t in range(e))
+
+        g = _least_primitive(m).coeffs
+        # g times the F_p basis residues x^t T^j, in field order j*e + t
+        images = [pack(m._mulmod([0] * j + [p**t], g))
+                  for j in range(d) for t in range(e)]
+        exp, log = [], {}
+        cur = 1
+        for k in range(order):
+            log[cur] = k
+            exp.append(cur)
+            raw = sum([(cur >> s & mask) * img for s, img in zip(shifts, images)])
+            cur = sum([(raw >> s & mask) % p << s for s in shifts])
+        if len(log) != order or exp[0] != 1:
+            raise InternalError(f"discrete-log table of {m!r} is not a bijection")
+        self.exp = exp
+        self.logs = tuple([log[pack(a.coeffs)] for a in monic_enumerate(ctx, i)]
+                          for i in range(d))
+
+    def power_sum(self, i: int, n: int) -> int:
+        """s_i(n) mod m, packed, its coordinates not yet reduced mod p."""
+        exp, order = self.exp, self.order
+        return sum([exp[la * n % order] for la in self.logs[i]])
+
+    def coordinates(self, packed: int) -> list[int]:
+        """The d*e F_p coordinates of a packed sum, reduced mod p."""
+        p, mask = self.p, self.mask
+        return [(packed >> s & mask) % p for s in self.shifts]
+
+
+def _least_primitive(m: Modulus) -> FqPoly:
+    ctx, d, order = m.ctx, m.d, m.group_order
+    q = ctx.q
+    cofactors = [order // r for r in _prime_divisors(order)]
+    one = FqPoly.one(ctx)
+    # a constant has order dividing q - 1, so it is primitive only when d = 1
+    for code in range(1 if d == 1 else q, q**d):
+        g = FqPoly(ctx, [code // q**j % q for j in range(d)], check=False)
+        if all(residue_pow(g, k, m) != one for k in cofactors):
+            return g
+    raise InternalError(f"no primitive residue mod {m!r}")
 
 
 def s1_closed_form(n: int, ctx: FieldCtx) -> FqPoly:

@@ -70,12 +70,13 @@ def _ctx_cache(p, e, field_modulus, limit) -> FieldCtx:
 
 
 def _scan_one(task) -> ScanRecord:
-    p, e, field_modulus, limit, m_coeffs, mode, use_orbit = task
+    p, e, field_modulus, limit, m_coeffs, mode, use_orbit, budget = task
     ctx = _ctx_cache(p, e, field_modulus, limit)
     start = perf_counter()
-    m = Modulus(FqPoly(ctx, m_coeffs, check=False))
+    # m_coeffs come from irreducible_enumerate, which tested them already
+    m = Modulus._trusted(FqPoly(ctx, m_coeffs, check=False))
     if mode == MODE_WITNESS:
-        witness, witness_plus = first_defects(m, use_orbit)
+        witness, witness_plus = first_defects(m, use_orbit, budget)
         g, g_plus = genus(ctx, m.d)
         record = ScanRecord(
             m=format_poly(m.poly), d=m.d, g=g, g_plus=g_plus,
@@ -84,7 +85,7 @@ def _scan_one(task) -> ScanRecord:
             supersingular=None, first_defect_n=witness,
             elapsed_ms=_ms_since(start))
     else:
-        rep = hasse_witt(m, use_orbit=use_orbit)
+        rep = hasse_witt(m, use_orbit, budget)
         record = ScanRecord(
             m=rep.m, d=rep.d, g=rep.g, g_plus=rep.g_plus,
             lambda_=rep.lambda_, lambda_plus=rep.lambda_plus,
@@ -101,9 +102,11 @@ def _ms_since(start):
 
 def scan_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
                 limit: int | None = None, workers: int = 1,
-                use_orbit: bool = True) -> list[ScanRecord]:
+                use_orbit: bool = True,
+                budget: int | None = None) -> list[ScanRecord]:
     """One record per monic irreducible modulus of degree d, in enumeration
-    order; `limit` truncates the modulus list, `workers` sizes the pool."""
+    order; `limit` truncates the modulus list, `workers` sizes the pool and
+    `budget` is the residue-mode cost ceiling of each degree stream."""
     if mode not in (MODE_FULL, MODE_WITNESS):
         raise DomainError(f"unknown scan mode {mode!r}")
     moduli = irreducible_enumerate(ctx, d)
@@ -112,7 +115,7 @@ def scan_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
             raise DomainError(f"limit must be >= 0, got {limit}")
         moduli = moduli[:limit]
     tasks = [(ctx.p, ctx.e, ctx.field_modulus, ctx.limit,
-              m.poly.coeffs, mode, use_orbit) for m in moduli]
+              m.poly.coeffs, mode, use_orbit, budget) for m in moduli]
     if workers <= 1 or len(tasks) <= 1:
         return [_scan_one(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:

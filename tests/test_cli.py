@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from carlitz_hw.cli import run
 from carlitz_hw.scan import CSV_HEADER
 
@@ -179,6 +181,20 @@ def test_budget_env_exit_code(capsys, monkeypatch):
     code, _, err = _run(capsys, "powersum", "--p", "5", "--i", "3",
                         "--n", "100000", "--exact")
     assert code == 3 and "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--p", "3", "--m", "T^3+2T+1"),
+    ("scan", "--p", "3", "--d", "3", "--workers", "1"),
+    ("scan", "--p", "3", "--d", "3", "--workers", "2", "--mode", "witness"),
+])
+def test_budget_env_caps_residue_mode(capsys, monkeypatch, argv):
+    # one degree stream over a cubic modulus over F_3 costs 26 * (3 + 1)
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", "103")
+    code, out, err = _run(capsys, *argv)
+    assert code == 3 and "budget" in err and out == ""
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", "104")
+    assert _run(capsys, *argv)[0] == 0
 
 
 def test_budget_env_must_be_integer(capsys, monkeypatch):

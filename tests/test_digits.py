@@ -10,7 +10,7 @@ from carlitz_hw import (
     rho_sequence,
     target_degree,
 )
-from carlitz_hw.digits import base_q_digits, ell, rho, rho_exponents
+from carlitz_hw.digits import base_q_digits, ell, rho, rho_exponents, target_degrees
 from carlitz_hw.errors import OutOfRangeError
 
 
@@ -40,6 +40,14 @@ def test_target_degree_examples(f3):
     assert target_degree(5, f3, 3) == 1
     assert target_degree(8, f3, 3) == 1
     assert target_degree(2, f3, 3) == 0
+
+
+@pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 3), (2, 2, 3), (5, 1, 2), (2, 1, 6)])
+def test_target_degrees_table_matches_per_exponent(p, e, d):
+    ctx = make_field(p, e)
+    top = ctx.q**d - 2
+    assert target_degrees(ctx, d) == (None,) + tuple(
+        target_degree(n, ctx, d) for n in range(1, top + 1))
 
 
 def test_rho_sequence_examples(f3):

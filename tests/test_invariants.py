@@ -1,6 +1,9 @@
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlitz_hw import (
     Modulus,
@@ -15,9 +18,17 @@ from carlitz_hw import (
     verify_identities,
     z_bar,
 )
-from carlitz_hw.errors import OutOfRangeError, OverflowLimitError
-from carlitz_hw import invariants
+from carlitz_hw.digits import target_degrees
+from carlitz_hw.errors import (
+    CostCeilingError,
+    InternalError,
+    OutOfRangeError,
+    OverflowLimitError,
+)
+from carlitz_hw import invariants, powersums
 from carlitz_hw.invariants import SUITE_NAMES, degree_stream, first_defects
+from carlitz_hw.polyring import FqPoly, format_poly, is_irreducible, monic_enumerate
+from carlitz_hw.powersums import LogTable, residue_cost, s_mod
 
 
 def test_genus_values(f3, f4):
@@ -126,14 +137,16 @@ def _orbit_of(n, p, order):
 
 
 def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline):
+    # counted at the per-exponent dispatch both routes share, since the
+    # stream switches to the log table part way through
     calls = []
-    real = invariants._bbar_degree
+    real = invariants._reduced_degree
 
-    def counted(n, m):
+    def counted(n, *args):
         calls.append(n)
-        return real(n, m)
+        return real(n, *args)
 
-    monkeypatch.setattr(invariants, "_bbar_degree", counted)
+    monkeypatch.setattr(invariants, "_reduced_degree", counted)
     assert [n for n, _, _ in degree_stream(m_headline)] == list(range(1, 26))
     orbits = {_orbit_of(n, 3, 26) for n in range(1, 26)}
     assert sorted(map(min, orbits)) == calls
@@ -144,6 +157,100 @@ def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline):
     calls.clear()
     list(degree_stream(m_headline, use_orbit=False))
     assert calls == list(range(1, 26))
+
+
+def _table_degree(n, m, table):
+    zero_class = n % (m.ctx.q - 1) == 0
+    cap = target_degrees(m.ctx, m.d)[n] + zero_class
+    return invariants._table_degree(n, table, cap, zero_class)
+
+
+@pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 1), (2, 1, 5), (3, 1, 3), (5, 1, 2),
+                                   (7, 1, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)])
+def test_table_degree_matches_square_and_multiply(p, e, d):
+    for m in irreducible_enumerate(make_field(p, e), d):
+        table = LogTable(m)
+        for n in range(1, m.group_order):
+            assert _table_degree(n, m, table) == invariants._bbar_degree(n, m), \
+                (format_poly(m.poly), n)
+
+
+@functools.lru_cache(maxsize=None)
+def _moduli(p, e, d):
+    return irreducible_enumerate(make_field(p, e), d)
+
+
+def _coordinates(f, m):
+    # F_p coordinates of a residue in the LogTable packing order
+    p, e = m.ctx.p, m.ctx.e
+    cs = list(f.coeffs) + [0] * (m.d - len(f.coeffs))
+    return [c // p**t % p for c in cs for t in range(e)]
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_log_table_matches_s_mod_on_random_moduli(data):
+    p, e, d = data.draw(st.sampled_from([(2, 1, 2), (2, 1, 6), (3, 1, 2), (3, 1, 4), (5, 1, 3),
+                                         (7, 1, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]))
+    m = data.draw(st.sampled_from(_moduli(p, e, d)))
+    n = data.draw(st.integers(1, m.group_order - 1))
+    table = LogTable(m)
+    for i in range(d):
+        assert (table.coordinates(table.power_sum(i, n))
+                == _coordinates(s_mod(i, n, m), m)), (format_poly(m.poly), i, n)
+    assert _table_degree(n, m, table) == invariants._bbar_degree(n, m)
+
+
+def _count_tables(monkeypatch):
+    built = []
+    real = invariants.LogTable
+
+    def counted(m):
+        built.append(m)
+        return real(m)
+
+    monkeypatch.setattr(invariants, "LogTable", counted)
+    return built
+
+
+def test_log_table_is_built_once_the_products_reach_its_size(monkeypatch, f3, f4):
+    built = _count_tables(monkeypatch)
+    moduli = irreducible_enumerate(f3, 3)
+    reports = [hasse_witt(m) for m in moduli]
+    assert built == moduli
+    assert reports == [hasse_witt(m, use_orbit=False) for m in moduli]
+
+    # witness pass on the first sextic over F_4: stops at n = 42, no table
+    sextic = next(Modulus(f) for f in monic_enumerate(f4, 6) if is_irreducible(f))
+    built.clear()
+    assert first_defects(sextic) == (10, 42)
+    assert built == []
+    assert first_defects(sextic, use_orbit=False) == (10, 42)
+
+    # an ordinary cubic over F_7 is scanned to the end, with one table
+    cubic = Modulus(parse_poly("T^3+T+1", make_field(7)))
+    built.clear()
+    assert first_defects(cubic) == (None, None)
+    assert built == [cubic]
+    assert first_defects(cubic, use_orbit=False) == (None, None)
+
+
+def test_log_table_certifies_its_generator(monkeypatch, f3, m_headline):
+    monkeypatch.setattr(powersums, "_least_primitive", lambda m: FqPoly.constant(f3, 2))
+    with pytest.raises(InternalError, match="bijection"):
+        LogTable(m_headline)
+
+
+def test_degree_stream_cost_ceiling(monkeypatch, m_headline):
+    built = _count_tables(monkeypatch)
+    cost = residue_cost(m_headline)
+    assert cost == 26 * (3 + 1)
+    with pytest.raises(CostCeilingError, match="budget"):
+        hasse_witt(m_headline, budget=cost - 1)
+    with pytest.raises(CostCeilingError, match="budget"):
+        first_defects(m_headline, budget=cost - 1)
+    assert built == []
+    assert hasse_witt(m_headline, budget=cost) == hasse_witt(m_headline)
 
 
 @pytest.mark.parametrize("p,e,d", [(3, 1, 3), (2, 2, 2), (2, 1, 4), (5, 1, 2)])

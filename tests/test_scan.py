@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from carlitz_hw import scan_degree, write_records
+from carlitz_hw import polyring, scan_degree, write_records
 from carlitz_hw.errors import DomainError
 from carlitz_hw.polyring import irreducible_count
 from carlitz_hw.scan import CSV_HEADER, MODE_WITNESS, ScanRecord
@@ -110,6 +110,19 @@ def test_jsonl_output(tmp_path, f4):
 def test_write_records_format_guard(tmp_path):
     with pytest.raises(DomainError):
         write_records([], "xml", str(tmp_path / "x"))
+
+
+def test_scan_tests_each_polynomial_once(monkeypatch, f3):
+    calls = []
+    real = polyring.is_irreducible
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(polyring, "is_irreducible", counted)
+    assert len(scan_degree(f3, 3)) == 8
+    assert len(calls) == len(set(calls)) == 27  # the monic cubics, none rebuilt
 
 
 def test_worker_counts_agree(tmp_path, f3):
