@@ -10,6 +10,11 @@ functions take d only to validate ranges.
 A UPoly stores its FqPoly coefficients ascending in u, either exact in
 F_q[T] or reduced mod an irreducible m (every coefficient of degree < d);
 u_degree of the zero polynomial is -inf.
+
+This module builds whole polynomials bottom-up, s_0 first.  It serves the
+bpoly command, z_bar and the verify suites, and it is the oracle of the
+degree engine, which reads each degree top-down from the power sums alone
+(invariants._reduced_degree) and never builds B_n.
 """
 
 from __future__ import annotations

@@ -61,13 +61,15 @@ class FieldCtx:
     e + 1, monic) and limit (integer-width ceiling) are read-only by
     convention.  add/sub/neg/mul are plain callables chosen at construction
     (direct residue arithmetic for e = 1, table lookup for small q, generic
-    vector arithmetic otherwise); never pickle a context, rebuild it.
+    vector arithmetic otherwise); never pickle a context, rebuild it.  For
+    e > 1, mulmod multiplies two F_p coordinate lists modulo field_modulus;
+    make_field passes that of a prime-field polyring.Modulus.
     """
 
     __slots__ = ("p", "e", "q", "field_modulus", "limit",
-                 "add", "sub", "neg", "mul", "_inv_table", "_xpow")
+                 "add", "sub", "neg", "mul", "_inv_table")
 
-    def __init__(self, p, e, field_modulus, limit=DEFAULT_LIMIT):
+    def __init__(self, p, e, field_modulus, limit=DEFAULT_LIMIT, mulmod=None):
         self.p = p
         self.e = e
         self.q = p**e
@@ -79,25 +81,13 @@ class FieldCtx:
             self.neg = lambda a: (-a) % p
             self.mul = lambda a, b: (a * b) % p
             self._inv_table = None
-            self._xpow = None
         else:
-            # x^(e+j) mod field_modulus for j = 0..e-2, as coordinate vectors
-            xe = [(-c) % p for c in self.field_modulus[:e]]
-            xpow = [tuple(xe)]
-            cur = list(xe)
-            for _ in range(e - 2):
-                head, cur = cur[-1], [0] + cur[:-1]
-                if head:
-                    for i in range(e):
-                        cur[i] = (cur[i] + head * xe[i]) % p
-                xpow.append(tuple(cur))
-            self._xpow = tuple(xpow)
             self.add = lambda a, b: self._encode(
                 [(x + y) % p for x, y in zip(self._decode(a), self._decode(b))])
             self.sub = lambda a, b: self._encode(
                 [(x - y) % p for x, y in zip(self._decode(a), self._decode(b))])
             self.neg = lambda a: self._encode([(-x) % p for x in self._decode(a)])
-            self.mul = self._mul_generic
+            self.mul = lambda a, b: self._encode(mulmod(self._decode(a), self._decode(b)))
             self._inv_table = None
             if self.q <= _TABLE_MAX_Q:
                 q = self.q
@@ -123,23 +113,6 @@ class FieldCtx:
         for c in reversed(vec):
             code = code * p + c
         return code
-
-    def _mul_generic(self, a, b):
-        p, e = self.p, self.e
-        va, vb = self._decode(a), self._decode(b)
-        raw = [0] * (2 * e - 1)
-        for i, x in enumerate(va):
-            if x:
-                for j, y in enumerate(vb):
-                    raw[i + j] += x * y
-        out = [v % p for v in raw[:e]]
-        for j in range(e, 2 * e - 1):
-            c = raw[j] % p
-            if c:
-                red = self._xpow[j - e]
-                for i in range(e):
-                    out[i] = (out[i] + c * red[i]) % p
-        return self._encode(out)
 
     def pow(self, a, k):
         """a^k for k >= 0 by square-and-multiply."""
@@ -260,10 +233,9 @@ def make_field(p: int, e: int = 1, field_modulus=None,
             raise DomainError("field_modulus is only meaningful for e > 1")
         return prime
     # polyring imports this module, so its F_p[x] arithmetic is imported late
-    from .polyring import FqPoly, is_irreducible, monic_enumerate
+    from .polyring import FqPoly, Modulus, is_irreducible, monic_enumerate
     if field_modulus is None:
-        field_modulus = next(f.coeffs for f in monic_enumerate(prime, e)
-                             if is_irreducible(f))
+        fmod = next(f for f in monic_enumerate(prime, e) if is_irreducible(f))
     else:
         field_modulus = tuple(int(c) for c in field_modulus)
         if len(field_modulus) != e + 1 or field_modulus[-1] != 1:
@@ -271,7 +243,8 @@ def make_field(p: int, e: int = 1, field_modulus=None,
                 f"field_modulus must be monic of degree {e} (length {e + 1})")
         if any(not 0 <= c < p for c in field_modulus):
             raise CoefficientRangeError("field_modulus coefficients must lie in [0,p)")
-        if not is_irreducible(FqPoly(prime, field_modulus, check=False)):
+        fmod = FqPoly(prime, field_modulus, check=False)
+        if not is_irreducible(fmod):
             raise ReducibleModulusError(
                 f"field_modulus is reducible over F_{p}")
-    return FieldCtx(p, e, field_modulus, limit)
+    return FieldCtx(p, e, fmod.coeffs, limit, Modulus._trusted(fmod)._mulmod)

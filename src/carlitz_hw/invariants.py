@@ -19,13 +19,12 @@ default and must stay exactly equivalent to the naive scan
 (use_orbit=False).  z_bar and the frobenius suite compute every degree
 without sharing and so check that equivalence independently.
 
-Each stream starts on square-and-multiply (_bbar_degree, through b_poly and
-residue_pow) and counts the products it spends.  Once they reach
-N = q^d - 1, the cost of a discrete-log table of A/mA (powersums.LogTable),
-it builds one and reads every later degree from it top-down, stopping at
-the first nonzero power sum (_table_degree).  Short streams,
-such as a witness pass that stops at its first defects, never build a
-table; the square-and-multiply route is the oracle of the table route.
+One function reads a degree, _reduced_degree: top-down, it asks the
+stream's power-sum source (powersums.ResidueSums) whether s_i(n) mod m
+vanishes and stops at the first nonzero power sum.  Which route answers,
+square-and-multiply or a discrete-log table, is the source's choice.
+_bbar_degree, which builds all of B_n mod m bottom-up through b_poly, is the
+oracle of that reader, for the frobenius suite and the tests.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .polyring import (
     irreducible_enumerate,
     residue_pow,
 )
-from .powersums import LogTable, check_budget, residue_cost, s_exact, s_mod
+from .powersums import ResidueSums, check_budget, residue_cost, s_exact, s_mod
 
 
 def genus(ctx: FieldCtx, d: int) -> tuple[int, int]:
@@ -121,6 +120,8 @@ class InvariantsReport:
 
 
 def _bbar_degree(n: int, m: Modulus) -> int:
+    """The u-degree of B_n mod m, built bottom-up by b_poly: the oracle of
+    _reduced_degree."""
     b = b_poly(n, m.ctx, m=m)
     if b.is_zero() or b.coeffs[0] != FqPoly.one(m.ctx):
         raise InternalError(
@@ -128,27 +129,18 @@ def _bbar_degree(n: int, m: Modulus) -> int:
     return b.u_degree
 
 
-def _table_degree(n: int, table: LogTable, cap: int, zero_class: bool) -> int:
-    """The u-degree of B_n mod m from the log table, top-down: the largest
-    i <= cap with s_i(n) != 0, one less in the zero class.  There C_n(1) = 0
-    makes the partial sum P_(i-1) = -(s_i + ... + s_cap), which is -s_i at
-    the first nonzero s_i from the top.  An exponent at its target costs one
-    power sum."""
+def _reduced_degree(n: int, sums: ResidueSums, cap: int, zero_class: bool) -> int:
+    """The u-degree of B_n mod m, read top-down from the power-sum source of
+    m: the largest i <= cap with s_i(n) != 0, one less in the zero class.
+    There C_n(1) = 0 makes the partial sum P_(i-1) = -(s_i + ... + s_cap),
+    which is -s_i at the first nonzero s_i from the top.  An exponent at its
+    target costs one power sum, and s_0 = 1 is never computed."""
     for i in range(cap, 0, -1):
-        if any(table.coordinates(table.power_sum(i, n))):
+        if not sums.vanishes(i, n):
             return i - 1 if zero_class else i
     if zero_class:  # s_0 = 1 would be all of C_n(1)
         raise DivisionRemainderError(f"C_{n}(1) = 1 != 0 for zero-class n")
     return 0
-
-
-def _reduced_degree(n: int, m: Modulus, table: LogTable | None, cap: int,
-                    zero_class: bool) -> int:
-    """The u-degree of B_n mod m: by the log table once one is built, by
-    square-and-multiply (_bbar_degree) before."""
-    if table is None:
-        return _bbar_degree(n, m)
-    return _table_degree(n, table, cap, zero_class)
 
 
 def degree_stream(m: Modulus, use_orbit: bool = True, exponents=None,
@@ -162,33 +154,22 @@ def degree_stream(m: Modulus, use_orbit: bool = True, exponents=None,
     every degree is computed.  Targets come from the per-(q, d) table, since
     the digit sum is not orbit-invariant unless q = p.
 
-    Degrees start on square-and-multiply, and the stream counts the
-    products it spends: at most 2 bit_length(n) per residue_pow, one
-    residue_pow per monic a of degree <= cap.  Once the count reaches
-    N = q^d - 1, the cost of building the log table, it builds one and uses
-    it for every later exponent, so neither route costs much more than
-    twice the cheaper one.  residue_cost(m) is checked against budget
-    before the memo or the table is allocated (CostCeilingError).
+    Every degree is read by _reduced_degree from one ResidueSums of m.
+    residue_cost(m) is checked against budget before the memo or the
+    source's table is allocated (CostCeilingError).
     """
     ctx, d, order = m.ctx, m.d, m.group_order
     p, q1 = ctx.p, ctx.q - 1
     check_budget(f"degree stream mod {format_poly(m.poly)}", residue_cost(m), budget)
     targets = target_degrees(ctx, d)
-    monic_upto = [(ctx.q**(c + 1) - 1) // q1 for c in range(d)]
-    table, spent = None, 0
+    sums = ResidueSums(m)
     known = [None] * order if use_orbit else None
     for n in range(1, order) if exponents is None else exponents:
         tgt = targets[n]
         deg = known[n] if use_orbit else None
         if deg is None:
             zero_class = n % q1 == 0
-            cap = tgt + zero_class
-            if table is None:
-                if spent >= order:
-                    table = LogTable(m)
-                else:
-                    spent += 2 * n.bit_length() * monic_upto[cap]
-            deg = _reduced_degree(n, m, table, cap, zero_class)
+            deg = _reduced_degree(n, sums, tgt + zero_class, zero_class)
             if use_orbit:
                 cur = n
                 while known[cur] is None:

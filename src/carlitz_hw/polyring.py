@@ -6,8 +6,8 @@ deg f = len(coeffs) - 1 otherwise; deg 0 = -inf.  Values are immutable and
 the usual operators are overloaded.  A Modulus wraps a monic irreducible m
 of degree d together with the reduction tables used by residue_pow, the
 square-and-multiply exponentiation in A/mA.  residue_pow computes every
-reduced power sum of s_mod and b_poly and the first exponents of each
-degree stream; long degree streams move to the discrete-log table of
+reduced power sum of s_mod, which answers the first queries of each degree
+stream; long degree streams move to the discrete-log table of
 powersums.LogTable, for which residue_pow stays the oracle.
 
 Enumeration orders are part of the contract: monic polynomials of degree i
@@ -183,16 +183,22 @@ class FqPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __pow__(self, n: int):
+    def __pow__(self, n: int, mod=None):
+        """self^n by square-and-multiply; pow(a, n, f) reduces mod a nonzero
+        f after every product (no irreducibility assumed)."""
         if n < 0:
             raise DomainError("negative exponent for polynomial power")
-        result = FqPoly.one(self.ctx)
-        base = self
+
+        def reduced(f):
+            return f if mod is None else f % mod
+
+        result, base = reduced(FqPoly.one(self.ctx)), reduced(self)
         while n > 0:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = reduced(result * base)
             n >>= 1
+            if n:
+                base = reduced(base * base)
         return result
 
     def __eq__(self, other):
@@ -216,18 +222,6 @@ def gcd(a: FqPoly, b: FqPoly) -> FqPoly:
     if a and a.coeffs[-1] != 1:
         a = a.scale(a.ctx.inv(a.coeffs[-1]))
     return a
-
-
-def _pow_mod(a: FqPoly, n: int, f: FqPoly) -> FqPoly:
-    # a^n mod f for arbitrary nonzero f (no irreducibility assumed)
-    result = FqPoly.one(a.ctx) % f
-    base = a % f
-    while n > 0:
-        if n & 1:
-            result = (result * base) % f
-        base = (base * base) % f
-        n >>= 1
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +330,7 @@ def is_irreducible(f: FqPoly) -> bool:
     t = FqPoly.gen(ctx) % f
     tq = [t]
     for _ in range(k):
-        tq.append(_pow_mod(tq[-1], ctx.q, f))
+        tq.append(pow(tq[-1], ctx.q, f))
     if tq[k] != t:
         return False
     for r in _prime_divisors(k):

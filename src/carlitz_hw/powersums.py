@@ -9,14 +9,17 @@ budget (CostCeilingError beyond it).
 
 The reduced sum s_mod enumerates the same monic polynomials and accumulates
 residue powers by square-and-multiply (residue_pow), never leaving degree
-< d.  It serves b_poly, z_bar, the verify suites and short degree streams,
-and it is the oracle for LogTable: a discrete-log table of A/mA = F_{q^d}
-with which s_i(n) mod m costs one index computation per monic a,
+< d.  LogTable is a discrete-log table of A/mA = F_{q^d} with which
+s_i(n) mod m costs one index computation per monic a,
 a^n = g^(log a * n mod (q^d - 1)), and no polynomial multiplication.
-invariants.degree_stream switches to the table once it has spent as many
-products on residue_pow as the table costs to build.  residue_cost bounds
-the memory of one degree stream and is checked against the same budget as
-exact mode.
+
+ResidueSums is the one power-sum source of the degree engine
+(invariants.degree_stream): for one modulus it answers whether s_i(n) mod m
+vanishes, by s_mod until it has spent as many products as a LogTable costs
+to build, and from a LogTable after that.  s_mod, which also serves b_poly,
+z_bar and the verify suites, is the oracle of the table.  residue_cost
+bounds the memory of one degree stream and is checked against the same
+budget as exact mode.
 """
 
 from __future__ import annotations
@@ -149,6 +152,34 @@ class LogTable:
         """The d*e F_p coordinates of a packed sum, reduced mod p."""
         p, mask = self.p, self.mask
         return [(packed >> s & mask) % p for s in self.shifts]
+
+
+class ResidueSums:
+    """Whether s_i(n) mod m vanishes, for one modulus m, on the cheaper of
+    two routes.
+
+    Queries start on s_mod, and the source counts the products they spend:
+    at most 2 bit_length(n) per residue_pow, q^i residue_pow per s_mod.
+    Once the count reaches N = q^d - 1, the cost of building a LogTable, it
+    builds one and answers every later query from it, so neither route
+    costs much more than twice the cheaper one and a short degree stream
+    never builds a table.
+    """
+
+    __slots__ = ("m", "spent", "table")
+
+    def __init__(self, m: Modulus):
+        self.m, self.spent, self.table = m, 0, None
+
+    def vanishes(self, i: int, n: int) -> bool:
+        """s_i(n) == 0 mod m, for 0 <= i < d and 1 <= n < q^d - 1."""
+        m, table = self.m, self.table
+        if table is None and self.spent >= m.group_order:
+            table = self.table = LogTable(m)
+        if table is not None:
+            return not any(table.coordinates(table.power_sum(i, n)))
+        self.spent += 2 * n.bit_length() * m.ctx.q**i
+        return s_mod(i, n, m).is_zero()
 
 
 def _least_primitive(m: Modulus) -> FqPoly:

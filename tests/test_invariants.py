@@ -28,7 +28,7 @@ from carlitz_hw.errors import (
 from carlitz_hw import invariants, powersums
 from carlitz_hw.invariants import SUITE_NAMES, degree_stream, first_defects
 from carlitz_hw.polyring import FqPoly, format_poly, is_irreducible, monic_enumerate
-from carlitz_hw.powersums import LogTable, residue_cost, s_mod
+from carlitz_hw.powersums import LogTable, ResidueSums, residue_cost, s_mod
 
 
 def test_genus_values(f3, f4):
@@ -137,8 +137,7 @@ def _orbit_of(n, p, order):
 
 
 def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline):
-    # counted at the per-exponent dispatch both routes share, since the
-    # stream switches to the log table part way through
+    # counted at the one degree reader, whichever route answers it
     calls = []
     real = invariants._reduced_degree
 
@@ -159,20 +158,36 @@ def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline):
     assert calls == list(range(1, 26))
 
 
-def _table_degree(n, m, table):
+class _SModOnly(ResidueSums):
+    """A source held on s_mod: its spending never reaches the table."""
+
+    def vanishes(self, i, n):
+        self.spent = 0
+        return super().vanishes(i, n)
+
+
+def _route_sources(m):
+    """Sources of m that answer on each route: s_mod and the log table."""
+    by_table = ResidueSums(m)
+    by_table.table = LogTable(m)
+    return _SModOnly(m), by_table
+
+
+def _degrees(n, m, sources):
     zero_class = n % (m.ctx.q - 1) == 0
     cap = target_degrees(m.ctx, m.d)[n] + zero_class
-    return invariants._table_degree(n, table, cap, zero_class)
+    return [invariants._reduced_degree(n, sums, cap, zero_class) for sums in sources]
 
 
 @pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 1), (2, 1, 5), (3, 1, 3), (5, 1, 2),
                                    (7, 1, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)])
 def test_table_degree_matches_square_and_multiply(p, e, d):
     for m in irreducible_enumerate(make_field(p, e), d):
-        table = LogTable(m)
+        sources = _route_sources(m)
         for n in range(1, m.group_order):
-            assert _table_degree(n, m, table) == invariants._bbar_degree(n, m), \
-                (format_poly(m.poly), n)
+            want = invariants._bbar_degree(n, m)
+            assert _degrees(n, m, sources) == [want, want], (format_poly(m.poly), n)
+        assert sources[0].table is None
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,22 +209,24 @@ def test_log_table_matches_s_mod_on_random_moduli(data):
                                          (7, 1, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]))
     m = data.draw(st.sampled_from(_moduli(p, e, d)))
     n = data.draw(st.integers(1, m.group_order - 1))
-    table = LogTable(m)
+    sources = _route_sources(m)
+    table = sources[1].table
     for i in range(d):
         assert (table.coordinates(table.power_sum(i, n))
                 == _coordinates(s_mod(i, n, m), m)), (format_poly(m.poly), i, n)
-    assert _table_degree(n, m, table) == invariants._bbar_degree(n, m)
+    want = invariants._bbar_degree(n, m)
+    assert _degrees(n, m, sources) == [want, want]
 
 
 def _count_tables(monkeypatch):
     built = []
-    real = invariants.LogTable
+    real = powersums.LogTable
 
     def counted(m):
         built.append(m)
         return real(m)
 
-    monkeypatch.setattr(invariants, "LogTable", counted)
+    monkeypatch.setattr(powersums, "LogTable", counted)
     return built
 
 

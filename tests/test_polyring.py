@@ -121,6 +121,8 @@ def test_ring_axioms_and_divrem_round_trip(data):
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
+        n = data.draw(st.integers(0, 12))
+        assert pow(a, n, b) == (a**n) % b
 
 
 def test_numpy_path_matches_schoolbook(f3):
