@@ -233,9 +233,9 @@ def make_field(p: int, e: int = 1, field_modulus=None,
             raise DomainError("field_modulus is only meaningful for e > 1")
         return prime
     # polyring imports this module, so its F_p[x] arithmetic is imported late
-    from .polyring import FqPoly, Modulus, is_irreducible, monic_enumerate
+    from .polyring import FqPoly, Modulus, least_irreducible
     if field_modulus is None:
-        fmod = next(f for f in monic_enumerate(prime, e) if is_irreducible(f))
+        fmod = least_irreducible(prime, e)
     else:
         field_modulus = tuple(int(c) for c in field_modulus)
         if len(field_modulus) != e + 1 or field_modulus[-1] != 1:
@@ -243,8 +243,9 @@ def make_field(p: int, e: int = 1, field_modulus=None,
                 f"field_modulus must be monic of degree {e} (length {e + 1})")
         if any(not 0 <= c < p for c in field_modulus):
             raise CoefficientRangeError("field_modulus coefficients must lie in [0,p)")
-        fmod = FqPoly(prime, field_modulus, check=False)
-        if not is_irreducible(fmod):
+        try:
+            fmod = Modulus(FqPoly(prime, field_modulus, check=False))
+        except ReducibleModulusError:
             raise ReducibleModulusError(
-                f"field_modulus is reducible over F_{p}")
-    return FieldCtx(p, e, fmod.coeffs, limit, Modulus._trusted(fmod)._mulmod)
+                f"field_modulus is reducible over F_{p}") from None
+    return FieldCtx(p, e, fmod.poly.coeffs, limit, fmod._mulmod)

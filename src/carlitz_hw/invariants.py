@@ -20,11 +20,13 @@ default and must stay exactly equivalent to the naive scan
 without sharing and so check that equivalence independently.
 
 One function reads a degree, _reduced_degree: top-down, it asks the
-stream's power-sum source (powersums.ResidueSums) whether s_i(n) mod m
-vanishes and stops at the first nonzero power sum.  Which route answers,
-square-and-multiply or a discrete-log table, is the source's choice.
-_bbar_degree, which builds all of B_n mod m bottom-up through b_poly, is the
-oracle of that reader, for the frobenius suite and the tests.
+power sums of m at one of its roots (powersums.RootSums, on a discrete-log
+table of F_{q^d}) whether s_i(n) mod m vanishes and stops at the first
+nonzero power sum.  The engine takes either a Modulus, which gets a table
+built on m itself, or a RootSums that scan cuts from the one table it
+shares among all moduli of a degree.  _bbar_degree, which builds all of
+B_n mod m bottom-up through b_poly, is the oracle of that reader, for the
+frobenius suite and the tests.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .polyring import (
     irreducible_enumerate,
     residue_pow,
 )
-from .powersums import ResidueSums, check_budget, residue_cost, s_exact, s_mod
+from .powersums import RootSums, check_budget, residue_cost, s_exact, s_mod
 
 
 def genus(ctx: FieldCtx, d: int) -> tuple[int, int]:
@@ -129,10 +131,10 @@ def _bbar_degree(n: int, m: Modulus) -> int:
     return b.u_degree
 
 
-def _reduced_degree(n: int, sums: ResidueSums, cap: int, zero_class: bool) -> int:
-    """The u-degree of B_n mod m, read top-down from the power-sum source of
-    m: the largest i <= cap with s_i(n) != 0, one less in the zero class.
-    There C_n(1) = 0 makes the partial sum P_(i-1) = -(s_i + ... + s_cap),
+def _reduced_degree(n: int, sums: RootSums, cap: int, zero_class: bool) -> int:
+    """The u-degree of B_n mod m, read top-down from the power sums of m at
+    one of its roots: the largest i <= cap with s_i(n) != 0, one less in the
+    zero class.  There C_n(1) = 0 makes the partial sum P_(i-1) = -(s_i + ... + s_cap),
     which is -s_i at the first nonzero s_i from the top.  An exponent at its
     target costs one power sum, and s_0 = 1 is never computed."""
     for i in range(cap, 0, -1):
@@ -143,7 +145,7 @@ def _reduced_degree(n: int, sums: ResidueSums, cap: int, zero_class: bool) -> in
     return 0
 
 
-def degree_stream(m: Modulus, use_orbit: bool = True, exponents=None,
+def degree_stream(m: Modulus | RootSums, use_orbit: bool = True, exponents=None,
                   budget: int | None = None):
     """Yield (n, degree, target) for ascending exponents n, by default every
     1 <= n <= q^d - 2: the u-degree of the reduced generating polynomial and
@@ -154,15 +156,17 @@ def degree_stream(m: Modulus, use_orbit: bool = True, exponents=None,
     every degree is computed.  Targets come from the per-(q, d) table, since
     the digit sum is not orbit-invariant unless q = p.
 
-    Every degree is read by _reduced_degree from one ResidueSums of m.
-    residue_cost(m) is checked against budget before the memo or the
-    source's table is allocated (CostCeilingError).
+    m is a Modulus, or one root of a modulus in a shared LogTable (RootSums,
+    as scan passes it).  Every degree is read by _reduced_degree from the
+    RootSums of m; a Modulus gets a LogTable of its own, at theta = T.
+    residue_cost(m) is checked against budget before the memo or that table
+    is allocated (CostCeilingError).
     """
     ctx, d, order = m.ctx, m.d, m.group_order
     p, q1 = ctx.p, ctx.q - 1
     check_budget(f"degree stream mod {format_poly(m.poly)}", residue_cost(m), budget)
     targets = target_degrees(ctx, d)
-    sums = ResidueSums(m)
+    sums = m if isinstance(m, RootSums) else RootSums.of(m)
     known = [None] * order if use_orbit else None
     for n in range(1, order) if exponents is None else exponents:
         tgt = targets[n]
@@ -181,7 +185,7 @@ def degree_stream(m: Modulus, use_orbit: bool = True, exponents=None,
         yield n, deg, tgt
 
 
-def hasse_witt(m: Modulus, use_orbit: bool = True,
+def hasse_witt(m: Modulus | RootSums, use_orbit: bool = True,
                budget: int | None = None) -> InvariantsReport:
     """Full invariant report for one modulus, from the whole degree stream."""
     ctx = m.ctx
@@ -216,7 +220,7 @@ def hasse_witt(m: Modulus, use_orbit: bool = True,
         defects=defects, defects_plus=defects_plus)
 
 
-def first_defects(m: Modulus, use_orbit: bool = True,
+def first_defects(m: Modulus | RootSums, use_orbit: bool = True,
                   budget: int | None = None) -> tuple[int | None, int | None]:
     """The least defective exponent and the least defective zero-class
     exponent, None where there is none, in one early-exit pass over the

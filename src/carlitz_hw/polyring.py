@@ -5,14 +5,18 @@ the trailing zeros stripped, so the empty tuple is the zero polynomial and
 deg f = len(coeffs) - 1 otherwise; deg 0 = -inf.  Values are immutable and
 the usual operators are overloaded.  A Modulus wraps a monic irreducible m
 of degree d together with the reduction tables used by residue_pow, the
-square-and-multiply exponentiation in A/mA.  residue_pow computes every
-reduced power sum of s_mod, which answers the first queries of each degree
-stream; long degree streams move to the discrete-log table of
-powersums.LogTable, for which residue_pow stays the oracle.
+square-and-multiply exponentiation in A/mA.  residue_pow computes the
+reduced power sums of s_mod and the primitive-element search of
+powersums.LogTable; the degree engine reads its power sums from that
+discrete-log table, for which residue_pow and s_mod stay the oracle.
 
 Enumeration orders are part of the contract: monic polynomials of degree i
 are produced by ascending coefficient code with a_0 varying fastest, and
-irreducible_enumerate lists moduli in that same order.
+irreducible_enumerate lists moduli in that same order.  irreducible_enumerate
+tests every monic polynomial with is_irreducible and is the oracle of the
+root enumeration that scan uses (powersums.LogTable.irreducibles);
+least_irreducible finds the first modulus of a degree, on which the table is
+built.
 
 Text grammar (CLI and files): '+'-separated terms  c*T^k | c*T | T^k | T | c
 with c an F_q literal (the '*' may be omitted), or alternatively a single
@@ -385,17 +389,6 @@ class Modulus:
         d = len(poly.coeffs) - 1
         if d < 1 or not is_irreducible(poly):
             raise ReducibleModulusError(f"modulus is not irreducible: {format_poly(poly)}")
-        self._set_up(poly, d)
-
-    @classmethod
-    def _trusted(cls, poly: FqPoly) -> "Modulus":
-        """A Modulus for a monic irreducible poly that irreducible_enumerate
-        has already accepted: the reduction tables without the second test."""
-        m = cls.__new__(cls)
-        m._set_up(poly, len(poly.coeffs) - 1)
-        return m
-
-    def _set_up(self, poly, d):
         ctx = poly.ctx
         order = ctx.q**d - 1
         if order > ctx.limit:
@@ -462,10 +455,11 @@ class Modulus:
 
 
 def irreducible_enumerate(ctx: FieldCtx, d: int) -> list[Modulus]:
-    """All monic irreducible degree-d moduli in enumeration order.
-
-    Each monic polynomial is tested once, by Modulus itself; the length is
-    cross-checked against the necklace formula.
+    """All monic irreducible degree-d moduli in enumeration order, by testing
+    every monic polynomial once (through Modulus itself); the length is
+    cross-checked against the necklace formula.  scan enumerates its moduli
+    as minimal polynomials instead (powersums.LogTable.irreducibles); this
+    is their oracle.
     """
     if d < 1:
         raise OutOfRangeError(f"degree must be >= 1, got {d}")
@@ -480,6 +474,19 @@ def irreducible_enumerate(ctx: FieldCtx, d: int) -> list[Modulus]:
         raise InternalError(
             f"irreducible count {len(out)} != necklace value {expected}")
     return out
+
+
+def least_irreducible(ctx: FieldCtx, d: int) -> Modulus:
+    """The first monic irreducible of degree d in enumeration order, found by
+    testing monic polynomials in that order until the first hit."""
+    if d < 1:
+        raise OutOfRangeError(f"degree must be >= 1, got {d}")
+    for f in monic_enumerate(ctx, d):
+        try:
+            return Modulus(f)
+        except ReducibleModulusError:
+            pass
+    raise InternalError(f"no monic irreducible of degree {d} over F_{ctx.q}")
 
 
 def residue_pow(a: FqPoly, n: int, m: Modulus) -> FqPoly:

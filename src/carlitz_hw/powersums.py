@@ -9,17 +9,22 @@ budget (CostCeilingError beyond it).
 
 The reduced sum s_mod enumerates the same monic polynomials and accumulates
 residue powers by square-and-multiply (residue_pow), never leaving degree
-< d.  LogTable is a discrete-log table of A/mA = F_{q^d} with which
-s_i(n) mod m costs one index computation per monic a,
-a^n = g^(log a * n mod (q^d - 1)), and no polynomial multiplication.
+< d.  It serves b_poly, z_bar and the verify suites, and is the oracle of
+the degree engine's power sums, which never call it.
 
-ResidueSums is the one power-sum source of the degree engine
-(invariants.degree_stream): for one modulus it answers whether s_i(n) mod m
-vanishes, by s_mod until it has spent as many products as a LogTable costs
-to build, and from a LogTable after that.  s_mod, which also serves b_poly,
-z_bar and the verify suites, is the oracle of the table.  residue_cost
-bounds the memory of one degree stream and is checked against the same
-budget as exact mode.
+Those come from one residue field per (q, d).  For every monic irreducible
+m of degree d, A/mA = F_{q^d} by T -> theta, theta a root of m, so
+LogTable, the discrete-log table of F_{q^d} = A/m0A on one irreducible m0,
+serves every modulus of degree d.  LogTable.irreducibles enumerates those
+moduli as the minimal polynomials of the roots g^k, one per Frobenius orbit
+k -> q*k mod (q^d - 1) of size d, with no irreducibility test.  RootSums is
+the power-sum source of the degree engine (invariants.degree_stream) for
+one modulus: it reads s_i(n) mod m at one root theta = g^k as the sum of
+g^(log a(theta) * n mod (q^d - 1)) over the monic a of degree i, one index
+computation per a and no polynomial multiplication.  scan shares one table
+among all its moduli; a single modulus m gets a table built on m itself,
+read at theta = T.  residue_cost bounds the memory of one degree stream and
+is checked against the same budget as exact mode.
 """
 
 from __future__ import annotations
@@ -35,7 +40,14 @@ from .errors import (
     PrimeFieldOnlyError,
 )
 from .fieldcore import FieldCtx
-from .polyring import FqPoly, Modulus, _prime_divisors, monic_enumerate, residue_pow
+from .polyring import (
+    FqPoly,
+    Modulus,
+    _prime_divisors,
+    irreducible_count,
+    monic_enumerate,
+    residue_pow,
+)
 
 DEFAULT_COST_CEILING = 10**9
 
@@ -52,7 +64,7 @@ def _check_exact_args(i, n):
         raise OutOfRangeError(f"n must be >= 1, got {n}")
 
 
-def residue_cost(m: Modulus) -> int:
+def residue_cost(m: Modulus | RootSums) -> int:
     """Cost estimate for a degree stream mod m, in table entries: the orbit
     memo and the log table hold q^d - 1 entries each, a table entry d*e F_p
     coordinates."""
@@ -100,35 +112,38 @@ def s_mod(i: int, n: int, m: Modulus) -> FqPoly:
 
 
 class LogTable:
-    """Discrete-log table of the residue field A/mA = F_{q^d}, N = q^d - 1.
+    """Discrete-log table of one residue field F_{q^d} = A/m0A, N = q^d - 1,
+    and the enumeration of every monic irreducible of degree d by its roots.
 
-    g is the least primitive residue in code order, exp[k] = g^k for
-    0 <= k < N, and logs[i] lists log a for the monic a of degree i < d in
-    enumeration order.  A residue is packed into one int: the F_p coordinate
-    t of its T^j coefficient sits in bit field j*e + t, and every field is
-    wide enough for a sum of q^d residues, so that s_i(n) mod m, the sum of
-    exp[log a * n mod N] over the monic a of degree i, takes integer
-    additions only.  Multiplication by g is F_p-linear, so each exp entry is
-    the previous one's coordinates times the packed images of the basis.
+    g is the least primitive residue mod m0 in code order, exp[k] = g^k for
+    0 <= k < N and log inverts exp.  A residue is packed into one int: the
+    F_p coordinate t of its T^0..T^(d-1) coefficient j sits in bit field
+    j*e + t, and every field is wide enough for a sum of q^d residues, so
+    that a power sum over the exp entries takes integer additions only.
+    Multiplication by g is F_p-linear, so each exp entry is the previous
+    one's coordinates times the packed images of the basis.  zech[k] is
+    log(1 + g^k) (None where g^k = -1), with which sums of powers of g are
+    added in the log domain, and const_logs[c] is the log of the constant c
+    of F_q, which sits in the T^0 coordinate block.
+
+    For every monic irreducible m of degree d, A/mA is this field by
+    T -> theta for a root theta of m, so one table serves every modulus of
+    degree d (RootSums).
     """
 
-    __slots__ = ("p", "order", "shifts", "mask", "exp", "logs")
+    __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "exp", "log",
+                 "zech", "const_logs")
 
     def __init__(self, m: Modulus):
         ctx, d, order = m.ctx, m.d, m.group_order
         p, e, q = ctx.p, ctx.e, ctx.q
         width = (q**d * (p - 1)).bit_length()
-        self.p, self.order = p, order
+        self.ctx, self.d, self.p, self.order = ctx, d, p, order
         self.shifts = shifts = range(0, width * d * e, width)
         self.mask = mask = (1 << width) - 1
-
-        def pack(coeffs):  # F_q codes of a residue, T^0 first
-            return sum((c // p**t % p) << shifts[j * e + t]
-                       for j, c in enumerate(coeffs) for t in range(e))
-
         g = _least_primitive(m).coeffs
         # g times the F_p basis residues x^t T^j, in field order j*e + t
-        images = [pack(m._mulmod([0] * j + [p**t], g))
+        images = [self.pack(m._mulmod([0] * j + [p**t], g))
                   for j in range(d) for t in range(e)]
         exp, log = [], {}
         cur = 1
@@ -139,47 +154,132 @@ class LogTable:
             cur = sum([(raw >> s & mask) % p << s for s in shifts])
         if len(log) != order or exp[0] != 1:
             raise InternalError(f"discrete-log table of {m!r} is not a bijection")
-        self.exp = exp
-        self.logs = tuple([log[pack(a.coeffs)] for a in monic_enumerate(ctx, i)]
-                          for i in range(d))
+        self.exp, self.log = exp, log
+        # 1 + g^k changes only the T^0 coordinate of the F_p prime field
+        self.zech = [log.get(x + 1 - p if (x & mask) == p - 1 else x + 1) for x in exp]
+        self.const_logs = [None] + [log[self.pack([c])] for c in range(1, q)]
 
-    def power_sum(self, i: int, n: int) -> int:
-        """s_i(n) mod m, packed, its coordinates not yet reduced mod p."""
-        exp, order = self.exp, self.order
-        return sum([exp[la * n % order] for la in self.logs[i]])
+    def pack(self, coeffs) -> int:
+        """The packed residue with these F_q codes, T^0 first."""
+        p, e, shifts = self.p, self.ctx.e, self.shifts
+        return sum((c // p**t % p) << shifts[j * e + t]
+                   for j, c in enumerate(coeffs) for t in range(e))
 
     def coordinates(self, packed: int) -> list[int]:
         """The d*e F_p coordinates of a packed sum, reduced mod p."""
         p, mask = self.p, self.mask
         return [(packed >> s & mask) % p for s in self.shifts]
 
+    def _add_logs(self, x, y):
+        """log(g^x + g^y), None standing for the log of 0."""
+        if x is None:
+            return y
+        if y is None:
+            return x
+        z = self.zech[(y - x) % self.order]
+        return None if z is None else (x + z) % self.order
 
-class ResidueSums:
-    """Whether s_i(n) mod m vanishes, for one modulus m, on the cheaper of
-    two routes.
+    def minimal_polynomial(self, k: int) -> tuple[int, ...]:
+        """F_q codes, T^0 first, of the product of X - theta^(q^j) over the
+        d conjugates of theta = g^k, for k in a Frobenius orbit of size d:
+        the monic irreducible of degree d with root theta."""
+        order, p, q, e = self.order, self.p, self.ctx.q, self.ctx.e
+        minus = self.log[p - 1]  # the log of -1
+        poly, r = [0], k  # coefficient logs, T^0 first: the polynomial 1
+        for _ in range(self.d):
+            root = (r + minus) % order  # poly * (X - theta^(q^j))
+            scaled = [None if c is None else (c + root) % order for c in poly]
+            poly = [self._add_logs(a, b) for a, b in zip([None] + poly, scaled + [None])]
+            r = r * q % order
+        codes = []
+        for c in poly:  # F_q is the T^0 coordinate block
+            coords = [0] if c is None else self.coordinates(self.exp[c])
+            if any(coords[e:]):
+                raise InternalError(f"minimal polynomial of g^{k} has a "
+                                    f"coefficient outside F_{q}")
+            codes.append(sum(x * p**t for t, x in enumerate(coords[:e])))
+        return tuple(codes)
 
-    Queries start on s_mod, and the source counts the products they spend:
-    at most 2 bit_length(n) per residue_pow, q^i residue_pow per s_mod.
-    Once the count reaches N = q^d - 1, the cost of building a LogTable, it
-    builds one and answers every later query from it, so neither route
-    costs much more than twice the cheaper one and a short degree stream
-    never builds a table.
+    def irreducibles(self) -> list[tuple[tuple[int, ...], int | None]]:
+        """(coefficient codes, k) for every monic irreducible of degree d, in
+        enumeration order: one minimal polynomial of g^k per Frobenius orbit
+        k -> q*k mod N of size d, and at d = 1 also T, whose root 0 is no
+        power of g (k = None).  No irreducibility test is made; the count is
+        checked against the necklace formula."""
+        order, q, d = self.order, self.ctx.q, self.d
+        found = {0: ((0, 1), None)} if d == 1 else {}
+        seen = bytearray(order)
+        for k in range(order):
+            size, r = 0, k
+            while not seen[r]:
+                seen[r] = 1
+                size += 1
+                r = r * q % order
+            if size == d:
+                codes = self.minimal_polynomial(k)
+                found[sum(c * q**j for j, c in enumerate(codes[:d]))] = codes, k
+        expected = irreducible_count(self.ctx, d)
+        if len(found) != expected:
+            raise InternalError(
+                f"{len(found)} minimal polynomials != necklace value {expected}")
+        return [found[code] for code in sorted(found)]
+
+
+class RootSums:
+    """Whether s_i(n) mod m vanishes, read at a root theta = g^k of m in a
+    LogTable (k = None for theta = 0, the root of m = T).
+
+    Under A/mA = F_{q^d}, T -> theta, s_i(n) mod m is the sum of a(theta)^n
+    over the monic a of degree i, and a(theta)^n = g^(log a(theta) * n mod N).
+    The logs of a(theta) are computed for one degree i the first time it is
+    asked for, from those of the lower degrees: log(c theta^i + b) is
+    t + zech[log b - t] with t = log c + i*k.  Whether a sum vanishes does
+    not depend on which conjugate of theta is used.  poly is m itself, and
+    ctx, d and group_order are the table's.
     """
 
-    __slots__ = ("m", "spent", "table")
+    __slots__ = ("table", "k", "poly", "ctx", "d", "group_order", "_logs", "_below")
 
-    def __init__(self, m: Modulus):
-        self.m, self.spent, self.table = m, 0, None
+    def __init__(self, table: LogTable, k: int | None, poly: FqPoly):
+        self.table, self.k, self.poly = table, k, poly
+        self.ctx, self.d, self.group_order = table.ctx, table.d, table.order
+        self._logs = [[0]]  # the monic a of degree 0 is 1, for any theta
+        self._below = [None]  # logs of all a of degree < len(_logs) - 1
+
+    @classmethod
+    def of(cls, m: Modulus) -> "RootSums":
+        """The sums of one modulus at theta = T, in a LogTable built on m."""
+        table = LogTable(m)
+        theta = m.reduce(FqPoly.gen(m.ctx)).coeffs
+        return cls(table, table.log.get(table.pack(theta)), m.poly)
+
+    def logs(self, i: int) -> list[int]:
+        """log a(theta) for the monic a of degree i, in enumeration order."""
+        logs, q = self._logs, self.table.ctx.q
+        while len(logs) <= i:
+            j = len(logs) - 1
+            below = self._below  # every a of degree < j, and then < j + 1
+            self._below = below = below + logs[j] + [
+                x for c in range(2, q) for x in self._plus(c, j, below)]
+            logs.append(self._plus(1, j + 1, below))
+        return logs[i]
+
+    def _plus(self, c, j, below):
+        # log(c theta^j + b) for b with the logs in below, in code order
+        table = self.table
+        order, zech = table.order, table.zech
+        t = (table.const_logs[c] + j * self.k) % order
+        return [t if lb is None else (t + zech[(lb - t) % order]) % order
+                for lb in below]
+
+    def power_sum(self, i: int, n: int) -> int:
+        """s_i(n) mod m at theta, packed, its coordinates not yet reduced mod p."""
+        exp, order = self.table.exp, self.table.order
+        return sum([exp[la * n % order] for la in self.logs(i)])
 
     def vanishes(self, i: int, n: int) -> bool:
         """s_i(n) == 0 mod m, for 0 <= i < d and 1 <= n < q^d - 1."""
-        m, table = self.m, self.table
-        if table is None and self.spent >= m.group_order:
-            table = self.table = LogTable(m)
-        if table is not None:
-            return not any(table.coordinates(table.power_sum(i, n)))
-        self.spent += 2 * n.bit_length() * m.ctx.q**i
-        return s_mod(i, n, m).is_zero()
+        return not any(self.table.coordinates(self.power_sum(i, n)))
 
 
 def _least_primitive(m: Modulus) -> FqPoly:

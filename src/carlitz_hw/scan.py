@@ -1,10 +1,18 @@
 """Exhaustive classification of all monic irreducible moduli of one degree.
 
-The work unit is a single modulus; moduli are distributed over a process
-pool and the results come back in enumeration order, so the output stream
-is byte-identical for any worker count except for the elapsed_ms column.
-Contexts are rebuilt inside each worker from (p, e, field_modulus, limit)
-rather than pickled.
+A scan builds one residue field for its (q, d): the discrete-log table of
+F_{q^d} on the least irreducible m0 (powersums.LogTable), after checking the
+residue-mode budget once.  It enumerates the moduli as the minimal
+polynomials of roots of that table, in enumeration order, and classifies
+each modulus at its root in the shared table, with no irreducibility test
+and no field of its own.  The work unit is a single modulus; moduli are
+distributed over a process pool and the results come back in enumeration
+order, so the output stream is byte-identical for any worker count except
+for the elapsed_ms column.  A task carries the coefficients and the root of
+its modulus; each worker rebuilds the table once per process from
+(p, e, field_modulus, limit, d) rather than receiving it pickled.
+elapsed_ms is the time of one modulus and excludes the table build, which
+happens once per scan.
 
 Output formats share one column set:
     m,d,g,g_plus,lambda,lambda_plus,ordinary,ordinary_plus,supersingular,
@@ -30,7 +38,8 @@ from time import perf_counter
 from .errors import DomainError
 from .fieldcore import FieldCtx, make_field
 from .invariants import first_defects, genus, hasse_witt
-from .polyring import FqPoly, Modulus, format_poly, irreducible_enumerate
+from .polyring import FqPoly, format_poly, least_irreducible
+from .powersums import LogTable, RootSums, check_budget, residue_cost
 
 MODE_FULL = "full"
 MODE_WITNESS = "witness-only"
@@ -64,20 +73,20 @@ class ScanRecord:
         }
 
 
-@lru_cache(maxsize=8)
-def _ctx_cache(p, e, field_modulus, limit) -> FieldCtx:
-    return make_field(p, e, None if e == 1 else field_modulus, limit)
+@lru_cache(maxsize=2)
+def _field_table(p, e, field_modulus, limit, d) -> LogTable:
+    """The shared field of a scan, built once in each worker process."""
+    ctx = make_field(p, e, None if e == 1 else field_modulus, limit)
+    return LogTable(least_irreducible(ctx, d))
 
 
-def _scan_one(task) -> ScanRecord:
-    p, e, field_modulus, limit, m_coeffs, mode, use_orbit, budget = task
-    ctx = _ctx_cache(p, e, field_modulus, limit)
+def _scan_one(table: LogTable, task) -> ScanRecord:
+    _, m_coeffs, k, mode, use_orbit, budget = task
     start = perf_counter()
-    # m_coeffs come from irreducible_enumerate, which tested them already
-    m = Modulus._trusted(FqPoly(ctx, m_coeffs, check=False))
+    m = RootSums(table, k, FqPoly(table.ctx, m_coeffs, check=False))
     if mode == MODE_WITNESS:
         witness, witness_plus = first_defects(m, use_orbit, budget)
-        g, g_plus = genus(ctx, m.d)
+        g, g_plus = genus(m.ctx, m.d)
         record = ScanRecord(
             m=format_poly(m.poly), d=m.d, g=g, g_plus=g_plus,
             lambda_=None, lambda_plus=None,
@@ -96,6 +105,10 @@ def _scan_one(task) -> ScanRecord:
     return record
 
 
+def _scan_pooled(task) -> ScanRecord:
+    return _scan_one(_field_table(*task[0]), task)
+
+
 def _ms_since(start):
     return int(round((perf_counter() - start) * 1000))
 
@@ -106,20 +119,24 @@ def scan_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
                 budget: int | None = None) -> list[ScanRecord]:
     """One record per monic irreducible modulus of degree d, in enumeration
     order; `limit` truncates the modulus list, `workers` sizes the pool and
-    `budget` is the residue-mode cost ceiling of each degree stream."""
+    `budget` is the residue-mode cost ceiling of each degree stream, checked
+    once here before the shared LogTable is built."""
     if mode not in (MODE_FULL, MODE_WITNESS):
         raise DomainError(f"unknown scan mode {mode!r}")
-    moduli = irreducible_enumerate(ctx, d)
-    if limit is not None:
-        if limit < 0:
-            raise DomainError(f"limit must be >= 0, got {limit}")
-        moduli = moduli[:limit]
-    tasks = [(ctx.p, ctx.e, ctx.field_modulus, ctx.limit,
-              m.poly.coeffs, mode, use_orbit, budget) for m in moduli]
+    if limit is not None and limit < 0:
+        raise DomainError(f"limit must be >= 0, got {limit}")
+    m0 = least_irreducible(ctx, d)
+    if limit == 0:
+        return []
+    check_budget(f"degree stream mod {format_poly(m0.poly)}", residue_cost(m0), budget)
+    table = LogTable(m0)
+    key = (ctx.p, ctx.e, ctx.field_modulus, ctx.limit, d)
+    tasks = [(key, coeffs, k, mode, use_orbit, budget)
+             for coeffs, k in table.irreducibles()[:limit]]
     if workers <= 1 or len(tasks) <= 1:
-        return [_scan_one(t) for t in tasks]
+        return [_scan_one(table, t) for t in tasks]
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(_scan_one, tasks))
+        return list(pool.map(_scan_pooled, tasks))
 
 
 def _csv_cell(v) -> str:

@@ -27,8 +27,14 @@ from carlitz_hw.errors import (
 )
 from carlitz_hw import invariants, powersums
 from carlitz_hw.invariants import SUITE_NAMES, degree_stream, first_defects
-from carlitz_hw.polyring import FqPoly, format_poly, is_irreducible, monic_enumerate
-from carlitz_hw.powersums import LogTable, ResidueSums, residue_cost, s_mod
+from carlitz_hw.polyring import (
+    FqPoly,
+    format_poly,
+    is_irreducible,
+    least_irreducible,
+    monic_enumerate,
+)
+from carlitz_hw.powersums import LogTable, RootSums, residue_cost, s_mod
 
 
 def test_genus_values(f3, f4):
@@ -158,19 +164,19 @@ def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline):
     assert calls == list(range(1, 26))
 
 
-class _SModOnly(ResidueSums):
-    """A source held on s_mod: its spending never reaches the table."""
+class _SModOnly:
+    """A source of m on square-and-multiply: s_mod, the oracle."""
+
+    def __init__(self, m):
+        self.m = m
 
     def vanishes(self, i, n):
-        self.spent = 0
-        return super().vanishes(i, n)
+        return s_mod(i, n, self.m).is_zero()
 
 
 def _route_sources(m):
     """Sources of m that answer on each route: s_mod and the log table."""
-    by_table = ResidueSums(m)
-    by_table.table = LogTable(m)
-    return _SModOnly(m), by_table
+    return _SModOnly(m), RootSums.of(m)
 
 
 def _degrees(n, m, sources):
@@ -187,7 +193,6 @@ def test_table_degree_matches_square_and_multiply(p, e, d):
         for n in range(1, m.group_order):
             want = invariants._bbar_degree(n, m)
             assert _degrees(n, m, sources) == [want, want], (format_poly(m.poly), n)
-        assert sources[0].table is None
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,12 +215,35 @@ def test_log_table_matches_s_mod_on_random_moduli(data):
     m = data.draw(st.sampled_from(_moduli(p, e, d)))
     n = data.draw(st.integers(1, m.group_order - 1))
     sources = _route_sources(m)
-    table = sources[1].table
+    view = sources[1]
     for i in range(d):
-        assert (table.coordinates(table.power_sum(i, n))
+        assert (view.table.coordinates(view.power_sum(i, n))
                 == _coordinates(s_mod(i, n, m), m)), (format_poly(m.poly), i, n)
     want = invariants._bbar_degree(n, m)
     assert _degrees(n, m, sources) == [want, want]
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_table(p, e, d):
+    table = LogTable(least_irreducible(make_field(p, e), d))
+    return table, table.irreducibles()
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_root_view_matches_s_mod_on_its_minimal_polynomial(data):
+    # one table on the least irreducible m0, read at a random root g^k of
+    # another modulus M: the sums vanish where those of M do
+    p, e, d = data.draw(st.sampled_from([(2, 1, 3), (2, 1, 6), (3, 1, 2), (3, 1, 4), (5, 1, 3),
+                                         (7, 1, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]))
+    table, roots = _shared_table(p, e, d)
+    coeffs, k = data.draw(st.sampled_from(roots))
+    m = Modulus(FqPoly(table.ctx, coeffs))
+    view = RootSums(table, k, m.poly)
+    n = data.draw(st.integers(1, m.group_order - 1))
+    i = data.draw(st.integers(0, d - 1))
+    assert view.vanishes(i, n) == s_mod(i, n, m).is_zero(), (format_poly(m.poly), i, n)
+    assert _degrees(n, m, [view]) == [invariants._bbar_degree(n, m)]
 
 
 def _count_tables(monkeypatch):
@@ -237,11 +265,12 @@ def test_log_table_is_built_once_the_products_reach_its_size(monkeypatch, f3, f4
     assert built == moduli
     assert reports == [hasse_witt(m, use_orbit=False) for m in moduli]
 
-    # witness pass on the first sextic over F_4: stops at n = 42, no table
+    # witness pass on the first sextic over F_4: stops at n = 42, on the
+    # one table that every single-modulus stream builds
     sextic = next(Modulus(f) for f in monic_enumerate(f4, 6) if is_irreducible(f))
     built.clear()
     assert first_defects(sextic) == (10, 42)
-    assert built == []
+    assert built == [sextic]
     assert first_defects(sextic, use_orbit=False) == (10, 42)
 
     # an ordinary cubic over F_7 is scanned to the end, with one table

@@ -208,13 +208,6 @@ def test_modulus_validation(f3):
     assert (m.d, m.group_order) == (2, 8)
 
 
-def test_trusted_modulus_matches_checked(f4):
-    for m in irreducible_enumerate(f4, 3):
-        t = Modulus._trusted(m.poly)
-        assert t == m
-        assert (t.ctx, t.d, t.group_order, t._tpow) == (m.ctx, m.d, m.group_order, m._tpow)
-
-
 # ---------------------------------------------------------------- residue powers
 
 def test_residue_pow_examples(f3, m_headline):

@@ -17,8 +17,8 @@ from carlitz_hw.errors import (
     OutOfRangeError,
     PrimeFieldOnlyError,
 )
-from carlitz_hw.polyring import monic_enumerate
-from carlitz_hw.powersums import frobenius_twist_exponent
+from carlitz_hw.polyring import least_irreducible, monic_enumerate
+from carlitz_hw.powersums import LogTable, frobenius_twist_exponent
 
 
 def _s_oracle(i, n, ctx):
@@ -207,3 +207,26 @@ def test_degree_bound_at_extension_field(f4):
     for n in range(1, 15):
         for i in range(3):
             assert s_exact(i, n, f4).degree <= gekeler_degree_bound(i, n, f4)
+
+
+@pytest.mark.parametrize("p,e,d", [(2, 1, d) for d in range(1, 9)]
+                         + [(3, 1, d) for d in range(1, 6)]
+                         + [(5, 1, 3), (7, 1, 3), (3, 2, 2), (2, 3, 2)]
+                         + [(2, 2, d) for d in range(1, 5)])
+def test_root_enumeration_matches_irreducible_enumerate(p, e, d):
+    # minimal polynomials of one root per Frobenius orbit, in code order
+    ctx = make_field(p, e)
+    table = LogTable(least_irreducible(ctx, d))
+    roots = table.irreducibles()
+    assert [coeffs for coeffs, _ in roots] == [m.poly.coeffs
+                                               for m in irreducible_enumerate(ctx, d)]
+    for coeffs, k in roots:
+        if k is None:  # T, whose root 0 has no log
+            assert (d, coeffs) == (1, (0, 1))
+            continue
+        # m(g^k) = 0 in the table, and the conjugate g^(qk) has the same m
+        value = sum(table.exp[(table.const_logs[c] + j * k) % table.order]
+                    for j, c in enumerate(coeffs) if c)
+        assert not any(table.coordinates(value)), (coeffs, k)
+        assert table.minimal_polynomial(k * ctx.q % table.order) == coeffs
+    assert (roots[0][1] is None) == (d == 1)

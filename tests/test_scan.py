@@ -1,12 +1,28 @@
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
-from carlitz_hw import polyring, scan_degree, write_records
-from carlitz_hw.errors import DomainError
+from carlitz_hw import (
+    Modulus,
+    format_poly,
+    genus,
+    hasse_witt,
+    irreducible_enumerate,
+    make_field,
+    parse_poly,
+    polyring,
+    powersums,
+    scan,
+    scan_degree,
+    write_records,
+)
+from carlitz_hw.errors import CostCeilingError, DomainError
+from carlitz_hw.invariants import first_defects
 from carlitz_hw.polyring import irreducible_count
-from carlitz_hw.scan import CSV_HEADER, MODE_WITNESS, ScanRecord
+from carlitz_hw.powersums import residue_cost
+from carlitz_hw.scan import CSV_HEADER, MODE_FULL, MODE_WITNESS, ScanRecord
 
 _ELAPSED = re.compile(r"\d+$", re.M)
 
@@ -70,11 +86,31 @@ def test_scan_ordinary_only_mode(f3):
         scan_degree(f3, 3, mode="ordinary-only")
 
 
-def test_scan_unknown_mode(f3):
+def _count_calls(monkeypatch):
+    """Every is_irreducible call and every LogTable build, by argument."""
+    tested, built = [], []
+
+    def counting(calls, real):
+        def counted(arg):
+            calls.append(arg)
+            return real(arg)
+        return counted
+
+    monkeypatch.setattr(polyring, "is_irreducible", counting(tested, polyring.is_irreducible))
+    table = counting(built, powersums.LogTable)
+    monkeypatch.setattr(powersums, "LogTable", table)
+    monkeypatch.setattr(scan, "LogTable", table)
+    return tested, built
+
+
+def test_scan_unknown_mode(monkeypatch, f3):
+    tested, built = _count_calls(monkeypatch)
     with pytest.raises(DomainError):
         scan_degree(f3, 2, mode="everything")
     with pytest.raises(DomainError):
         scan_degree(f3, 2, limit=-1)
+    # both are rejected before any modulus is enumerated or any field built
+    assert tested == [] and built == []
 
 
 def test_csv_output_golden(tmp_path, f2):
@@ -122,7 +158,61 @@ def test_scan_tests_each_polynomial_once(monkeypatch, f3):
 
     monkeypatch.setattr(polyring, "is_irreducible", counted)
     assert len(scan_degree(f3, 3)) == 8
-    assert len(calls) == len(set(calls)) == 27  # the monic cubics, none rebuilt
+    # only the search for the least irreducible cubic T^3+2T+1, code 7: the
+    # moduli themselves are minimal polynomials of roots, never tested
+    assert len(calls) == len(set(calls)) == 8
+    assert calls[-1] == parse_poly("T^3+2T+1", f3)
+
+
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_WITNESS])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_budget_checked_before_the_shared_table(monkeypatch, f3, mode, workers):
+    _, built = _count_calls(monkeypatch)
+    cost = residue_cost(Modulus(parse_poly("T^3+2T+1", f3)))
+    with pytest.raises(CostCeilingError, match="T\\^3\\+2\\*T\\+1"):
+        scan_degree(f3, 3, mode=mode, workers=workers, budget=cost - 1)
+    assert built == []
+    assert len(scan_degree(f3, 3, mode=mode, workers=workers, budget=cost)) == 8
+    assert len(built) == 1  # one table for the eight moduli of the scan
+
+
+def _report_record(m, mode, use_orbit):
+    """The scan record of one checked Modulus, from the per-modulus engine."""
+    g, g_plus = genus(m.ctx, m.d)
+    if mode == MODE_WITNESS:
+        witness, witness_plus = first_defects(m, use_orbit)
+        return ScanRecord(m=format_poly(m.poly), d=m.d, g=g, g_plus=g_plus,
+                          lambda_=None, lambda_plus=None, ordinary=witness is None,
+                          ordinary_plus=witness_plus is None, supersingular=None,
+                          first_defect_n=witness, elapsed_ms=0)
+    rep = hasse_witt(m, use_orbit)
+    return ScanRecord(m=rep.m, d=rep.d, g=g, g_plus=g_plus, lambda_=rep.lambda_,
+                      lambda_plus=rep.lambda_plus, ordinary=rep.ordinary,
+                      ordinary_plus=rep.ordinary_plus, supersingular=rep.supersingular,
+                      first_defect_n=rep.defects[0].n if rep.defects else None,
+                      elapsed_ms=0)
+
+
+@pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 1), (2, 1, 5), (3, 1, 3), (5, 1, 2),
+                                   (7, 1, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)])
+@pytest.mark.parametrize("use_orbit", [True, False])
+def test_scan_records_match_per_modulus_reports(p, e, d, use_orbit):
+    ctx = make_field(p, e)
+    moduli = irreducible_enumerate(ctx, d)
+    for mode in (MODE_FULL, MODE_WITNESS):
+        got = [replace(r, elapsed_ms=0)
+               for r in scan_degree(ctx, d, mode=mode, use_orbit=use_orbit)]
+        assert got == [_report_record(m, mode, use_orbit) for m in moduli], mode
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_scan_degree_one_includes_t(p, e):
+    # the root of T is 0, which is no power of the table's generator
+    ctx = make_field(p, e)
+    records = scan_degree(ctx, 1)
+    assert [r.m for r in records] == [format_poly(m.poly)
+                                      for m in irreducible_enumerate(ctx, 1)]
+    assert records[0].m == "T" and records[0].ordinary and records[0].supersingular
 
 
 def test_worker_counts_agree(tmp_path, f3):
