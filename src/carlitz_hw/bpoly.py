@@ -178,23 +178,22 @@ def b_poly(n: int, ctx: FieldCtx, m: Modulus | None = None,
            d: int | None = None, budget: int | None = None) -> UPoly:
     """B_n(u): partial-sum coefficients for zero-class n, C_n(u) otherwise.
 
-    In exact mode the zero-class polynomial is cross-checked against the
-    synthetic division of C_n(u) by (1 - u); a nonzero remainder or a
-    quotient mismatch signals an arithmetic bug and raises.
+    The partial sums stop below deg C_n: from there on they equal
+    C_n(1) = 0.  In exact mode the zero-class polynomial is cross-checked
+    against the synthetic division of C_n(u) by (1 - u); a nonzero remainder
+    or a quotient mismatch signals an arithmetic bug and raises.
     """
-    if m is not None:
-        return _b_residue(n, m)
-    _validated_range(n, ctx, d)
-    q = ctx.q
-    c = c_poly(n, ctx, budget=budget)
-    if n % (q - 1) != 0:
+    c = c_poly(n, ctx, m, d, budget)
+    if n % (ctx.q - 1) != 0:
         return c
     partial = []
     acc = FqPoly.zero(ctx)
     for coeff in c.coeffs[:-1]:
         acc = acc + coeff
         partial.append(acc)
-    by_sums = UPoly(partial)
+    by_sums = UPoly(partial, c.mode, c.modulus)
+    if m is not None:
+        return by_sums
     quotient, remainder = divide_by_one_minus_u(c)
     if not remainder.is_zero():
         raise DivisionRemainderError(
@@ -204,18 +203,3 @@ def b_poly(n: int, ctx: FieldCtx, m: Modulus | None = None,
             f"partial-sum and division constructions of B_{n} disagree")
     return by_sums
 
-
-def _b_residue(n, m):
-    ctx = m.ctx
-    q = ctx.q
-    c = _c_residue(n, m)
-    if n % (q - 1) != 0:
-        return c
-    # partial sums up to u^(d-2); entries past the vanishing cap stay constant
-    # (and are zero because C_n(1) = 0), normalization strips them
-    partial = []
-    acc = FqPoly.zero(ctx)
-    for i in range(m.d - 1):
-        acc = acc + c.coefficient(i)
-        partial.append(acc)
-    return UPoly(partial, RESIDUE, m)

@@ -3,7 +3,8 @@
 Subcommands: invariants, scan, bpoly, powersum, genus, verify.  Machine
 payload goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 domain errors (bad input, reducible modulus, failed verify), 2 internal
-invariant violations, 3 resource limits.  The environment variable
+invariant violations, 3 resource limits (cost ceilings, memory exhaustion,
+a scan worker process that died).  The environment variable
 CARLITZ_HW_BUDGET (decimal integer) overrides the exact-mode and the
 residue-mode cost ceilings.
 """
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from . import bpoly as bpoly_mod
 from . import invariants, powersums, scan
@@ -213,8 +215,8 @@ def run(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError, BrokenProcessPool) as exc:
+        print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

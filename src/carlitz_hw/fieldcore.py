@@ -93,15 +93,12 @@ class FieldCtx:
                 q = self.q
                 add_t = [[self.add(a, b) for b in range(q)] for a in range(q)]
                 mul_t = [[self.mul(a, b) for b in range(q)] for a in range(q)]
+                neg_t = [self.neg(v) for v in range(q)]
                 self.add = lambda a, b, _t=add_t: _t[a][b]
                 self.mul = lambda a, b, _t=mul_t: _t[a][b]
-                self.sub = lambda a, b, _t=add_t, _n=[self.neg(v) for v in range(q)]: _t[a][_n[b]]
-                self.neg = lambda a, _n=[self._neg_generic(v) for v in range(q)]: _n[a]
+                self.sub = lambda a, b, _t=add_t, _n=neg_t: _t[a][_n[b]]
+                self.neg = lambda a, _n=neg_t: _n[a]
                 self._inv_table = [None] + [self.pow(a, q - 2) for a in range(1, q)]
-
-    def _neg_generic(self, a):
-        p = self.p
-        return self._encode([(-x) % p for x in self._decode(a)])
 
     def _decode(self, a):
         p = self.p

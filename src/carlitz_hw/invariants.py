@@ -14,10 +14,12 @@ All consumers read one degree engine, degree_stream, which yields
 stream, and first_defects (behind is_ordinary and is_ordinary_plus) takes
 one early-exit pass.  Multiplying n by p modulo q^d - 1 raises every
 coefficient to the p-th power and therefore preserves the u-degree, so the
-stream computes degrees once per orbit of n -> p*n; the orbit route is the
-default and must stay exactly equivalent to the naive scan
-(use_orbit=False).  z_bar and the frobenius suite compute every degree
-without sharing and so check that equivalence independently.
+stream computes one degree per orbit of n -> p*n.  The orbits depend only on
+(q, d) and are read from the residue field's LogTable (LogTable.reps), built
+once per table and so once per scan.  use_orbit=False runs the same loop
+with every exponent its own orbit: the naive scan, which must stay exactly
+equivalent.  z_bar and the frobenius suite compute every degree without
+sharing and so check that equivalence independently.
 
 One function reads a degree, _reduced_degree: top-down, it asks the
 power sums of m at one of its roots (powersums.RootSums, on a discrete-log
@@ -151,10 +153,12 @@ def degree_stream(m: Modulus | RootSums, use_orbit: bool = True, exponents=None,
     1 <= n <= q^d - 2: the u-degree of the reduced generating polynomial and
     its digit-sum target.
 
-    With use_orbit each degree is computed once per Frobenius orbit
-    n -> p*n mod (q^d - 1) and remembered for the whole orbit; without it
-    every degree is computed.  Targets come from the per-(q, d) table, since
-    the digit sum is not orbit-invariant unless q = p.
+    With use_orbit each degree is computed at the first exponent visited in
+    its Frobenius orbit n -> p*n mod (q^d - 1), whose least member the
+    LogTable holds (LogTable.reps), and read back for the rest of the orbit;
+    without it every exponent is its own orbit.  Targets come from the
+    per-(q, d) table, since the digit sum is not orbit-invariant unless
+    q = p.
 
     m is a Modulus, or one root of a modulus in a shared LogTable (RootSums,
     as scan passes it).  Every degree is read by _reduced_degree from the
@@ -162,23 +166,19 @@ def degree_stream(m: Modulus | RootSums, use_orbit: bool = True, exponents=None,
     residue_cost(m) is checked against budget before the memo or that table
     is allocated (CostCeilingError).
     """
-    ctx, d, order = m.ctx, m.d, m.group_order
-    p, q1 = ctx.p, ctx.q - 1
+    order, q1 = m.group_order, m.ctx.q - 1
     check_budget(f"degree stream mod {format_poly(m.poly)}", residue_cost(m), budget)
-    targets = target_degrees(ctx, d)
+    targets = target_degrees(m.ctx, m.d)
     sums = m if isinstance(m, RootSums) else RootSums.of(m)
-    known = [None] * order if use_orbit else None
+    reps = sums.table.reps if use_orbit else range(order)
+    known = [None] * order  # degrees, indexed by orbit representative
     for n in range(1, order) if exponents is None else exponents:
         tgt = targets[n]
-        deg = known[n] if use_orbit else None
+        rep = reps[n]
+        deg = known[rep]
         if deg is None:
             zero_class = n % q1 == 0
-            deg = _reduced_degree(n, sums, tgt + zero_class, zero_class)
-            if use_orbit:
-                cur = n
-                while known[cur] is None:
-                    known[cur] = deg
-                    cur = cur * p % order
+            deg = known[rep] = _reduced_degree(n, sums, tgt + zero_class, zero_class)
         if deg > tgt:
             raise InternalError(
                 f"degree {deg} exceeds target {tgt} at n={n} mod {format_poly(m.poly)}")

@@ -92,14 +92,6 @@ class FqPoly:
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def evaluate(self, x: int) -> int:
-        """Value at the field element with code x (Horner)."""
-        ctx = self.ctx
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = ctx.add(ctx.mul(acc, x), c)
-        return acc
-
     def _compat(self, other):
         if not isinstance(other, FqPoly):
             raise TypeError(f"FqPoly expected, got {type(other).__name__}")

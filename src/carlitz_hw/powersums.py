@@ -15,20 +15,25 @@ the degree engine's power sums, which never call it.
 Those come from one residue field per (q, d).  For every monic irreducible
 m of degree d, A/mA = F_{q^d} by T -> theta, theta a root of m, so
 LogTable, the discrete-log table of F_{q^d} = A/m0A on one irreducible m0,
-serves every modulus of degree d.  LogTable.irreducibles enumerates those
-moduli as the minimal polynomials of the roots g^k, one per Frobenius orbit
-k -> q*k mod (q^d - 1) of size d, with no irreducibility test.  RootSums is
-the power-sum source of the degree engine (invariants.degree_stream) for
-one modulus: it reads s_i(n) mod m at one root theta = g^k as the sum of
-g^(log a(theta) * n mod (q^d - 1)) over the monic a of degree i, one index
-computation per a and no polynomial multiplication.  scan shares one table
-among all its moduli; a single modulus m gets a table built on m itself,
-read at theta = T.  residue_cost bounds the memory of one degree stream and
-is checked against the same budget as exact mode.
+serves every modulus of degree d.  The table also holds the exponent orbits
+of F_{q^d}: the least member of each orbit of n -> p*n mod (q^d - 1), over
+which the degree engine shares its degrees.  One walker, _orbit_reps, finds
+those and the root orbits k -> q*k mod (q^d - 1) of LogTable.irreducibles,
+which enumerates the moduli of degree d as the minimal polynomials of the
+roots g^k, one per root orbit of size d, with no irreducibility test.
+RootSums is the power-sum source of the degree engine
+(invariants.degree_stream) for one modulus: it reads s_i(n) mod m at one
+root theta = g^k as the sum of g^(log a(theta) * n mod (q^d - 1)) over the
+monic a of degree i, one index computation per a and no polynomial
+multiplication.  scan shares one table among all its moduli; a single
+modulus m gets a table built on m itself, read at theta = T.  residue_cost
+bounds the memory of one degree stream and is checked against the same
+budget as exact mode.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from .digits import base_q_digits
@@ -124,7 +129,8 @@ class LogTable:
     one's coordinates times the packed images of the basis.  zech[k] is
     log(1 + g^k) (None where g^k = -1), with which sums of powers of g are
     added in the log domain, and const_logs[c] is the log of the constant c
-    of F_q, which sits in the T^0 coordinate block.
+    of F_q, which sits in the T^0 coordinate block.  reps[n] is the least
+    member of the orbit of the exponent n under n -> p*n mod N.
 
     For every monic irreducible m of degree d, A/mA is this field by
     T -> theta for a root theta of m, so one table serves every modulus of
@@ -132,7 +138,7 @@ class LogTable:
     """
 
     __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "exp", "log",
-                 "zech", "const_logs")
+                 "zech", "const_logs", "reps")
 
     def __init__(self, m: Modulus):
         ctx, d, order = m.ctx, m.d, m.group_order
@@ -158,6 +164,8 @@ class LogTable:
         # 1 + g^k changes only the T^0 coordinate of the F_p prime field
         self.zech = [log.get(x + 1 - p if (x & mask) == p - 1 else x + 1) for x in exp]
         self.const_logs = [None] + [log[self.pack([c])] for c in range(1, q)]
+        # n -> p*n raises a residue to its p-th power: the absolute Frobenius
+        self.reps = _orbit_reps(p, order)
 
     def pack(self, coeffs) -> int:
         """The packed residue with these F_q codes, T^0 first."""
@@ -202,19 +210,14 @@ class LogTable:
 
     def irreducibles(self) -> list[tuple[tuple[int, ...], int | None]]:
         """(coefficient codes, k) for every monic irreducible of degree d, in
-        enumeration order: one minimal polynomial of g^k per Frobenius orbit
-        k -> q*k mod N of size d, and at d = 1 also T, whose root 0 is no
-        power of g (k = None).  No irreducibility test is made; the count is
-        checked against the necklace formula."""
-        order, q, d = self.order, self.ctx.q, self.d
+        enumeration order: one minimal polynomial of g^k, k its least
+        member, per Frobenius orbit k -> q*k mod N of size d, and at d = 1
+        also T, whose root 0 is no power of g (k = None).  No
+        irreducibility test is made; the count is checked against the
+        necklace formula."""
+        q, d = self.ctx.q, self.d
         found = {0: ((0, 1), None)} if d == 1 else {}
-        seen = bytearray(order)
-        for k in range(order):
-            size, r = 0, k
-            while not seen[r]:
-                seen[r] = 1
-                size += 1
-                r = r * q % order
+        for k, size in Counter(_orbit_reps(q, self.order)).items():
             if size == d:
                 codes = self.minimal_polynomial(k)
                 found[sum(c * q**j for j, c in enumerate(codes[:d]))] = codes, k
@@ -280,6 +283,19 @@ class RootSums:
     def vanishes(self, i: int, n: int) -> bool:
         """s_i(n) == 0 mod m, for 0 <= i < d and 1 <= n < q^d - 1."""
         return not any(self.table.coordinates(self.power_sum(i, n)))
+
+
+def _orbit_reps(mult: int, order: int) -> list[int]:
+    """reps[n] = the least member of the orbit of n under n -> mult*n mod
+    order, for 0 <= n < order and mult prime to order."""
+    reps = [None] * order
+    for n in range(order):
+        if reps[n] is None:  # no smaller n reached it: n is its orbit's least
+            r = n
+            while reps[r] is None:
+                reps[r] = n
+                r = r * mult % order
+    return reps
 
 
 def _least_primitive(m: Modulus) -> FqPoly:

@@ -1,8 +1,10 @@
 import json
 import re
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from carlitz_hw import scan
 from carlitz_hw.cli import run
 from carlitz_hw.scan import CSV_HEADER
 
@@ -195,6 +197,17 @@ def test_budget_env_caps_residue_mode(capsys, monkeypatch, argv):
     assert code == 3 and "budget" in err and out == ""
     monkeypatch.setenv("CARLITZ_HW_BUDGET", "104")
     assert _run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("exc", [MemoryError, BrokenProcessPool])
+def test_scan_resource_failure_exit_code(capsys, monkeypatch, exc):
+    # memory exhaustion and a dead worker process are resource limits too
+    def fail(*args, **kwargs):
+        raise exc()
+
+    monkeypatch.setattr(scan, "scan_degree", fail)
+    code, out, err = _run(capsys, "scan", "--p", "3", "--d", "3")
+    assert code == 3 and err.startswith("resource limit:") and out == ""
 
 
 def test_budget_env_must_be_integer(capsys, monkeypatch):

@@ -209,6 +209,17 @@ def test_degree_bound_at_extension_field(f4):
             assert s_exact(i, n, f4).degree <= gekeler_degree_bound(i, n, f4)
 
 
+@pytest.mark.parametrize("p,e,d", [(2, 1, 6), (3, 1, 3), (5, 1, 1), (2, 2, 3),
+                                   (3, 2, 2), (2, 3, 2)])
+def test_log_table_exponent_orbits(p, e, d):
+    # the least member of each orbit of n -> p*n, by brute force; p^(e*d) = 1
+    # mod q^d - 1, and for e > 1 these are not the orbits of n -> q*n
+    table = LogTable(least_irreducible(make_field(p, e), d))
+    order = table.order
+    assert table.reps == [min(n * p**j % order for j in range(e * d))
+                          for n in range(order)]
+
+
 @pytest.mark.parametrize("p,e,d", [(2, 1, d) for d in range(1, 9)]
                          + [(3, 1, d) for d in range(1, 6)]
                          + [(5, 1, 3), (7, 1, 3), (3, 2, 2), (2, 3, 2)]
