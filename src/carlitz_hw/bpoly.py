@@ -5,7 +5,9 @@ floor(l(n)/(q-1)).  B_n(u) is C_n(u) for exponents outside the zero class;
 for zero-class n the coefficients switch to the partial sums of the s_i
 (equivalently B_n = C_n/(1-u), exact because C_n(1) = 0 there), truncated at
 u^(d-2).  B_n does not depend on the ambient degree d, so the exact-mode
-functions take d only to validate ranges.
+functions take d only to validate ranges.  C_n and B_n are each built by one
+body for both coefficient rings; the identity B_n = C_n/(1-u) is checked by
+the division verify suite (invariants), not on every construction.
 
 A UPoly stores its FqPoly coefficients ascending in u, either exact in
 F_q[T] or reduced mod an irreducible m (every coefficient of degree < d);
@@ -19,15 +21,11 @@ degree engine, which reads each degree top-down from the power sums alone
 
 from __future__ import annotations
 
-from .errors import (
-    DivisionRemainderError,
-    DomainError,
-    InternalError,
-    OutOfRangeError,
-)
+from .digits import ell
+from .errors import DomainError, OutOfRangeError
 from .fieldcore import FieldCtx
 from .polyring import NEG_INF, FqPoly, Modulus, format_poly
-from .powersums import digit_sum_cap, s_exact, s_mod
+from .powersums import s_exact, s_mod
 
 EXACT = "exact"
 RESIDUE = "residue"
@@ -142,36 +140,26 @@ def divide_by_one_minus_u(c_poly: UPoly) -> tuple[UPoly, FqPoly]:
     return UPoly(quotient, c_poly.mode, c_poly.modulus), remainder
 
 
-def _validated_range(n, ctx, d):
-    if d is not None:
-        top = ctx.q**d - 2
-        if not 1 <= n <= top:
-            raise OutOfRangeError(f"n={n} outside [1, q^d-2] = [1, {top}]")
-    elif n < 1:
-        raise OutOfRangeError(f"n must be >= 1, got {n}")
-
-
 def c_poly(n: int, ctx: FieldCtx, m: Modulus | None = None,
            d: int | None = None, budget: int | None = None) -> UPoly:
     """C_n(u) with coefficients s_i(n), i = 0..floor(l(n)/(q-1)).
 
-    Residue mode when m is given (coefficients reduced mod m), exact
-    otherwise.  Higher coefficients vanish identically and are not computed.
+    Residue mode when m is given (coefficients reduced mod m, n checked
+    against m's degree), exact otherwise.  Higher coefficients vanish
+    identically and are not computed.
     """
     if m is not None:
-        return _c_residue(n, m)
-    _validated_range(n, ctx, d)
-    cap = digit_sum_cap(n, ctx)
+        ctx, d = m.ctx, m.d
+    q = ctx.q
+    if d is not None:
+        if not 1 <= n <= q**d - 2:
+            raise OutOfRangeError(f"n={n} outside [1, q^d-2] = [1, {q**d - 2}]")
+    elif n < 1:
+        raise OutOfRangeError(f"n must be >= 1, got {n}")
+    cap = ell(n, q) // (q - 1)
+    if m is not None:
+        return UPoly([s_mod(i, n, m) for i in range(cap + 1)], RESIDUE, m)
     return UPoly([s_exact(i, n, ctx, budget=budget) for i in range(cap + 1)])
-
-
-def _c_residue(n, m):
-    ctx = m.ctx
-    if not 1 <= n <= m.group_order - 1:
-        raise OutOfRangeError(
-            f"n={n} outside [1, q^d-2] = [1, {m.group_order - 1}]")
-    cap = min(digit_sum_cap(n, ctx), m.d - 1)
-    return UPoly([s_mod(i, n, m) for i in range(cap + 1)], RESIDUE, m)
 
 
 def b_poly(n: int, ctx: FieldCtx, m: Modulus | None = None,
@@ -179,9 +167,8 @@ def b_poly(n: int, ctx: FieldCtx, m: Modulus | None = None,
     """B_n(u): partial-sum coefficients for zero-class n, C_n(u) otherwise.
 
     The partial sums stop below deg C_n: from there on they equal
-    C_n(1) = 0.  In exact mode the zero-class polynomial is cross-checked
-    against the synthetic division of C_n(u) by (1 - u); a nonzero remainder
-    or a quotient mismatch signals an arithmetic bug and raises.
+    C_n(1) = 0.  Both coefficient rings take the same loop; that it agrees
+    with C_n(u)/(1 - u) is checked by the division verify suite.
     """
     c = c_poly(n, ctx, m, d, budget)
     if n % (ctx.q - 1) != 0:
@@ -191,15 +178,4 @@ def b_poly(n: int, ctx: FieldCtx, m: Modulus | None = None,
     for coeff in c.coeffs[:-1]:
         acc = acc + coeff
         partial.append(acc)
-    by_sums = UPoly(partial, c.mode, c.modulus)
-    if m is not None:
-        return by_sums
-    quotient, remainder = divide_by_one_minus_u(c)
-    if not remainder.is_zero():
-        raise DivisionRemainderError(
-            f"C_{n}(1) = {format_poly(remainder)} != 0 for zero-class n")
-    if quotient != by_sums:
-        raise InternalError(
-            f"partial-sum and division constructions of B_{n} disagree")
-    return by_sums
-
+    return UPoly(partial, c.mode, c.modulus)

@@ -75,7 +75,10 @@ class InternalError(CarlitzHWError, RuntimeError):
 
 
 class DivisionRemainderError(InternalError):
-    """Synthetic division by (1 - u) left a nonzero remainder."""
+    """C_n(1) != 0 at a zero-class n, where division by (1 - u) must be
+    exact.  Raised only by the degree reader (invariants._reduced_degree)
+    when every power sum above s_0 vanishes; the division verify suite
+    reports the same fault as a failed check instead."""
 
 
 class ParityError(InternalError):

@@ -411,24 +411,21 @@ def _suite_frobenius(ctx, d):
 
 
 def _suite_division(ctx, d, budget):
+    """B_n = C_n/(1 - u) at every zero-class n: the only place the division
+    identity is computed; b_poly builds B_n from partial sums alone."""
     q = ctx.q
-    top = q**d - 2
     rem_bad = agree_bad = None
     skipped = 0
-    for n in range(1, top + 1):
+    for n in range(q - 1, q**d - 1, q - 1):
         try:
-            c = c_poly(n, ctx, budget=budget)
+            quotient, remainder = divide_by_one_minus_u(c_poly(n, ctx, budget=budget))
             b = b_poly(n, ctx, budget=budget)
         except CostCeilingError:
             skipped += 1
             continue
-        if n % (q - 1) == 0:
-            quotient, remainder = divide_by_one_minus_u(c)
-            if not remainder.is_zero() and rem_bad is None:
-                rem_bad = n
-            if quotient != b and agree_bad is None:
-                agree_bad = n
-        elif b != c and agree_bad is None:
+        if not remainder.is_zero() and rem_bad is None:
+            rem_bad = n
+        if quotient != b and agree_bad is None:
             agree_bad = n
     note = f" ({skipped} exponents over budget)" if skipped else ""
     return [

@@ -446,21 +446,26 @@ class Modulus:
         return f"Modulus({format_poly(self.poly)!r} over F_{self.ctx.q})"
 
 
-def irreducible_enumerate(ctx: FieldCtx, d: int) -> list[Modulus]:
-    """All monic irreducible degree-d moduli in enumeration order, by testing
-    every monic polynomial once (through Modulus itself); the length is
-    cross-checked against the necklace formula.  scan enumerates its moduli
-    as minimal polynomials instead (powersums.LogTable.irreducibles); this
-    is their oracle.
-    """
+def _monic_irreducibles(ctx: FieldCtx, d: int):
+    """Each monic irreducible of degree d as a Modulus, in enumeration order,
+    by testing the monic polynomials one at a time (through Modulus itself)."""
     if d < 1:
         raise OutOfRangeError(f"degree must be >= 1, got {d}")
-    out = []
     for f in monic_enumerate(ctx, d):
         try:
-            out.append(Modulus(f))
+            m = Modulus(f)
         except ReducibleModulusError:
-            pass
+            continue
+        yield m
+
+
+def irreducible_enumerate(ctx: FieldCtx, d: int) -> list[Modulus]:
+    """All monic irreducible degree-d moduli in enumeration order, by testing
+    every monic polynomial once; the length is cross-checked against the
+    necklace formula.  scan enumerates its moduli as minimal polynomials
+    instead (powersums.LogTable.irreducibles); this is their oracle.
+    """
+    out = list(_monic_irreducibles(ctx, d))
     expected = irreducible_count(ctx, d)
     if len(out) != expected:
         raise InternalError(
@@ -471,14 +476,10 @@ def irreducible_enumerate(ctx: FieldCtx, d: int) -> list[Modulus]:
 def least_irreducible(ctx: FieldCtx, d: int) -> Modulus:
     """The first monic irreducible of degree d in enumeration order, found by
     testing monic polynomials in that order until the first hit."""
-    if d < 1:
-        raise OutOfRangeError(f"degree must be >= 1, got {d}")
-    for f in monic_enumerate(ctx, d):
-        try:
-            return Modulus(f)
-        except ReducibleModulusError:
-            pass
-    raise InternalError(f"no monic irreducible of degree {d} over F_{ctx.q}")
+    m = next(_monic_irreducibles(ctx, d), None)
+    if m is None:
+        raise InternalError(f"no monic irreducible of degree {d} over F_{ctx.q}")
+    return m
 
 
 def residue_pow(a: FqPoly, n: int, m: Modulus) -> FqPoly:

@@ -36,7 +36,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .digits import base_q_digits
 from .errors import (
     ClosedFormWindowError,
     CostCeilingError,
@@ -234,20 +233,20 @@ class RootSums:
 
     Under A/mA = F_{q^d}, T -> theta, s_i(n) mod m is the sum of a(theta)^n
     over the monic a of degree i, and a(theta)^n = g^(log a(theta) * n mod N).
-    The logs of a(theta) are computed for one degree i the first time it is
-    asked for, from those of the lower degrees: log(c theta^i + b) is
-    t + zech[log b - t] with t = log c + i*k.  Whether a sum vanishes does
-    not depend on which conjugate of theta is used.  poly is m itself, and
-    ctx, d and group_order are the table's.
+    Only the logs of monic a(theta) are kept, computed for one degree j the
+    first time it is asked for: every b of degree < j is 0 or c times a
+    monic polynomial of lower degree, so log b is const_logs[c] plus a stored
+    monic log, and log(theta^j + b) is t + zech[log b - t] with t = j*k.
+    Whether a sum vanishes does not depend on which conjugate of theta is
+    used.  poly is m itself, and ctx, d and group_order are the table's.
     """
 
-    __slots__ = ("table", "k", "poly", "ctx", "d", "group_order", "_logs", "_below")
+    __slots__ = ("table", "k", "poly", "ctx", "d", "group_order", "_logs")
 
     def __init__(self, table: LogTable, k: int | None, poly: FqPoly):
         self.table, self.k, self.poly = table, k, poly
         self.ctx, self.d, self.group_order = table.ctx, table.d, table.order
         self._logs = [[0]]  # the monic a of degree 0 is 1, for any theta
-        self._below = [None]  # logs of all a of degree < len(_logs) - 1
 
     @classmethod
     def of(cls, m: Modulus) -> "RootSums":
@@ -257,23 +256,18 @@ class RootSums:
         return cls(table, table.log.get(table.pack(theta)), m.poly)
 
     def logs(self, i: int) -> list[int]:
-        """log a(theta) for the monic a of degree i, in enumeration order."""
-        logs, q = self._logs, self.table.ctx.q
-        while len(logs) <= i:
-            j = len(logs) - 1
-            below = self._below  # every a of degree < j, and then < j + 1
-            self._below = below = below + logs[j] + [
-                x for c in range(2, q) for x in self._plus(c, j, below)]
-            logs.append(self._plus(1, j + 1, below))
-        return logs[i]
-
-    def _plus(self, c, j, below):
-        # log(c theta^j + b) for b with the logs in below, in code order
-        table = self.table
+        """log a(theta) for the monic a of degree i, in no fixed order: only
+        sums read them."""
+        logs, table = self._logs, self.table
         order, zech = table.order, table.zech
-        t = (table.const_logs[c] + j * self.k) % order
-        return [t if lb is None else (t + zech[(lb - t) % order]) % order
-                for lb in below]
+        while len(logs) <= i:
+            # log b for every b of degree < j, None for b = 0, not reduced mod N
+            below = [None] + [lc + la for lc in table.const_logs[1:]
+                              for lower in logs for la in lower]
+            t = len(logs) * self.k % order  # log theta^j
+            logs.append([t if lb is None else (t + zech[(lb - t) % order]) % order
+                         for lb in below])
+        return logs[i]
 
     def power_sum(self, i: int, n: int) -> int:
         """s_i(n) mod m at theta, packed, its coordinates not yet reduced mod p."""
@@ -356,8 +350,3 @@ def frobenius_twist_exponent(n: int, p: int, group_order: int) -> int:
     """p*n reduced into [1, group_order - 1]; the power sums at the twisted
     exponent are the p-th powers of those at n."""
     return p * n % group_order
-
-
-def digit_sum_cap(n: int, ctx: FieldCtx) -> int:
-    """floor(l(n)/(q-1)): power sums s_i(n) vanish for all i beyond it."""
-    return sum(base_q_digits(n, ctx.q)) // (ctx.q - 1)

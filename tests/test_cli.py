@@ -4,7 +4,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from carlitz_hw import scan
+from carlitz_hw import FqPoly, bpoly, run_verify_suite, scan
 from carlitz_hw.cli import run
 from carlitz_hw.scan import CSV_HEADER
 
@@ -144,6 +144,26 @@ def test_verify_pass(capsys):
         "suite=frobenius result=pass",
         "suite=division result=pass",
     ]
+
+
+def test_division_suite_reports_a_broken_identity(monkeypatch, capsys, f3):
+    # s_1(n) + 1 makes C_n(1) = 1 at every zero-class n: the suite must say
+    # so with a failed check and exit 1, not crash inside b_poly
+    real = bpoly.s_exact
+
+    def broken(i, n, ctx, budget=None):
+        s = real(i, n, ctx, budget=budget)
+        return s + FqPoly.one(ctx) if i == 1 else s
+
+    monkeypatch.setattr(bpoly, "s_exact", broken)
+    checks = {c.name: c for c in run_verify_suite("division", f3, 2)}
+    assert not checks["division-zero-remainder"].passed
+    assert checks["division-zero-remainder"].detail == "counterexample n=2"
+    code, out, err = _run(capsys, "verify", "--p", "3", "--d", "2",
+                          "--suites", "division")
+    assert code == 1 and err == ""
+    assert out == ("suite=division result=fail failed=division-zero-remainder "
+                   "detail='counterexample n=2'\n")
 
 
 def test_verify_defaults_to_all_suites(capsys):
