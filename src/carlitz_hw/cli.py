@@ -3,8 +3,9 @@
 Subcommands: invariants, scan, bpoly, powersum, genus, verify.  Machine
 payload goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 domain errors (bad input, reducible modulus, failed verify), 2 internal
-invariant violations, 3 resource limits (cost ceilings, memory exhaustion,
-a scan worker process that died).  The environment variable
+invariant violations, 3 resource limits (cost ceilings, including a verify
+suite with every item over budget, memory exhaustion, a scan worker process
+that died) and interrupts (one "interrupted" line).  The environment variable
 CARLITZ_HW_BUDGET (decimal integer) overrides the exact-mode and the
 residue-mode cost ceilings.
 """
@@ -15,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 
 from . import bpoly as bpoly_mod
 from . import invariants, powersums, scan
@@ -181,6 +182,9 @@ def _cmd_verify(args) -> int:
     all_passed = True
     for name in names:
         checks = invariants.run_verify_suite(name, ctx, args.d, budget=budget)
+        skipped = max(c.skipped for c in checks)
+        if skipped:
+            print(f"note: suite={name} skipped={skipped} items over budget", file=sys.stderr)
         passed = all(c.passed for c in checks)
         all_passed = all_passed and passed
         line = f"suite={name} result={'pass' if passed else 'fail'}"
@@ -215,8 +219,11 @@ def run(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimitError, MemoryError, BrokenProcessPool) as exc:
+    except (ResourceLimitError, MemoryError, BrokenExecutor) as exc:
         print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
         return 3
 
 

@@ -33,7 +33,7 @@ frobenius suite and the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .bpoly import RESIDUE, b_poly, c_poly, divide_by_one_minus_u, one_upoly
 from .digits import ell, gekeler_degree_bound, rho, rho_exponents, target_degrees
@@ -280,10 +280,20 @@ class IdentityCheck:
     name: str
     passed: bool
     detail: str = ""
+    skipped: int = 0  # items over the cost budget, not checked
 
 
 def _check(name, passed, detail=""):
     return IdentityCheck(name, bool(passed), "" if passed else detail)
+
+
+def _within_budget(suite, checks, skipped, total):
+    """The checks, each marked with the number of items skipped over the
+    cost budget; CostCeilingError when that is every one of total items,
+    since then the suite has checked nothing."""
+    if total and skipped == total:
+        raise CostCeilingError(f"verify suite {suite}: all {total} items are over budget")
+    return [replace(c, skipped=skipped) for c in checks]
 
 
 def verify_identities(ctx: FieldCtx, d: int) -> list[IdentityCheck]:
@@ -382,7 +392,7 @@ def _suite_gekeler(ctx, d, budget):
     if prime_field:
         checks.insert(1, _check("power-sum-degree-equality", eq_bad is None,
                                 f"counterexample (i,n)={eq_bad}{note}"))
-    return checks
+    return _within_budget("gekeler", checks, skipped, top * d)
 
 
 def _suite_frobenius(ctx, d):
@@ -416,7 +426,8 @@ def _suite_division(ctx, d, budget):
     q = ctx.q
     rem_bad = agree_bad = None
     skipped = 0
-    for n in range(q - 1, q**d - 1, q - 1):
+    zero_class = range(q - 1, q**d - 1, q - 1)
+    for n in zero_class:
         try:
             quotient, remainder = divide_by_one_minus_u(c_poly(n, ctx, budget=budget))
             b = b_poly(n, ctx, budget=budget)
@@ -428,12 +439,12 @@ def _suite_division(ctx, d, budget):
         if quotient != b and agree_bad is None:
             agree_bad = n
     note = f" ({skipped} exponents over budget)" if skipped else ""
-    return [
+    return _within_budget("division", [
         _check("division-zero-remainder", rem_bad is None,
                f"counterexample n={rem_bad}{note}"),
         _check("division-vs-partial-sums", agree_bad is None,
                f"counterexample n={agree_bad}"),
-    ]
+    ], skipped, len(zero_class))
 
 
 SUITE_NAMES = ("lemma31", "digits", "gekeler", "frobenius", "division")

@@ -5,14 +5,29 @@ F_{q^d} on the least irreducible m0 (powersums.LogTable), after checking the
 residue-mode budget once.  It enumerates the moduli as the minimal
 polynomials of roots of that table, in enumeration order, and classifies
 each modulus at its root in the shared table, with no irreducibility test
-and no field of its own.  The work unit is a single modulus; moduli are
-distributed over a process pool and the results come back in enumeration
-order, so the output stream is byte-identical for any worker count except
-for the elapsed_ms column.  A task carries the coefficients and the root of
-its modulus; each worker rebuilds the table once per process from
-(p, e, field_modulus, limit, d) rather than receiving it pickled.
-elapsed_ms is the time of one modulus and excludes the table build, which
-happens once per scan.
+and no field of its own.
+
+The record of a modulus, apart from m and elapsed_ms, is constant on its
+orbit under T -> alpha*T + c and, when e > 1, the p-th power map on
+coefficients: such a map sigma permutes the monic polynomials of each
+degree i up to the factor alpha^i, so sigma(s_i(n)) = alpha^(i*n) s_i(n)
+(s_i(n) itself under the Frobenius), and m divides s_i(n) exactly when the
+monic image of m does.  The degree reader reads nothing but which s_i(n)
+vanish.  So a scan classifies the first modulus of each orbit in
+enumeration order and copies its record to the other members, with their
+own m and elapsed_ms 0; the orbits are walked at their roots in the shared
+table (_orbit_firsts).  use_orbit=False turns this reduction off together
+with the exponent-orbit reduction of the degree stream.  The reversal
+m -> T^d m(1/T) is no symmetry of the record.
+
+The work unit is one orbit representative; representatives are distributed
+over a process pool and the results come back and are expanded in
+enumeration order, so the output stream is byte-identical for any worker
+count except for the elapsed_ms column.  A task carries the coefficients
+and the root of its modulus; each worker rebuilds the table once per
+process from (p, e, field_modulus, limit, d) rather than receiving it
+pickled.  elapsed_ms is the time of one classified modulus and excludes the
+table build, which happens once per scan.
 
 Output formats share one column set:
     m,d,g,g_plus,lambda,lambda_plus,ordinary,ordinary_plus,supersingular,
@@ -30,12 +45,11 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from time import perf_counter
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .fieldcore import FieldCtx, make_field
 from .invariants import first_defects, genus, hasse_witt
 from .polyring import FqPoly, format_poly, least_irreducible
@@ -113,6 +127,59 @@ def _ms_since(start):
     return int(round((perf_counter() - start) * 1000))
 
 
+def _orbit_firsts(table: LogTable, moduli, count: int) -> list[int]:
+    """first[i], for i < count, is the index of the first modulus in
+    enumeration order of the orbit of moduli[i] = (codes, k) under the group
+    generated by T -> alpha*T + c (alpha in F_q^*, c in F_q) and, when
+    e > 1, the p-th power map on coefficients, of order e*q*(q - 1).
+
+    The orbits are walked at the roots theta = g^k, by log lookups alone,
+    through three generators: theta -> theta - 1, theta -> theta/gamma with
+    gamma = g^(N/(q - 1)) generating F_q^*, and, when e > 1,
+    theta -> theta^p.  The first two generate every theta -> (theta - c)/alpha,
+    since the scalings conjugate theta -> theta - 1 into theta -> theta - gamma^j.
+    An image root maps back to its modulus by the least member of its orbit
+    k -> q*k mod N, as LogTable.irreducibles lists it; the root 0 of T
+    (d = 1) is k = None.  An orbit is walked only when the enumeration first
+    reaches one of its members below count.
+    """
+    ctx, order, d = table.ctx, table.order, table.d
+    p, e, q = ctx.p, ctx.e, ctx.q
+    minus_one = table.const_logs[p - 1]
+    step = order // (q - 1)
+    conjugates = [q**j % order for j in range(d)]
+    index = {k: i for i, (_, k) in enumerate(moduli)}
+    group = e * q * (q - 1)
+    first = [None] * count
+    for i in range(count):
+        if first[i] is not None:
+            continue
+        orbit, todo = {i}, [moduli[i][1]]
+        while todo:
+            k = todo.pop()
+            images = [table._add_logs(k, minus_one)]
+            if k is not None:
+                images.append((k - step) % order)
+                if e > 1:
+                    images.append(k * p % order)
+            for image in images:
+                root = None if image is None else min(image * c % order for c in conjugates)
+                if root not in index:
+                    raise InternalError(
+                        f"root log {image} is no root of a listed modulus of degree {d}")
+                j = index[root]
+                if j not in orbit:
+                    orbit.add(j)
+                    todo.append(moduli[j][1])
+        if group % len(orbit):
+            raise InternalError(
+                f"an orbit of {len(orbit)} moduli does not divide the group order {group}")
+        for j in orbit:
+            if j < count:
+                first[j] = i
+    return first
+
+
 def scan_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
                 limit: int | None = None, workers: int = 1,
                 use_orbit: bool = True,
@@ -120,7 +187,10 @@ def scan_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
     """One record per monic irreducible modulus of degree d, in enumeration
     order; `limit` truncates the modulus list, `workers` sizes the pool and
     `budget` is the residue-mode cost ceiling of each degree stream, checked
-    once here before the shared LogTable is built."""
+    once here before the shared LogTable is built.  With use_orbit one
+    modulus per affine-Frobenius orbit (_orbit_firsts) is classified, and
+    its record is copied to the other members with their own m and
+    elapsed_ms 0; without it every modulus is its own orbit."""
     if mode not in (MODE_FULL, MODE_WITNESS):
         raise DomainError(f"unknown scan mode {mode!r}")
     if limit is not None and limit < 0:
@@ -130,13 +200,24 @@ def scan_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
         return []
     check_budget(f"degree stream mod {format_poly(m0.poly)}", residue_cost(m0), budget)
     table = LogTable(m0)
+    moduli = table.irreducibles()
+    count = len(moduli[:limit])
+    first = _orbit_firsts(table, moduli, count) if use_orbit else range(count)
+    reps = [i for i in range(count) if first[i] == i]
     key = (ctx.p, ctx.e, ctx.field_modulus, ctx.limit, d)
-    tasks = [(key, coeffs, k, mode, use_orbit, budget)
-             for coeffs, k in table.irreducibles()[:limit]]
+    tasks = [(key, *moduli[i], mode, use_orbit, budget) for i in reps]
     if workers <= 1 or len(tasks) <= 1:
-        return [_scan_one(table, t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(_scan_pooled, tasks))
+        done = [_scan_one(table, t) for t in tasks]
+    else:
+        # imported here: multiprocessing weighs on every single-worker run
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            done = list(pool.map(_scan_pooled, tasks))
+    records = dict(zip(reps, done))
+    return [records[i] if first[i] == i else
+            replace(records[first[i]], elapsed_ms=0,
+                    m=format_poly(FqPoly(ctx, moduli[i][0], check=False)))
+            for i in range(count)]
 
 
 def _csv_cell(v) -> str:

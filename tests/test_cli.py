@@ -230,6 +230,38 @@ def test_scan_resource_failure_exit_code(capsys, monkeypatch, exc):
     assert code == 3 and err.startswith("resource limit:") and out == ""
 
 
+def test_scan_interrupt_exit_code(capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(scan, "scan_degree", interrupted)
+    code, out, err = _run(capsys, "scan", "--p", "3", "--d", "3")
+    assert code == 3 and err == "interrupted\n" and out == ""
+
+
+@pytest.mark.parametrize("budget,suite", [("1", "division"), ("0", "gekeler")])
+def test_verify_suite_entirely_over_budget(capsys, monkeypatch, budget, suite):
+    # a suite that could check nothing must not report result=pass
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", budget)
+    code, out, err = _run(capsys, "verify", "--p", "3", "--d", "2", "--suites", suite)
+    assert code == 3 and out == ""
+    assert err.startswith(f"resource limit: verify suite {suite}: all ")
+
+
+def test_verify_suite_partly_over_budget(capsys, monkeypatch):
+    # budget 1 leaves s_0 at n = 1, 2: 12 of the 14 (i, n) pairs are skipped
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", "1")
+    code, out, err = _run(capsys, "verify", "--p", "3", "--d", "2",
+                          "--suites", "gekeler,division")
+    assert code == 3 and out == "suite=gekeler result=pass\n"
+    assert err.splitlines() == [
+        "note: suite=gekeler skipped=12 items over budget",
+        "resource limit: verify suite division: all 3 items are over budget"]
+    code, out, err = _run(capsys, "verify", "--p", "3", "--d", "2", "--suites", "gekeler")
+    assert code == 0 and out == "suite=gekeler result=pass\n"
+    assert err == "note: suite=gekeler skipped=12 items over budget\n"
+
+
 def test_budget_env_must_be_integer(capsys, monkeypatch):
     monkeypatch.setenv("CARLITZ_HW_BUDGET", "lots")
     code, _, err = _run(capsys, "powersum", "--p", "3", "--i", "1", "--n", "5",

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from carlitz_hw import (
+    FqPoly,
     Modulus,
     format_poly,
     genus,
@@ -18,10 +19,11 @@ from carlitz_hw import (
     scan_degree,
     write_records,
 )
-from carlitz_hw.errors import CostCeilingError, DomainError
+from carlitz_hw.cli import run
+from carlitz_hw.errors import CostCeilingError, DomainError, InternalError
 from carlitz_hw.invariants import first_defects
-from carlitz_hw.polyring import irreducible_count
-from carlitz_hw.powersums import residue_cost
+from carlitz_hw.polyring import irreducible_count, least_irreducible
+from carlitz_hw.powersums import LogTable, residue_cost
 from carlitz_hw.scan import CSV_HEADER, MODE_FULL, MODE_WITNESS, ScanRecord
 
 _ELAPSED = re.compile(r"\d+$", re.M)
@@ -244,3 +246,89 @@ def test_record_is_plain_data():
                      ordinary=True, ordinary_plus=True, supersingular=True,
                      first_defect_n=None, elapsed_ms=1)
     assert rec.as_ordered_dict()["lambda"] == 0
+
+
+def _substitution_orbits(ctx, d):
+    """The orbits of the moduli of degree d under T -> alpha*T + c and the
+    coefficient Frobenius, by polynomial substitution: each orbit is the set
+    of monic phi^j(m)(alpha*T + c)/alpha^d."""
+    orbits = set()
+    for m in irreducible_enumerate(ctx, d):
+        images = set()
+        f = m.poly
+        for _ in range(ctx.e):
+            f = FqPoly(ctx, [ctx.frobenius(c) for c in f.coeffs])
+            for alpha in range(1, ctx.q):
+                for c in range(ctx.q):
+                    lin = FqPoly(ctx, [c, alpha])
+                    g = FqPoly.zero(ctx)
+                    for coeff in reversed(f.coeffs):  # Horner: f(alpha*T + c)
+                        g = g * lin + FqPoly(ctx, [coeff])
+                    images.add(format_poly(g.scale(ctx.inv(g.coeffs[-1]))))
+        orbits.add(frozenset(images))
+    return orbits
+
+
+def _walked_orbits(ctx, d):
+    table = LogTable(least_irreducible(ctx, d))
+    moduli = table.irreducibles()
+    first = scan._orbit_firsts(table, moduli, len(moduli))
+    orbits = {}
+    for i, ((codes, _), f) in enumerate(zip(moduli, first)):
+        assert first[f] == f <= i  # an orbit is named by its first member
+        orbits.setdefault(f, set()).add(format_poly(FqPoly(ctx, codes)))
+    return {frozenset(o) for o in orbits.values()}
+
+
+@pytest.mark.parametrize("p,e,d", [(7, 1, 3), (3, 1, 4), (2, 2, 3), (3, 2, 2),
+                                   (2, 3, 2), (3, 1, 1)])
+def test_orbit_walker_matches_substitution(p, e, d):
+    ctx = make_field(p, e)
+    assert _walked_orbits(ctx, d) == _substitution_orbits(ctx, d)
+
+
+@pytest.mark.parametrize("d,moduli,orbits", [(3, 112, 4), (4, 588, 16)])
+def test_orbit_counts(d, moduli, orbits):
+    table = LogTable(least_irreducible(make_field(7), d))
+    first = scan._orbit_firsts(table, table.irreducibles(), moduli)
+    assert len(first) == moduli and len(set(first)) == orbits
+
+
+def test_orbit_walker_rejects_an_unlisted_root(f3):
+    table = LogTable(least_irreducible(f3, 3))
+    moduli = table.irreducibles()
+    with pytest.raises(InternalError, match="no root of a listed modulus"):
+        scan._orbit_firsts(table, moduli[:-1], len(moduli) - 1)
+
+
+@pytest.mark.parametrize("use_orbit,calls", [(True, 4), (False, 112)])
+def test_scan_classifies_one_modulus_per_orbit(monkeypatch, use_orbit, calls):
+    scanned = []
+    real = scan._scan_one
+
+    def counted(table, task):
+        scanned.append(task)
+        return real(table, task)
+
+    monkeypatch.setattr(scan, "_scan_one", counted)
+    ctx = make_field(7)
+    records = scan_degree(ctx, 3, use_orbit=use_orbit)
+    classified = {format_poly(FqPoly(ctx, task[1])) for task in scanned}
+    assert len(records) == 112 and len(classified) == len(scanned) == calls
+    # copied rows did no work of their own
+    assert all(r.elapsed_ms == 0 for r in records if r.m not in classified)
+
+
+@pytest.mark.parametrize("p,e,d", [(7, 1, 3), (3, 1, 4), (2, 2, 3), (3, 2, 2),
+                                   (2, 1, 5), (2, 2, 1)])
+def test_scan_stdout_independent_of_orbit_reduction(capsys, p, e, d):
+    # csv for full mode and jsonl for witness mode, so both formats are seen
+    for mode, fmt in (("full", "csv"), ("witness", "jsonl")):
+        for extra in ([], ["--limit", "3"], ["--workers", "2"]):
+            outs = []
+            for orbit in ([], ["--no-orbit"]):
+                argv = ["scan", "--p", str(p), "--e", str(e), "--d", str(d),
+                        "--mode", mode, "--format", fmt, "--workers", "1"]
+                assert run(argv + extra + orbit) == 0
+                outs.append(re.sub(r"\d+(}?)$", r"X\1", capsys.readouterr().out, flags=re.M))
+            assert outs[0] == outs[1], (mode, extra)
