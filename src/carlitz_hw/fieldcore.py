@@ -8,7 +8,9 @@ canonical enumeration order used everywhere (coordinate c_0 varies fastest).
 
 A FieldCtx is immutable after construction and all operations are pure, so a
 context may be shared freely between threads or processes (rebuild it from
-(p, e, field_modulus) rather than pickling it).
+(p, e, field_modulus) rather than pickling it).  power is the package's one
+square-and-multiply loop: FieldCtx.pow, FqPoly powers, polyring.residue_pow
+and polyring.is_irreducible run it, each with its own product.
 """
 
 from __future__ import annotations
@@ -54,6 +56,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def power(x, n, mul, one):
+    """x^n for n >= 0 by square-and-multiply under the product mul, with
+    identity one; no square is taken after the last bit of n."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return result
+
+
 class FieldCtx:
     """The field F_q = F_{p^e} with a fixed defining polynomial.
 
@@ -82,12 +97,12 @@ class FieldCtx:
             self.mul = lambda a, b: (a * b) % p
             self._inv_table = None
         else:
-            self.add = lambda a, b: self._encode(
-                [(x + y) % p for x, y in zip(self._decode(a), self._decode(b))])
-            self.sub = lambda a, b: self._encode(
-                [(x - y) % p for x, y in zip(self._decode(a), self._decode(b))])
-            self.neg = lambda a: self._encode([(-x) % p for x in self._decode(a)])
-            self.mul = lambda a, b: self._encode(mulmod(self._decode(a), self._decode(b)))
+            self.add = lambda a, b: self.encode(
+                [(x + y) % p for x, y in zip(self.decode(a), self.decode(b))])
+            self.sub = lambda a, b: self.encode(
+                [(x - y) % p for x, y in zip(self.decode(a), self.decode(b))])
+            self.neg = lambda a: self.encode([(-x) % p for x in self.decode(a)])
+            self.mul = lambda a, b: self.encode(mulmod(self.decode(a), self.decode(b)))
             self._inv_table = None
             if self.q <= _TABLE_MAX_Q:
                 q = self.q
@@ -100,11 +115,13 @@ class FieldCtx:
                 self.neg = lambda a, _n=neg_t: _n[a]
                 self._inv_table = [None] + [self.pow(a, q - 2) for a in range(1, q)]
 
-    def _decode(self, a):
+    def decode(self, a) -> list[int]:
+        """The F_p coordinates c_0, ..., c_{e-1} of the element code a."""
         p = self.p
         return [(a // p**j) % p for j in range(self.e)]
 
-    def _encode(self, vec):
+    def encode(self, vec) -> int:
+        """The element code of the F_p coordinates vec, c_0 first."""
         p = self.p
         code = 0
         for c in reversed(vec):
@@ -112,17 +129,10 @@ class FieldCtx:
         return code
 
     def pow(self, a, k):
-        """a^k for k >= 0 by square-and-multiply."""
+        """a^k for k >= 0, by power."""
         if k < 0:
             raise DomainError("negative exponent in field pow")
-        result = 1 % self.q
-        base = a
-        while k > 0:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return power(a, k, self.mul, 1)
 
     def inv(self, a):
         """Multiplicative inverse; raises ZeroDivisionError for 0."""
@@ -152,7 +162,7 @@ class FieldCtx:
     def format_elem(self, a) -> str:
         if self.e == 1:
             return str(a)
-        return "[" + ",".join(str(c) for c in self._decode(a)) + "]"
+        return "[" + ",".join(str(c) for c in self.decode(a)) + "]"
 
     def parse_elem(self, text: str) -> int:
         text = text.strip()
@@ -180,7 +190,7 @@ class FieldCtx:
             if v >= self.p:
                 raise CoefficientRangeError(f"coefficient {v} not in [0,{self.p})")
             vec[j] = v
-        return self._encode(vec)
+        return self.encode(vec)
 
     def format_field_modulus(self) -> str:
         terms = []

@@ -3,12 +3,15 @@
 An FqPoly stores ascending coefficient codes (coeffs[i] multiplies T^i) with
 the trailing zeros stripped, so the empty tuple is the zero polynomial and
 deg f = len(coeffs) - 1 otherwise; deg 0 = -inf.  Values are immutable and
-the usual operators are overloaded.  A Modulus wraps a monic irreducible m
-of degree d together with the reduction tables used by residue_pow, the
-square-and-multiply exponentiation in A/mA.  residue_pow computes the
+the usual operators are overloaded, a ** n being the unreduced power.
+
+There is one product mod f: mulmod, on the reduction_rows T^(k+j) mod f of
+a monic f, irreducible or not.  is_irreducible (Rabin's test) and
+residue_pow, the exponentiation in A/mA, take powers by fieldcore.power over
+it; a Modulus keeps that product for its m.  residue_pow computes the
 reduced power sums of s_mod and the primitive-element search of
-powersums.LogTable; the degree engine reads its power sums from that
-discrete-log table, for which residue_pow and s_mod stay the oracle.
+powersums.LogTable, and stays the oracle of the degree engine, which reads
+that discrete-log table.
 
 Enumeration orders are part of the contract: monic polynomials of degree i
 are produced by ascending coefficient code with a_0 varying fastest, and
@@ -26,7 +29,9 @@ ignored.  format_poly emits descending terms with explicit '*'.
 
 from __future__ import annotations
 
+import math
 import re
+from functools import partial
 
 from .errors import (
     DegreeTooSmallError,
@@ -37,7 +42,7 @@ from .errors import (
     PolyParseError,
     ReducibleModulusError,
 )
-from .fieldcore import FieldCtx
+from .fieldcore import FieldCtx, power
 
 NEG_INF = float("-inf")
 
@@ -179,23 +184,11 @@ class FqPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __pow__(self, n: int, mod=None):
-        """self^n by square-and-multiply; pow(a, n, f) reduces mod a nonzero
-        f after every product (no irreducibility assumed)."""
+    def __pow__(self, n: int):
+        """self^n in F_q[T], unreduced; powers mod f are residue_pow's."""
         if n < 0:
             raise DomainError("negative exponent for polynomial power")
-
-        def reduced(f):
-            return f if mod is None else f % mod
-
-        result, base = reduced(FqPoly.one(self.ctx)), reduced(self)
-        while n > 0:
-            if n & 1:
-                result = reduced(result * base)
-            n >>= 1
-            if n:
-                base = reduced(base * base)
-        return result
+        return power(self, n, FqPoly.__mul__, FqPoly.one(self.ctx))
 
     def __eq__(self, other):
         return (isinstance(other, FqPoly) and self.coeffs == other.coeffs
@@ -313,20 +306,63 @@ def monic_enumerate(ctx: FieldCtx, i: int):
         yield FqPoly(ctx, coeffs, check=False)
 
 
-def is_irreducible(f: FqPoly) -> bool:
-    """Frobenius/gcd irreducibility test over F_q.
+def reduction_rows(ctx: FieldCtx, coeffs) -> tuple[tuple[int, ...], ...]:
+    """T^(k+j) mod f for j = 0..k-2 (one row at k = 1), as length-k code
+    tuples, for the monic f of degree k >= 1 with these codes, T^0 first."""
+    k = len(coeffs) - 1
+    neg, mul, add = ctx.neg, ctx.mul, ctx.add
+    tk = [neg(c) for c in coeffs[:k]]
+    rows = [tuple(tk)]
+    cur = list(tk)
+    for _ in range(k - 2):
+        head, cur = cur[-1], [0] + cur[:-1]
+        if head:
+            for i in range(k):
+                cur[i] = add(cur[i], mul(head, tk[i]))
+        rows.append(tuple(cur))
+    return tuple(rows)
 
-    f of degree k is irreducible iff T^(q^k) = T mod f and
-    gcd(T^(q^(k/r)) - T, f) = 1 for every prime r dividing k.
+
+def mulmod(ctx: FieldCtx, rows, a, b) -> list[int]:
+    """a*b mod f, f monic of degree k with these reduction_rows, for code
+    sequences a, b of length <= k; the result may end in zeros."""
+    if not a or not b:
+        return []
+    mul, add = ctx.mul, ctx.add
+    raw = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    raw[i + j] = add(raw[i + j], mul(x, y))
+    k = len(rows[0])
+    if len(raw) <= k:
+        return raw
+    out = raw[:k]
+    for top in range(k, len(raw)):
+        c = raw[top]
+        if c:
+            red = rows[top - k]
+            for i in range(k):
+                out[i] = add(out[i], mul(c, red[i]))
+    return out
+
+
+def is_irreducible(f: FqPoly) -> bool:
+    """Rabin's irreducibility test over F_q: f of degree k is irreducible iff
+    T^(q^k) = T mod f and gcd(T^(q^(k/r)) - T, f) = 1 for every prime r
+    dividing k.  The powers run on mulmod, mod f over its leading coefficient.
     """
     k = len(f.coeffs) - 1
     if k < 1:
         raise DegreeTooSmallError("irreducibility needs degree >= 1")
     ctx = f.ctx
-    t = FqPoly.gen(ctx) % f
+    monic = f.scale(ctx.inv(f.coeffs[-1]))
+    mul = partial(mulmod, ctx, reduction_rows(ctx, monic.coeffs))
+    t = FqPoly.gen(ctx) % monic
     tq = [t]
     for _ in range(k):
-        tq.append(pow(tq[-1], ctx.q, f))
+        tq.append(FqPoly(ctx, power(tq[-1].coeffs, ctx.q, mul, [1]), check=False))
     if tq[k] != t:
         return False
     for r in _prime_divisors(k):
@@ -350,18 +386,9 @@ def _prime_divisors(k):
 
 
 def _mobius(n):
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
+    """mu(n): (-1)^r when n is a product of r distinct primes, else 0."""
+    primes = _prime_divisors(n)
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
 
 
 def irreducible_count(ctx: FieldCtx, d: int) -> int:
@@ -371,9 +398,9 @@ def irreducible_count(ctx: FieldCtx, d: int) -> int:
 
 
 class Modulus:
-    """A monic irreducible m of degree d, with reduction tables for A/mA."""
+    """A monic irreducible m of degree d, with the product of A/mA."""
 
-    __slots__ = ("poly", "ctx", "d", "group_order", "_tpow")
+    __slots__ = ("poly", "ctx", "d", "group_order", "_mulmod")
 
     def __init__(self, poly: FqPoly):
         if not poly.is_monic():
@@ -389,19 +416,9 @@ class Modulus:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "group_order", order)
-        # T^(d+j) mod m for j = 0..d-2, as length-d code vectors
-        neg = ctx.neg
-        td = [neg(c) for c in poly.coeffs[:d]]
-        tpow = [tuple(td)]
-        cur = list(td)
-        mul, add = ctx.mul, ctx.add
-        for _ in range(d - 2):
-            head, cur = cur[-1], [0] + cur[:-1]
-            if head:
-                for i in range(d):
-                    cur[i] = add(cur[i], mul(head, td[i]))
-            tpow.append(tuple(cur))
-        object.__setattr__(self, "_tpow", tuple(tpow))
+        # _mulmod(a, b) is a*b mod m: mulmod on the reduction rows of m
+        object.__setattr__(self, "_mulmod",
+                           partial(mulmod, ctx, reduction_rows(ctx, poly.coeffs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Modulus is immutable")
@@ -410,31 +427,6 @@ class Modulus:
         if len(f.coeffs) <= self.d:
             return f
         return f % self.poly
-
-    def _mulmod(self, a, b):
-        # a, b: coefficient sequences of length <= d; returns a length-<=d list
-        ctx = self.ctx
-        if not a or not b:
-            return []
-        mul, add = ctx.mul, ctx.add
-        raw = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        raw[i + j] = add(raw[i + j], mul(x, y))
-        d = self.d
-        if len(raw) <= d:
-            return raw
-        out = raw[:d]
-        tpow = self._tpow
-        for k in range(d, len(raw)):
-            c = raw[k]
-            if c:
-                red = tpow[k - d]
-                for i in range(d):
-                    out[i] = add(out[i], mul(c, red[i]))
-        return out
 
     def __eq__(self, other):
         return isinstance(other, Modulus) and self.poly == other.poly
@@ -483,18 +475,9 @@ def least_irreducible(ctx: FieldCtx, d: int) -> Modulus:
 
 
 def residue_pow(a: FqPoly, n: int, m: Modulus) -> FqPoly:
-    """a^n mod m by square-and-multiply with reduction after each step."""
+    """a^n mod m, by power over the product mod m."""
     if n < 0:
         raise OutOfRangeError(f"exponent must be >= 0, got {n}")
     if n > m.ctx.limit:
         raise OverflowLimitError("exponent", n, m.ctx.limit)
-    base = m.reduce(a).coeffs
-    result = [1]
-    mulmod = m._mulmod
-    while n > 0:
-        if n & 1:
-            result = mulmod(result, base)
-        n >>= 1
-        if n:
-            base = mulmod(base, base)
-    return FqPoly(m.ctx, result, check=False)
+    return FqPoly(m.ctx, power(m.reduce(a).coeffs, n, m._mulmod, [1]), check=False)

@@ -168,9 +168,9 @@ class LogTable:
 
     def pack(self, coeffs) -> int:
         """The packed residue with these F_q codes, T^0 first."""
-        p, e, shifts = self.p, self.ctx.e, self.shifts
-        return sum((c // p**t % p) << shifts[j * e + t]
-                   for j, c in enumerate(coeffs) for t in range(e))
+        ctx, shifts = self.ctx, self.shifts
+        return sum(x << shifts[j * ctx.e + t]
+                   for j, c in enumerate(coeffs) for t, x in enumerate(ctx.decode(c)))
 
     def coordinates(self, packed: int) -> list[int]:
         """The d*e F_p coordinates of a packed sum, reduced mod p."""
@@ -204,7 +204,7 @@ class LogTable:
             if any(coords[e:]):
                 raise InternalError(f"minimal polynomial of g^{k} has a "
                                     f"coefficient outside F_{q}")
-            codes.append(sum(x * p**t for t, x in enumerate(coords[:e])))
+            codes.append(self.ctx.encode(coords[:e]))
         return tuple(codes)
 
     def irreducibles(self) -> list[tuple[tuple[int, ...], int | None]]:

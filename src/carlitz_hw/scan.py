@@ -45,8 +45,9 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from operator import attrgetter
 from time import perf_counter
 
 from .errors import DomainError, InternalError
@@ -57,9 +58,6 @@ from .powersums import LogTable, RootSums, check_budget, residue_cost
 
 MODE_FULL = "full"
 MODE_WITNESS = "witness-only"
-
-CSV_HEADER = ("m,d,g,g_plus,lambda,lambda_plus,ordinary,ordinary_plus,"
-              "supersingular,first_defect_n,elapsed_ms")
 
 
 @dataclass(frozen=True)
@@ -77,14 +75,14 @@ class ScanRecord:
     elapsed_ms: int
 
     def as_ordered_dict(self) -> dict:
-        return {
-            "m": self.m, "d": self.d, "g": self.g, "g_plus": self.g_plus,
-            "lambda": self.lambda_, "lambda_plus": self.lambda_plus,
-            "ordinary": self.ordinary, "ordinary_plus": self.ordinary_plus,
-            "supersingular": self.supersingular,
-            "first_defect_n": self.first_defect_n,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        """The record keyed by COLUMNS, in column order."""
+        return dict(zip(COLUMNS, _field_values(self)))
+
+
+# the output columns are the fields of ScanRecord, lambda_ written as lambda
+_field_values = attrgetter(*(f.name for f in fields(ScanRecord)))
+COLUMNS = tuple(f.name.rstrip("_") for f in fields(ScanRecord))
+CSV_HEADER = ",".join(COLUMNS)
 
 
 @lru_cache(maxsize=2)
@@ -195,6 +193,8 @@ def scan_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
         raise DomainError(f"unknown scan mode {mode!r}")
     if limit is not None and limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     m0 = least_irreducible(ctx, d)
     if limit == 0:
         return []
@@ -235,7 +235,7 @@ def write_records(records, fmt: str, path: str | None = None) -> None:
     buf = io.StringIO()
     if fmt == "csv":
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
+        writer.writerow(COLUMNS)
         for r in records:
             writer.writerow([_csv_cell(v) for v in r.as_ordered_dict().values()])
     else:

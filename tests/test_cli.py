@@ -97,6 +97,13 @@ def test_scan_csv_stdout(capsys):
     assert lines[1].startswith("T^2+T+1,2,0,0,0,0,true,true,true,,")
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_scan_rejects_workers_below_one(capsys, workers):
+    code, out, err = _run(capsys, "scan", "--p", "2", "--d", "2", "--workers", workers)
+    assert code == 1 and out == ""
+    assert err == f"error: workers must be >= 1, got {workers}\n"
+
+
 def test_scan_jsonl_to_file(tmp_path, capsys):
     path = tmp_path / "scan.jsonl"
     code, out, _ = _run(capsys, "scan", "--p", "3", "--d", "2",

@@ -10,7 +10,7 @@ from carlitz_hw.errors import (
     OverflowLimitError,
     ReducibleModulusError,
 )
-from carlitz_hw.fieldcore import is_prime
+from carlitz_hw.fieldcore import is_prime, power
 
 
 def test_is_prime_small():
@@ -182,6 +182,20 @@ def test_prime_field_matches_int_arithmetic(a, b, k):
     assert ctx.mul(a, b) == (a * b) % 1009
     assert ctx.sub(a, b) == (a - b) % 1009
     assert ctx.pow(a, k) == pow(a, k, 1009)
+
+
+def test_power_takes_no_square_after_the_last_bit():
+    products = []
+
+    def mul(x, y):
+        products.append((x, y))
+        return x * y
+
+    for n in range(40):
+        products.clear()
+        assert power(3, n, mul, 1) == 3**n
+        # one product per set bit, one square per bit below the top one
+        assert len(products) == bin(n).count("1") + max(n.bit_length() - 1, 0)
 
 
 def test_no_table_field_matches_tabled_semantics():

@@ -1,3 +1,6 @@
+import random
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +25,8 @@ from carlitz_hw.errors import (
     PolyParseError,
     ReducibleModulusError,
 )
-from carlitz_hw.polyring import irreducible_count
+from carlitz_hw.fieldcore import power
+from carlitz_hw.polyring import _mobius, irreducible_count, mulmod, reduction_rows
 
 
 # ---------------------------------------------------------------- parsing
@@ -121,8 +125,6 @@ def test_ring_axioms_and_divrem_round_trip(data):
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
-        n = data.draw(st.integers(0, 12))
-        assert pow(a, n, b) == (a**n) % b
 
 
 def test_numpy_path_matches_schoolbook(f3):
@@ -191,6 +193,24 @@ def test_is_irreducible_matches_trial_division(p):
                 format_poly(f)
 
 
+@pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (2, 2)])
+def test_is_irreducible_non_monic_matches_monic(p, e):
+    ctx = make_field(p, e)
+    for k in range(1, 4):
+        for f in monic_enumerate(ctx, k):
+            expected = is_irreducible(f)
+            for c in range(2, ctx.q):
+                assert is_irreducible(f.scale(c)) == expected, format_poly(f.scale(c))
+
+
+def test_mobius_matches_definition():
+    # mu(1) = 1, and mu sums to 0 over the divisors of every n > 1
+    mu = [None, 1]
+    for n in range(2, 201):
+        mu.append(-sum(mu[d] for d in range(1, n) if n % d == 0))
+    assert [_mobius(n) for n in range(1, 201)] == mu[1:]
+
+
 def test_irreducible_enumerate_counts(f2, f3, f4):
     assert len(irreducible_enumerate(f3, 1)) == 3
     assert len(irreducible_enumerate(f3, 3)) == 8
@@ -206,6 +226,27 @@ def test_modulus_validation(f3):
         Modulus(parse_poly("2*T+1", f3))  # not monic
     m = Modulus(parse_poly("T^2+1", f3))
     assert (m.d, m.group_order) == (2, 8)
+
+
+# ---------------------------------------------------------------- products mod f
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2)])
+def test_mulmod_and_power_match_multiply_then_mod(p, e):
+    # every monic f of degree 1..4, reducible ones included
+    ctx = make_field(p, e)
+    rng = random.Random(10 * p + e)
+    for k in range(1, 5):
+        for f in monic_enumerate(ctx, k):
+            mul = partial(mulmod, ctx, reduction_rows(ctx, f.coeffs))
+            for _ in range(4):
+                a = [rng.randrange(ctx.q) for _ in range(k)]
+                b = [rng.randrange(ctx.q) for _ in range(rng.randint(0, k))]
+                assert FqPoly(ctx, mul(a, b)) == (FqPoly(ctx, a) * FqPoly(ctx, b)) % f
+                n = rng.randrange(20)
+                expected = FqPoly.one(ctx) % f
+                for _ in range(n):
+                    expected = expected * FqPoly(ctx, a) % f
+                assert FqPoly(ctx, power(a, n, mul, [1])) == expected, (format_poly(f), a, n)
 
 
 # ---------------------------------------------------------------- residue powers

@@ -111,7 +111,9 @@ def test_scan_unknown_mode(monkeypatch, f3):
         scan_degree(f3, 2, mode="everything")
     with pytest.raises(DomainError):
         scan_degree(f3, 2, limit=-1)
-    # both are rejected before any modulus is enumerated or any field built
+    with pytest.raises(DomainError):
+        scan_degree(f3, 2, workers=0)
+    # all are rejected before any modulus is enumerated or any field built
     assert tested == [] and built == []
 
 
