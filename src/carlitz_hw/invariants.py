@@ -25,7 +25,8 @@ One function reads a degree, _reduced_degree: top-down, it asks the
 power sums of m at one of its roots (powersums.RootSums, on a discrete-log
 table of F_{q^d}) whether s_i(n) mod m vanishes and stops at the first
 nonzero power sum.  The engine takes either a Modulus, which gets a table
-built on m itself, or a RootSums that scan cuts from the one table it
+of its own on the least primitive polynomial m0 of its degree and is read
+at its root there, or a RootSums that scan cuts from the one such table it
 shares among all moduli of a degree.  _bbar_degree, which builds all of
 B_n mod m bottom-up through b_poly, is the oracle of that reader, for the
 frobenius suite and the tests.
@@ -162,7 +163,7 @@ def degree_stream(m: Modulus | RootSums, use_orbit: bool = True, exponents=None,
 
     m is a Modulus, or one root of a modulus in a shared LogTable (RootSums,
     as scan passes it).  Every degree is read by _reduced_degree from the
-    RootSums of m; a Modulus gets a LogTable of its own, at theta = T.
+    RootSums of m; a Modulus gets a LogTable of its own (RootSums.of).
     residue_cost(m) is checked against budget before the memo or that table
     is allocated (CostCeilingError).
     """

@@ -9,17 +9,17 @@ There is one product mod f: mulmod, on the reduction_rows T^(k+j) mod f of
 a monic f, irreducible or not.  is_irreducible (Rabin's test) and
 residue_pow, the exponentiation in A/mA, take powers by fieldcore.power over
 it; a Modulus keeps that product for its m.  residue_pow computes the
-reduced power sums of s_mod and the primitive-element search of
-powersums.LogTable, and stays the oracle of the degree engine, which reads
-that discrete-log table.
+reduced power sums of s_mod and stays the oracle of the degree engine,
+which reads the discrete-log table powersums.LogTable.
 
 Enumeration orders are part of the contract: monic polynomials of degree i
 are produced by ascending coefficient code with a_0 varying fastest, and
 irreducible_enumerate lists moduli in that same order.  irreducible_enumerate
 tests every monic polynomial with is_irreducible and is the oracle of the
-root enumeration that scan uses (powersums.LogTable.irreducibles);
-least_irreducible finds the first modulus of a degree, on which the table is
-built.
+root enumeration that scan uses (powersums.LogTable.irreducibles).
+least_irreducible finds the first modulus of a degree, the default field
+polynomial of make_field.  least_primitive finds the first at which T has
+order q^d - 1, by the order test alone; the table is built on it.
 
 Text grammar (CLI and files): '+'-separated terms  c*T^k | c*T | T^k | T | c
 with c an F_q literal (the '*' may be omitted), or alternatively a single
@@ -472,6 +472,42 @@ def least_irreducible(ctx: FieldCtx, d: int) -> Modulus:
     if m is None:
         raise InternalError(f"no monic irreducible of degree {d} over F_{ctx.q}")
     return m
+
+
+def least_primitive(ctx: FieldCtx, d: int) -> Modulus:
+    """The first monic f of degree d in enumeration order at which T has
+    order N = q^d - 1: T^N = 1 and T^(N/r) != 1 mod f for every prime r | N.
+
+    Such an f is irreducible with no test of its own: the powers of T are
+    then N distinct units of F_q[T]/f, a ring of q^d elements, so every
+    nonzero element is a unit and the ring is a field.  (-1)^d f(0) is the
+    norm T^(N/(q-1)) of the root T, so it must be primitive in F_q; that
+    filter skips most candidates when q > 2.  At d = 1 the answer is T - a
+    with a primitive (T itself is no unit mod T).
+    """
+    if d < 1:
+        raise OutOfRangeError(f"degree must be >= 1, got {d}")
+    q = ctx.q
+    if q**d > ctx.limit:  # checked before q^d - 1 is factored
+        raise OverflowLimitError("q^d", q**d, ctx.limit)
+    order = q**d - 1
+    cofactors = [order // r for r in _prime_divisors(order)]
+    units = [(q - 1) // r for r in _prime_divisors(q - 1)]
+    primitive = {c for c in range(1, q) if all(ctx.pow(c, k) != 1 for k in units)}
+
+    def is_one(x):  # mulmod results may end in zeros
+        return x[:1] == [1] and not any(x[1:])
+
+    for f in monic_enumerate(ctx, d):
+        f0 = f.coeffs[0]
+        if (f0 if d % 2 == 0 else ctx.neg(f0)) not in primitive:
+            continue
+        mul = partial(mulmod, ctx, reduction_rows(ctx, f.coeffs))
+        t = [0, 1] if d > 1 else [ctx.neg(f0)]
+        if (is_one(power(t, order, mul, [1]))
+                and not any(is_one(power(t, k, mul, [1])) for k in cofactors)):
+            return Modulus(f)
+    raise InternalError(f"no primitive polynomial of degree {d} over F_{q}")
 
 
 def residue_pow(a: FqPoly, n: int, m: Modulus) -> FqPoly:

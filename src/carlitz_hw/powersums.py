@@ -12,23 +12,25 @@ residue powers by square-and-multiply (residue_pow), never leaving degree
 < d.  It serves b_poly, z_bar and the verify suites, and is the oracle of
 the degree engine's power sums, which never call it.
 
-Those come from one residue field per (q, d).  For every monic irreducible
-m of degree d, A/mA = F_{q^d} by T -> theta, theta a root of m, so
-LogTable, the discrete-log table of F_{q^d} = A/m0A on one irreducible m0,
-serves every modulus of degree d.  The table also holds the exponent orbits
-of F_{q^d}: the least member of each orbit of n -> p*n mod (q^d - 1), over
-which the degree engine shares its degrees.  One walker, _orbit_reps, finds
-those and the root orbits k -> q*k mod (q^d - 1) of LogTable.irreducibles,
-which enumerates the moduli of degree d as the minimal polynomials of the
-roots g^k, one per root orbit of size d, with no irreducibility test.
-RootSums is the power-sum source of the degree engine
+Those come from one residue field per (q, d).  For every monic irreducible m
+of degree d, A/mA = F_{q^d} by T -> theta, theta a root of m, so LogTable,
+the discrete-log table of F_{q^d} = A/m0A, serves every modulus of degree
+d.  m0 is the least primitive polynomial of degree d
+(polyring.least_primitive), so the generator is g = T and the table is one
+shift-and-reduce walk over packed residues.  The table also holds the
+exponent orbits of F_{q^d}: the least member of each orbit of n -> p*n mod
+(q^d - 1), over which the degree engine shares its degrees.  One walker,
+_orbit_reps, finds those and the root orbits k -> q*k mod (q^d - 1) of
+LogTable.irreducibles, which enumerates the moduli of degree d as the
+minimal polynomials of the roots g^k, one per root orbit of size d, with no
+irreducibility test.  RootSums is the power-sum source of the degree engine
 (invariants.degree_stream) for one modulus: it reads s_i(n) mod m at one
 root theta = g^k as the sum of g^(log a(theta) * n mod (q^d - 1)) over the
 monic a of degree i, one index computation per a and no polynomial
 multiplication.  scan shares one table among all its moduli; a single
-modulus m gets a table built on m itself, read at theta = T.  residue_cost
-bounds the memory of one degree stream and is checked against the same
-budget as exact mode.
+modulus m gets a table of its own on the same m0, read at the root of m
+that LogTable.irreducibles lists.  residue_cost bounds the memory of one
+degree stream and is checked against the same budget as exact mode.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from .fieldcore import FieldCtx
 from .polyring import (
     FqPoly,
     Modulus,
-    _prime_divisors,
     irreducible_count,
+    least_primitive,
     monic_enumerate,
     residue_pow,
 )
@@ -119,47 +121,65 @@ class LogTable:
     """Discrete-log table of one residue field F_{q^d} = A/m0A, N = q^d - 1,
     and the enumeration of every monic irreducible of degree d by its roots.
 
-    g is the least primitive residue mod m0 in code order, exp[k] = g^k for
-    0 <= k < N and log inverts exp.  A residue is packed into one int: the
-    F_p coordinate t of its T^0..T^(d-1) coefficient j sits in bit field
+    m0 is a primitive polynomial (polyring.least_primitive), so g = T, the
+    root of m0, generates the units: exp[k] = T^k mod m0 for 0 <= k < N.  Its
+    inverse, a dict as large as the table, is needed only to build zech and
+    const_logs and is not kept.  A residue is packed into one int: the F_p
+    coordinate t of its T^0..T^(d-1) coefficient j sits in bit field
     j*e + t, and every field is wide enough for a sum of q^d residues, so
-    that a power sum over the exp entries takes integer additions only.
-    Multiplication by g is F_p-linear, so each exp entry is the previous
-    one's coordinates times the packed images of the basis.  zech[k] is
-    log(1 + g^k) (None where g^k = -1), with which sums of powers of g are
-    added in the log domain, and const_logs[c] is the log of the constant c
-    of F_q, which sits in the T^0 coordinate block.  reps[n] is the least
-    member of the orbit of the exponent n under n -> p*n mod N.
+    that a power sum over the exp entries takes integer additions only.  Each exp
+    entry is the previous one times T: its low coefficients shifted up one
+    slot, plus one of q packed residues c*T^d mod m0 for its top coefficient
+    c, with every field then reduced mod p at once.  The walk must meet N
+    distinct residues and return to 1, which certifies that T is primitive
+    mod m0.
+    zech[k] is log(1 + g^k) (None where g^k = -1), with which sums of powers
+    of g are added in the log domain, and const_logs[c] is the log of the
+    constant c of F_q, which sits in the T^0 coordinate block.  reps[n] is
+    the least member of the orbit of the exponent n under n -> p*n mod N.
 
     For every monic irreducible m of degree d, A/mA is this field by
     T -> theta for a root theta of m, so one table serves every modulus of
     degree d (RootSums).
     """
 
-    __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "exp", "log",
-                 "zech", "const_logs", "reps")
+    __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "exp", "zech",
+                 "const_logs", "reps")
 
-    def __init__(self, m: Modulus):
-        ctx, d, order = m.ctx, m.d, m.group_order
+    def __init__(self, m0: Modulus):
+        ctx, d, order = m0.ctx, m0.d, m0.group_order
         p, e, q = ctx.p, ctx.e, ctx.q
         width = (q**d * (p - 1)).bit_length()
+        # the mod-p step below needs 2^(width-1) >= p, which holds because
+        # 2^(width-1) > q^d (p - 1)/2 >= p - 1
+        assert p <= 1 << (width - 1), (p, width)
         self.ctx, self.d, self.p, self.order = ctx, d, p, order
         self.shifts = shifts = range(0, width * d * e, width)
         self.mask = mask = (1 << width) - 1
-        g = _least_primitive(m).coeffs
-        # g times the F_p basis residues x^t T^j, in field order j*e + t
-        images = [self.pack(m._mulmod([0] * j + [p**t], g))
-                  for j in range(d) for t in range(e)]
-        exp, log = [], {}
-        cur = 1
-        for k in range(order):
-            log[cur] = k
-            exp.append(cur)
-            raw = sum([(cur >> s & mask) * img for s, img in zip(shifts, images)])
-            cur = sum([(raw >> s & mask) % p << s for s in shifts])
-        if len(log) != order or exp[0] != 1:
-            raise InternalError(f"discrete-log table of {m!r} is not a bijection")
-        self.exp, self.log = exp, log
+        # x*T: the low d - 1 slots of e fields each move up one slot, and the
+        # top slot's c turns into c*T^d = -c*(m0 - T^d), read from red
+        slot, top = e * width, (d - 1) * e * width
+        low = (1 << top) - 1
+        tail = m0.poly.coeffs[:d]
+        red = {self.pack([c]): self.pack([ctx.mul(ctx.neg(c), f) for f in tail])
+               for c in range(q)}
+        # each field of the sum is at most 2p - 2; it is >= p exactly when
+        # adding 2^(width-1) - p sets its top bit, and then p is subtracted
+        carry = width - 1
+        ones = sum(1 << s for s in shifts)
+        bias, tops = ones * ((1 << carry) - p), ones << carry
+        exp = []
+        x = 1
+        for _ in range(order):
+            exp.append(x)
+            y = ((x & low) << slot) + red[x >> top]
+            x = y - (((y + bias) & tops) >> carry) * p
+        log = dict(zip(exp, range(order)))
+        if len(log) != order:
+            raise InternalError(f"discrete-log table of {m0!r} is not a bijection")
+        if x != 1:
+            raise InternalError(f"T^{order} != 1 in the discrete-log table of {m0!r}")
+        self.exp = exp
         # 1 + g^k changes only the T^0 coordinate of the F_p prime field
         self.zech = [log.get(x + 1 - p if (x & mask) == p - 1 else x + 1) for x in exp]
         self.const_logs = [None] + [log[self.pack([c])] for c in range(1, q)]
@@ -191,7 +211,7 @@ class LogTable:
         d conjugates of theta = g^k, for k in a Frobenius orbit of size d:
         the monic irreducible of degree d with root theta."""
         order, p, q, e = self.order, self.p, self.ctx.q, self.ctx.e
-        minus = self.log[p - 1]  # the log of -1
+        minus = self.const_logs[p - 1]  # the log of -1
         poly, r = [0], k  # coefficient logs, T^0 first: the polynomial 1
         for _ in range(self.d):
             root = (r + minus) % order  # poly * (X - theta^(q^j))
@@ -250,10 +270,10 @@ class RootSums:
 
     @classmethod
     def of(cls, m: Modulus) -> "RootSums":
-        """The sums of one modulus at theta = T, in a LogTable built on m."""
-        table = LogTable(m)
-        theta = m.reduce(FqPoly.gen(m.ctx)).coeffs
-        return cls(table, table.log.get(table.pack(theta)), m.poly)
+        """The sums of one modulus m, at its root in the table of its degree
+        built on least_primitive; that table is built anew on every call."""
+        table = LogTable(least_primitive(m.ctx, m.d))
+        return cls(table, dict(table.irreducibles())[m.poly.coeffs], m.poly)
 
     def logs(self, i: int) -> list[int]:
         """log a(theta) for the monic a of degree i, in no fixed order: only
@@ -290,19 +310,6 @@ def _orbit_reps(mult: int, order: int) -> list[int]:
                 reps[r] = n
                 r = r * mult % order
     return reps
-
-
-def _least_primitive(m: Modulus) -> FqPoly:
-    ctx, d, order = m.ctx, m.d, m.group_order
-    q = ctx.q
-    cofactors = [order // r for r in _prime_divisors(order)]
-    one = FqPoly.one(ctx)
-    # a constant has order dividing q - 1, so it is primitive only when d = 1
-    for code in range(1 if d == 1 else q, q**d):
-        g = FqPoly(ctx, [code // q**j % q for j in range(d)], check=False)
-        if all(residue_pow(g, k, m) != one for k in cofactors):
-            return g
-    raise InternalError(f"no primitive residue mod {m!r}")
 
 
 def s1_closed_form(n: int, ctx: FieldCtx) -> FqPoly:

@@ -1,11 +1,11 @@
 """Exhaustive classification of all monic irreducible moduli of one degree.
 
 A scan builds one residue field for its (q, d): the discrete-log table of
-F_{q^d} on the least irreducible m0 (powersums.LogTable), after checking the
-residue-mode budget once.  It enumerates the moduli as the minimal
-polynomials of roots of that table, in enumeration order, and classifies
-each modulus at its root in the shared table, with no irreducibility test
-and no field of its own.
+F_{q^d} on the least primitive polynomial m0 (polyring.least_primitive,
+powersums.LogTable), after checking the residue-mode budget once.  It
+enumerates the moduli as the minimal polynomials of roots of that table, in
+enumeration order, and classifies each modulus at its root in the shared
+table, with no irreducibility test and no field of its own.
 
 The record of a modulus, apart from m and elapsed_ms, is constant on its
 orbit under T -> alpha*T + c and, when e > 1, the p-th power map on
@@ -53,7 +53,7 @@ from time import perf_counter
 from .errors import DomainError, InternalError
 from .fieldcore import FieldCtx, make_field
 from .invariants import first_defects, genus, hasse_witt
-from .polyring import FqPoly, format_poly, least_irreducible
+from .polyring import FqPoly, format_poly, least_primitive
 from .powersums import LogTable, RootSums, check_budget, residue_cost
 
 MODE_FULL = "full"
@@ -89,7 +89,7 @@ CSV_HEADER = ",".join(COLUMNS)
 def _field_table(p, e, field_modulus, limit, d) -> LogTable:
     """The shared field of a scan, built once in each worker process."""
     ctx = make_field(p, e, None if e == 1 else field_modulus, limit)
-    return LogTable(least_irreducible(ctx, d))
+    return LogTable(least_primitive(ctx, d))
 
 
 def _scan_one(table: LogTable, task) -> ScanRecord:
@@ -195,7 +195,7 @@ def scan_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
         raise DomainError(f"limit must be >= 0, got {limit}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    m0 = least_irreducible(ctx, d)
+    m0 = least_primitive(ctx, d)
     if limit == 0:
         return []
     check_budget(f"degree stream mod {format_poly(m0.poly)}", residue_cost(m0), budget)

@@ -34,6 +34,23 @@ def test_invariants_no_orbit_identical(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 1), (2, 1, 5), (3, 1, 3), (5, 1, 2),
+                                   (7, 1, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)])
+def test_invariants_command_matches_scan_rows(capsys, p, e, d):
+    # `invariants` reads one modulus at its root in a table of its own; scan
+    # reads every modulus in one shared table
+    field = ["--p", str(p), "--e", str(e)]
+    code, out, _ = _run(capsys, "scan", *field, "--d", str(d), "--format", "jsonl")
+    assert code == 0
+    for row in map(json.loads, out.splitlines()):
+        code, out, _ = _run(capsys, "invariants", *field, "--m", row["m"])
+        assert code == 0
+        rep = json.loads(out)
+        keys = ["m", "lambda", "lambda_plus", "ordinary", "ordinary_plus", "supersingular"]
+        assert [rep[k] for k in keys] == [row[k] for k in keys]
+        assert (rep["defects"][0]["n"] if rep["defects"] else None) == row["first_defect_n"]
+
+
 def test_invariants_reducible_modulus(capsys):
     code, out, err = _run(capsys, "invariants", "--p", "3", "--m", "T^2")
     assert code == 1

@@ -31,7 +31,7 @@ from carlitz_hw.polyring import (
     FqPoly,
     format_poly,
     is_irreducible,
-    least_irreducible,
+    least_primitive,
     monic_enumerate,
 )
 from carlitz_hw.powersums import LogTable, RootSums, residue_cost, s_mod
@@ -200,11 +200,13 @@ def _moduli(p, e, d):
     return irreducible_enumerate(make_field(p, e), d)
 
 
-def _coordinates(f, m):
-    # F_p coordinates of a residue in the LogTable packing order
-    p, e = m.ctx.p, m.ctx.e
-    cs = list(f.coeffs) + [0] * (m.d - len(f.coeffs))
-    return [c // p**t % p for c in cs for t in range(e)]
+def _at_root(f, view):
+    """The F_p coordinates of f(theta) in the LogTable of view, theta its root."""
+    table = view.table
+    if view.k is None:  # theta = 0, the root of T
+        return table.coordinates(table.pack(f.coeffs[:1]))
+    return table.coordinates(sum(table.exp[(table.const_logs[c] + j * view.k) % table.order]
+                                 for j, c in enumerate(f.coeffs) if c))
 
 
 @given(data=st.data())
@@ -218,14 +220,14 @@ def test_log_table_matches_s_mod_on_random_moduli(data):
     view = sources[1]
     for i in range(d):
         assert (view.table.coordinates(view.power_sum(i, n))
-                == _coordinates(s_mod(i, n, m), m)), (format_poly(m.poly), i, n)
+                == _at_root(s_mod(i, n, m), view)), (format_poly(m.poly), i, n)
     want = invariants._bbar_degree(n, m)
     assert _degrees(n, m, sources) == [want, want]
 
 
 @functools.lru_cache(maxsize=None)
 def _shared_table(p, e, d):
-    table = LogTable(least_irreducible(make_field(p, e), d))
+    table = LogTable(least_primitive(make_field(p, e), d))
     return table, table.irreducibles()
 
 
@@ -262,7 +264,9 @@ def test_log_table_is_built_once_the_products_reach_its_size(monkeypatch, f3, f4
     built = _count_tables(monkeypatch)
     moduli = irreducible_enumerate(f3, 3)
     reports = [hasse_witt(m) for m in moduli]
-    assert built == moduli
+    # one table per single-modulus stream, each on the least primitive m0
+    m0 = least_primitive(f3, 3)
+    assert built == [m0] * len(moduli)
     assert reports == [hasse_witt(m, use_orbit=False) for m in moduli]
 
     # witness pass on the first sextic over F_4: stops at n = 42, on the
@@ -270,21 +274,22 @@ def test_log_table_is_built_once_the_products_reach_its_size(monkeypatch, f3, f4
     sextic = next(Modulus(f) for f in monic_enumerate(f4, 6) if is_irreducible(f))
     built.clear()
     assert first_defects(sextic) == (10, 42)
-    assert built == [sextic]
+    assert built == [least_primitive(f4, 6)]
     assert first_defects(sextic, use_orbit=False) == (10, 42)
 
     # an ordinary cubic over F_7 is scanned to the end, with one table
     cubic = Modulus(parse_poly("T^3+T+1", make_field(7)))
     built.clear()
     assert first_defects(cubic) == (None, None)
-    assert built == [cubic]
+    assert built == [least_primitive(cubic.ctx, 3)]
     assert first_defects(cubic, use_orbit=False) == (None, None)
 
 
-def test_log_table_certifies_its_generator(monkeypatch, f3, m_headline):
-    monkeypatch.setattr(powersums, "_least_primitive", lambda m: FqPoly.constant(f3, 2))
+def test_log_table_certifies_its_generator():
+    # T^3 + 2 is irreducible over F_7, but T^3 = 5 there, so T has order 18 of 342
+    m = Modulus(parse_poly("T^3+2", make_field(7)))
     with pytest.raises(InternalError, match="bijection"):
-        LogTable(m_headline)
+        LogTable(m)
 
 
 def test_degree_stream_cost_ceiling(monkeypatch, m_headline):

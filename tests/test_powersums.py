@@ -2,6 +2,7 @@ import pytest
 
 from carlitz_hw import (
     FqPoly,
+    Modulus,
     f_poly,
     format_poly,
     irreducible_enumerate,
@@ -17,7 +18,7 @@ from carlitz_hw.errors import (
     OutOfRangeError,
     PrimeFieldOnlyError,
 )
-from carlitz_hw.polyring import least_irreducible, monic_enumerate
+from carlitz_hw.polyring import is_irreducible, least_primitive, monic_enumerate, residue_pow
 from carlitz_hw.powersums import LogTable, frobenius_twist_exponent
 
 
@@ -214,20 +215,57 @@ def test_degree_bound_at_extension_field(f4):
 def test_log_table_exponent_orbits(p, e, d):
     # the least member of each orbit of n -> p*n, by brute force; p^(e*d) = 1
     # mod q^d - 1, and for e > 1 these are not the orbits of n -> q*n
-    table = LogTable(least_irreducible(make_field(p, e), d))
+    table = LogTable(least_primitive(make_field(p, e), d))
     order = table.order
     assert table.reps == [min(n * p**j % order for j in range(e * d))
                           for n in range(order)]
 
 
-@pytest.mark.parametrize("p,e,d", [(2, 1, d) for d in range(1, 9)]
-                         + [(3, 1, d) for d in range(1, 6)]
-                         + [(5, 1, 3), (7, 1, 3), (3, 2, 2), (2, 3, 2)]
-                         + [(2, 2, d) for d in range(1, 5)])
+@pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 1), (2, 1, 5), (3, 1, 3), (5, 1, 2),
+                                   (7, 1, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2),
+                                   (37, 1, 2), (2, 1, 12)])
+def test_log_table_walk_matches_residue_pow(p, e, d):
+    # the walk takes each entry from the one before it; square-and-multiply
+    # computes every T^k mod m0 on its own
+    ctx = make_field(p, e)
+    m0 = least_primitive(ctx, d)
+    table = LogTable(m0)
+    t = FqPoly.gen(ctx)
+    assert table.exp == [table.pack(residue_pow(t, k, m0).coeffs) for k in range(table.order)]
+
+
+def _order_of_t(m):
+    """The multiplicative order of T mod m by repeated multiplication and
+    division, None when T = 0 mod m."""
+    t = FqPoly.gen(m.ctx) % m.poly
+    if t.is_zero():
+        return None
+    x, k = t, 1
+    while x != FqPoly.one(m.ctx):
+        x, k = x * t % m.poly, k + 1
+    return k
+
+
+_ROOT_CASES = ([(2, 1, d) for d in range(1, 9)]
+               + [(3, 1, d) for d in range(1, 6)]
+               + [(5, 1, 3), (7, 1, 3), (3, 2, 2), (2, 3, 2)]
+               + [(2, 2, d) for d in range(1, 5)])
+
+
+@pytest.mark.parametrize("p,e,d", _ROOT_CASES)
+def test_least_primitive_matches_brute_force(p, e, d):
+    # the first monic irreducible, by Rabin's test, at which T has order q^d - 1
+    ctx = make_field(p, e)
+    want = next(f for f in monic_enumerate(ctx, d)
+                if is_irreducible(f) and _order_of_t(Modulus(f)) == ctx.q**d - 1)
+    assert least_primitive(ctx, d).poly == want
+
+
+@pytest.mark.parametrize("p,e,d", _ROOT_CASES)
 def test_root_enumeration_matches_irreducible_enumerate(p, e, d):
     # minimal polynomials of one root per Frobenius orbit, in code order
     ctx = make_field(p, e)
-    table = LogTable(least_irreducible(ctx, d))
+    table = LogTable(least_primitive(ctx, d))
     roots = table.irreducibles()
     assert [coeffs for coeffs, _ in roots] == [m.poly.coeffs
                                                for m in irreducible_enumerate(ctx, d)]
