@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 
 from . import bpoly as bpoly_mod
 from . import invariants, powersums, scan
@@ -219,7 +218,7 @@ def run(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimitError, MemoryError, BrokenExecutor) as exc:
+    except (ResourceLimitError, MemoryError) as exc:
         print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:

@@ -152,11 +152,6 @@ class FieldCtx:
         """All q elements once, in ascending code order."""
         return range(self.q)
 
-    def validate_elem(self, a):
-        if not isinstance(a, int) or not 0 <= a < self.q:
-            raise DomainError(f"{a!r} is not an element code of F_{self.q}")
-        return a
-
     # -- literal syntax: decimal residue for e = 1, "[c0,c1,...]" for e > 1 --
 
     def format_elem(self, a) -> str:

@@ -24,10 +24,9 @@ sharing and so check that equivalence independently.
 One function reads a degree, _reduced_degree: top-down, it asks the
 power sums of m at one of its roots (powersums.RootSums, on a discrete-log
 table of F_{q^d}) whether s_i(n) mod m vanishes and stops at the first
-nonzero power sum.  The engine takes either a Modulus, which gets a table
-of its own on the least primitive polynomial m0 of its degree and is read
-at its root there, or a RootSums that scan cuts from the one such table it
-shares among all moduli of a degree.  _bbar_degree, which builds all of
+nonzero power sum.  The engine takes either a Modulus, read at its root in
+the field of its (q, d) kept by the process (RootSums.of), or a RootSums
+that scan cuts from the field it builds.  _bbar_degree, which builds all of
 B_n mod m bottom-up through b_poly, is the oracle of that reader, for the
 frobenius suite and the tests.
 """
@@ -55,7 +54,7 @@ from .polyring import (
     irreducible_enumerate,
     residue_pow,
 )
-from .powersums import RootSums, check_budget, residue_cost, s_exact, s_mod
+from .powersums import RootSums, s_exact, s_mod
 
 
 def genus(ctx: FieldCtx, d: int) -> tuple[int, int]:
@@ -161,16 +160,13 @@ def degree_stream(m: Modulus | RootSums, use_orbit: bool = True, exponents=None,
     per-(q, d) table, since the digit sum is not orbit-invariant unless
     q = p.
 
-    m is a Modulus, or one root of a modulus in a shared LogTable (RootSums,
-    as scan passes it).  Every degree is read by _reduced_degree from the
-    RootSums of m; a Modulus gets a LogTable of its own (RootSums.of).
-    residue_cost(m) is checked against budget before the memo or that table
-    is allocated (CostCeilingError).
+    Degrees are read by _reduced_degree from the RootSums of m: a Modulus
+    gets one from RootSums.of, which checks budget first; a RootSums (scan)
+    was checked with its field, and budget is not read.
     """
+    sums = m if isinstance(m, RootSums) else RootSums.of(m, budget)
     order, q1 = m.group_order, m.ctx.q - 1
-    check_budget(f"degree stream mod {format_poly(m.poly)}", residue_cost(m), budget)
     targets = target_degrees(m.ctx, m.d)
-    sums = m if isinstance(m, RootSums) else RootSums.of(m)
     reps = sums.table.reps if use_orbit else range(order)
     known = [None] * order  # degrees, indexed by orbit representative
     for n in range(1, order) if exponents is None else exponents:

@@ -83,10 +83,6 @@ class FqPoly:
         """The polynomial T."""
         return cls(ctx, (0, 1), check=False)
 
-    @classmethod
-    def constant(cls, ctx, c):
-        return cls(ctx, (ctx.validate_elem(c),), check=False)
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF

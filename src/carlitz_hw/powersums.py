@@ -27,14 +27,15 @@ irreducibility test.  RootSums is the power-sum source of the degree engine
 (invariants.degree_stream) for one modulus: it reads s_i(n) mod m at one
 root theta = g^k as the sum of g^(log a(theta) * n mod (q^d - 1)) over the
 monic a of degree i, one index computation per a and no polynomial
-multiplication.  scan shares one table among all its moduli; a single
-modulus m gets a table of its own on the same m0, read at the root of m
-that LogTable.irreducibles lists.  residue_cost bounds the memory of one
-degree stream and is checked against the same budget as exact mode.
+multiplication.  residue_field builds that field once per scan, and
+shared_field keeps it per process for scan's workers and RootSums.of.
+residue_cost bounds the memory of one degree stream and is checked against
+the same budget as exact mode wherever a field is built or fetched.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import lru_cache
 
@@ -45,10 +46,11 @@ from .errors import (
     OutOfRangeError,
     PrimeFieldOnlyError,
 )
-from .fieldcore import FieldCtx
+from .fieldcore import FieldCtx, make_field
 from .polyring import (
     FqPoly,
     Modulus,
+    format_poly,
     irreducible_count,
     least_primitive,
     monic_enumerate,
@@ -82,6 +84,10 @@ def check_budget(what: str, cost: int, budget: int | None) -> None:
     limit = DEFAULT_COST_CEILING if budget is None else budget
     if cost > limit:
         raise CostCeilingError(f"{what} estimated cost {cost} exceeds budget {limit}")
+
+
+def _check_stream(m: Modulus, budget: int | None) -> None:
+    check_budget(f"degree stream mod {format_poly(m.poly)}", residue_cost(m), budget)
 
 
 def s_exact(i: int, n: int, ctx: FieldCtx, budget: int | None = None) -> FqPoly:
@@ -269,11 +275,13 @@ class RootSums:
         self._logs = [[0]]  # the monic a of degree 0 is 1, for any theta
 
     @classmethod
-    def of(cls, m: Modulus) -> "RootSums":
-        """The sums of one modulus m, at its root in the table of its degree
-        built on least_primitive; that table is built anew on every call."""
-        table = LogTable(least_primitive(m.ctx, m.d))
-        return cls(table, dict(table.irreducibles())[m.poly.coeffs], m.poly)
+    def of(cls, m: Modulus, budget: int | None = None) -> "RootSums":
+        """The sums of one modulus m at its root in the field of its (q, d)
+        kept by this process (shared_field), once residue_cost(m) passes budget."""
+        _check_stream(m, budget)
+        ctx = m.ctx
+        table, roots = shared_field(ctx.p, ctx.e, ctx.field_modulus, ctx.limit, m.d)
+        return cls(table, roots[m.poly.coeffs], m.poly)
 
     def logs(self, i: int) -> list[int]:
         """log a(theta) for the monic a of degree i, in no fixed order: only
@@ -297,6 +305,25 @@ class RootSums:
     def vanishes(self, i: int, n: int) -> bool:
         """s_i(n) == 0 mod m, for 0 <= i < d and 1 <= n < q^d - 1."""
         return not any(self.table.coordinates(self.power_sum(i, n)))
+
+
+def residue_field(ctx: FieldCtx, d: int, budget: int | None = None):
+    """The residue field of every monic irreducible of degree d, built anew: the
+    LogTable on the least primitive m0 and {coefficient codes: root log k} of
+    every modulus, in enumeration order; budget is checked before the table."""
+    m0 = least_primitive(ctx, d)
+    _check_stream(m0, budget)
+    table = LogTable(m0)
+    return table, dict(table.irreducibles())
+
+
+@lru_cache(maxsize=2)
+def shared_field(p: int, e: int, field_modulus, limit: int, d: int):
+    """residue_field at make_field(p, e, field_modulus, limit), built once
+    per process.  limit is in the key as FieldCtx equality ignores it; the
+    caller checks its budget before reading here."""
+    ctx = make_field(p, e, None if e == 1 else field_modulus, limit)
+    return residue_field(ctx, d, math.inf)
 
 
 def _orbit_reps(mult: int, order: int) -> list[int]:

@@ -1,11 +1,9 @@
 """Exhaustive classification of all monic irreducible moduli of one degree.
 
-A scan builds one residue field for its (q, d): the discrete-log table of
-F_{q^d} on the least primitive polynomial m0 (polyring.least_primitive,
-powersums.LogTable), after checking the residue-mode budget once.  It
-enumerates the moduli as the minimal polynomials of roots of that table, in
-enumeration order, and classifies each modulus at its root in the shared
-table, with no irreducibility test and no field of its own.
+A scan builds one residue field for its (q, d), the discrete-log table of
+F_{q^d} on the least primitive polynomial m0 (powersums.residue_field), and
+classifies each modulus at its root there, in enumeration order, with no
+irreducibility test and no field of its own.
 
 The record of a modulus, apart from m and elapsed_ms, is constant on its
 orbit under T -> alpha*T + c and, when e > 1, the p-th power map on
@@ -21,17 +19,13 @@ with the exponent-orbit reduction of the degree stream.  The reversal
 m -> T^d m(1/T) is no symmetry of the record.
 
 The work unit is one orbit representative; representatives are distributed
-over a process pool and the results come back and are expanded in
-enumeration order, so the output stream is byte-identical for any worker
-count except for the elapsed_ms column.  A task carries the coefficients
-and the root of its modulus; each worker rebuilds the table once per
-process from (p, e, field_modulus, limit, d) rather than receiving it
-pickled.  elapsed_ms is the time of one classified modulus and excludes the
-table build, which happens once per scan.
+over a process pool and come back in enumeration order, so the output is
+byte-identical for any worker count but for elapsed_ms.  A task carries
+its modulus and root; each worker reads the field from
+powersums.shared_field, built once per process.  elapsed_ms is the time of
+one classified modulus and excludes the field build.
 
-Output formats share one column set:
-    m,d,g,g_plus,lambda,lambda_plus,ordinary,ordinary_plus,supersingular,
-    first_defect_n,elapsed_ms
+Output formats share one column set, COLUMNS, the fields of ScanRecord.
 CSV writes lowercase booleans and empty cells for unknown values; JSONL
 writes one object per line with the same key order and null for unknowns.
 In witness-only mode the ordinariness flags and first_defect_n come from
@@ -46,15 +40,14 @@ import io
 import json
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 from operator import attrgetter
 from time import perf_counter
 
-from .errors import DomainError, InternalError
-from .fieldcore import FieldCtx, make_field
+from .errors import DomainError, InternalError, ResourceLimitError
+from .fieldcore import FieldCtx
 from .invariants import first_defects, genus, hasse_witt
 from .polyring import FqPoly, format_poly, least_primitive
-from .powersums import LogTable, RootSums, check_budget, residue_cost
+from .powersums import LogTable, RootSums, residue_field, shared_field
 
 MODE_FULL = "full"
 MODE_WITNESS = "witness-only"
@@ -85,40 +78,31 @@ COLUMNS = tuple(f.name.rstrip("_") for f in fields(ScanRecord))
 CSV_HEADER = ",".join(COLUMNS)
 
 
-@lru_cache(maxsize=2)
-def _field_table(p, e, field_modulus, limit, d) -> LogTable:
-    """The shared field of a scan, built once in each worker process."""
-    ctx = make_field(p, e, None if e == 1 else field_modulus, limit)
-    return LogTable(least_primitive(ctx, d))
-
-
 def _scan_one(table: LogTable, task) -> ScanRecord:
-    _, m_coeffs, k, mode, use_orbit, budget = task
+    _, m_coeffs, k, mode, use_orbit = task
     start = perf_counter()
     m = RootSums(table, k, FqPoly(table.ctx, m_coeffs, check=False))
     if mode == MODE_WITNESS:
-        witness, witness_plus = first_defects(m, use_orbit, budget)
+        witness, witness_plus = first_defects(m, use_orbit)
         g, g_plus = genus(m.ctx, m.d)
-        record = ScanRecord(
+        return ScanRecord(
             m=format_poly(m.poly), d=m.d, g=g, g_plus=g_plus,
             lambda_=None, lambda_plus=None,
             ordinary=witness is None, ordinary_plus=witness_plus is None,
             supersingular=None, first_defect_n=witness,
             elapsed_ms=_ms_since(start))
-    else:
-        rep = hasse_witt(m, use_orbit, budget)
-        record = ScanRecord(
-            m=rep.m, d=rep.d, g=rep.g, g_plus=rep.g_plus,
-            lambda_=rep.lambda_, lambda_plus=rep.lambda_plus,
-            ordinary=rep.ordinary, ordinary_plus=rep.ordinary_plus,
-            supersingular=rep.supersingular,
-            first_defect_n=rep.defects[0].n if rep.defects else None,
-            elapsed_ms=_ms_since(start))
-    return record
+    rep = hasse_witt(m, use_orbit)
+    return ScanRecord(
+        m=rep.m, d=rep.d, g=rep.g, g_plus=rep.g_plus,
+        lambda_=rep.lambda_, lambda_plus=rep.lambda_plus,
+        ordinary=rep.ordinary, ordinary_plus=rep.ordinary_plus,
+        supersingular=rep.supersingular,
+        first_defect_n=rep.defects[0].n if rep.defects else None,
+        elapsed_ms=_ms_since(start))
 
 
 def _scan_pooled(task) -> ScanRecord:
-    return _scan_one(_field_table(*task[0]), task)
+    return _scan_one(shared_field(*task[0])[0], task)
 
 
 def _ms_since(start):
@@ -185,34 +169,36 @@ def scan_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
     """One record per monic irreducible modulus of degree d, in enumeration
     order; `limit` truncates the modulus list, `workers` sizes the pool and
     `budget` is the residue-mode cost ceiling of each degree stream, checked
-    once here before the shared LogTable is built.  With use_orbit one
-    modulus per affine-Frobenius orbit (_orbit_firsts) is classified, and
-    its record is copied to the other members with their own m and
-    elapsed_ms 0; without it every modulus is its own orbit."""
+    once by residue_field before the shared LogTable is built.  With
+    use_orbit one modulus per affine-Frobenius orbit (_orbit_firsts) is
+    classified, and its record is copied to the other members with their
+    own m and elapsed_ms 0; without it every modulus is its own orbit."""
     if mode not in (MODE_FULL, MODE_WITNESS):
         raise DomainError(f"unknown scan mode {mode!r}")
     if limit is not None and limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    m0 = least_primitive(ctx, d)
     if limit == 0:
+        least_primitive(ctx, d)  # an oversized (q, d) fails even with no modulus
         return []
-    check_budget(f"degree stream mod {format_poly(m0.poly)}", residue_cost(m0), budget)
-    table = LogTable(m0)
-    moduli = table.irreducibles()
+    table, roots = residue_field(ctx, d, budget)
+    moduli = list(roots.items())
     count = len(moduli[:limit])
     first = _orbit_firsts(table, moduli, count) if use_orbit else range(count)
     reps = [i for i in range(count) if first[i] == i]
     key = (ctx.p, ctx.e, ctx.field_modulus, ctx.limit, d)
-    tasks = [(key, *moduli[i], mode, use_orbit, budget) for i in reps]
+    tasks = [(key, *moduli[i], mode, use_orbit) for i in reps]
     if workers <= 1 or len(tasks) <= 1:
         done = [_scan_one(table, t) for t in tasks]
     else:
         # imported here: multiprocessing weighs on every single-worker run
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            done = list(pool.map(_scan_pooled, tasks))
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+                done = list(pool.map(_scan_pooled, tasks))
+        except BrokenExecutor as exc:  # a worker process died
+            raise ResourceLimitError(str(exc) or type(exc).__name__) from exc
     records = dict(zip(reps, done))
     return [records[i] if first[i] == i else
             replace(records[first[i]], elapsed_ms=0,

@@ -1,9 +1,14 @@
 import json
 import re
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
+import carlitz_hw
 from carlitz_hw import FqPoly, bpoly, run_verify_suite, scan
 from carlitz_hw.cli import run
 from carlitz_hw.scan import CSV_HEADER
@@ -245,13 +250,24 @@ def test_budget_env_caps_residue_mode(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("exc", [MemoryError, BrokenProcessPool])
 def test_scan_resource_failure_exit_code(capsys, monkeypatch, exc):
-    # memory exhaustion and a dead worker process are resource limits too
+    # memory exhaustion and a dead worker process are resource limits too;
+    # both are raised by the pool, inside scan_degree
     def fail(*args, **kwargs):
         raise exc()
 
-    monkeypatch.setattr(scan, "scan_degree", fail)
-    code, out, err = _run(capsys, "scan", "--p", "3", "--d", "3")
+    monkeypatch.setattr(ProcessPoolExecutor, "map", fail)
+    code, out, err = _run(capsys, "scan", "--p", "3", "--d", "3", "--workers", "2")
     assert code == 3 and err.startswith("resource limit:") and out == ""
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # a single-worker run never loads concurrent.futures (nor its logging)
+    src = str(Path(carlitz_hw.__file__).parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import carlitz_hw.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout == "[]\n"
 
 
 def test_scan_interrupt_exit_code(capsys, monkeypatch):

@@ -185,14 +185,28 @@ def _degrees(n, m, sources):
     return [invariants._reduced_degree(n, sums, cap, zero_class) for sums in sources]
 
 
-@pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 1), (2, 1, 5), (3, 1, 3), (5, 1, 2),
-                                   (7, 1, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)])
+_NINE_FIELDS = [(2, 1, 1), (3, 1, 1), (2, 1, 5), (3, 1, 3), (5, 1, 2),
+                (7, 1, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]
+
+
+@pytest.mark.parametrize("p,e,d", _NINE_FIELDS)
 def test_table_degree_matches_square_and_multiply(p, e, d):
     for m in irreducible_enumerate(make_field(p, e), d):
         sources = _route_sources(m)
         for n in range(1, m.group_order):
             want = invariants._bbar_degree(n, m)
             assert _degrees(n, m, sources) == [want, want], (format_poly(m.poly), n)
+
+
+@pytest.mark.parametrize("p,e,d", _NINE_FIELDS)
+def test_single_modulus_reads_its_listed_root(p, e, d):
+    # RootSums.of finds each modulus at the root irreducibles() lists for
+    # it, and every modulus of (q, d) is read in one shared table
+    ctx = make_field(p, e)
+    moduli = LogTable(least_primitive(ctx, d)).irreducibles()
+    views = [RootSums.of(Modulus(FqPoly(ctx, codes))) for codes, _ in moduli]
+    assert [(v.poly.coeffs, v.k) for v in views] == moduli
+    assert len({id(v.table) for v in views}) == 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,6 +263,8 @@ def test_root_view_matches_s_mod_on_its_minimal_polynomial(data):
 
 
 def _count_tables(monkeypatch):
+    """Every LogTable build, by argument, from a cold per-process field cache."""
+    powersums.shared_field.cache_clear()
     built = []
     real = powersums.LogTable
 
@@ -264,9 +280,9 @@ def test_log_table_is_built_once_the_products_reach_its_size(monkeypatch, f3, f4
     built = _count_tables(monkeypatch)
     moduli = irreducible_enumerate(f3, 3)
     reports = [hasse_witt(m) for m in moduli]
-    # one table per single-modulus stream, each on the least primitive m0
+    # one table for the eight single-modulus streams, on the least primitive m0
     m0 = least_primitive(f3, 3)
-    assert built == [m0] * len(moduli)
+    assert built == [m0]
     assert reports == [hasse_witt(m, use_orbit=False) for m in moduli]
 
     # witness pass on the first sextic over F_4: stops at n = 42, on the
@@ -302,6 +318,39 @@ def test_degree_stream_cost_ceiling(monkeypatch, m_headline):
         first_defects(m_headline, budget=cost - 1)
     assert built == []
     assert hasse_witt(m_headline, budget=cost) == hasse_witt(m_headline)
+
+
+def test_degree_stream_cost_ceiling_on_a_warm_field(monkeypatch, m_headline):
+    # the field of (3, 3) is kept by the process, and the budget is still
+    # checked on every call, before the cache is read
+    built = _count_tables(monkeypatch)
+    cost = residue_cost(m_headline)
+    hasse_witt(m_headline)
+    assert len(built) == 1
+    with pytest.raises(CostCeilingError, match="budget"):
+        hasse_witt(m_headline, budget=cost - 1)
+    with pytest.raises(CostCeilingError, match="budget"):
+        first_defects(m_headline, budget=cost - 1)
+    with pytest.raises(CostCeilingError, match="budget"):
+        RootSums.of(m_headline, budget=cost - 1)
+    assert len(built) == 1
+
+
+def test_field_cache_key_holds_the_limit(m_headline):
+    # FieldCtx equality ignores limit.  At limit q^d - 1 = 26 a cubic over F_3
+    # is a Modulus, but least_primitive rejects q^d = 27, cold or warm
+    tight = Modulus(parse_poly("T^3+2T+1", make_field(3, limit=26)))
+    assert tight.ctx == m_headline.ctx
+    powersums.shared_field.cache_clear()
+    for warm in (False, True):
+        if warm:
+            hasse_witt(m_headline)
+        with pytest.raises(OverflowLimitError):
+            hasse_witt(tight)
+        with pytest.raises(OverflowLimitError):
+            first_defects(tight)
+        with pytest.raises(OverflowLimitError):
+            RootSums.of(tight)
 
 
 @pytest.mark.parametrize("p,e,d", [(3, 1, 3), (2, 2, 2), (2, 1, 4), (5, 1, 2)])

@@ -20,7 +20,7 @@ from carlitz_hw import (
     write_records,
 )
 from carlitz_hw.cli import run
-from carlitz_hw.errors import CostCeilingError, DomainError, InternalError
+from carlitz_hw.errors import CostCeilingError, DomainError, InternalError, OverflowLimitError
 from carlitz_hw.invariants import first_defects
 from carlitz_hw.polyring import irreducible_count, least_primitive
 from carlitz_hw.powersums import LogTable, residue_cost
@@ -89,7 +89,9 @@ def test_scan_ordinary_only_mode(f3):
 
 
 def _count_calls(monkeypatch):
-    """Every is_irreducible call and every LogTable build, by argument."""
+    """Every is_irreducible call and every LogTable build, by argument, from
+    a cold per-process field cache."""
+    powersums.shared_field.cache_clear()
     tested, built = [], []
 
     def counting(calls, real):
@@ -334,3 +336,23 @@ def test_scan_stdout_independent_of_orbit_reduction(capsys, p, e, d):
                 assert run(argv + extra + orbit) == 0
                 outs.append(re.sub(r"\d+(}?)$", r"X\1", capsys.readouterr().out, flags=re.M))
             assert outs[0] == outs[1], (mode, extra)
+
+
+def test_scan_builds_its_own_field_on_every_call(monkeypatch, f3, m_headline):
+    # the per-process field cache serves single-modulus calls and pool
+    # workers; a scan neither reads nor fills it, so each call times its build
+    _, built = _count_calls(monkeypatch)
+    hasse_witt(m_headline)
+    assert len(scan_degree(f3, 3)) == len(scan_degree(f3, 3)) == 8
+    assert len(built) == 3
+    assert powersums.shared_field.cache_info().currsize == 1
+
+
+def test_scan_limit_zero_builds_nothing_but_checks_the_size(monkeypatch, f3):
+    # --limit 0 lists no modulus and builds no field, but an oversized (q, d)
+    # still fails, before the budget is read
+    _, built = _count_calls(monkeypatch)
+    assert scan_degree(f3, 3, limit=0, budget=0) == []
+    with pytest.raises(OverflowLimitError):
+        scan_degree(make_field(3, limit=26), 3, limit=0, budget=0)
+    assert built == []
