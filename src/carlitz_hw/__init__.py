@@ -42,6 +42,6 @@ from .polyring import (
     residue_pow,
 )
 from .powersums import f_poly, s1_closed_form, s_exact, s_mod
-from .scan import ScanRecord, scan_degree, write_records
+from .scan import ScanRecord, scan_degree, stream_degree, write_records
 
 __version__ = "0.1.0"

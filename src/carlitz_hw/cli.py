@@ -5,7 +5,9 @@ payload goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 domain errors (bad input, reducible modulus, failed verify), 2 internal
 invariant violations, 3 resource limits (cost ceilings, including a verify
 suite with every item over budget, memory exhaustion, a scan worker process
-that died) and interrupts (one "interrupted" line).  The environment variable
+that died) and interrupts (one "interrupted" line).  A scan streams its
+rows, so a failure after its set-up leaves the complete rows before it; a
+reader that closes stdout early ends the scan with exit 1.  The environment variable
 CARLITZ_HW_BUDGET (decimal integer) overrides the exact-mode and the
 residue-mode cost ceilings.
 """
@@ -13,6 +15,7 @@ residue-mode cost ceilings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -133,10 +136,12 @@ def _cmd_invariants(args) -> int:
 def _cmd_scan(args) -> int:
     ctx = _make_ctx(args)
     mode = scan.MODE_WITNESS if args.mode == "witness" else scan.MODE_FULL
-    records = scan.scan_degree(ctx, args.d, mode=mode, limit=args.limit,
-                               workers=args.workers,
-                               use_orbit=not args.no_orbit, budget=_budget())
-    scan.write_records(records, args.format, args.out)
+    # every set-up failure raises here, before any output or --out file
+    rows = scan.stream_degree(ctx, args.d, mode=mode, limit=args.limit,
+                              workers=args.workers,
+                              use_orbit=not args.no_orbit, budget=_budget())
+    with contextlib.closing(rows):
+        scan.write_records(rows, args.format, args.out)
     return 0
 
 
@@ -227,7 +232,17 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader of stdout has gone (`carlitz-hw scan ... | head`); what
+        # is left in the buffer goes to /dev/null, not to a second error at exit
+        if code == 0:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

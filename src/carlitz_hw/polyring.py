@@ -30,8 +30,9 @@ ignored.  format_poly emits descending terms with explicit '*'.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from functools import partial
+from functools import partial, reduce
 
 from .errors import (
     DegreeTooSmallError,
@@ -478,8 +479,10 @@ def least_primitive(ctx: FieldCtx, d: int) -> Modulus:
     then N distinct units of F_q[T]/f, a ring of q^d elements, so every
     nonzero element is a unit and the ring is a field.  (-1)^d f(0) is the
     norm T^(N/(q-1)) of the root T, so it must be primitive in F_q; that
-    filter skips most candidates when q > 2.  At d = 1 the answer is T - a
-    with a primitive (T itself is no unit mod T).
+    filter skips most candidates when q > 2.  At d > 1 a candidate with a
+    root c in F_q^* is skipped before any power of T is taken: T - c then
+    divides f, so F_q[T]/f is no field and T cannot have order N there.  At
+    d = 1 the answer is T - a with a primitive (T itself is no unit mod T).
     """
     if d < 1:
         raise OutOfRangeError(f"degree must be >= 1, got {d}")
@@ -494,9 +497,21 @@ def least_primitive(ctx: FieldCtx, d: int) -> Modulus:
     def is_one(x):  # mulmod results may end in zeros
         return x[:1] == [1] and not any(x[1:])
 
+    # f(c) = sum of a_j * c^j, from the powers of every c in F_q^*; plain
+    # integers at e = 1, since the test runs on every candidate
+    powers = [[ctx.pow(c, j) for j in range(d + 1)] for c in range(1, q)]
+    if ctx.e == 1:
+        def has_root(coeffs):
+            return any(sum(map(operator.mul, coeffs, pw)) % q == 0 for pw in powers)
+    else:
+        def has_root(coeffs):
+            return any(reduce(ctx.add, map(ctx.mul, coeffs, pw)) == 0 for pw in powers)
+
     for f in monic_enumerate(ctx, d):
         f0 = f.coeffs[0]
         if (f0 if d % 2 == 0 else ctx.neg(f0)) not in primitive:
+            continue
+        if d > 1 and has_root(f.coeffs):
             continue
         mul = partial(mulmod, ctx, reduction_rows(ctx, f.coeffs))
         t = [0, 1] if d > 1 else [ctx.neg(f0)]

@@ -25,6 +25,12 @@ its modulus and root; each worker reads the field from
 powersums.shared_field, built once per process.  elapsed_ms is the time of
 one classified modulus and excludes the field build.
 
+Records stream (stream_degree): every set-up step runs before the first
+record, and row i follows as soon as the record of first[i] <= i exists,
+so the rows come in enumeration order, one classification apart.
+write_records writes and flushes each row as it arrives, to stdout or a
+file, so a failure part-way leaves the complete rows before it.
+
 Output formats share one column set, COLUMNS, the fields of ScanRecord.
 CSV writes lowercase booleans and empty cells for unknown values; JSONL
 writes one object per line with the same key order and null for unknowns.
@@ -36,9 +42,10 @@ fields stay unknown.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from time import perf_counter
@@ -162,17 +169,37 @@ def _orbit_firsts(table: LogTable, moduli, count: int) -> list[int]:
     return first
 
 
-def scan_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
-                limit: int | None = None, workers: int = 1,
-                use_orbit: bool = True,
-                budget: int | None = None) -> list[ScanRecord]:
+def stream_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
+                  limit: int | None = None, workers: int = 1,
+                  use_orbit: bool = True,
+                  budget: int | None = None) -> Iterator[ScanRecord]:
     """One record per monic irreducible modulus of degree d, in enumeration
-    order; `limit` truncates the modulus list, `workers` sizes the pool and
+    order, each yielded as soon as its orbit representative is classified;
+    `limit` truncates the modulus list, `workers` sizes the pool and
     `budget` is the residue-mode cost ceiling of each degree stream, checked
     once by residue_field before the shared LogTable is built.  With
     use_orbit one modulus per affine-Frobenius orbit (_orbit_firsts) is
     classified, and its record is copied to the other members with their
-    own m and elapsed_ms 0; without it every modulus is its own orbit."""
+    own m and elapsed_ms 0; without it every modulus is its own orbit.
+
+    Every set-up step (the arguments, the q^d limit, the budget, the field,
+    the orbits and the start of the pool) runs in this call, so a failure
+    there raises before the first record exists.  Closing the generator
+    drops the pool's tasks that have not started."""
+    rows = _stream(ctx, d, mode, limit, workers, use_orbit, budget)
+    next(rows)  # runs the set-up, up to the bare yield
+    return rows
+
+
+def scan_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
+                limit: int | None = None, workers: int = 1,
+                use_orbit: bool = True,
+                budget: int | None = None) -> list[ScanRecord]:
+    """The records of stream_degree, as one list."""
+    return list(stream_degree(ctx, d, mode, limit, workers, use_orbit, budget))
+
+
+def _stream(ctx, d, mode, limit, workers, use_orbit, budget):
     if mode not in (MODE_FULL, MODE_WITNESS):
         raise DomainError(f"unknown scan mode {mode!r}")
     if limit is not None and limit < 0:
@@ -181,29 +208,46 @@ def scan_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
         raise DomainError(f"workers must be >= 1, got {workers}")
     if limit == 0:
         least_primitive(ctx, d)  # an oversized (q, d) fails even with no modulus
-        return []
+        yield
+        return
     table, roots = residue_field(ctx, d, budget)
     moduli = list(roots.items())
     count = len(moduli[:limit])
     first = _orbit_firsts(table, moduli, count) if use_orbit else range(count)
-    reps = [i for i in range(count) if first[i] == i]
     key = (ctx.p, ctx.e, ctx.field_modulus, ctx.limit, d)
-    tasks = [(key, *moduli[i], mode, use_orbit) for i in reps]
+    tasks = [(key, *moduli[i], mode, use_orbit) for i in range(count) if first[i] == i]
+    with _classified(table, tasks, workers) as done:
+        yield
+        # row i needs only the record of first[i] <= i, so each row goes out
+        # as soon as the enumeration reaches it
+        records = {}
+        for i in range(count):
+            if first[i] == i:
+                records[i] = next(done)
+                yield records[i]
+            else:
+                yield replace(records[first[i]], elapsed_ms=0,
+                              m=format_poly(FqPoly(ctx, moduli[i][0], check=False)))
+
+
+@contextmanager
+def _classified(table: LogTable, tasks, workers: int):
+    """The records of tasks in order, classified one at a time as they are
+    asked for, or by a process pool that has every task from the start.  On
+    exit the pool drops the tasks that have not started."""
     if workers <= 1 or len(tasks) <= 1:
-        done = [_scan_one(table, t) for t in tasks]
-    else:
-        # imported here: multiprocessing weighs on every single-worker run
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        yield (_scan_one(table, t) for t in tasks)
+        return
+    # imported here: multiprocessing weighs on every single-worker run
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    try:
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
         try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-                done = list(pool.map(_scan_pooled, tasks))
-        except BrokenExecutor as exc:  # a worker process died
-            raise ResourceLimitError(str(exc) or type(exc).__name__) from exc
-    records = dict(zip(reps, done))
-    return [records[i] if first[i] == i else
-            replace(records[first[i]], elapsed_ms=0,
-                    m=format_poly(FqPoly(ctx, moduli[i][0], check=False)))
-            for i in range(count)]
+            yield pool.map(_scan_pooled, tasks)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    except BrokenExecutor as exc:  # a worker process died
+        raise ResourceLimitError(str(exc) or type(exc).__name__) from exc
 
 
 def _csv_cell(v) -> str:
@@ -215,22 +259,20 @@ def _csv_cell(v) -> str:
 
 
 def write_records(records, fmt: str, path: str | None = None) -> None:
-    """Serialize records as csv or jsonl to path, or stdout when path is None."""
+    """Serialize records as csv or jsonl to path, or stdout when path is
+    None, one row at a time as records yields them, each row flushed.  A
+    failure while records is read leaves only complete rows."""
     if fmt not in ("csv", "jsonl"):
         raise DomainError(f"unknown output format {fmt!r}")
-    buf = io.StringIO()
-    if fmt == "csv":
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(COLUMNS)
+    with (nullcontext(sys.stdout) if path is None else
+          open(path, "w", encoding="utf-8", newline="")) as out:
+        if fmt == "csv":
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(COLUMNS)
+            write = lambda r: writer.writerow([_csv_cell(v) for v in _field_values(r)])
+        else:
+            write = lambda r: out.write(
+                json.dumps(r.as_ordered_dict(), separators=(",", ":")) + "\n")
         for r in records:
-            writer.writerow([_csv_cell(v) for v in r.as_ordered_dict().values()])
-    else:
-        for r in records:
-            buf.write(json.dumps(r.as_ordered_dict(), separators=(",", ":")))
-            buf.write("\n")
-    payload = buf.getvalue()
-    if path is None:
-        sys.stdout.write(payload)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+            write(r)
+            out.flush()

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import carlitz_hw
-from carlitz_hw import FqPoly, bpoly, run_verify_suite, scan
+from carlitz_hw import FqPoly, bpoly, make_field, powersums, run_verify_suite, scan
 from carlitz_hw.cli import run
 from carlitz_hw.scan import CSV_HEADER
 
@@ -251,7 +254,7 @@ def test_budget_env_caps_residue_mode(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("exc", [MemoryError, BrokenProcessPool])
 def test_scan_resource_failure_exit_code(capsys, monkeypatch, exc):
     # memory exhaustion and a dead worker process are resource limits too;
-    # both are raised by the pool, inside scan_degree
+    # both are raised by the pool, inside stream_degree
     def fail(*args, **kwargs):
         raise exc()
 
@@ -274,7 +277,7 @@ def test_scan_interrupt_exit_code(capsys, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(scan, "scan_degree", interrupted)
+    monkeypatch.setattr(scan, "stream_degree", interrupted)
     code, out, err = _run(capsys, "scan", "--p", "3", "--d", "3")
     assert code == 3 and err == "interrupted\n" and out == ""
 
@@ -332,3 +335,129 @@ def test_exponent_out_of_range(capsys):
     code, _, err = _run(capsys, "bpoly", "--p", "3", "--n", "26",
                         "--mod", "T^3+2T+1")
     assert code == 1 and "outside" in err
+
+
+def _second_representative(p, d):
+    """The enumeration index and root log of the second orbit
+    representative among the moduli of degree d over F_p."""
+    table, roots = powersums.residue_field(make_field(p), d)
+    moduli = list(roots.items())
+    first = scan._orbit_firsts(table, moduli, len(moduli))
+    i = [j for j, f in enumerate(first) if f == j][1]
+    return i, moduli[i][1]
+
+
+@pytest.mark.parametrize("exc,err_start", [(KeyboardInterrupt, "interrupted"),
+                                           (MemoryError, "resource limit:")])
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_scan_failure_mid_scan_leaves_complete_rows(capsys, monkeypatch, tmp_path,
+                                                    exc, err_start, workers, to_file):
+    # rows stream as they are classified: a failure at the second orbit
+    # representative leaves the header and every row before it, with a pool
+    # too (its forked workers run the patched _scan_one)
+    argv = ["scan", "--p", "3", "--d", "3", "--workers", workers]
+    code, clean, _ = _run(capsys, *argv)
+    assert code == 0
+    index, k = _second_representative(3, 3)
+    real = scan._scan_one
+
+    def failing(table, task):
+        if task[2] == k:
+            raise exc()
+        return real(table, task)
+
+    monkeypatch.setattr(scan, "_scan_one", failing)
+    path = tmp_path / "rows.csv"
+    code, out, err = _run(capsys, *argv, *(["--out", str(path)] if to_file else []))
+    written = path.read_text() if to_file else out
+    assert code == 3 and err.startswith(err_start) and len(err.splitlines()) == 1
+    assert index == 2 and (out == "") == to_file
+    mask = lambda text: re.sub(r"\d+$", "X", text, flags=re.M)
+    assert mask(written) == mask("".join(clean.splitlines(True)[:1 + index]))
+
+
+@pytest.mark.parametrize("argv,budget,want", [
+    (("--p", "3", "--d", "3", "--workers", "1"), "103", 3),
+    (("--p", "3", "--d", "3", "--workers", "2"), "103", 3),
+    (("--p", "2", "--d", "41", "--workers", "1"), None, 3),
+    (("--p", "3", "--d", "3", "--workers", "0"), None, 1),
+])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_scan_setup_failure_writes_nothing(capsys, monkeypatch, tmp_path,
+                                           argv, budget, want, to_file):
+    if budget is not None:
+        monkeypatch.setenv("CARLITZ_HW_BUDGET", budget)
+    path = tmp_path / "rows.csv"
+    code, out, err = _run(capsys, "scan", *argv, *(["--out", str(path)] if to_file else []))
+    assert code == want and out == "" and len(err.splitlines()) == 1
+    assert not path.exists()
+
+
+def test_scan_row_zero_is_out_before_the_second_representative(monkeypatch):
+    seen = []
+    real = scan._scan_one
+
+    def spy(table, task):
+        seen.append(sys.stdout.getvalue())
+        return real(table, task)
+
+    monkeypatch.setattr(scan, "_scan_one", spy)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert run(["scan", "--p", "3", "--d", "3", "--workers", "1"]) == 0
+    index, _ = _second_representative(3, 3)
+    lines = buf.getvalue().splitlines(True)
+    assert len(seen) == 2 and seen[0] == CSV_HEADER + "\n"
+    assert seen[1] == "".join(lines[:1 + index])
+
+
+def _main_argv(*argv):
+    src = str(Path(carlitz_hw.__file__).parents[1])
+    return [sys.executable, "-c",
+            f"import sys; sys.path.insert(0, {src!r}); from carlitz_hw.cli import main; main()",
+            *argv]
+
+
+def _stdout_env(buffered):
+    """The environment with stdout block-buffered (the default for a pipe)
+    or unbuffered (PYTHONUNBUFFERED=1)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return env if buffered else env | {"PYTHONUNBUFFERED": "1"}
+
+
+@pytest.mark.parametrize("argv", [("genus", "--p", "3", "--d", "3"),
+                                  ("scan", "--p", "3", "--d", "3", "--workers", "1")])
+@pytest.mark.parametrize("buffered", [True, False])
+def test_stdout_with_no_reader(argv, buffered):
+    # buffered, genus leaves its line for main's final flush, while scan
+    # fails at its first flush, inside run
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(_main_argv(*argv), stdout=write_end, stderr=subprocess.PIPE,
+                              env=_stdout_env(buffered), timeout=60, check=False)
+    finally:
+        os.close(write_end)
+    err = done.stderr.decode()
+    assert done.returncode == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("buffered", [True, False])
+def test_scan_into_a_closed_pipe(workers, buffered):
+    # `carlitz-hw scan ... | head -n 2`: the reader goes away after two rows.
+    # About 400 KB of output, far more than a pipe holds, so the scan always
+    # meets the closed pipe at a later flush
+    with subprocess.Popen(
+            _main_argv("scan", "--p", "19", "--d", "3", "--mode", "witness",
+                       "--format", "jsonl", "--workers", workers),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_stdout_env(buffered)) as proc:
+        rows = [json.loads(proc.stdout.readline()) for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert [r["m"] for r in rows] == ["T^3+2", "T^3+3"]
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err

@@ -7,6 +7,7 @@ from carlitz_hw import (
     format_poly,
     irreducible_enumerate,
     make_field,
+    polyring,
     s1_closed_form,
     s_exact,
     s_mod,
@@ -279,3 +280,33 @@ def test_root_enumeration_matches_irreducible_enumerate(p, e, d):
         assert not any(table.coordinates(value)), (coeffs, k)
         assert table.minimal_polynomial(k * ctx.q % table.order) == coeffs
     assert (roots[0][1] is None) == (d == 1)
+
+
+@pytest.mark.parametrize("p,e,d", [(2, 1, 12), (2, 2, 6), (3, 1, 7), (7, 1, 4), (3, 2, 3)])
+def test_least_primitive_takes_no_power_at_a_root(monkeypatch, p, e, d):
+    # a candidate with a root c in F_q^* has the factor T - c, so the order
+    # of T is never tested there
+    ctx = make_field(p, e)
+    candidates, powered = [], []
+    real_rows, real_power = polyring.reduction_rows, polyring.power
+
+    def rows(ctx_, coeffs):
+        candidates.append(tuple(coeffs))
+        return real_rows(ctx_, coeffs)
+
+    def counted_power(*args):
+        powered.append(candidates[-1])
+        return real_power(*args)
+
+    monkeypatch.setattr(polyring, "reduction_rows", rows)
+    monkeypatch.setattr(polyring, "power", counted_power)
+    m0 = least_primitive(ctx, d)
+
+    def value(coeffs, c):
+        v = 0
+        for a in reversed(coeffs):
+            v = ctx.add(ctx.mul(v, c), a)
+        return v
+
+    assert powered and powered[-1] == m0.poly.coeffs
+    assert all(value(f, c) for f in powered for c in range(1, ctx.q))

@@ -356,3 +356,14 @@ def test_scan_limit_zero_builds_nothing_but_checks_the_size(monkeypatch, f3):
     with pytest.raises(OverflowLimitError):
         scan_degree(make_field(3, limit=26), 3, limit=0, budget=0)
     assert built == []
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_every_modulus_over_f2_is_ordinary(d):
+    # at q = 2 the first power sum an exponent asks for is a Vandermonde
+    # determinant mod m, never 0, so every degree is at its target (README,
+    # "How degrees are computed"); scan has no shortcut for it
+    records = scan_degree(make_field(2), d)
+    assert len(records) == irreducible_count(make_field(2), d)
+    for r in records:
+        assert (r.lambda_, r.lambda_plus, r.first_defect_n) == (r.g, r.g_plus, None), r
