@@ -30,7 +30,6 @@ ignored.  format_poly emits descending terms with explicit '*'.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from functools import partial, reduce
 
@@ -497,15 +496,11 @@ def least_primitive(ctx: FieldCtx, d: int) -> Modulus:
     def is_one(x):  # mulmod results may end in zeros
         return x[:1] == [1] and not any(x[1:])
 
-    # f(c) = sum of a_j * c^j, from the powers of every c in F_q^*; plain
-    # integers at e = 1, since the test runs on every candidate
+    # f(c) = sum of a_j * c^j, from the powers of every c in F_q^*
     powers = [[ctx.pow(c, j) for j in range(d + 1)] for c in range(1, q)]
-    if ctx.e == 1:
-        def has_root(coeffs):
-            return any(sum(map(operator.mul, coeffs, pw)) % q == 0 for pw in powers)
-    else:
-        def has_root(coeffs):
-            return any(reduce(ctx.add, map(ctx.mul, coeffs, pw)) == 0 for pw in powers)
+
+    def has_root(coeffs):
+        return any(reduce(ctx.add, map(ctx.mul, coeffs, pw)) == 0 for pw in powers)
 
     for f in monic_enumerate(ctx, d):
         f0 = f.coeffs[0]

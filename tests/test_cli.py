@@ -355,19 +355,34 @@ def test_scan_failure_mid_scan_leaves_complete_rows(capsys, monkeypatch, tmp_pat
                                                     exc, err_start, workers, to_file):
     # rows stream as they are classified: a failure at the second orbit
     # representative leaves the header and every row before it, with a pool
-    # too (its forked workers run the patched _scan_one)
+    # too.  The pool is patched in this process, around its map, so the test
+    # holds under every start method (a spawned worker would not see a
+    # patched _scan_one); a worker's exception reaches the parent the same way
     argv = ["scan", "--p", "3", "--d", "3", "--workers", workers]
     code, clean, _ = _run(capsys, *argv)
     assert code == 0
     index, k = _second_representative(3, 3)
-    real = scan._scan_one
 
-    def failing(table, task):
+    real_one, real_map = scan._scan_one, ProcessPoolExecutor.map
+
+    def failing_one(table, task):
         if task[2] == k:
             raise exc()
-        return real(table, task)
+        return real_one(table, task)
 
-    monkeypatch.setattr(scan, "_scan_one", failing)
+    def failing_map(self, fn, tasks):
+        tasks = list(tasks)
+        records = real_map(self, fn, tasks)  # every task submitted now, as by map
+
+        def checked():
+            for task in tasks:
+                if task[2] == k:
+                    raise exc()
+                yield next(records)
+        return checked()
+
+    monkeypatch.setattr(*((scan, "_scan_one", failing_one) if workers == "1" else
+                          (ProcessPoolExecutor, "map", failing_map)))
     path = tmp_path / "rows.csv"
     code, out, err = _run(capsys, *argv, *(["--out", str(path)] if to_file else []))
     written = path.read_text() if to_file else out
