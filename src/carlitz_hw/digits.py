@@ -12,7 +12,7 @@ is equivalent to (q - 1) | ell(n).  For q = 2 every exponent is zero-class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import OutOfRangeError
@@ -38,12 +38,7 @@ def ell(n: int, q: int) -> int:
     return sum(base_q_digits(n, q))
 
 
-@dataclass(frozen=True)
-class DigitProfile:
-    n: int
-    digits: tuple[int, ...]
-    ell: int
-    zero_class: bool
+DigitProfile = namedtuple("DigitProfile", ["n", "digits", "ell", "zero_class"])
 
 
 def _check_range(n, q, d):

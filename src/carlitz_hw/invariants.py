@@ -29,11 +29,20 @@ the field of its (q, d) kept by the process (RootSums.of), or a RootSums
 that scan cuts from the field it builds.  _bbar_degree, which builds all of
 B_n mod m bottom-up through b_poly, is the oracle of that reader, for the
 frobenius suite and the tests.
+
+Over F_2 every modulus is ordinary and ordinary+ (README, "How degrees are
+computed").  There every n is zero-class with cap w = popcount(n) and target
+w - 1.  For n = sum_j 2^(k_j) and the conjugates theta_j = theta^(2^(k_j))
+of a root theta of m, s_w(n)(theta) expands, over the monic a of degree w,
+to the permanent of [theta_j^t], which in characteristic 2 is the
+Vandermonde determinant prod_(j<l) (theta_j + theta_l), nonzero since the
+theta_j are distinct.  So the first query is at target at every n, and
+lambda = g, lambda+ = g+.  The engine has no shortcut for this.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .bpoly import RESIDUE, b_poly, c_poly, divide_by_one_minus_u, one_upoly
 from .digits import ell, gekeler_degree_bound, rho, rho_exponents, target_degrees
@@ -81,30 +90,16 @@ def genus(ctx: FieldCtx, d: int) -> tuple[int, int]:
     return two_g // 2, two_gp // 2
 
 
-@dataclass(frozen=True)
-class Defect:
-    n: int
-    target: int
-    actual: int
+Defect = namedtuple("Defect", ["n", "target", "actual"])
 
 
-@dataclass
-class InvariantsReport:
-    p: int
-    e: int
-    q: int
-    field_modulus: str
-    m: str
-    d: int
-    g: int
-    g_plus: int
-    lambda_: int
-    lambda_plus: int
-    ordinary: bool
-    ordinary_plus: bool
-    supersingular: bool
-    defects: list[Defect] = field(default_factory=list)
-    defects_plus: list[Defect] = field(default_factory=list)
+class InvariantsReport(namedtuple("InvariantsReport", [
+        "p", "e", "q", "field_modulus", "m", "d", "g", "g_plus", "lambda_",
+        "lambda_plus", "ordinary", "ordinary_plus", "supersingular",
+        "defects", "defects_plus"])):
+    """The invariants of one modulus; defects and defects_plus are lists of
+    Defect in ascending n."""
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         """Stable key set and ordering for serialization."""
@@ -272,12 +267,9 @@ def z_bar(m: Modulus):
 # ---------------------------------------------------------------------------
 # identity suites
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-    skipped: int = 0  # items over the cost budget, not checked
+# skipped counts the items over the cost budget, which were not checked
+IdentityCheck = namedtuple("IdentityCheck", ["name", "passed", "detail", "skipped"],
+                           defaults=("", 0))
 
 
 def _check(name, passed, detail=""):
@@ -290,7 +282,7 @@ def _within_budget(suite, checks, skipped, total):
     since then the suite has checked nothing."""
     if total and skipped == total:
         raise CostCeilingError(f"verify suite {suite}: all {total} items are over budget")
-    return [replace(c, skipped=skipped) for c in checks]
+    return [c._replace(skipped=skipped) for c in checks]
 
 
 def verify_identities(ctx: FieldCtx, d: int) -> list[IdentityCheck]:

@@ -44,10 +44,9 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from collections import namedtuple
 from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, fields, replace
-from operator import attrgetter
 from time import perf_counter
 
 from .errors import DomainError, InternalError, ResourceLimitError
@@ -60,28 +59,20 @@ MODE_FULL = "full"
 MODE_WITNESS = "witness-only"
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    m: str
-    d: int
-    g: int
-    g_plus: int
-    lambda_: int | None
-    lambda_plus: int | None
-    ordinary: bool
-    ordinary_plus: bool
-    supersingular: bool | None
-    first_defect_n: int | None
-    elapsed_ms: int
+class ScanRecord(namedtuple("ScanRecord", [
+        "m", "d", "g", "g_plus", "lambda_", "lambda_plus", "ordinary",
+        "ordinary_plus", "supersingular", "first_defect_n", "elapsed_ms"])):
+    """One scan row; lambda_, lambda_plus, supersingular and first_defect_n
+    are None where unknown."""
+    __slots__ = ()
 
     def as_ordered_dict(self) -> dict:
         """The record keyed by COLUMNS, in column order."""
-        return dict(zip(COLUMNS, _field_values(self)))
+        return dict(zip(COLUMNS, self))
 
 
 # the output columns are the fields of ScanRecord, lambda_ written as lambda
-_field_values = attrgetter(*(f.name for f in fields(ScanRecord)))
-COLUMNS = tuple(f.name.rstrip("_") for f in fields(ScanRecord))
+COLUMNS = tuple(f.rstrip("_") for f in ScanRecord._fields)
 CSV_HEADER = ",".join(COLUMNS)
 
 
@@ -226,8 +217,8 @@ def _stream(ctx, d, mode, limit, workers, use_orbit, budget):
                 records[i] = next(done)
                 yield records[i]
             else:
-                yield replace(records[first[i]], elapsed_ms=0,
-                              m=format_poly(FqPoly(ctx, moduli[i][0], check=False)))
+                yield records[first[i]]._replace(
+                    elapsed_ms=0, m=format_poly(FqPoly(ctx, moduli[i][0], check=False)))
 
 
 @contextmanager
@@ -269,7 +260,7 @@ def write_records(records, fmt: str, path: str | None = None) -> None:
         if fmt == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(COLUMNS)
-            write = lambda r: writer.writerow([_csv_cell(v) for v in _field_values(r)])
+            write = lambda r: writer.writerow([_csv_cell(v) for v in r])
         else:
             write = lambda r: out.write(
                 json.dumps(r.as_ordered_dict(), separators=(",", ":")) + "\n")

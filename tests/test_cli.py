@@ -263,14 +263,26 @@ def test_scan_resource_failure_exit_code(capsys, monkeypatch, exc):
     assert code == 3 and err.startswith("resource limit:") and out == ""
 
 
+def _loaded_by_cli_import(*names):
+    """The printed sorted list of the modules among names that a fresh
+    `import carlitz_hw.cli` loads."""
+    src = str(Path(carlitz_hw.__file__).parents[1])
+    probe = f"import sys, carlitz_hw.cli; print(sorted(set({names!r}) & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=os.environ | {"PYTHONPATH": src}, check=True, timeout=60)
+    return done.stdout
+
+
 def test_cli_import_leaves_out_the_process_pool():
     # a single-worker run never loads concurrent.futures (nor its logging)
-    src = str(Path(carlitz_hw.__file__).parents[1])
-    probe = (f"import sys; sys.path.insert(0, {src!r}); import carlitz_hw.cli; "
-             "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          check=True, timeout=60)
-    assert done.stdout == "[]\n"
+    assert _loaded_by_cli_import("concurrent.futures", "logging") == "[]\n"
+
+
+def test_cli_import_leaves_out_heavy_modules():
+    # records are named tuples: dataclasses would bring inspect, ast and dis
+    # into every process, pool workers included
+    assert _loaded_by_cli_import("dataclasses", "inspect", "ast", "dis", "concurrent.futures",
+                                 "logging", "multiprocessing") == "[]\n"
 
 
 def test_scan_interrupt_exit_code(capsys, monkeypatch):

@@ -16,6 +16,7 @@ from carlitz_hw.digits import ell, gekeler_degree_bound
 from carlitz_hw.errors import (
     ClosedFormWindowError,
     CostCeilingError,
+    InternalError,
     OutOfRangeError,
     PrimeFieldOnlyError,
 )
@@ -280,6 +281,16 @@ def test_root_enumeration_matches_irreducible_enumerate(p, e, d):
         assert not any(table.coordinates(value)), (coeffs, k)
         assert table.minimal_polynomial(k * ctx.q % table.order) == coeffs
     assert (roots[0][1] is None) == (d == 1)
+
+
+@pytest.mark.parametrize("p,e,d", [(3, 1, 3), (2, 2, 3), (7, 1, 3), (2, 1, 4)])
+def test_minimal_polynomial_rejects_a_coefficient_outside_fq(p, e, d):
+    # with a wrong log of -1 the product of X - theta^(q^j) leaves F_q
+    table = LogTable(least_primitive(make_field(p, e), d))
+    k = table.irreducibles()[0][1]
+    table.const_logs[p - 1] = 1
+    with pytest.raises(InternalError, match="coefficient outside F_"):
+        table.minimal_polynomial(k)
 
 
 @pytest.mark.parametrize("p,e,d", [(2, 1, 12), (2, 2, 6), (3, 1, 7), (7, 1, 4), (3, 2, 3)])
