@@ -3,7 +3,7 @@ fields over F_q(T), decided through power sums of monic polynomials and
 base-q digit combinatorics, with an exhaustive scanner over irreducible
 moduli and brute-force oracle verification suites."""
 
-from .bpoly import EXACT, RESIDUE, UPoly, b_poly, c_poly, u_degree
+from .bpoly import UPoly, b_poly, c_poly, u_degree
 from .digits import (
     DigitProfile,
     digit_profile,

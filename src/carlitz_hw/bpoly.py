@@ -9,9 +9,9 @@ functions take d only to validate ranges.  C_n and B_n are each built by one
 body for both coefficient rings; the identity B_n = C_n/(1-u) is checked by
 the division verify suite (invariants), not on every construction.
 
-A UPoly stores its FqPoly coefficients ascending in u, either exact in
-F_q[T] or reduced mod an irreducible m (every coefficient of degree < d);
-u_degree of the zero polynomial is -inf.
+A UPoly stores its FqPoly coefficients ascending in u, exact in F_q[T], or
+reduced mod an irreducible m when it has that modulus (every coefficient of
+degree < d); u_degree of the zero polynomial is -inf.
 
 This module builds whole polynomials bottom-up, s_0 first.  It serves the
 bpoly command, z_bar and the verify suites, and it is the oracle of the
@@ -27,29 +27,22 @@ from .fieldcore import FieldCtx
 from .polyring import NEG_INF, FqPoly, Modulus, format_poly
 from .powersums import s_exact, s_mod
 
-EXACT = "exact"
-RESIDUE = "residue"
-
 
 class UPoly:
-    """Polynomial in u with FqPoly coefficients; immutable and normalized."""
+    """Polynomial in u with FqPoly coefficients, reduced mod modulus when it
+    is given; immutable and normalized."""
 
-    __slots__ = ("coeffs", "mode", "modulus")
+    __slots__ = ("coeffs", "modulus")
 
-    def __init__(self, coeffs, mode=EXACT, modulus: Modulus | None = None):
+    def __init__(self, coeffs, modulus: Modulus | None = None):
         cs = list(coeffs)
         while cs and cs[-1].is_zero():
             cs.pop()
-        if mode not in (EXACT, RESIDUE):
-            raise DomainError(f"unknown UPoly mode {mode!r}")
-        if (modulus is not None) != (mode == RESIDUE):
-            raise DomainError("a modulus is required exactly in residue mode")
         if modulus is not None:
             for c in cs:
                 if len(c.coeffs) > modulus.d:
                     raise DomainError("residue coefficient of degree >= d")
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "modulus", modulus)
 
     def __setattr__(self, name, value):
@@ -81,11 +74,11 @@ class UPoly:
     def __mul__(self, other):
         if not isinstance(other, UPoly):
             return NotImplemented
-        if self.mode != other.mode or self.modulus != other.modulus:
+        if self.modulus != other.modulus:
             raise DomainError("UPoly operands have different coefficient domains")
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return UPoly((), self.mode, self.modulus)
+            return UPoly((), self.modulus)
         ctx = a[0].ctx
         out = [FqPoly.zero(ctx) for _ in range(len(a) + len(b) - 1)]
         m = self.modulus
@@ -99,18 +92,18 @@ class UPoly:
                 if m is not None:
                     prod = m.reduce(prod)
                 out[i + j] = out[i + j] + prod
-        return UPoly(out, self.mode, self.modulus)
+        return UPoly(out, self.modulus)
 
     def __eq__(self, other):
         return (isinstance(other, UPoly) and self.coeffs == other.coeffs
-                and self.mode == other.mode and self.modulus == other.modulus)
+                and self.modulus == other.modulus)
 
     def __hash__(self):
-        return hash((self.coeffs, self.mode, self.modulus))
+        return hash((self.coeffs, self.modulus))
 
     def __repr__(self):
         inner = "; ".join(format_poly(c) for c in self.coeffs) or "0"
-        return f"UPoly[{self.mode}]({inner})"
+        return f"UPoly[{'exact' if self.modulus is None else 'residue'}]({inner})"
 
 
 def u_degree(poly: UPoly):
@@ -118,8 +111,8 @@ def u_degree(poly: UPoly):
     return poly.u_degree
 
 
-def one_upoly(ctx: FieldCtx, mode=EXACT, m: Modulus | None = None) -> UPoly:
-    return UPoly((FqPoly.one(ctx),), mode, m)
+def one_upoly(ctx: FieldCtx, m: Modulus | None = None) -> UPoly:
+    return UPoly((FqPoly.one(ctx),), m)
 
 
 def divide_by_one_minus_u(c_poly: UPoly) -> tuple[UPoly, FqPoly]:
@@ -137,7 +130,7 @@ def divide_by_one_minus_u(c_poly: UPoly) -> tuple[UPoly, FqPoly]:
         out.append(-acc)
     remainder = -out[-1]
     quotient = list(reversed(out[:-1]))
-    return UPoly(quotient, c_poly.mode, c_poly.modulus), remainder
+    return UPoly(quotient, c_poly.modulus), remainder
 
 
 def c_poly(n: int, ctx: FieldCtx, m: Modulus | None = None,
@@ -152,13 +145,15 @@ def c_poly(n: int, ctx: FieldCtx, m: Modulus | None = None,
         ctx, d = m.ctx, m.d
     q = ctx.q
     if d is not None:
+        if d < 1:
+            raise OutOfRangeError(f"d must be >= 1, got {d}")
         if not 1 <= n <= q**d - 2:
             raise OutOfRangeError(f"n={n} outside [1, q^d-2] = [1, {q**d - 2}]")
     elif n < 1:
         raise OutOfRangeError(f"n must be >= 1, got {n}")
     cap = ell(n, q) // (q - 1)
     if m is not None:
-        return UPoly([s_mod(i, n, m) for i in range(cap + 1)], RESIDUE, m)
+        return UPoly([s_mod(i, n, m) for i in range(cap + 1)], m)
     return UPoly([s_exact(i, n, ctx, budget=budget) for i in range(cap + 1)])
 
 
@@ -178,4 +173,4 @@ def b_poly(n: int, ctx: FieldCtx, m: Modulus | None = None,
     for coeff in c.coeffs[:-1]:
         acc = acc + coeff
         partial.append(acc)
-    return UPoly(partial, c.mode, c.modulus)
+    return UPoly(partial, c.modulus)

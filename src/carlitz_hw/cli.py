@@ -22,7 +22,7 @@ import sys
 
 from . import bpoly as bpoly_mod
 from . import invariants, powersums, scan
-from .errors import DomainError, InternalError, ResourceLimitError
+from .errors import DomainError, InternalError, PolyParseError, ResourceLimitError
 from .fieldcore import make_field
 from .polyring import NEG_INF, Modulus, format_poly, parse_poly
 
@@ -49,8 +49,6 @@ def _build_parser() -> _Parser:
     p_inv = sub.add_parser("invariants", parents=[shared],
                            help="full invariant report for one modulus")
     p_inv.add_argument("--m", required=True, help="monic irreducible modulus in T")
-    p_inv.add_argument("--no-orbit", action="store_true",
-                       help="disable the Frobenius-orbit reduction")
 
     p_scan = sub.add_parser("scan", parents=[shared],
                             help="classify all irreducible moduli of a degree")
@@ -60,7 +58,6 @@ def _build_parser() -> _Parser:
     p_scan.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p_scan.add_argument("--mode", choices=("full", "witness"), default="full")
     p_scan.add_argument("--limit", type=int, default=None)
-    p_scan.add_argument("--no-orbit", action="store_true")
 
     p_bp = sub.add_parser("bpoly", parents=[shared],
                           help="generating polynomial of one exponent")
@@ -106,8 +103,11 @@ def _make_ctx(args):
     if args.field_poly is not None:
         if args.e == 1:
             raise DomainError("--field-poly is only accepted when --e > 1")
-        helper = make_field(args.p)
-        coeffs = parse_poly(args.field_poly.replace("x", "T"), helper).coeffs
+        text = "".join(args.field_poly.split())
+        try:
+            coeffs = parse_poly(text.replace("x", "T"), make_field(args.p)).coeffs
+        except PolyParseError as exc:  # quote the text in x, as typed
+            raise PolyParseError(exc.message, text, exc.pos) from None
         ctx = make_field(args.p, args.e, coeffs)
     else:
         ctx = make_field(args.p, args.e)
@@ -127,8 +127,7 @@ def _fmt_degree(deg) -> str:
 
 def _cmd_invariants(args) -> int:
     ctx = _make_ctx(args)
-    rep = invariants.hasse_witt(_parse_modulus(args.m, ctx),
-                                use_orbit=not args.no_orbit, budget=_budget())
+    rep = invariants.hasse_witt(_parse_modulus(args.m, ctx), budget=_budget())
     print(json.dumps(rep.to_json_dict(), separators=(",", ":")))
     return 0
 
@@ -138,8 +137,7 @@ def _cmd_scan(args) -> int:
     mode = scan.MODE_WITNESS if args.mode == "witness" else scan.MODE_FULL
     # every set-up failure raises here, before any output or --out file
     rows = scan.stream_degree(ctx, args.d, mode=mode, limit=args.limit,
-                              workers=args.workers,
-                              use_orbit=not args.no_orbit, budget=_budget())
+                              workers=args.workers, budget=_budget())
     with contextlib.closing(rows):
         scan.write_records(rows, args.format, args.out)
     return 0

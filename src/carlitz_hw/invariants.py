@@ -16,10 +16,10 @@ one early-exit pass.  Multiplying n by p modulo q^d - 1 raises every
 coefficient to the p-th power and therefore preserves the u-degree, so the
 stream computes one degree per orbit of n -> p*n.  The orbits depend only on
 (q, d) and are read from the residue field's LogTable (LogTable.reps), built
-once per table and so once per scan.  use_orbit=False runs the same loop
-with every exponent its own orbit: the naive scan, which must stay exactly
-equivalent.  z_bar and the frobenius suite compute every degree without
-sharing and so check that equivalence independently.
+once per table and so once per scan.  The tests compare the stream with
+_reduced_degree read at every exponent, and z_bar and the frobenius suite
+compute every degree without sharing, so they check the orbit reduction
+independently.
 
 One function reads a degree, _reduced_degree: top-down, it asks the
 power sums of m at one of its roots (powersums.RootSums, on a discrete-log
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .bpoly import RESIDUE, b_poly, c_poly, divide_by_one_minus_u, one_upoly
+from .bpoly import b_poly, c_poly, divide_by_one_minus_u, one_upoly
 from .digits import ell, gekeler_degree_bound, rho, rho_exponents, target_degrees
 from .errors import (
     CostCeilingError,
@@ -142,18 +142,16 @@ def _reduced_degree(n: int, sums: RootSums, cap: int, zero_class: bool) -> int:
     return 0
 
 
-def degree_stream(m: Modulus | RootSums, use_orbit: bool = True, exponents=None,
-                  budget: int | None = None):
+def degree_stream(m: Modulus | RootSums, exponents=None, budget: int | None = None):
     """Yield (n, degree, target) for ascending exponents n, by default every
     1 <= n <= q^d - 2: the u-degree of the reduced generating polynomial and
     its digit-sum target.
 
-    With use_orbit each degree is computed at the first exponent visited in
-    its Frobenius orbit n -> p*n mod (q^d - 1), whose least member the
-    LogTable holds (LogTable.reps), and read back for the rest of the orbit;
-    without it every exponent is its own orbit.  Targets come from the
-    per-(q, d) table, since the digit sum is not orbit-invariant unless
-    q = p.
+    Each degree is computed at the first exponent visited in its Frobenius
+    orbit n -> p*n mod (q^d - 1), whose least member the LogTable holds
+    (LogTable.reps), and read back for the rest of the orbit.  Targets come
+    from the per-(q, d) table, since the digit sum is not orbit-invariant
+    unless q = p.
 
     Degrees are read by _reduced_degree from the RootSums of m: a Modulus
     gets one from RootSums.of, which checks budget first; a RootSums (scan)
@@ -162,7 +160,7 @@ def degree_stream(m: Modulus | RootSums, use_orbit: bool = True, exponents=None,
     sums = m if isinstance(m, RootSums) else RootSums.of(m, budget)
     order, q1 = m.group_order, m.ctx.q - 1
     targets = target_degrees(m.ctx, m.d)
-    reps = sums.table.reps if use_orbit else range(order)
+    reps = sums.table.reps
     known = [None] * order  # degrees, indexed by orbit representative
     for n in range(1, order) if exponents is None else exponents:
         tgt = targets[n]
@@ -177,8 +175,7 @@ def degree_stream(m: Modulus | RootSums, use_orbit: bool = True, exponents=None,
         yield n, deg, tgt
 
 
-def hasse_witt(m: Modulus | RootSums, use_orbit: bool = True,
-               budget: int | None = None) -> InvariantsReport:
+def hasse_witt(m: Modulus | RootSums, budget: int | None = None) -> InvariantsReport:
     """Full invariant report for one modulus, from the whole degree stream."""
     ctx = m.ctx
     d = m.d
@@ -187,7 +184,7 @@ def hasse_witt(m: Modulus | RootSums, use_orbit: bool = True,
     lam = lam_plus = 0
     defects: list[Defect] = []
     defects_plus: list[Defect] = []
-    for n, deg, tgt in degree_stream(m, use_orbit, budget=budget):
+    for n, deg, tgt in degree_stream(m, budget=budget):
         lam += deg
         zero_class = n % (q - 1) == 0
         if zero_class:
@@ -212,7 +209,7 @@ def hasse_witt(m: Modulus | RootSums, use_orbit: bool = True,
         defects=defects, defects_plus=defects_plus)
 
 
-def first_defects(m: Modulus | RootSums, use_orbit: bool = True,
+def first_defects(m: Modulus | RootSums,
                   budget: int | None = None) -> tuple[int | None, int | None]:
     """The least defective exponent and the least defective zero-class
     exponent, None where there is none, in one early-exit pass over the
@@ -227,7 +224,7 @@ def first_defects(m: Modulus | RootSums, use_orbit: bool = True,
             yield n
             n = n + 1 if first is None else n + q1 - n % q1
 
-    for n, deg, tgt in degree_stream(m, use_orbit, exponents(), budget):
+    for n, deg, tgt in degree_stream(m, exponents(), budget):
         if deg != tgt:
             if first is None:
                 first = n
@@ -254,8 +251,7 @@ def z_bar(m: Modulus):
     are lambda and lambda_plus."""
     ctx = m.ctx
     q = ctx.q
-    full = one_upoly(ctx, RESIDUE, m)
-    plus = one_upoly(ctx, RESIDUE, m)
+    full = plus = one_upoly(ctx, m)
     for n in range(1, m.group_order):
         b = b_poly(n, ctx, m=m)
         full = full * b

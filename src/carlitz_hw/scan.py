@@ -14,9 +14,9 @@ monic image of m does.  The degree reader reads nothing but which s_i(n)
 vanish.  So a scan classifies the first modulus of each orbit in
 enumeration order and copies its record to the other members, with their
 own m and elapsed_ms 0; the orbits are walked at their roots in the shared
-table (_orbit_firsts).  use_orbit=False turns this reduction off together
-with the exponent-orbit reduction of the degree stream.  The reversal
-m -> T^d m(1/T) is no symmetry of the record.
+table (_orbit_firsts), always: the tests check each row against the
+per-modulus engine.  The reversal m -> T^d m(1/T) is no symmetry of the
+record.
 
 The work unit is one orbit representative; representatives are distributed
 over a process pool and come back in enumeration order, so the output is
@@ -77,11 +77,11 @@ CSV_HEADER = ",".join(COLUMNS)
 
 
 def _scan_one(table: LogTable, task) -> ScanRecord:
-    _, m_coeffs, k, mode, use_orbit = task
+    _, m_coeffs, k, mode = task
     start = perf_counter()
     m = RootSums(table, k, FqPoly(table.ctx, m_coeffs, check=False))
     if mode == MODE_WITNESS:
-        witness, witness_plus = first_defects(m, use_orbit)
+        witness, witness_plus = first_defects(m)
         g, g_plus = genus(m.ctx, m.d)
         return ScanRecord(
             m=format_poly(m.poly), d=m.d, g=g, g_plus=g_plus,
@@ -89,7 +89,7 @@ def _scan_one(table: LogTable, task) -> ScanRecord:
             ordinary=witness is None, ordinary_plus=witness_plus is None,
             supersingular=None, first_defect_n=witness,
             elapsed_ms=_ms_since(start))
-    rep = hasse_witt(m, use_orbit)
+    rep = hasse_witt(m)
     return ScanRecord(
         m=rep.m, d=rep.d, g=rep.g, g_plus=rep.g_plus,
         lambda_=rep.lambda_, lambda_plus=rep.lambda_plus,
@@ -162,35 +162,32 @@ def _orbit_firsts(table: LogTable, moduli, count: int) -> list[int]:
 
 def stream_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
                   limit: int | None = None, workers: int = 1,
-                  use_orbit: bool = True,
                   budget: int | None = None) -> Iterator[ScanRecord]:
     """One record per monic irreducible modulus of degree d, in enumeration
     order, each yielded as soon as its orbit representative is classified;
     `limit` truncates the modulus list, `workers` sizes the pool and
     `budget` is the residue-mode cost ceiling of each degree stream, checked
-    once by residue_field before the shared LogTable is built.  With
-    use_orbit one modulus per affine-Frobenius orbit (_orbit_firsts) is
-    classified, and its record is copied to the other members with their
-    own m and elapsed_ms 0; without it every modulus is its own orbit.
+    once by residue_field before the shared LogTable is built.  One modulus
+    per affine-Frobenius orbit (_orbit_firsts) is classified, and its record
+    is copied to the other members with their own m and elapsed_ms 0.
 
     Every set-up step (the arguments, the q^d limit, the budget, the field,
     the orbits and the start of the pool) runs in this call, so a failure
     there raises before the first record exists.  Closing the generator
     drops the pool's tasks that have not started."""
-    rows = _stream(ctx, d, mode, limit, workers, use_orbit, budget)
+    rows = _stream(ctx, d, mode, limit, workers, budget)
     next(rows)  # runs the set-up, up to the bare yield
     return rows
 
 
 def scan_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
                 limit: int | None = None, workers: int = 1,
-                use_orbit: bool = True,
                 budget: int | None = None) -> list[ScanRecord]:
     """The records of stream_degree, as one list."""
-    return list(stream_degree(ctx, d, mode, limit, workers, use_orbit, budget))
+    return list(stream_degree(ctx, d, mode, limit, workers, budget))
 
 
-def _stream(ctx, d, mode, limit, workers, use_orbit, budget):
+def _stream(ctx, d, mode, limit, workers, budget):
     if mode not in (MODE_FULL, MODE_WITNESS):
         raise DomainError(f"unknown scan mode {mode!r}")
     if limit is not None and limit < 0:
@@ -204,9 +201,9 @@ def _stream(ctx, d, mode, limit, workers, use_orbit, budget):
     table, roots = residue_field(ctx, d, budget)
     moduli = list(roots.items())
     count = len(moduli[:limit])
-    first = _orbit_firsts(table, moduli, count) if use_orbit else range(count)
+    first = _orbit_firsts(table, moduli, count)
     key = (ctx.p, ctx.e, ctx.field_modulus, ctx.limit, d)
-    tasks = [(key, *moduli[i], mode, use_orbit) for i in range(count) if first[i] == i]
+    tasks = [(key, *moduli[i], mode) for i in range(count) if first[i] == i]
     with _classified(table, tasks, workers) as done:
         yield
         # row i needs only the record of first[i] <= i, so each row goes out

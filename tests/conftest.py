@@ -1,6 +1,8 @@
 import pytest
 
-from carlitz_hw import Modulus, make_field, parse_poly
+from carlitz_hw import Modulus, invariants, make_field, parse_poly
+from carlitz_hw.digits import target_degrees
+from carlitz_hw.powersums import RootSums
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +28,22 @@ def f4():
 @pytest.fixture(scope="session")
 def m_headline(f3):
     return Modulus(parse_poly("T^3+2T+1", f3))
+
+
+def _naive_stream(m):
+    """(n, degree, target) at every 1 <= n <= q^d - 2, each degree read by
+    invariants._reduced_degree at its own exponent with no orbit memo: the
+    oracle of invariants.degree_stream."""
+    sums, q1 = RootSums.of(m), m.ctx.q - 1
+    targets = target_degrees(m.ctx, m.d)
+    out = []
+    for n in range(1, m.group_order):
+        zero_class = n % q1 == 0
+        deg = invariants._reduced_degree(n, sums, targets[n] + zero_class, zero_class)
+        out.append((n, deg, targets[n]))
+    return out
+
+
+@pytest.fixture(scope="session")
+def naive_stream():
+    return _naive_stream

@@ -28,6 +28,7 @@ from carlitz_hw import (
 from carlitz_hw.bpoly import divide_by_one_minus_u
 from carlitz_hw.digits import ell, gekeler_degree_bound
 from carlitz_hw.errors import ClosedFormWindowError
+from carlitz_hw.invariants import degree_stream
 
 
 def _report(label):
@@ -156,13 +157,12 @@ def test_criterion_6_oracle_suites():
     _report("6 brute-force oracle suites at q=p in {2,3,5}, n <= 200")
 
 
-def test_criterion_7_structural_cross_checks(f3, f4, f2, m_headline):
+def test_criterion_7_structural_cross_checks(f3, f4, f2, m_headline, naive_stream):
     configs = [(f2, 3), (f3, 2), (f3, 3), (f4, 2)]
     for ctx, d in configs:
         for m in irreducible_enumerate(ctx, d):
-            rep = hasse_witt(m, use_orbit=True)
-            naive = hasse_witt(m, use_orbit=False)
-            assert rep == naive, rep.m
+            rep = hasse_witt(m)
+            assert list(degree_stream(m)) == naive_stream(m), rep.m
             assert 0 <= rep.lambda_plus <= rep.lambda_ <= rep.g
             assert rep.lambda_plus <= rep.g_plus
             zf, zp = z_bar(m)

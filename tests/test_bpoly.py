@@ -12,7 +12,7 @@ from carlitz_hw import (
     s_mod,
     u_degree,
 )
-from carlitz_hw.bpoly import RESIDUE, UPoly, divide_by_one_minus_u, one_upoly
+from carlitz_hw.bpoly import UPoly, divide_by_one_minus_u, one_upoly
 from carlitz_hw.errors import DomainError, OutOfRangeError
 
 
@@ -51,9 +51,9 @@ def test_b_poly_residue_headline_values(f3, m_headline):
 
 def test_b_poly_residue_cor31_witness(f4):
     for m in irreducible_enumerate(f4, 2):
-        assert b_poly(10, f4, m=m) == one_upoly(f4, RESIDUE, m)
+        assert b_poly(10, f4, m=m) == one_upoly(f4, m)
     for m in irreducible_enumerate(f4, 3):
-        assert b_poly(42, f4, m=m) == one_upoly(f4, RESIDUE, m)
+        assert b_poly(42, f4, m=m) == one_upoly(f4, m)
 
 
 def test_u_degree_examples(f3, m_headline):
@@ -121,8 +121,7 @@ def test_b_poly_residue_matches_reduced_exact(p, e, d):
     for m in irreducible_enumerate(ctx, d):
         for n in range(1, m.group_order):
             got = b_poly(n, ctx, m=m)
-            want = UPoly([c % m.poly for c in _b_literal(n, ctx, d).coeffs],
-                         RESIDUE, m)
+            want = UPoly([c % m.poly for c in _b_literal(n, ctx, d).coeffs], m)
             assert got == want, (format_poly(m.poly), n)
 
 
@@ -145,16 +144,19 @@ def test_range_rejection(f3, m_headline):
         b_poly(26, f3, d=3)
     with pytest.raises(OutOfRangeError):
         c_poly(0, f3)
+    with pytest.raises(OutOfRangeError, match="d must be >= 1, got 0"):
+        b_poly(5, f3, d=0)
     b_poly(26, f3, d=4)  # legal in a larger ambient range
 
 
 def test_upoly_mode_checks(f3, m_headline):
+    # a UPoly is residue exactly when it has a modulus
     with pytest.raises(DomainError):
-        UPoly([FqPoly.one(f3)], RESIDUE)  # residue mode needs a modulus
-    with pytest.raises(DomainError):
-        UPoly([FqPoly.gen(f3) ** 5], RESIDUE, m_headline)  # degree >= d
+        UPoly([FqPoly.gen(f3) ** 5], m_headline)  # degree >= d
     exact = UPoly([FqPoly.one(f3)])
-    residue = one_upoly(f3, RESIDUE, m_headline)
+    residue = one_upoly(f3, m_headline)
+    assert (repr(exact), repr(residue)) == ("UPoly[exact](1)", "UPoly[residue](1)")
+    assert exact == one_upoly(f3) != residue
     with pytest.raises(DomainError):
         exact * residue
 

@@ -12,8 +12,18 @@ from pathlib import Path
 import pytest
 
 import carlitz_hw
-from carlitz_hw import FqPoly, bpoly, make_field, powersums, run_verify_suite, scan
+from carlitz_hw import (
+    FqPoly,
+    Modulus,
+    bpoly,
+    make_field,
+    parse_poly,
+    powersums,
+    run_verify_suite,
+    scan,
+)
 from carlitz_hw.cli import run
+from carlitz_hw.invariants import first_defects
 from carlitz_hw.scan import CSV_HEADER
 
 
@@ -35,11 +45,12 @@ def test_invariants_headline(capsys):
                          "defects_plus"]
 
 
-def test_invariants_no_orbit_identical(capsys):
-    _, out1, _ = _run(capsys, "invariants", "--p", "3", "--m", "T^3+2T+1")
-    _, out2, _ = _run(capsys, "invariants", "--p", "3", "--m", "T^3+2T+1",
-                      "--no-orbit")
-    assert out1 == out2
+def test_no_orbit_flag_is_rejected(capsys):
+    # both orbit reductions are theorems and always on
+    for argv in (["invariants", "--m", "T^3+2T+1"], ["scan", "--d", "3"]):
+        code, out, err = _run(capsys, *argv, "--p", "3", "--no-orbit")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 @pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 1), (2, 1, 5), (3, 1, 3), (5, 1, 2),
@@ -113,6 +124,11 @@ def test_bpoly_exact_requires_d(capsys):
     assert code == 1 and "--d" in err
 
 
+def test_bpoly_exact_rejects_d_below_one(capsys):
+    code, out, err = _run(capsys, "bpoly", "--p", "3", "--n", "5", "--exact", "--d", "0")
+    assert (code, out, err) == (1, "", "error: d must be >= 1, got 0\n")
+
+
 def test_scan_csv_stdout(capsys):
     code, out, _ = _run(capsys, "scan", "--p", "2", "--d", "2",
                         "--workers", "1")
@@ -152,16 +168,22 @@ def test_scan_witness_mode(capsys):
         assert cells[9] == "10"
 
 
-def test_scan_witness_output_independent_of_orbit_and_workers(capsys):
+def test_scan_witness_output_independent_of_orbit_and_workers(capsys, f3):
     base = ["scan", "--p", "3", "--d", "3", "--mode", "witness"]
     outs = set()
-    for extra in ([], ["--no-orbit"]):
-        for workers in ("1", "2"):
-            code, out, _ = _run(capsys, *base, *extra, "--workers", workers)
-            assert code == 0
-            outs.add(re.sub(r"\d+$", "X", out, flags=re.M))
+    for workers in ("1", "2"):
+        code, out, _ = _run(capsys, *base, "--workers", workers)
+        assert code == 0
+        outs.add(re.sub(r"\d+$", "X", out, flags=re.M))
     assert len(outs) == 1
-    assert outs.pop().count(",false,true,,13,X") == 2
+    out = outs.pop()
+    assert out.count(",false,true,,13,X") == 2
+    # each row as its modulus classifies alone, with no orbit shared
+    for row in out.splitlines()[1:]:
+        cells = row.split(",")
+        first, first_plus = first_defects(Modulus(parse_poly(cells[0], f3)))
+        assert cells[6:8] == [str(first is None).lower(), str(first_plus is None).lower()]
+        assert cells[9] == ("" if first is None else str(first))
 
 
 def test_verify_pass(capsys):
@@ -273,14 +295,10 @@ def _loaded_by_cli_import(*names):
     return done.stdout
 
 
-def test_cli_import_leaves_out_the_process_pool():
-    # a single-worker run never loads concurrent.futures (nor its logging)
-    assert _loaded_by_cli_import("concurrent.futures", "logging") == "[]\n"
-
-
 def test_cli_import_leaves_out_heavy_modules():
     # records are named tuples: dataclasses would bring inspect, ast and dis
-    # into every process, pool workers included
+    # into every process, pool workers included; a single-worker run never
+    # loads concurrent.futures (nor its logging)
     assert _loaded_by_cli_import("dataclasses", "inspect", "ast", "dis", "concurrent.futures",
                                  "logging", "multiprocessing") == "[]\n"
 
@@ -341,6 +359,14 @@ def test_field_poly_reducible(capsys):
     code, _, err = _run(capsys, "invariants", "--p", "2", "--e", "2",
                         "--field-poly", "x^2+1", "--m", "T")
     assert code == 1 and "reducible" in err
+
+
+def test_field_poly_parse_error_quotes_the_input(capsys):
+    code, out, err = _run(capsys, "invariants", "--p", "2", "--e", "2",
+                          "--field-poly", "x^2+x+1+", "--m", "T")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: expected term c*T^k, c*T, T^k, T or c at position 8: 'x^2+x+1+'"]
 
 
 def test_exponent_out_of_range(capsys):

@@ -26,7 +26,7 @@ from carlitz_hw.errors import (
     OverflowLimitError,
 )
 from carlitz_hw import invariants, powersums
-from carlitz_hw.invariants import SUITE_NAMES, degree_stream, first_defects
+from carlitz_hw.invariants import SUITE_NAMES, Defect, degree_stream, first_defects
 from carlitz_hw.polyring import (
     FqPoly,
     format_poly,
@@ -116,22 +116,42 @@ def test_z_bar_degrees(f3, m_headline):
         assert zf.u_degree == 0 and zp.u_degree == 0
 
 
+def _stream_defects(stream, q1):
+    """The defects and the zero-class defects of a degree stream."""
+    defects = [Defect(n, tgt, deg) for n, deg, tgt in stream if deg != tgt]
+    return defects, [f for f in defects if f.n % q1 == 0]
+
+
+def _firsts(defects, defects_plus):
+    """first_defects as read off the defect lists of a report."""
+    return tuple(fs[0].n if fs else None for fs in (defects, defects_plus))
+
+
 @pytest.mark.parametrize("p,e,d", [(2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2)])
-def test_orbit_and_naive_reports_are_identical(p, e, d):
+def test_orbit_and_naive_reports_are_identical(naive_stream, p, e, d):
     ctx = make_field(p, e)
     for m in irreducible_enumerate(ctx, d):
-        assert hasse_witt(m, use_orbit=True) == hasse_witt(m, use_orbit=False)
+        naive = naive_stream(m)
+        assert list(degree_stream(m)) == naive
+        rep = hasse_witt(m)
+        assert rep.lambda_ == sum(deg for _, deg, _ in naive)
+        assert rep.lambda_plus == sum(deg for n, deg, _ in naive if n % (ctx.q - 1) == 0)
+        assert (rep.defects, rep.defects_plus) == _stream_defects(naive, ctx.q - 1)
 
 
 @pytest.mark.parametrize("p,e,d", [(2, 1, 3), (2, 1, 4), (3, 1, 3), (2, 2, 2),
                                    (2, 2, 3), (5, 1, 2)])
 @pytest.mark.parametrize("use_orbit", [True, False])
-def test_first_defects_match_report(p, e, d, use_orbit):
+def test_first_defects_match_report(naive_stream, p, e, d, use_orbit):
+    # against the report of the orbit engine, and against the naive stream
     ctx = make_field(p, e)
     for m in irreducible_enumerate(ctx, d):
-        rep = hasse_witt(m, use_orbit=use_orbit)
-        want = tuple(fs[0].n if fs else None for fs in (rep.defects, rep.defects_plus))
-        assert first_defects(m, use_orbit) == want
+        if use_orbit:
+            rep = hasse_witt(m)
+            want = _firsts(rep.defects, rep.defects_plus)
+        else:
+            want = _firsts(*_stream_defects(naive_stream(m), ctx.q - 1))
+        assert first_defects(m) == want
 
 
 def _orbit_of(n, p, order):
@@ -159,9 +179,6 @@ def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline):
     calls.clear()
     assert first_defects(m_headline) == (13, None)
     assert len({_orbit_of(n, 3, 26) for n in calls}) == len(calls)
-    calls.clear()
-    list(degree_stream(m_headline, use_orbit=False))
-    assert calls == list(range(1, 26))
 
 
 class _SModOnly:
@@ -276,14 +293,15 @@ def _count_tables(monkeypatch):
     return built
 
 
-def test_log_table_is_built_once_the_products_reach_its_size(monkeypatch, f3, f4):
+def test_log_table_is_built_once_the_products_reach_its_size(monkeypatch, naive_stream,
+                                                             f3, f4):
     built = _count_tables(monkeypatch)
     moduli = irreducible_enumerate(f3, 3)
-    reports = [hasse_witt(m) for m in moduli]
+    streams = [list(degree_stream(m)) for m in moduli]
     # one table for the eight single-modulus streams, on the least primitive m0
     m0 = least_primitive(f3, 3)
     assert built == [m0]
-    assert reports == [hasse_witt(m, use_orbit=False) for m in moduli]
+    assert streams == [naive_stream(m) for m in moduli]
 
     # witness pass on the first sextic over F_4: stops at n = 42, on the
     # one table that every single-modulus stream builds
@@ -291,14 +309,14 @@ def test_log_table_is_built_once_the_products_reach_its_size(monkeypatch, f3, f4
     built.clear()
     assert first_defects(sextic) == (10, 42)
     assert built == [least_primitive(f4, 6)]
-    assert first_defects(sextic, use_orbit=False) == (10, 42)
+    assert _firsts(*_stream_defects(naive_stream(sextic), 3)) == (10, 42)
 
     # an ordinary cubic over F_7 is scanned to the end, with one table
     cubic = Modulus(parse_poly("T^3+T+1", make_field(7)))
     built.clear()
     assert first_defects(cubic) == (None, None)
     assert built == [least_primitive(cubic.ctx, 3)]
-    assert first_defects(cubic, use_orbit=False) == (None, None)
+    assert _firsts(*_stream_defects(naive_stream(cubic), 6)) == (None, None)
 
 
 def test_log_table_certifies_its_generator():
@@ -398,12 +416,12 @@ def test_structural_bounds_on_reports(f3, f4):
 
 
 @pytest.mark.parametrize("p,e", [(2, 3), (3, 2)])
-def test_structural_bounds_at_larger_extensions(p, e):
+def test_structural_bounds_at_larger_extensions(naive_stream, p, e):
     # spot-check the q = 8 and q = 9 paths end to end on two moduli each
     ctx = make_field(p, e)
     for m in irreducible_enumerate(ctx, 2)[:2]:
         rep = hasse_witt(m)
-        assert rep == hasse_witt(m, use_orbit=False)
+        assert list(degree_stream(m)) == naive_stream(m)
         assert 0 <= rep.lambda_plus <= rep.lambda_ <= rep.g
         assert not rep.ordinary  # no extension field is ordinary at d = 2
         zf, zp = z_bar(m)

@@ -181,16 +181,16 @@ def test_scan_budget_checked_before_the_shared_table(monkeypatch, f3, mode, work
     assert len(built) == 1  # one table for the eight moduli of the scan
 
 
-def _report_record(m, mode, use_orbit):
+def _report_record(m, mode):
     """The scan record of one checked Modulus, from the per-modulus engine."""
     g, g_plus = genus(m.ctx, m.d)
     if mode == MODE_WITNESS:
-        witness, witness_plus = first_defects(m, use_orbit)
+        witness, witness_plus = first_defects(m)
         return ScanRecord(m=format_poly(m.poly), d=m.d, g=g, g_plus=g_plus,
                           lambda_=None, lambda_plus=None, ordinary=witness is None,
                           ordinary_plus=witness_plus is None, supersingular=None,
                           first_defect_n=witness, elapsed_ms=0)
-    rep = hasse_witt(m, use_orbit)
+    rep = hasse_witt(m)
     return ScanRecord(m=rep.m, d=rep.d, g=g, g_plus=g_plus, lambda_=rep.lambda_,
                       lambda_plus=rep.lambda_plus, ordinary=rep.ordinary,
                       ordinary_plus=rep.ordinary_plus, supersingular=rep.supersingular,
@@ -198,16 +198,37 @@ def _report_record(m, mode, use_orbit):
                       elapsed_ms=0)
 
 
+def _stream_record(m, mode, stream):
+    """The scan record of one checked Modulus, from its whole degree stream."""
+    g, g_plus = genus(m.ctx, m.d)
+    q1 = m.ctx.q - 1
+    defects = [n for n, deg, tgt in stream if deg != tgt]
+    lam = sum(deg for _, deg, _ in stream)
+    lam_plus = sum(deg for n, deg, _ in stream if n % q1 == 0)
+    full = mode == MODE_FULL
+    return ScanRecord(m=format_poly(m.poly), d=m.d, g=g, g_plus=g_plus,
+                      lambda_=lam if full else None, lambda_plus=lam_plus if full else None,
+                      ordinary=not defects,
+                      ordinary_plus=not any(n % q1 == 0 for n in defects),
+                      supersingular=lam == 0 if full else None,
+                      first_defect_n=defects[0] if defects else None, elapsed_ms=0)
+
+
 @pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 1), (2, 1, 5), (3, 1, 3), (5, 1, 2),
                                    (7, 1, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)])
 @pytest.mark.parametrize("use_orbit", [True, False])
-def test_scan_records_match_per_modulus_reports(p, e, d, use_orbit):
+def test_scan_records_match_per_modulus_reports(naive_stream, p, e, d, use_orbit):
+    # against the orbit engine on each modulus alone, and against the naive
+    # stream of each modulus, which shares no orbit of exponents or moduli
     ctx = make_field(p, e)
     moduli = irreducible_enumerate(ctx, d)
     for mode in (MODE_FULL, MODE_WITNESS):
-        got = [r._replace(elapsed_ms=0)
-               for r in scan_degree(ctx, d, mode=mode, use_orbit=use_orbit)]
-        assert got == [_report_record(m, mode, use_orbit) for m in moduli], mode
+        got = [r._replace(elapsed_ms=0) for r in scan_degree(ctx, d, mode=mode)]
+        if use_orbit:
+            want = [_report_record(m, mode) for m in moduli]
+        else:
+            want = [_stream_record(m, mode, naive_stream(m)) for m in moduli]
+        assert got == want, mode
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
@@ -304,8 +325,7 @@ def test_orbit_walker_rejects_an_unlisted_root(f3):
         scan._orbit_firsts(table, moduli[:-1], len(moduli) - 1)
 
 
-@pytest.mark.parametrize("use_orbit,calls", [(True, 4), (False, 112)])
-def test_scan_classifies_one_modulus_per_orbit(monkeypatch, use_orbit, calls):
+def test_scan_classifies_one_modulus_per_orbit(monkeypatch):
     scanned = []
     real = scan._scan_one
 
@@ -315,26 +335,28 @@ def test_scan_classifies_one_modulus_per_orbit(monkeypatch, use_orbit, calls):
 
     monkeypatch.setattr(scan, "_scan_one", counted)
     ctx = make_field(7)
-    records = scan_degree(ctx, 3, use_orbit=use_orbit)
+    records = scan_degree(ctx, 3)
     classified = {format_poly(FqPoly(ctx, task[1])) for task in scanned}
-    assert len(records) == 112 and len(classified) == len(scanned) == calls
+    assert len(records) == 112 and len(classified) == len(scanned) == 4
     # copied rows did no work of their own
     assert all(r.elapsed_ms == 0 for r in records if r.m not in classified)
 
 
 @pytest.mark.parametrize("p,e,d", [(7, 1, 3), (3, 1, 4), (2, 2, 3), (3, 2, 2),
                                    (2, 1, 5), (2, 2, 1)])
-def test_scan_stdout_independent_of_orbit_reduction(capsys, p, e, d):
+def test_scan_stdout_independent_of_orbit_reduction(capsys, tmp_path, p, e, d):
+    # the rows of the orbit reduction against each modulus classified alone;
     # csv for full mode and jsonl for witness mode, so both formats are seen
-    for mode, fmt in (("full", "csv"), ("witness", "jsonl")):
-        for extra in ([], ["--limit", "3"], ["--workers", "2"]):
-            outs = []
-            for orbit in ([], ["--no-orbit"]):
-                argv = ["scan", "--p", str(p), "--e", str(e), "--d", str(d),
-                        "--mode", mode, "--format", fmt, "--workers", "1"]
-                assert run(argv + extra + orbit) == 0
-                outs.append(re.sub(r"\d+(}?)$", r"X\1", capsys.readouterr().out, flags=re.M))
-            assert outs[0] == outs[1], (mode, extra)
+    mask = lambda text: re.sub(r"\d+(}?)$", r"X\1", text, flags=re.M)
+    moduli = irreducible_enumerate(make_field(p, e), d)
+    for flag, mode, fmt in (("full", MODE_FULL, "csv"), ("witness", MODE_WITNESS, "jsonl")):
+        path = tmp_path / f"alone.{fmt}"
+        for extra, count in (([], None), (["--limit", "3"], 3), (["--workers", "2"], None)):
+            write_records([_report_record(m, mode) for m in moduli[:count]], fmt, str(path))
+            argv = ["scan", "--p", str(p), "--e", str(e), "--d", str(d),
+                    "--mode", flag, "--format", fmt, "--workers", "1"]
+            assert run(argv + extra) == 0
+            assert mask(capsys.readouterr().out) == mask(path.read_text()), (mode, extra)
 
 
 def test_scan_builds_its_own_field_on_every_call(monkeypatch, f3, m_headline):
