@@ -1,16 +1,12 @@
 """Hasse-Witt invariants, genera and ordinariness of cyclotomic function
 fields over F_q(T), decided through power sums of monic polynomials and
 base-q digit combinatorics, with an exhaustive scanner over irreducible
-moduli and brute-force oracle verification suites."""
+moduli and brute-force oracle verification suites.
 
-from .bpoly import UPoly, b_poly, c_poly, u_degree
-from .digits import (
-    DigitProfile,
-    digit_profile,
-    gekeler_degree_bound,
-    rho_sequence,
-    target_degree,
-)
+The generating polynomials (bpoly) and the oracle (oracle) are not imported
+with the package: their names below resolve on first access."""
+
+from .digits import gekeler_degree_bound, target_degree
 from .errors import (
     CarlitzHWError,
     CostCeilingError,
@@ -20,16 +16,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .fieldcore import DEFAULT_LIMIT, FieldCtx, make_field
-from .invariants import (
-    InvariantsReport,
-    genus,
-    hasse_witt,
-    is_ordinary,
-    is_ordinary_plus,
-    run_verify_suite,
-    verify_identities,
-    z_bar,
-)
+from .invariants import InvariantsReport, genus, hasse_witt, is_ordinary, is_ordinary_plus
 from .polyring import (
     NEG_INF,
     FqPoly,
@@ -41,7 +28,23 @@ from .polyring import (
     parse_poly,
     residue_pow,
 )
-from .powersums import f_poly, s1_closed_form, s_exact, s_mod
+from .powersums import s_exact, s_mod
 from .scan import ScanRecord, scan_degree, stream_degree, write_records
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "UPoly": "bpoly", "b_poly": "bpoly", "c_poly": "bpoly", "u_degree": "bpoly",
+    "f_poly": "oracle", "run_verify_suite": "oracle", "s1_closed_form": "oracle",
+    "verify_identities": "oracle", "z_bar": "oracle",
+}
+
+
+def __getattr__(name):
+    """The lazy names, imported from their module on first access (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value

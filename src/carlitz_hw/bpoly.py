@@ -7,16 +7,18 @@ for zero-class n the coefficients switch to the partial sums of the s_i
 u^(d-2).  B_n does not depend on the ambient degree d, so the exact-mode
 functions take d only to validate ranges.  C_n and B_n are each built by one
 body for both coefficient rings; the identity B_n = C_n/(1-u) is checked by
-the division verify suite (invariants), not on every construction.
+the division verify suite (oracle), not on every construction.
 
 A UPoly stores its FqPoly coefficients ascending in u, exact in F_q[T], or
 reduced mod an irreducible m when it has that modulus (every coefficient of
 degree < d); u_degree of the zero polynomial is -inf.
 
 This module builds whole polynomials bottom-up, s_0 first.  It serves the
-bpoly command, z_bar and the verify suites, and it is the oracle of the
-degree engine, which reads each degree top-down from the power sums alone
-(invariants._reduced_degree) and never builds B_n.
+bpoly command and the oracle module (z_bar and the verify suites), and it
+is the oracle of the degree engine, which reads each degree top-down from
+the power sums alone (invariants._reduced_degree) and never builds B_n.
+Neither the engine nor scan imports it; the CLI imports it inside the
+bpoly command.
 """
 
 from __future__ import annotations

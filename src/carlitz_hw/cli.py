@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
-from . import bpoly as bpoly_mod
+# the engine only: the commands import bpoly, the oracle and json
 from . import invariants, powersums, scan
 from .errors import DomainError, InternalError, PolyParseError, ResourceLimitError
 from .fieldcore import make_field
@@ -106,8 +105,8 @@ def _make_ctx(args):
         text = "".join(args.field_poly.split())
         try:
             coeffs = parse_poly(text.replace("x", "T"), make_field(args.p)).coeffs
-        except PolyParseError as exc:  # quote the text in x, as typed
-            raise PolyParseError(exc.message, text, exc.pos) from None
+        except PolyParseError as exc:  # the grammar and the text in x, as typed
+            raise PolyParseError(exc.message.replace("T", "x"), text, exc.pos) from None
         ctx = make_field(args.p, args.e, coeffs)
     else:
         ctx = make_field(args.p, args.e)
@@ -125,10 +124,16 @@ def _fmt_degree(deg) -> str:
     return "-inf" if deg == NEG_INF else str(deg)
 
 
+def _print_json(obj) -> None:
+    import json
+
+    print(json.dumps(obj, separators=(",", ":")))
+
+
 def _cmd_invariants(args) -> int:
     ctx = _make_ctx(args)
     rep = invariants.hasse_witt(_parse_modulus(args.m, ctx), budget=_budget())
-    print(json.dumps(rep.to_json_dict(), separators=(",", ":")))
+    _print_json(rep.to_json_dict())
     return 0
 
 
@@ -144,13 +149,15 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_bpoly(args) -> int:
+    from .bpoly import b_poly
+
     ctx = _make_ctx(args)
     if args.mod is not None:
-        poly = bpoly_mod.b_poly(args.n, ctx, m=_parse_modulus(args.mod, ctx))
+        poly = b_poly(args.n, ctx, m=_parse_modulus(args.mod, ctx))
     else:
         if args.d is None:
             raise DomainError("--exact requires --d for range validation")
-        poly = bpoly_mod.b_poly(args.n, ctx, d=args.d, budget=_budget())
+        poly = b_poly(args.n, ctx, d=args.d, budget=_budget())
     parts = [_fmt_degree(poly.u_degree)]
     parts.extend(format_poly(c) for c in poly.coeffs)
     print("; ".join(parts))
@@ -170,12 +177,13 @@ def _cmd_powersum(args) -> int:
 def _cmd_genus(args) -> int:
     ctx = _make_ctx(args)
     g, g_plus = invariants.genus(ctx, args.d)
-    print(json.dumps({"p": ctx.p, "e": ctx.e, "q": ctx.q, "d": args.d,
-                      "g": g, "g_plus": g_plus}, separators=(",", ":")))
+    _print_json({"p": ctx.p, "e": ctx.e, "q": ctx.q, "d": args.d, "g": g, "g_plus": g_plus})
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import run_verify_suite
+
     ctx = _make_ctx(args)
     names = [s.strip() for s in args.suites.split(",") if s.strip()]
     if not names:
@@ -183,7 +191,7 @@ def _cmd_verify(args) -> int:
     budget = _budget()
     all_passed = True
     for name in names:
-        checks = invariants.run_verify_suite(name, ctx, args.d, budget=budget)
+        checks = run_verify_suite(name, ctx, args.d, budget=budget)
         skipped = max(c.skipped for c in checks)
         if skipped:
             print(f"note: suite={name} skipped={skipped} items over budget", file=sys.stderr)

@@ -12,7 +12,6 @@ is equivalent to (q - 1) | ell(n).  For q = 2 every exponent is zero-class.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 
 from .errors import OutOfRangeError
@@ -38,29 +37,14 @@ def ell(n: int, q: int) -> int:
     return sum(base_q_digits(n, q))
 
 
-DigitProfile = namedtuple("DigitProfile", ["n", "digits", "ell", "zero_class"])
-
-
-def _check_range(n, q, d):
-    if not 1 <= n <= q**d - 2:
-        raise OutOfRangeError(f"n={n} outside [1, q^d-2] = [1, {q**d - 2}]")
-
-
-def digit_profile(n: int, ctx: FieldCtx, d: int) -> DigitProfile:
-    """Digits of n to width d, digit sum, and zero-class membership."""
-    q = ctx.q
-    _check_range(n, q, d)
-    digits = base_q_digits(n, q, width=d)
-    return DigitProfile(n=n, digits=digits, ell=sum(digits),
-                        zero_class=n % (q - 1) == 0)
-
-
 def target_degree(n: int, ctx: FieldCtx, d: int) -> int:
     """The degree the reduced generating polynomial attains iff the field
     is ordinary at n: floor(l(n)/(q-1)), minus one in the zero class."""
-    prof = digit_profile(n, ctx, d)
-    t = prof.ell // (ctx.q - 1)
-    return t - 1 if prof.zero_class else t
+    q = ctx.q
+    if not 1 <= n <= q**d - 2:
+        raise OutOfRangeError(f"n={n} outside [1, q^d-2] = [1, {q**d - 2}]")
+    t = ell(n, q) // (q - 1)
+    return t - 1 if n % (q - 1) == 0 else t
 
 
 @lru_cache(maxsize=4)
@@ -106,20 +90,6 @@ def rho_exponents(n: int, q: int) -> tuple[int, ...]:
     for j, a in enumerate(base_q_digits(n, q)):
         out.extend([j] * a)
     return tuple(out)
-
-
-def rho_sequence(n: int, ctx: FieldCtx) -> tuple:
-    """Iterates rho from n until the first -inf (inclusive)."""
-    if n < 0:
-        raise OutOfRangeError(f"n must be >= 0, got {n}")
-    q = ctx.q
-    seq = []
-    cur = n
-    while True:
-        cur = rho(cur, q)
-        seq.append(cur)
-        if cur == NEG_INF:
-            return tuple(seq)
 
 
 def gekeler_degree_bound(i: int, n: int, ctx: FieldCtx):

@@ -1,6 +1,7 @@
-"""Genus formulas, Hasse-Witt invariants, ordinariness decisions and the
-mod-p zeta numerators, plus the enumerative identity suites behind the
-CLI verify command.
+"""Genus formulas, Hasse-Witt invariants and ordinariness decisions: the
+degree engine.  The brute-force code that certifies it (z_bar, the oracle
+_bbar_degree and the identity suites of the verify command) lives in
+oracle, which this module does not import.
 
 For a monic irreducible modulus m of degree d the invariant lambda is the
 sum over 1 <= n <= q^d - 2 of the u-degrees of the reduced generating
@@ -17,18 +18,17 @@ coefficient to the p-th power and therefore preserves the u-degree, so the
 stream computes one degree per orbit of n -> p*n.  The orbits depend only on
 (q, d) and are read from the residue field's LogTable (LogTable.reps), built
 once per table and so once per scan.  The tests compare the stream with
-_reduced_degree read at every exponent, and z_bar and the frobenius suite
-compute every degree without sharing, so they check the orbit reduction
-independently.
+_reduced_degree read at every exponent, and oracle.z_bar and the frobenius
+suite compute every degree without sharing, so they check the orbit
+reduction independently.
 
 One function reads a degree, _reduced_degree: top-down, it asks the
 power sums of m at one of its roots (powersums.RootSums, on a discrete-log
 table of F_{q^d}) whether s_i(n) mod m vanishes and stops at the first
 nonzero power sum.  The engine takes either a Modulus, read at its root in
 the field of its (q, d) kept by the process (RootSums.of), or a RootSums
-that scan cuts from the field it builds.  _bbar_degree, which builds all of
-B_n mod m bottom-up through b_poly, is the oracle of that reader, for the
-frobenius suite and the tests.
+that scan cuts from the field it builds.  oracle._bbar_degree, which builds
+all of B_n mod m bottom-up through b_poly, is the oracle of that reader.
 
 Over F_2 every modulus is ordinary and ordinary+ (README, "How degrees are
 computed").  There every n is zero-class with cap w = popcount(n) and target
@@ -44,10 +44,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .bpoly import b_poly, c_poly, divide_by_one_minus_u, one_upoly
-from .digits import ell, gekeler_degree_bound, rho, rho_exponents, target_degrees
+from .digits import target_degrees
 from .errors import (
-    CostCeilingError,
     DivisionRemainderError,
     InternalError,
     OutOfRangeError,
@@ -55,16 +53,8 @@ from .errors import (
     ParityError,
 )
 from .fieldcore import FieldCtx
-from .polyring import (
-    NEG_INF,
-    FqPoly,
-    Modulus,
-    format_poly,
-    irreducible_enumerate,
-    residue_pow,
-)
-from .powersums import RootSums, s_exact, s_mod
-
+from .polyring import Modulus, format_poly
+from .powersums import RootSums
 
 def genus(ctx: FieldCtx, d: int) -> tuple[int, int]:
     """(g, g_plus) from the closed formulas
@@ -116,16 +106,6 @@ class InvariantsReport(namedtuple("InvariantsReport", [
             "defects_plus": [{"n": f.n, "target": f.target, "actual": f.actual}
                              for f in self.defects_plus],
         }
-
-
-def _bbar_degree(n: int, m: Modulus) -> int:
-    """The u-degree of B_n mod m, built bottom-up by b_poly: the oracle of
-    _reduced_degree."""
-    b = b_poly(n, m.ctx, m=m)
-    if b.is_zero() or b.coeffs[0] != FqPoly.one(m.ctx):
-        raise InternalError(
-            f"reduced generating polynomial at n={n} lost its constant term 1")
-    return b.u_degree
 
 
 def _reduced_degree(n: int, sums: RootSums, cap: int, zero_class: bool) -> int:
@@ -245,207 +225,6 @@ def is_ordinary_plus(m: Modulus) -> tuple[bool, int | None]:
     return n is None, n
 
 
-def z_bar(m: Modulus):
-    """The reduced zeta numerators: products of the reduced generating
-    polynomials over all exponents and over the zero class.  Their u-degrees
-    are lambda and lambda_plus."""
-    ctx = m.ctx
-    q = ctx.q
-    full = plus = one_upoly(ctx, m)
-    for n in range(1, m.group_order):
-        b = b_poly(n, ctx, m=m)
-        full = full * b
-        if n % (q - 1) == 0:
-            plus = plus * b
-    return full, plus
-
-
-# ---------------------------------------------------------------------------
-# identity suites
-
-# skipped counts the items over the cost budget, which were not checked
-IdentityCheck = namedtuple("IdentityCheck", ["name", "passed", "detail", "skipped"],
-                           defaults=("", 0))
-
-
-def _check(name, passed, detail=""):
-    return IdentityCheck(name, bool(passed), "" if passed else detail)
-
-
-def _within_budget(suite, checks, skipped, total):
-    """The checks, each marked with the number of items skipped over the
-    cost budget; CostCeilingError when that is every one of total items,
-    since then the suite has checked nothing."""
-    if total and skipped == total:
-        raise CostCeilingError(f"verify suite {suite}: all {total} items are over budget")
-    return [c._replace(skipped=skipped) for c in checks]
-
-
-def verify_identities(ctx: FieldCtx, d: int) -> list[IdentityCheck]:
-    """Enumerative digit-sum identities against their closed forms, and the
-    genus formulas against the target-degree sums."""
-    q = ctx.q
-    g, g_plus = genus(ctx, d)
-    top = q**d - 2
-    s = (q**d - 1) // (q - 1)
-    zero_sum = nonzero_sum = 0
-    zero_tgt = all_tgt = 0
-    sym_bad = None
-    for n in range(1, top + 1):
-        l_n = ell(n, q)
-        if l_n + ell(q**d - 1 - n, q) != (q - 1) * d and sym_bad is None:
-            sym_bad = n
-        t = l_n // (q - 1)
-        if n % (q - 1) == 0:
-            zero_sum += t
-            zero_tgt += t - 1
-            all_tgt += t - 1
-        else:
-            nonzero_sum += t
-            all_tgt += t
-    checks = [
-        _check("digit-symmetry", sym_bad is None, f"counterexample n={sym_bad}"),
-        _check("lemma31-zero-sum",
-               2 * zero_sum == d * (s - 1),
-               f"sum {zero_sum} != {d}*({s}-1)/2"),
-        _check("lemma31-nonzero-sum",
-               2 * (q - 1) * nonzero_sum == (d - 1) * (q - 2) * (q**d - 1),
-               f"sum {nonzero_sum} != (d-1)(q-2)(q^d-1)/(2(q-1))"),
-        _check("genus-target-sum", all_tgt == g, f"sum {all_tgt} != g {g}"),
-        _check("genus-plus-target-sum", zero_tgt == g_plus,
-               f"sum {zero_tgt} != g+ {g_plus}"),
-    ]
-    return checks
-
-
-def _suite_digits(ctx, d):
-    q = ctx.q
-    top = q**d - 2
-    cong_bad = rho_bad = sym_bad = None
-    for n in range(1, top + 1):
-        l_n = ell(n, q)
-        if (l_n - n) % (q - 1) != 0 and cong_bad is None:
-            cong_bad = n
-        if l_n + ell(q**d - 1 - n, q) != (q - 1) * d and sym_bad is None:
-            sym_bad = n
-        # digit-vector rho against the integer definition
-        exps = rho_exponents(n, q)
-        want = NEG_INF if len(exps) < q - 1 else n - sum(q**e for e in exps[:q - 1])
-        if rho(n, q) != want and rho_bad is None:
-            rho_bad = n
-    return [
-        _check("digit-symmetry", sym_bad is None, f"counterexample n={sym_bad}"),
-        _check("zero-class-congruence", cong_bad is None,
-               f"counterexample n={cong_bad}"),
-        _check("rho-digit-vs-integer", rho_bad is None,
-               f"counterexample n={rho_bad}"),
-    ]
-
-
-def _suite_gekeler(ctx, d, budget):
-    q = ctx.q
-    prime_field = ctx.e == 1
-    top = q**d - 2
-    bound_bad = eq_bad = vanish_bad = None
-    skipped = 0
-    for n in range(1, top + 1):
-        l_n = ell(n, q)
-        for i in range(d):
-            try:
-                s_poly = s_exact(i, n, ctx, budget=budget)
-            except CostCeilingError:
-                skipped += 1
-                continue
-            bound = gekeler_degree_bound(i, n, ctx)
-            if not s_poly.degree <= bound and bound_bad is None:
-                bound_bad = (i, n)
-            if prime_field and s_poly.degree != bound and eq_bad is None:
-                eq_bad = (i, n)
-            vanish_expected = l_n < i * (q - 1)
-            if vanish_expected and not s_poly.is_zero() and vanish_bad is None:
-                vanish_bad = (i, n)
-            if (prime_field and s_poly.is_zero() and not vanish_expected
-                    and vanish_bad is None):
-                vanish_bad = (i, n)
-    note = f" ({skipped} pairs over budget)" if skipped else ""
-    checks = [
-        _check("power-sum-degree-bound", bound_bad is None,
-               f"counterexample (i,n)={bound_bad}"),
-        _check("power-sum-vanishing", vanish_bad is None,
-               f"counterexample (i,n)={vanish_bad}"),
-    ]
-    if prime_field:
-        checks.insert(1, _check("power-sum-degree-equality", eq_bad is None,
-                                f"counterexample (i,n)={eq_bad}{note}"))
-    return _within_budget("gekeler", checks, skipped, top * d)
-
-
-def _suite_frobenius(ctx, d):
-    p = ctx.p
-    deg_bad = twist_bad = None
-    for m in irreducible_enumerate(ctx, d):
-        order = m.group_order
-        degs = [None] * order
-        for n in range(1, order):
-            degs[n] = _bbar_degree(n, m)
-        for n in range(1, order):
-            n2 = p * n % order
-            if degs[n2] != degs[n] and deg_bad is None:
-                deg_bad = (format_poly(m.poly), n)
-            for i in range(d):
-                lhs = s_mod(i, n2, m)
-                rhs = residue_pow(s_mod(i, n, m), p, m)
-                if lhs != rhs and twist_bad is None:
-                    twist_bad = (format_poly(m.poly), i, n)
-    return [
-        _check("reduced-degree-orbit-invariance", deg_bad is None,
-               f"counterexample (m,n)={deg_bad}"),
-        _check("power-sum-frobenius-twist", twist_bad is None,
-               f"counterexample (m,i,n)={twist_bad}"),
-    ]
-
-
-def _suite_division(ctx, d, budget):
-    """B_n = C_n/(1 - u) at every zero-class n: the only place the division
-    identity is computed; b_poly builds B_n from partial sums alone."""
-    q = ctx.q
-    rem_bad = agree_bad = None
-    skipped = 0
-    zero_class = range(q - 1, q**d - 1, q - 1)
-    for n in zero_class:
-        try:
-            quotient, remainder = divide_by_one_minus_u(c_poly(n, ctx, budget=budget))
-            b = b_poly(n, ctx, budget=budget)
-        except CostCeilingError:
-            skipped += 1
-            continue
-        if not remainder.is_zero() and rem_bad is None:
-            rem_bad = n
-        if quotient != b and agree_bad is None:
-            agree_bad = n
-    note = f" ({skipped} exponents over budget)" if skipped else ""
-    return _within_budget("division", [
-        _check("division-zero-remainder", rem_bad is None,
-               f"counterexample n={rem_bad}{note}"),
-        _check("division-vs-partial-sums", agree_bad is None,
-               f"counterexample n={agree_bad}"),
-    ], skipped, len(zero_class))
-
-
+# the verify suites of oracle.run_verify_suite; here, so that the CLI parser
+# lists them without loading the oracle
 SUITE_NAMES = ("lemma31", "digits", "gekeler", "frobenius", "division")
-
-
-def run_verify_suite(name: str, ctx: FieldCtx, d: int,
-                     budget: int | None = None) -> list[IdentityCheck]:
-    """One named identity suite at (q, d); see SUITE_NAMES."""
-    if name == "lemma31":
-        return verify_identities(ctx, d)
-    if name == "digits":
-        return _suite_digits(ctx, d)
-    if name == "gekeler":
-        return _suite_gekeler(ctx, d, budget)
-    if name == "frobenius":
-        return _suite_frobenius(ctx, d)
-    if name == "division":
-        return _suite_division(ctx, d, budget)
-    raise OutOfRangeError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")

@@ -9,8 +9,9 @@ There is one product mod f: mulmod, on the reduction_rows T^(k+j) mod f of
 a monic f, irreducible or not.  is_irreducible (Rabin's test) and
 residue_pow, the exponentiation in A/mA, take powers by fieldcore.power over
 it; a Modulus keeps that product for its m.  residue_pow computes the
-reduced power sums of s_mod and stays the oracle of the degree engine,
-which reads the discrete-log table powersums.LogTable.
+reduced power sums of s_mod, which bpoly and the oracle module read, and
+stays the oracle of the degree engine, which reads the discrete-log table
+powersums.LogTable and never calls it.
 
 Enumeration orders are part of the contract: monic polynomials of degree i
 are produced by ascending coefficient code with a_0 varying fastest, and

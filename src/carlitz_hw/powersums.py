@@ -3,13 +3,14 @@ degree i, exact in F_q[T] and reduced modulo an irreducible m.
 
 The exact sum is computed by brute-force enumeration and repeated squaring;
 it is deliberately simple because it serves as the oracle for everything
-else in the package.  Exact degrees grow like i*n, so calls are guarded by
-a cost estimate q^i * ceil(log2 n) * (i*n + 1) against a configurable
-budget (CostCeilingError beyond it).
+else in the package; it stays here, not in oracle, because bpoly builds on
+it.  Exact degrees grow like i*n, so calls are guarded by a cost estimate
+q^i * ceil(log2 n) * (i*n + 1) against a configurable budget
+(CostCeilingError beyond it).
 
 The reduced sum s_mod enumerates the same monic polynomials and accumulates
 residue powers by square-and-multiply (residue_pow), never leaving degree
-< d.  It serves b_poly, z_bar and the verify suites, and is the oracle of
+< d.  It serves b_poly and the verify suites (oracle), and is the oracle of
 the degree engine's power sums, which never call it.
 
 Those come from one residue field per (q, d).  For every monic irreducible m
@@ -40,11 +41,9 @@ from collections import Counter
 from functools import lru_cache
 
 from .errors import (
-    ClosedFormWindowError,
     CostCeilingError,
     InternalError,
     OutOfRangeError,
-    PrimeFieldOnlyError,
 )
 from .fieldcore import FieldCtx, make_field
 from .polyring import (
@@ -337,50 +336,3 @@ def _orbit_reps(mult: int, order: int) -> list[int]:
                 reps[r] = n
                 r = r * mult % order
     return reps
-
-
-def s1_closed_form(n: int, ctx: FieldCtx) -> FqPoly:
-    """Degree-one power sum from the binomial closed form, prime fields only.
-
-    For n = a + b*p with 0 <= a, b <= p-1 and p-1 <= a+b < 2(p-1):
-        s_1(n) = -C(b, p-1-a) * (T^p - T)^(a+b-(p-1)).
-    The window is enforced because the formula demonstrably fails at
-    a+b = 2(p-1); the brute-force oracle always wins.
-    """
-    if ctx.e != 1:
-        raise PrimeFieldOnlyError("closed form requires q = p")
-    p = ctx.p
-    if n < 1:
-        raise OutOfRangeError(f"n must be >= 1, got {n}")
-    if n >= p * p:
-        raise ClosedFormWindowError(n, f"n has more than two base-{p} digits")
-    a, b = n % p, n // p
-    if not p - 1 <= a + b < 2 * (p - 1):
-        raise ClosedFormWindowError(
-            n, f"digit sum {a + b} outside [{p - 1}, {2 * (p - 1)})")
-    binom = _binomial_mod_p(b, p - 1 - a, p)
-    coeff = (-binom) % p
-    tp_minus_t = FqPoly(ctx, [0, (-1) % p] + [0] * (p - 2) + [1], check=False)
-    return (tp_minus_t ** (a + b - (p - 1))).scale(coeff)
-
-
-def _binomial_mod_p(top, k, p):
-    if k < 0 or k > top:
-        return 0
-    num = den = 1
-    for j in range(k):
-        num = num * (top - j) % p
-        den = den * (j + 1) % p
-    return num * pow(den, -1, p) % p
-
-
-def f_poly(n: int, ctx: FieldCtx, budget: int | None = None) -> FqPoly:
-    """1 + s_1(n), the exact polynomial whose residue decides the zero-class
-    degree drop; carries the shift/scale/reversal symmetries for zero-class n."""
-    return FqPoly.one(ctx) + s_exact(1, n, ctx, budget=budget)
-
-
-def frobenius_twist_exponent(n: int, p: int, group_order: int) -> int:
-    """p*n reduced into [1, group_order - 1]; the power sums at the twisted
-    exponent are the p-th powers of those at n."""
-    return p * n % group_order

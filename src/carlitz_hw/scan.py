@@ -42,7 +42,6 @@ fields stay unknown.
 from __future__ import annotations
 
 import csv
-import json
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
@@ -259,6 +258,8 @@ def write_records(records, fmt: str, path: str | None = None) -> None:
             writer.writerow(COLUMNS)
             write = lambda r: writer.writerow([_csv_cell(v) for v in r])
         else:
+            import json  # here: a csv run never loads it
+
             write = lambda r: out.write(
                 json.dumps(r.as_ordered_dict(), separators=(",", ":")) + "\n")
         for r in records:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -285,25 +286,56 @@ def test_scan_resource_failure_exit_code(capsys, monkeypatch, exc):
     assert code == 3 and err.startswith("resource limit:") and out == ""
 
 
-def _loaded_by_cli_import(*names):
-    """The printed sorted list of the modules among names that a fresh
-    `import carlitz_hw.cli` loads."""
+@functools.lru_cache(maxsize=None)
+def _fresh_imports():
+    """{module: set of the modules loaded once it is imported} for
+    carlitz_hw.scan and then carlitz_hw.cli, from one fresh interpreter.
+    cli imports scan, so its set is what a fresh `import carlitz_hw.cli`
+    loads."""
     src = str(Path(carlitz_hw.__file__).parents[1])
-    probe = f"import sys, carlitz_hw.cli; print(sorted(set({names!r}) & set(sys.modules)))"
+    probe = "\n".join(["import sys", "import carlitz_hw.scan", "print(*sys.modules)",
+                        "import carlitz_hw.cli", "print(*sys.modules)"])
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=os.environ | {"PYTHONPATH": src}, check=True, timeout=60)
-    return done.stdout
+    scan_set, cli_set = (set(line.split()) for line in done.stdout.splitlines())
+    return {"carlitz_hw.scan": scan_set, "carlitz_hw.cli": cli_set}
+
+
+def _loaded_by_cli_import(*names):
+    """The sorted modules among names that a fresh `import carlitz_hw.cli` loads."""
+    return sorted(set(names) & _fresh_imports()["carlitz_hw.cli"])
 
 
 def test_cli_import_leaves_out_heavy_modules():
     # records are named tuples: dataclasses would bring inspect, ast and dis
     # into every process, pool workers included
-    assert _loaded_by_cli_import("dataclasses", "inspect", "ast", "dis") == "[]\n"
+    assert _loaded_by_cli_import("dataclasses", "inspect", "ast", "dis") == []
 
 
 def test_cli_import_leaves_out_the_process_pool():
     # a single-worker run never loads concurrent.futures (nor its logging)
-    assert _loaded_by_cli_import("concurrent.futures", "logging", "multiprocessing") == "[]\n"
+    assert _loaded_by_cli_import("concurrent.futures", "logging", "multiprocessing") == []
+
+
+@pytest.mark.parametrize("module", ["carlitz_hw.cli", "carlitz_hw.scan"])
+def test_engine_import_leaves_out_the_oracle_and_json(module):
+    # bpoly and the oracle only certify the engine; json only prints two
+    # commands and the jsonl format
+    loaded = _fresh_imports()[module]
+    assert {"carlitz_hw.oracle", "carlitz_hw.bpoly", "json"} & loaded == set()
+    assert {module, "carlitz_hw.invariants", "carlitz_hw.powersums"} <= loaded
+
+
+def test_package_root_resolves_the_lazy_names():
+    from carlitz_hw import bpoly, oracle
+
+    for name in ("UPoly", "b_poly", "c_poly", "u_degree"):
+        assert getattr(carlitz_hw, name) is getattr(bpoly, name)
+    for name in ("f_poly", "run_verify_suite", "s1_closed_form", "verify_identities",
+                 "z_bar"):
+        assert getattr(carlitz_hw, name) is getattr(oracle, name)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        carlitz_hw.no_such_name
 
 
 def test_scan_interrupt_exit_code(capsys, monkeypatch):
@@ -369,7 +401,16 @@ def test_field_poly_parse_error_quotes_the_input(capsys):
                           "--field-poly", "x^2+x+1+", "--m", "T")
     assert code == 1 and out == ""
     assert err.splitlines() == [
-        "error: expected term c*T^k, c*T, T^k, T or c at position 8: 'x^2+x+1+'"]
+        "error: expected term c*x^k, c*x, x^k, x or c at position 8: 'x^2+x+1+'"]
+
+
+@pytest.mark.parametrize("text,pos", [("x^2++1", 4), ("+x^2+1", 0)])
+def test_field_poly_parse_error_names_the_grammar_in_x(capsys, text, pos):
+    code, out, err = _run(capsys, "invariants", "--p", "2", "--e", "2",
+                          "--field-poly", text, "--m", "T")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: expected term c*x^k, c*x, x^k, x or c at position {pos}: {text!r}"]
 
 
 def test_exponent_out_of_range(capsys):

@@ -2,38 +2,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlitz_hw import (
-    NEG_INF,
-    digit_profile,
-    gekeler_degree_bound,
-    make_field,
-    rho_sequence,
-    target_degree,
-)
+from carlitz_hw import NEG_INF, gekeler_degree_bound, make_field, target_degree
 from carlitz_hw.digits import base_q_digits, ell, rho, rho_exponents, target_degrees
 from carlitz_hw.errors import OutOfRangeError
 
 
-def test_digit_profile_examples(f3):
-    p5 = digit_profile(5, f3, 3)
-    assert (p5.digits, p5.ell, p5.zero_class) == ((2, 1, 0), 3, False)
-    p8 = digit_profile(8, f3, 3)
-    assert (p8.digits, p8.ell, p8.zero_class) == ((2, 2, 0), 4, True)
+def test_base_q_digits_examples():
+    assert (base_q_digits(5, 3, width=3), ell(5, 3)) == ((2, 1, 0), 3)
+    assert (base_q_digits(8, 3, width=3), ell(8, 3)) == ((2, 2, 0), 4)
 
 
 @pytest.mark.parametrize("p,e,d", [(3, 1, 3), (2, 2, 2), (5, 1, 2), (2, 1, 4)])
 def test_top_exponent_digit_sum(p, e, d):
     ctx = make_field(p, e)
     q = ctx.q
-    prof = digit_profile(q**d - 2, ctx, d)
-    assert prof.ell == d * (q - 1) - 1
+    assert ell(q**d - 2, q) == d * (q - 1) - 1
 
 
-def test_digit_profile_range_errors(f3):
+def test_target_degree_range_errors(f3):
     with pytest.raises(OutOfRangeError):
-        digit_profile(0, f3, 3)
+        target_degree(0, f3, 3)
     with pytest.raises(OutOfRangeError):
-        digit_profile(26, f3, 3)  # q^d - 1 is excluded
+        target_degree(26, f3, 3)  # q^d - 1 is excluded
 
 
 def test_target_degree_examples(f3):
@@ -50,15 +40,15 @@ def test_target_degrees_table_matches_per_exponent(p, e, d):
         target_degree(n, ctx, d) for n in range(1, top + 1))
 
 
-def test_rho_sequence_examples(f3):
-    assert rho_sequence(5, f3) == (3, NEG_INF)
-    assert rho_sequence(8, f3) == (6, 0, NEG_INF)
-    assert rho_sequence(1, f3) == (NEG_INF,)
+def test_rho_iterates_examples():
+    assert (rho(5, 3), rho(3, 3)) == (3, NEG_INF)
+    assert (rho(8, 3), rho(6, 3), rho(0, 3)) == (6, 0, NEG_INF)
+    assert rho(1, 3) == NEG_INF
 
 
 def test_rho_base_two_strips_lowest_bit(f2):
     # q = 2: one step removes the lowest set bit
-    assert rho_sequence(6, f2) == (4, 0, NEG_INF)
+    assert (rho(6, 2), rho(4, 2), rho(0, 2)) == (4, 0, NEG_INF)
     assert rho(12, 2) == 8
 
 

@@ -25,7 +25,7 @@ from carlitz_hw.errors import (
     OutOfRangeError,
     OverflowLimitError,
 )
-from carlitz_hw import invariants, powersums
+from carlitz_hw import invariants, oracle, powersums
 from carlitz_hw.invariants import SUITE_NAMES, Defect, degree_stream, first_defects
 from carlitz_hw.polyring import (
     FqPoly,
@@ -211,7 +211,7 @@ def test_table_degree_matches_square_and_multiply(p, e, d):
     for m in irreducible_enumerate(make_field(p, e), d):
         sources = _route_sources(m)
         for n in range(1, m.group_order):
-            want = invariants._bbar_degree(n, m)
+            want = oracle._bbar_degree(n, m)
             assert _degrees(n, m, sources) == [want, want], (format_poly(m.poly), n)
 
 
@@ -252,7 +252,7 @@ def test_log_table_matches_s_mod_on_random_moduli(data):
     for i in range(d):
         assert (view.table.coordinates(view.power_sum(i, n))
                 == _at_root(s_mod(i, n, m), view)), (format_poly(m.poly), i, n)
-    want = invariants._bbar_degree(n, m)
+    want = oracle._bbar_degree(n, m)
     assert _degrees(n, m, sources) == [want, want]
 
 
@@ -276,7 +276,7 @@ def test_root_view_matches_s_mod_on_its_minimal_polynomial(data):
     n = data.draw(st.integers(1, m.group_order - 1))
     i = data.draw(st.integers(0, d - 1))
     assert view.vanishes(i, n) == s_mod(i, n, m).is_zero(), (format_poly(m.poly), i, n)
-    assert _degrees(n, m, [view]) == [invariants._bbar_degree(n, m)]
+    assert _degrees(n, m, [view]) == [oracle._bbar_degree(n, m)]
 
 
 def _count_tables(monkeypatch):
