@@ -103,6 +103,9 @@ def _make_ctx(args):
         if args.e == 1:
             raise DomainError("--field-poly is only accepted when --e > 1")
         text = "".join(args.field_poly.split())
+        if "T" in text:  # x is the field polynomial's variable, and T no term of it
+            raise PolyParseError("expected term c*x^k, c*x, x^k, x or c",
+                                 text, text.index("T"))
         try:
             coeffs = parse_poly(text.replace("x", "T"), make_field(args.p)).coeffs
         except PolyParseError as exc:  # the grammar and the text in x, as typed

@@ -19,16 +19,12 @@ from .fieldcore import FieldCtx
 from .polyring import NEG_INF
 
 
-def base_q_digits(n: int, q: int, width: int | None = None) -> tuple[int, ...]:
-    """Digits of n >= 0 in base q, least significant first, padded to width."""
+def base_q_digits(n: int, q: int) -> tuple[int, ...]:
+    """Digits of n >= 0 in base q, least significant first."""
     digits = []
     while n > 0:
         n, r = divmod(n, q)
         digits.append(r)
-    if width is not None:
-        if len(digits) > width:
-            raise OutOfRangeError(f"n needs more than {width} base-{q} digits")
-        digits.extend([0] * (width - len(digits)))
     return tuple(digits)
 
 

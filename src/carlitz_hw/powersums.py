@@ -140,7 +140,10 @@ class LogTable:
     mod m0.
     zech[k] is log(1 + g^k) (None where g^k = -1), with which sums of powers
     of g are added in the log domain, and const_logs[c] is the log of the
-    constant c of F_q, which sits in the T^0 coordinate block.  reps[n] is
+    constant c of F_q, which sits in the T^0 coordinate block.  const_codes
+    is its inverse on F_q^*, {log c: c}, whose keys are the q - 1 multiples
+    of N/(q - 1): minimal_polynomial reads each coefficient's code from its
+    log there, with no packed residue decoded.  reps[n] is
     the least member of the orbit of the exponent n under n -> p*n mod N.
 
     For every monic irreducible m of degree d, A/mA is this field by
@@ -149,7 +152,7 @@ class LogTable:
     """
 
     __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "exp", "zech",
-                 "const_logs", "reps")
+                 "const_logs", "const_codes", "reps")
 
     def __init__(self, m0: Modulus):
         ctx, d, order = m0.ctx, m0.d, m0.group_order
@@ -188,6 +191,7 @@ class LogTable:
         # 1 + g^k changes only the T^0 coordinate of the F_p prime field
         self.zech = [log.get(x + 1 - p if (x & mask) == p - 1 else x + 1) for x in exp]
         self.const_logs = [None] + [log[self.pack([c])] for c in range(1, q)]
+        self.const_codes = dict(zip(self.const_logs[1:], range(1, q)))
         # n -> p*n raises a residue to its p-th power: the absolute Frobenius
         self.reps = _orbit_reps(p, order)
 
@@ -215,7 +219,7 @@ class LogTable:
         """F_q codes, T^0 first, of the product of X - theta^(q^j) over the
         d conjugates of theta = g^k, for k in a Frobenius orbit of size d:
         the monic irreducible of degree d with root theta."""
-        order, p, q, e = self.order, self.p, self.ctx.q, self.ctx.e
+        order, p, q = self.order, self.p, self.ctx.q
         minus = self.const_logs[p - 1]  # the log of -1
         poly, r = [0], k  # coefficient logs, T^0 first: the polynomial 1
         for _ in range(self.d):
@@ -223,14 +227,12 @@ class LogTable:
             scaled = [None if c is None else (c + root) % order for c in poly]
             poly = [self._add_logs(a, b) for a, b in zip([None] + poly, scaled + [None])]
             r = r * q % order
-        codes = []
-        for c in poly:  # F_q is the T^0 coordinate block
-            coords = [0] if c is None else self.coordinates(self.exp[c])
-            if any(coords[e:]):
-                raise InternalError(f"minimal polynomial of g^{k} has a "
-                                    f"coefficient outside F_{q}")
-            codes.append(self.ctx.encode(coords[:e]))
-        return tuple(codes)
+        codes = self.const_codes
+        try:  # g^c lies in F_q exactly when c is the log of a constant
+            return tuple([0 if c is None else codes[c] for c in poly])
+        except KeyError:
+            raise InternalError(f"minimal polynomial of g^{k} has a "
+                                f"coefficient outside F_{q}") from None
 
     def irreducibles(self) -> list[tuple[tuple[int, ...], int | None]]:
         """(coefficient codes, k) for every monic irreducible of degree d, in
@@ -241,7 +243,9 @@ class LogTable:
         necklace formula."""
         q, d = self.ctx.q, self.d
         found = {0: ((0, 1), None)} if d == 1 else {}
-        for k, size in Counter(_orbit_reps(q, self.order)).items():
+        # at q = p the root orbits are the exponent orbits of reps
+        reps = self.reps if q == self.p else _orbit_reps(q, self.order)
+        for k, size in Counter(reps).items():
             if size == d:
                 codes = self.minimal_polynomial(k)
                 found[sum(c * q**j for j, c in enumerate(codes[:d]))] = codes, k

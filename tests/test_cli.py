@@ -404,7 +404,9 @@ def test_field_poly_parse_error_quotes_the_input(capsys):
         "error: expected term c*x^k, c*x, x^k, x or c at position 8: 'x^2+x+1+'"]
 
 
-@pytest.mark.parametrize("text,pos", [("x^2++1", 4), ("+x^2+1", 0)])
+# T is the modulus variable, never an alias of x in the field polynomial
+@pytest.mark.parametrize("text,pos", [("x^2++1", 4), ("+x^2+1", 0), ("x^2+T+1", 4),
+                                      ("T^2+x+1", 0), ("1,1,T", 4)])
 def test_field_poly_parse_error_names_the_grammar_in_x(capsys, text, pos):
     code, out, err = _run(capsys, "invariants", "--p", "2", "--e", "2",
                           "--field-poly", text, "--m", "T")

@@ -8,8 +8,8 @@ from carlitz_hw.errors import OutOfRangeError
 
 
 def test_base_q_digits_examples():
-    assert (base_q_digits(5, 3, width=3), ell(5, 3)) == ((2, 1, 0), 3)
-    assert (base_q_digits(8, 3, width=3), ell(8, 3)) == ((2, 2, 0), 4)
+    assert (base_q_digits(5, 3), ell(5, 3)) == ((2, 1), 3)
+    assert (base_q_digits(8, 3), ell(8, 3)) == ((2, 2), 4)
 
 
 @pytest.mark.parametrize("p,e,d", [(3, 1, 3), (2, 2, 2), (5, 1, 2), (2, 1, 4)])
@@ -89,9 +89,3 @@ def test_digit_symmetry(p, e, d):
 def test_zero_class_congruence(n, q):
     # the digit sum is congruent to n mod q-1
     assert (ell(n, q) - n) % (q - 1) == 0
-
-
-def test_base_q_digits_width_guard():
-    assert base_q_digits(8, 3, width=3) == (2, 2, 0)
-    with pytest.raises(OutOfRangeError):
-        base_q_digits(27, 3, width=3)

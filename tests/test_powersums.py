@@ -8,6 +8,7 @@ from carlitz_hw import (
     irreducible_enumerate,
     make_field,
     polyring,
+    powersums,
     s1_closed_form,
     s_exact,
     s_mod,
@@ -251,7 +252,9 @@ def _order_of_t(m):
 _ROOT_CASES = ([(2, 1, d) for d in range(1, 9)]
                + [(3, 1, d) for d in range(1, 6)]
                + [(5, 1, 3), (7, 1, 3), (3, 2, 2), (2, 3, 2)]
-               + [(2, 2, d) for d in range(1, 5)])
+               + [(2, 2, d) for d in range(1, 5)]
+               # every code of F_8, F_9, F_25 and F_13 is a coefficient here
+               + [(2, 3, 3), (3, 2, 3), (5, 2, 2), (13, 1, 2)])
 
 
 @pytest.mark.parametrize("p,e,d", _ROOT_CASES)
@@ -281,6 +284,34 @@ def test_root_enumeration_matches_irreducible_enumerate(p, e, d):
         assert not any(table.coordinates(value)), (coeffs, k)
         assert table.minimal_polynomial(k * ctx.q % table.order) == coeffs
     assert (roots[0][1] is None) == (d == 1)
+
+
+@pytest.mark.parametrize("p,e,d", _ROOT_CASES)
+def test_const_codes_invert_const_logs(p, e, d):
+    # the logs of F_q^* are the q - 1 multiples of N/(q - 1)
+    ctx = make_field(p, e)
+    table = LogTable(least_primitive(ctx, d))
+    step = table.order // (ctx.q - 1)
+    assert sorted(table.const_codes) == list(range(0, table.order, step))
+    assert sorted(table.const_codes.values()) == list(range(1, ctx.q))
+    for c, code in table.const_codes.items():
+        assert table.const_logs[code] == c
+
+
+@pytest.mark.parametrize("p,e,d", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (3, 2, 2)])
+def test_irreducibles_walks_root_orbits_only_when_q_is_not_p(monkeypatch, p, e, d):
+    # at q = p the root orbits k -> q*k are the exponent orbits of reps
+    table = LogTable(least_primitive(make_field(p, e), d))
+    walks = []
+    real_walk = powersums._orbit_reps
+
+    def counted_walk(mult, order):
+        walks.append(mult)
+        return real_walk(mult, order)
+
+    monkeypatch.setattr(powersums, "_orbit_reps", counted_walk)
+    table.irreducibles()
+    assert walks == ([] if e == 1 else [p**e])
 
 
 @pytest.mark.parametrize("p,e,d", [(3, 1, 3), (2, 2, 3), (7, 1, 3), (2, 1, 4)])
