@@ -24,11 +24,12 @@ exponent orbits of F_{q^d}: the least member of each orbit of n -> p*n mod
 _orbit_reps, finds those and the root orbits k -> q*k mod (q^d - 1) of
 LogTable.irreducibles, which enumerates the moduli of degree d as the
 minimal polynomials of the roots g^k, one per root orbit of size d, with no
-irreducibility test.  RootSums is the power-sum source of the degree engine
-(invariants.degree_stream) for one modulus: it reads s_i(n) mod m at one
-root theta = g^k as the sum of g^(log a(theta) * n mod (q^d - 1)) over the
-monic a of degree i, one index computation per a and no polynomial
-multiplication.  residue_field builds that field once per scan, and
+irreducibility test; Zech logs multiply them out.  RootSums is the power-sum
+source of the degree engine (invariants.degree_stream) for one modulus: it
+reads s_i(n) mod m at one root theta = g^k as the sum of
+g^(log a(theta) * n mod (q^d - 1)) over the monic a of degree i, one index
+computation per a and no polynomial multiplication, and tests the packed
+sum for zero.  residue_field builds that field once per scan, and
 shared_field keeps it per process for scan's workers and RootSums.of.
 residue_cost bounds the memory of one degree stream and is checked against
 the same budget as exact mode wherever a field is built or fetched.
@@ -127,32 +128,32 @@ class LogTable:
     and the enumeration of every monic irreducible of degree d by its roots.
 
     m0 is a primitive polynomial (polyring.least_primitive), so g = T, the
-    root of m0, generates the units: exp[k] = T^k mod m0 for 0 <= k < N.  Its
-    inverse, a dict as large as the table, is needed only to build zech and
-    const_logs and is not kept.  A residue is packed into one int: the F_p
-    coordinate t of its T^0..T^(d-1) coefficient j sits in bit field
-    j*e + t, and every field is wide enough for a sum of q^d residues, so
-    that a power sum over the exp entries takes integer additions only.  Each exp
-    entry is the previous one times T: its low coefficients shifted up one
-    slot, plus one of q packed residues c*T^d mod m0 for its top coefficient
-    c, with every field then reduced mod p at once.  The walk must meet N
-    distinct residues and return to 1, which certifies that T is primitive
-    mod m0.
-    zech[k] is log(1 + g^k) (None where g^k = -1), with which sums of powers
-    of g are added in the log domain, and const_logs[c] is the log of the
-    constant c of F_q, which sits in the T^0 coordinate block.  const_codes
-    is its inverse on F_q^*, {log c: c}, whose keys are the q - 1 multiples
-    of N/(q - 1): minimal_polynomial reads each coefficient's code from its
-    log there, with no packed residue decoded.  reps[n] is
-    the least member of the orbit of the exponent n under n -> p*n mod N.
+    root of m0, generates the units: exp[k] = T^k mod m0 for 0 <= k < N (its
+    inverse builds zech and const_logs and is not kept).  A residue is packed
+    into one int: the F_p coordinate t of its T^0..T^(d-1) coefficient j sits
+    in bit field j*e + t, and every field is wide enough for a sum of q^d
+    residues, so that a power sum over the exp entries takes integer additions
+    only; ones holds the lowest bit of every field.  Each exp entry is the
+    previous one times T: its low coefficients shifted up one slot, plus one
+    of q packed residues c*T^d mod m0 for its top coefficient c, with every
+    field then reduced mod p at once.  The walk must meet N distinct residues
+    and return to 1, which certifies that T is primitive mod m0.  zech[k] is
+    log(1 + g^k) (None where g^k = -1), with which sums of powers of g are
+    added in the log domain, g^x + g^y = g^(x + zech[y - x]), as
+    minimal_polynomial does inline.  const_logs[c] is the log of the constant
+    c of F_q, which sits in the T^0 coordinate block.  const_codes is its
+    inverse on F_q^*, {log c: c}, whose keys are the q - 1 multiples of
+    N/(q - 1): minimal_polynomial reads each coefficient's code from its log
+    there, with no packed residue decoded.  reps[n] is the least member of
+    the orbit of the exponent n under n -> p*n mod N.
 
     For every monic irreducible m of degree d, A/mA is this field by
     T -> theta for a root theta of m, so one table serves every modulus of
     degree d (RootSums).
     """
 
-    __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "exp", "zech",
-                 "const_logs", "const_codes", "reps")
+    __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "ones", "exp",
+                 "zech", "const_logs", "const_codes", "reps")
 
     def __init__(self, m0: Modulus):
         ctx, d, order = m0.ctx, m0.d, m0.group_order
@@ -174,7 +175,7 @@ class LogTable:
         # each field of the sum is at most 2p - 2; it is >= p exactly when
         # adding 2^(width-1) - p sets its top bit, and then p is subtracted
         carry = width - 1
-        ones = sum(1 << s for s in shifts)
+        self.ones = ones = sum(1 << s for s in shifts)
         bias, tops = ones * ((1 << carry) - p), ones << carry
         exp = []
         x = 1
@@ -201,11 +202,6 @@ class LogTable:
         return sum(x << shifts[j * ctx.e + t]
                    for j, c in enumerate(coeffs) for t, x in enumerate(ctx.decode(c)))
 
-    def coordinates(self, packed: int) -> list[int]:
-        """The d*e F_p coordinates of a packed sum, reduced mod p."""
-        p, mask = self.p, self.mask
-        return [(packed >> s & mask) % p for s in self.shifts]
-
     def _add_logs(self, x, y):
         """log(g^x + g^y), None standing for the log of 0."""
         if x is None:
@@ -216,17 +212,22 @@ class LogTable:
         return None if z is None else (x + z) % self.order
 
     def minimal_polynomial(self, k: int) -> tuple[int, ...]:
-        """F_q codes, T^0 first, of the product of X - theta^(q^j) over the
-        d conjugates of theta = g^k, for k in a Frobenius orbit of size d:
-        the monic irreducible of degree d with root theta."""
-        order, p, q = self.order, self.p, self.ctx.q
+        """F_q codes, T^0 first, of prod_{j<d} (X - theta^(q^j)), theta = g^k:
+        for k in a Frobenius orbit of size d, the minimal polynomial of theta."""
+        order, p, q, zech = self.order, self.p, self.ctx.q, self.zech
         minus = self.const_logs[p - 1]  # the log of -1
         poly, r = [0], k  # coefficient logs, T^0 first: the polynomial 1
         for _ in range(self.d):
             root = (r + minus) % order  # poly * (X - theta^(q^j))
-            scaled = [None if c is None else (c + root) % order for c in poly]
-            poly = [self._add_logs(a, b) for a, b in zip([None] + poly, scaled + [None])]
-            r = r * q % order
+            new, x = [], None  # x: the coefficient below y, None below T^0
+            for y in poly + [None]:  # g^x + g^(y + root), by zech
+                if x is None or y is None:
+                    new.append(x if y is None else (y + root) % order)
+                else:
+                    z = zech[(y + root - x) % order]
+                    new.append(None if z is None else (x + z) % order)
+                x = y
+            poly, r = new, r * q % order
         codes = self.const_codes
         try:  # g^c lies in F_q exactly when c is the log of a constant
             return tuple([0 if c is None else codes[c] for c in poly])
@@ -267,7 +268,9 @@ class RootSums:
     monic polynomial of lower degree, so log b is const_logs[c] plus a stored
     monic log, and log(theta^j + b) is t + zech[log b - t] with t = j*k.
     Whether a sum vanishes does not depend on which conjugate of theta is
-    used.  poly is m itself, and ctx, d and group_order are the table's.
+    used; it is read on the packed sum, by one AND with the table's ones at
+    p = 2 and field by field mod p at odd p.  poly is m itself, and ctx, d
+    and group_order are the table's.
     """
 
     __slots__ = ("table", "k", "poly", "ctx", "d", "group_order", "_logs")
@@ -307,7 +310,14 @@ class RootSums:
 
     def vanishes(self, i: int, n: int) -> bool:
         """s_i(n) == 0 mod m, for 0 <= i < d and 1 <= n < q^d - 1."""
-        return not any(self.table.coordinates(self.power_sum(i, n)))
+        table, x = self.table, self.power_sum(i, n)
+        if table.p == 2:  # a field's sum is even exactly when its low bit is 0
+            return not x & table.ones
+        p, mask = table.p, table.mask
+        for s in table.shifts:
+            if (x >> s & mask) % p:
+                return False
+        return True
 
 
 def residue_field(ctx: FieldCtx, d: int, budget: int | None = None):

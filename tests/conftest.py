@@ -5,6 +5,12 @@ from carlitz_hw.digits import target_degrees
 from carlitz_hw.powersums import RootSums
 
 
+def coordinates(table, packed):
+    """The d*e F_p coordinates of a packed LogTable sum, each reduced mod p:
+    the oracle of RootSums.vanishes, which reads the packed sum directly."""
+    return [(packed >> s & table.mask) % table.p for s in table.shifts]
+
+
 @pytest.fixture(scope="session")
 def f2():
     return make_field(2)

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -128,6 +129,30 @@ def test_bpoly_exact_requires_d(capsys):
 def test_bpoly_exact_rejects_d_below_one(capsys):
     code, out, err = _run(capsys, "bpoly", "--p", "3", "--n", "5", "--exact", "--d", "0")
     assert (code, out, err) == (1, "", "error: d must be >= 1, got 0\n")
+
+
+# sha256 of scan's CSV stdout with the last column, elapsed_ms, cut from
+# every line: the argv of the four bench workloads and a full scan over F_9
+_GOLDEN_SCANS = [
+    ("--p 7 --d 3 --mode full",
+     "1b0af6917fb030b6d6d37fc8cd5797bcb8804e73b65fc94b2bb26ba2396c8dd6"),
+    ("--p 7 --d 3 --mode witness --limit 28",
+     "84d38b309b7570d1288de1f60e056004b5c38cbb6b413ce57a4e2ae431fb9197"),
+    ("--p 2 --e 2 --d 6 --mode full --limit 1",
+     "583a043f91c9cdc365e8abcf353ccb388f8852f6cfc53ae235e5cda4a2be93eb"),
+    ("--p 2 --e 2 --d 6 --mode witness",
+     "351773cea28bc2544ffcede1db60fd95d55c99fd672d5ad22d6a3d5bd8fcd1c1"),
+    ("--p 3 --e 2 --d 3",
+     "570ea81312a0d1e5895e06c7ac0edfde525477a3756f1e5f773cae5686bb6989"),
+]
+
+
+@pytest.mark.parametrize("args,digest", _GOLDEN_SCANS, ids=[a for a, _ in _GOLDEN_SCANS])
+def test_scan_output_matches_its_golden_digest(capsys, args, digest):
+    code, out, _ = _run(capsys, "scan", *args.split(), "--format", "csv", "--workers", "1")
+    assert code == 0
+    masked = "".join(line.rsplit(",", 1)[0] + "\n" for line in out.splitlines())
+    assert hashlib.sha256(masked.encode()).hexdigest() == digest
 
 
 def test_scan_csv_stdout(capsys):

@@ -35,6 +35,7 @@ from carlitz_hw.polyring import (
     monic_enumerate,
 )
 from carlitz_hw.powersums import LogTable, RootSums, residue_cost, s_mod
+from conftest import coordinates
 
 
 def test_genus_values(f3, f4):
@@ -235,9 +236,9 @@ def _at_root(f, view):
     """The F_p coordinates of f(theta) in the LogTable of view, theta its root."""
     table = view.table
     if view.k is None:  # theta = 0, the root of T
-        return table.coordinates(table.pack(f.coeffs[:1]))
-    return table.coordinates(sum(table.exp[(table.const_logs[c] + j * view.k) % table.order]
-                                 for j, c in enumerate(f.coeffs) if c))
+        return coordinates(table, table.pack(f.coeffs[:1]))
+    return coordinates(table, sum(table.exp[(table.const_logs[c] + j * view.k) % table.order]
+                                  for j, c in enumerate(f.coeffs) if c))
 
 
 @given(data=st.data())
@@ -250,7 +251,7 @@ def test_log_table_matches_s_mod_on_random_moduli(data):
     sources = _route_sources(m)
     view = sources[1]
     for i in range(d):
-        assert (view.table.coordinates(view.power_sum(i, n))
+        assert (coordinates(view.table, view.power_sum(i, n))
                 == _at_root(s_mod(i, n, m), view)), (format_poly(m.poly), i, n)
     want = oracle._bbar_degree(n, m)
     assert _degrees(n, m, sources) == [want, want]
@@ -260,6 +261,25 @@ def test_log_table_matches_s_mod_on_random_moduli(data):
 def _shared_table(p, e, d):
     table = LogTable(least_primitive(make_field(p, e), d))
     return table, table.irreducibles()
+
+
+@pytest.mark.parametrize("p,e,d", _NINE_FIELDS)
+def test_vanishes_matches_the_reduced_coordinates(p, e, d):
+    # the packed read (one AND at p = 2, field by field at odd p) against
+    # the coordinates reduced mod p, at every i and n of every modulus
+    table, roots = _shared_table(p, e, d)
+    raw = set()
+    for coeffs, k in roots:
+        view = RootSums(table, k, FqPoly(table.ctx, coeffs))
+        for i in range(d):
+            for n in range(1, table.order):
+                packed = view.power_sum(i, n)
+                want = not any(coordinates(table, packed))
+                assert view.vanishes(i, n) == want, (coeffs, i, n)
+                if want:
+                    raw.update(packed >> s & table.mask for s in table.shifts)
+    if d > 1:  # some vanishing sum has a field equal to p, not 0, before reduction
+        assert p in raw, raw
 
 
 @given(data=st.data())

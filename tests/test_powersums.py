@@ -23,6 +23,7 @@ from carlitz_hw.errors import (
 )
 from carlitz_hw.polyring import is_irreducible, least_primitive, monic_enumerate, residue_pow
 from carlitz_hw.powersums import LogTable
+from conftest import coordinates
 
 
 def _s_oracle(i, n, ctx):
@@ -266,6 +267,13 @@ def test_least_primitive_matches_brute_force(p, e, d):
     assert least_primitive(ctx, d).poly == want
 
 
+def _is_root(table, coeffs, k):
+    """Whether the polynomial with these F_q codes vanishes at g^k."""
+    value = sum(table.exp[(table.const_logs[c] + j * k) % table.order]
+                for j, c in enumerate(coeffs) if c)
+    return not any(coordinates(table, value))
+
+
 @pytest.mark.parametrize("p,e,d", _ROOT_CASES)
 def test_root_enumeration_matches_irreducible_enumerate(p, e, d):
     # minimal polynomials of one root per Frobenius orbit, in code order
@@ -278,12 +286,32 @@ def test_root_enumeration_matches_irreducible_enumerate(p, e, d):
         if k is None:  # T, whose root 0 has no log
             assert (d, coeffs) == (1, (0, 1))
             continue
-        # m(g^k) = 0 in the table, and the conjugate g^(qk) has the same m
-        value = sum(table.exp[(table.const_logs[c] + j * k) % table.order]
-                    for j, c in enumerate(coeffs) if c)
-        assert not any(table.coordinates(value)), (coeffs, k)
-        assert table.minimal_polynomial(k * ctx.q % table.order) == coeffs
+        # m(g^k) = 0 in the table, and every conjugate g^(k q^j) has the same m
+        assert _is_root(table, coeffs, k), (coeffs, k)
+        assert {table.minimal_polynomial(k * ctx.q**j % table.order)
+                for j in range(d)} == {coeffs}, (coeffs, k)
     assert (roots[0][1] is None) == (d == 1)
+
+
+def test_root_cases_meet_a_zero_coefficient():
+    # T^3 + 2T + 1 over F_3: its product meets a coefficient 0, whose log is None
+    assert (3, 1, 3) in _ROOT_CASES
+    assert (1, 2, 0, 1) in dict(LogTable(least_primitive(make_field(3), 3)).irreducibles())
+
+
+@pytest.mark.parametrize("p,e,d", [(2, 1, 4), (3, 1, 4), (2, 2, 3), (5, 1, 2)])
+def test_minimal_polynomial_of_a_subfield_root_is_a_power(p, e, d):
+    # for theta = g^k in F_(q^s), s < d, the product over d conjugates is
+    # f^(d/s), f the irreducible of degree s with root theta; (T + 1)^4 over
+    # F_2 has zero coefficients midway through the product
+    ctx = make_field(p, e)
+    table = LogTable(least_primitive(ctx, d))
+    for k in range(table.order):
+        s = next(s for s in range(1, d + 1) if k * ctx.q**s % table.order == k)
+        if s < d:
+            [f] = [m.poly for m in irreducible_enumerate(ctx, s)
+                   if _is_root(table, m.poly.coeffs, k)]
+            assert table.minimal_polynomial(k) == (f ** (d // s)).coeffs, k
 
 
 @pytest.mark.parametrize("p,e,d", _ROOT_CASES)
