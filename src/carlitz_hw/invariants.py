@@ -11,16 +11,18 @@ class), the genus is the sum of the targets, and a strict drop at any n is a
 defect certifying non-ordinariness.
 
 All consumers read one degree engine, degree_stream, which yields
-(n, degree, target) over ascending exponents: hasse_witt takes the whole
-stream, and first_defects (behind is_ordinary and is_ordinary_plus) takes
-one early-exit pass.  Multiplying n by p modulo q^d - 1 raises every
-coefficient to the p-th power and therefore preserves the u-degree, so the
-stream computes one degree per orbit of n -> p*n.  The orbits depend only on
-(q, d) and are read from the residue field's LogTable (LogTable.reps), built
-once per table and so once per scan.  The tests compare the stream with
-_reduced_degree read at every exponent, and oracle.z_bar and the frobenius
-suite compute every degree without sharing, so they check the orbit
-reduction independently.
+(n, size, degree, target) once per orbit of n -> q*n mod (q^d - 1), n its
+least member: hasse_witt takes the whole stream and expands only defective
+orbits, and first_defects (behind is_ordinary and is_ordinary_plus) takes
+one early-exit pass.  Multiplying n by q rotates its base-q digits, so the
+target and the zero class are constant on such an orbit; multiplying by p
+raises every coefficient to the p-th power and so preserves the u-degree,
+which the stream computes once per orbit of n -> p*n.  The orbits depend
+only on (q, d) and are read from the residue field's LogTable
+(LogTable.orbits), built once per table and so once per scan.  The tests
+expand every orbit and compare it with _reduced_degree read at every
+exponent, and oracle.z_bar and the frobenius suite compute every degree
+without sharing, so they check the orbit reduction independently.
 
 One function reads a degree, _reduced_degree: top-down, it asks the
 power sums of m at one of its roots (powersums.RootSums, on a discrete-log
@@ -122,37 +124,37 @@ def _reduced_degree(n: int, sums: RootSums, cap: int, zero_class: bool) -> int:
     return 0
 
 
-def degree_stream(m: Modulus | RootSums, exponents=None, budget: int | None = None):
-    """Yield (n, degree, target) for ascending exponents n, by default every
-    1 <= n <= q^d - 2: the u-degree of the reduced generating polynomial and
-    its digit-sum target.
+def degree_stream(m: Modulus | RootSums, keep=None, budget: int | None = None):
+    """Yield (n, size, degree, target) once per orbit of n -> q*n mod
+    (q^d - 1) but {0}, in ascending n, its least member (LogTable.orbits):
+    the u-degree of the reduced generating polynomial and its digit-sum
+    target, shared by the size members of the orbit.  An orbit for which
+    keep(n) is false, when keep is given, is skipped.
 
-    Each degree is computed at the first exponent visited in its Frobenius
-    orbit n -> p*n mod (q^d - 1), whose least member the LogTable holds
-    (LogTable.reps), and read back for the rest of the orbit.  Targets come
-    from the per-(q, d) table, since the digit sum is not orbit-invariant
-    unless q = p.
+    Each degree is computed at the first orbit visited in its Frobenius
+    orbit n -> p*n and read back for the others there, whose targets may
+    differ when e > 1.
 
     Degrees are read by _reduced_degree from the RootSums of m: a Modulus
     gets one from RootSums.of, which checks budget first; a RootSums (scan)
     was checked with its field, and budget is not read.
     """
     sums = m if isinstance(m, RootSums) else RootSums.of(m, budget)
-    order, q1 = m.group_order, m.ctx.q - 1
+    q1 = m.ctx.q - 1
     targets = target_degrees(m.ctx, m.d)
-    reps = sums.table.reps
-    known = [None] * order  # degrees, indexed by orbit representative
-    for n in range(1, order) if exponents is None else exponents:
+    known = {}  # degrees, by least member of the orbit under p
+    for n, size, frob in sums.table.orbits[1:]:
+        if keep is not None and not keep(n):
+            continue
         tgt = targets[n]
-        rep = reps[n]
-        deg = known[rep]
+        deg = known.get(frob)
         if deg is None:
             zero_class = n % q1 == 0
-            deg = known[rep] = _reduced_degree(n, sums, tgt + zero_class, zero_class)
+            deg = known[frob] = _reduced_degree(n, sums, tgt + zero_class, zero_class)
         if deg > tgt:
             raise InternalError(
                 f"degree {deg} exceeds target {tgt} at n={n} mod {format_poly(m.poly)}")
-        yield n, deg, tgt
+        yield n, size, deg, tgt
 
 
 def hasse_witt(m: Modulus | RootSums, budget: int | None = None) -> InvariantsReport:
@@ -163,16 +165,14 @@ def hasse_witt(m: Modulus | RootSums, budget: int | None = None) -> InvariantsRe
     g, g_plus = genus(ctx, d)
     lam = lam_plus = 0
     defects: list[Defect] = []
-    defects_plus: list[Defect] = []
-    for n, deg, tgt in degree_stream(m, budget=budget):
-        lam += deg
-        zero_class = n % (q - 1) == 0
-        if zero_class:
-            lam_plus += deg
+    for n, size, deg, tgt in degree_stream(m, budget=budget):
+        lam += size * deg
+        if n % (q - 1) == 0:
+            lam_plus += size * deg
         if deg != tgt:
-            defects.append(Defect(n, tgt, deg))
-            if zero_class:
-                defects_plus.append(Defect(n, tgt, deg))
+            defects.extend(Defect(n * q**j % m.group_order, tgt, deg) for j in range(size))
+    defects.sort()
+    defects_plus = [f for f in defects if f.n % (q - 1) == 0]
     ordinary = not defects
     ordinary_plus = not defects_plus
     if ordinary != (lam == g) or ordinary_plus != (lam_plus == g_plus):
@@ -193,18 +193,15 @@ def first_defects(m: Modulus | RootSums,
                   budget: int | None = None) -> tuple[int | None, int | None]:
     """The least defective exponent and the least defective zero-class
     exponent, None where there is none, in one early-exit pass over the
-    degree stream: after the first defect only zero-class exponents are
-    evaluated."""
+    degree stream: after the first defect only zero-class orbits are
+    evaluated.  The least member of a defective orbit is its least defect."""
     q1 = m.ctx.q - 1
     first = None
 
-    def exponents():  # reads `first` as the stream asks for the next n
-        n = 1
-        while n < m.group_order:
-            yield n
-            n = n + 1 if first is None else n + q1 - n % q1
+    def keep(n):  # reads `first` as the stream asks about the next orbit
+        return first is None or n % q1 == 0
 
-    for n, deg, tgt in degree_stream(m, exponents(), budget):
+    for n, _, deg, tgt in degree_stream(m, keep, budget):
         if deg != tgt:
             if first is None:
                 first = n

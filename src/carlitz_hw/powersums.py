@@ -18,21 +18,20 @@ of degree d, A/mA = F_{q^d} by T -> theta, theta a root of m, so LogTable,
 the discrete-log table of F_{q^d} = A/m0A, serves every modulus of degree
 d.  m0 is the least primitive polynomial of degree d
 (polyring.least_primitive), so the generator is g = T and the table is one
-shift-and-reduce walk over packed residues.  The table also holds the
-exponent orbits of F_{q^d}: the least member of each orbit of n -> p*n mod
-(q^d - 1), over which the degree engine shares its degrees.  One walker,
-_orbit_reps, finds those and the root orbits k -> q*k mod (q^d - 1) of
-LogTable.irreducibles, which enumerates the moduli of degree d as the
-minimal polynomials of the roots g^k, one per root orbit of size d, with no
-irreducibility test; Zech logs multiply them out.  RootSums is the power-sum
-source of the degree engine (invariants.degree_stream) for one modulus: it
-reads s_i(n) mod m at one root theta = g^k as the sum of
-g^(log a(theta) * n mod (q^d - 1)) over the monic a of degree i, one index
-computation per a and no polynomial multiplication, and tests the packed
-sum for zero.  residue_field builds that field once per scan, and
-shared_field keeps it per process for scan's workers and RootSums.of.
-residue_cost bounds the memory of one degree stream and is checked against
-the same budget as exact mode wherever a field is built or fetched.
+shift-and-reduce walk over packed residues.  The table also lists the
+orbits of n -> q*n mod (q^d - 1) (LogTable.orbits): the degree engine
+walks them as exponent orbits, and LogTable.irreducibles enumerates the
+moduli of degree d as the minimal polynomials of the roots g^k, one per
+orbit of size d, with no irreducibility test; Zech logs multiply them
+out.  RootSums is the power-sum source of the degree engine
+(invariants.degree_stream) for one modulus: it reads s_i(n) mod m at one
+root theta = g^k as the sum of g^(log a(theta) * n mod (q^d - 1)) over the
+monic a of degree i, one index computation per a and no polynomial
+multiplication, and tests the packed sum for zero.  residue_field builds
+that field once per scan, and shared_field keeps it per process for scan's
+workers and RootSums.of.  residue_cost bounds the memory of one degree
+stream and is checked against the same budget as exact mode wherever a
+field is built or fetched.
 """
 
 from __future__ import annotations
@@ -73,9 +72,9 @@ def _check_exact_args(i, n):
 
 
 def residue_cost(m: Modulus | RootSums) -> int:
-    """Cost estimate for a degree stream mod m, in table entries: the orbit
-    memo and the log table hold q^d - 1 entries each, a table entry d*e F_p
-    coordinates."""
+    """Cost estimate for a degree stream mod m, in table entries: the log
+    table holds q^d - 1 packed residues of d*e F_p coordinates each, and its
+    Zech table q^d - 1 logs."""
     return m.group_order * (m.d * m.ctx.e + 1)
 
 
@@ -144,8 +143,9 @@ class LogTable:
     c of F_q, which sits in the T^0 coordinate block.  const_codes is its
     inverse on F_q^*, {log c: c}, whose keys are the q - 1 multiples of
     N/(q - 1): minimal_polynomial reads each coefficient's code from its log
-    there, with no packed residue decoded.  reps[n] is the least member of
-    the orbit of the exponent n under n -> p*n mod N.
+    there, with no packed residue decoded.  orbits holds one (n, size, r)
+    per orbit of n -> q*n mod N, in ascending n, its least member: r is the
+    least member of the orbit of n under n -> p*n, a union of orbits under q.
 
     For every monic irreducible m of degree d, A/mA is this field by
     T -> theta for a root theta of m, so one table serves every modulus of
@@ -153,7 +153,7 @@ class LogTable:
     """
 
     __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "ones", "exp",
-                 "zech", "const_logs", "const_codes", "reps")
+                 "zech", "const_logs", "const_codes", "orbits")
 
     def __init__(self, m0: Modulus):
         ctx, d, order = m0.ctx, m0.d, m0.group_order
@@ -194,7 +194,10 @@ class LogTable:
         self.const_logs = [None] + [log[self.pack([c])] for c in range(1, q)]
         self.const_codes = dict(zip(self.const_logs[1:], range(1, q)))
         # n -> p*n raises a residue to its p-th power: the absolute Frobenius
-        self.reps = _orbit_reps(p, order)
+        frob = _orbit_reps(p, order)
+        # an orbit's least member is its first in n: the keys come ascending
+        sizes = Counter(frob if q == p else _orbit_reps(q, order))
+        self.orbits = [(n, size, frob[n]) for n, size in sizes.items()]
 
     def pack(self, coeffs) -> int:
         """The packed residue with these F_q codes, T^0 first."""
@@ -238,15 +241,13 @@ class LogTable:
     def irreducibles(self) -> list[tuple[tuple[int, ...], int | None]]:
         """(coefficient codes, k) for every monic irreducible of degree d, in
         enumeration order: one minimal polynomial of g^k, k its least
-        member, per Frobenius orbit k -> q*k mod N of size d, and at d = 1
+        member, per orbit k -> q*k mod N of size d (orbits), and at d = 1
         also T, whose root 0 is no power of g (k = None).  No
         irreducibility test is made; the count is checked against the
         necklace formula."""
         q, d = self.ctx.q, self.d
         found = {0: ((0, 1), None)} if d == 1 else {}
-        # at q = p the root orbits are the exponent orbits of reps
-        reps = self.reps if q == self.p else _orbit_reps(q, self.order)
-        for k, size in Counter(reps).items():
+        for k, size, _ in self.orbits:
             if size == d:
                 codes = self.minimal_polynomial(k)
                 found[sum(c * q**j for j, c in enumerate(codes[:d]))] = codes, k

@@ -53,3 +53,17 @@ def _naive_stream(m):
 @pytest.fixture(scope="session")
 def naive_stream():
     return _naive_stream
+
+
+def expand_orbits(m, stream):
+    """The (n, degree, target) of every member of each orbit
+    (n, size, degree, target) of invariants.degree_stream, in ascending n,
+    for comparison with naive_stream.  Each orbit's members are
+    {n*q^j mod N}; their count must be size and n the least of them."""
+    q, order = m.ctx.q, m.group_order
+    out = []
+    for n, size, deg, tgt in stream:
+        members = {n * q**j % order for j in range(m.d)}
+        assert (len(members), min(members)) == (size, n), (n, size, members)
+        out.extend((k, deg, tgt) for k in members)
+    return sorted(out)

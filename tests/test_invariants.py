@@ -35,7 +35,7 @@ from carlitz_hw.polyring import (
     monic_enumerate,
 )
 from carlitz_hw.powersums import LogTable, RootSums, residue_cost, s_mod
-from conftest import coordinates
+from conftest import coordinates, expand_orbits
 
 
 def test_genus_values(f3, f4):
@@ -128,12 +128,15 @@ def _firsts(defects, defects_plus):
     return tuple(fs[0].n if fs else None for fs in (defects, defects_plus))
 
 
-@pytest.mark.parametrize("p,e,d", [(2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2)])
+# (3, 1, 4) has defective orbits shorter than d at odd q, and at (2, 2, 3)
+# the members of several defective orbits interleave
+@pytest.mark.parametrize("p,e,d", [(2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2), (3, 1, 4),
+                                   (2, 2, 3)])
 def test_orbit_and_naive_reports_are_identical(naive_stream, p, e, d):
     ctx = make_field(p, e)
     for m in irreducible_enumerate(ctx, d):
         naive = naive_stream(m)
-        assert list(degree_stream(m)) == naive
+        assert expand_orbits(m, degree_stream(m)) == naive
         rep = hasse_witt(m)
         assert rep.lambda_ == sum(deg for _, deg, _ in naive)
         assert rep.lambda_plus == sum(deg for n, deg, _ in naive if n % (ctx.q - 1) == 0)
@@ -163,7 +166,7 @@ def _orbit_of(n, p, order):
     return frozenset(orbit)
 
 
-def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline):
+def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline, f4):
     # counted at the one degree reader, whichever route answers it
     calls = []
     real = invariants._reduced_degree
@@ -173,13 +176,23 @@ def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline):
         return real(n, *args)
 
     monkeypatch.setattr(invariants, "_reduced_degree", counted)
-    assert [n for n, _, _ in degree_stream(m_headline)] == list(range(1, 26))
+    stream = list(degree_stream(m_headline))
+    assert len(stream) == len(RootSums.of(m_headline).table.orbits) - 1
+    assert [n for n, _, _ in expand_orbits(m_headline, stream)] == list(range(1, 26))
     orbits = {_orbit_of(n, 3, 26) for n in range(1, 26)}
     assert sorted(map(min, orbits)) == calls
 
     calls.clear()
     assert first_defects(m_headline) == (13, None)
     assert len({_orbit_of(n, 3, 26) for n in calls}) == len(calls)
+    assert calls == [1, 2, 4, 5, 7, 8, 13, 14]  # past 13, 17 is not zero-class
+
+    # over F_4 the stream yields one item per orbit of n -> 4n mod 15 and
+    # reads one degree per orbit of n -> 2n, the union of one or two of them
+    quadratic = irreducible_enumerate(f4, 2)[0]
+    calls.clear()
+    assert [n for n, _, _, _ in degree_stream(quadratic)] == [1, 2, 3, 5, 6, 7, 10, 11]
+    assert calls == sorted(map(min, {_orbit_of(n, 2, 15) for n in range(1, 15)})) == [1, 3, 5, 7]
 
 
 class _SModOnly:
@@ -205,6 +218,18 @@ def _degrees(n, m, sources):
 
 _NINE_FIELDS = [(2, 1, 1), (3, 1, 1), (2, 1, 5), (3, 1, 3), (5, 1, 2),
                 (7, 1, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]
+
+
+@pytest.mark.parametrize("p,e,d", _NINE_FIELDS)
+def test_targets_and_zero_class_are_constant_on_exponent_orbits(p, e, d):
+    # what degree_stream rests on: the target is constant on every orbit of
+    # n -> q*n, and the zero class on every orbit of n -> p*n
+    ctx = make_field(p, e)
+    q, order = ctx.q, ctx.q**d - 1
+    targets = target_degrees(ctx, d)
+    for n in range(1, order):
+        assert targets[n * q % order] == targets[n], n
+        assert (n * p % order % (q - 1) == 0) == (n % (q - 1) == 0), n
 
 
 @pytest.mark.parametrize("p,e,d", _NINE_FIELDS)
@@ -317,7 +342,7 @@ def test_log_table_is_built_once_the_products_reach_its_size(monkeypatch, naive_
                                                              f3, f4):
     built = _count_tables(monkeypatch)
     moduli = irreducible_enumerate(f3, 3)
-    streams = [list(degree_stream(m)) for m in moduli]
+    streams = [expand_orbits(m, degree_stream(m)) for m in moduli]
     # one table for the eight single-modulus streams, on the least primitive m0
     m0 = least_primitive(f3, 3)
     assert built == [m0]
@@ -441,7 +466,7 @@ def test_structural_bounds_at_larger_extensions(naive_stream, p, e):
     ctx = make_field(p, e)
     for m in irreducible_enumerate(ctx, 2)[:2]:
         rep = hasse_witt(m)
-        assert list(degree_stream(m)) == naive_stream(m)
+        assert expand_orbits(m, degree_stream(m)) == naive_stream(m)
         assert 0 <= rep.lambda_plus <= rep.lambda_ <= rep.g
         assert not rep.ordinary  # no extension field is ordinary at d = 2
         zf, zp = z_bar(m)

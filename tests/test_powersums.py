@@ -217,12 +217,15 @@ def test_degree_bound_at_extension_field(f4):
 @pytest.mark.parametrize("p,e,d", [(2, 1, 6), (3, 1, 3), (5, 1, 1), (2, 2, 3),
                                    (3, 2, 2), (2, 3, 2)])
 def test_log_table_exponent_orbits(p, e, d):
-    # the least member of each orbit of n -> p*n, by brute force; p^(e*d) = 1
-    # mod q^d - 1, and for e > 1 these are not the orbits of n -> q*n
+    # each orbit of n -> q*n with its size and the least member of its orbit
+    # under n -> p*n, by brute force; p^(e*d) = 1 mod q^d - 1, and for e > 1
+    # the orbits under p join those under q
     table = LogTable(least_primitive(make_field(p, e), d))
-    order = table.order
-    assert table.reps == [min(n * p**j % order for j in range(e * d))
-                          for n in range(order)]
+    order, q = table.order, p**e
+    orbits = {frozenset(n * q**j % order for j in range(d)) for n in range(order)}
+    assert table.orbits == sorted(
+        (min(o), len(o), min(n * p**j % order for n in o for j in range(e)))
+        for o in orbits)
 
 
 @pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 1), (2, 1, 5), (3, 1, 3), (5, 1, 2),
@@ -328,8 +331,9 @@ def test_const_codes_invert_const_logs(p, e, d):
 
 @pytest.mark.parametrize("p,e,d", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (3, 2, 2)])
 def test_irreducibles_walks_root_orbits_only_when_q_is_not_p(monkeypatch, p, e, d):
-    # at q = p the root orbits k -> q*k are the exponent orbits of reps
-    table = LogTable(least_primitive(make_field(p, e), d))
+    # the table walks the orbits under p and, when q != p, those under q;
+    # irreducibles reads the orbits of size d from the table, walking none
+    m0 = least_primitive(make_field(p, e), d)
     walks = []
     real_walk = powersums._orbit_reps
 
@@ -338,8 +342,10 @@ def test_irreducibles_walks_root_orbits_only_when_q_is_not_p(monkeypatch, p, e, 
         return real_walk(mult, order)
 
     monkeypatch.setattr(powersums, "_orbit_reps", counted_walk)
+    table = LogTable(m0)
+    assert walks == ([p] if e == 1 else [p, p**e])
     table.irreducibles()
-    assert walks == ([] if e == 1 else [p**e])
+    assert walks == ([p] if e == 1 else [p, p**e])
 
 
 @pytest.mark.parametrize("p,e,d", [(3, 1, 3), (2, 2, 3), (7, 1, 3), (2, 1, 4)])
