@@ -64,15 +64,6 @@ class UPoly:
             raise DomainError("zero UPoly has no coefficient field context")
         return FqPoly.zero(self.coeffs[0].ctx)
 
-    def eval_at_one(self) -> FqPoly:
-        """Sum of the coefficients, i.e. the value at u = 1."""
-        if not self.coeffs:
-            raise DomainError("cannot evaluate the zero UPoly without a context")
-        total = FqPoly.zero(self.coeffs[0].ctx)
-        for c in self.coeffs:
-            total = total + c
-        return total
-
     def __mul__(self, other):
         if not isinstance(other, UPoly):
             return NotImplemented

@@ -17,7 +17,7 @@ Enumeration orders are part of the contract: monic polynomials of degree i
 are produced by ascending coefficient code with a_0 varying fastest, and
 irreducible_enumerate lists moduli in that same order.  irreducible_enumerate
 tests every monic polynomial with is_irreducible and is the oracle of the
-root enumeration that scan uses (powersums.LogTable.irreducibles).
+root enumeration that scan uses (powersums.LogTable.roots).
 least_irreducible finds the first modulus of a degree, the default field
 polynomial of make_field.  least_primitive finds the first at which T has
 order q^d - 1, by the order test alone; the table is built on it.
@@ -129,24 +129,7 @@ class FqPoly:
 
     def __mul__(self, other):
         self._compat(other)
-        ctx = self.ctx
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return FqPoly(ctx, (), check=False)
-        if (ctx.e == 1 and len(a) + len(b) >= _NUMPY_MIN_TERMS
-                and (ctx.p - 1) ** 2 * min(len(a), len(b)) < 2**62):
-            import numpy as np  # here, not at the top: most runs never get here
-            out = np.convolve(np.asarray(a, dtype=np.int64),
-                              np.asarray(b, dtype=np.int64)) % ctx.p
-            return FqPoly(ctx, out.tolist(), check=False)
-        out = [0] * (len(a) + len(b) - 1)
-        mul, add = ctx.mul, ctx.add
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = add(out[i + j], mul(x, y))
-        return FqPoly(ctx, out, check=False)
+        return FqPoly(self.ctx, _product(self.ctx, self.coeffs, other.coeffs), check=False)
 
     def scale(self, c: int):
         ctx = self.ctx
@@ -320,21 +303,35 @@ def reduction_rows(ctx: FieldCtx, coeffs) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def mulmod(ctx: FieldCtx, rows, a, b) -> list[int]:
-    """a*b mod f, f monic of degree k with these reduction_rows, for code
-    sequences a, b of length <= k; the result may end in zeros."""
+def _product(ctx: FieldCtx, a, b) -> list[int]:
+    """The codes of a*b in F_q[T], unreduced: by numpy convolution at e = 1
+    for long operands, by the schoolbook loop otherwise."""
     if not a or not b:
         return []
+    if (ctx.e == 1 and len(a) + len(b) >= _NUMPY_MIN_TERMS
+            and (ctx.p - 1) ** 2 * min(len(a), len(b)) < 2**62):
+        import numpy as np  # here, not at the top: most runs never get here
+        out = np.convolve(np.asarray(a, dtype=np.int64),
+                          np.asarray(b, dtype=np.int64)) % ctx.p
+        return out.tolist()
+    out = [0] * (len(a) + len(b) - 1)
     mul, add = ctx.mul, ctx.add
-    raw = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
-                    raw[i + j] = add(raw[i + j], mul(x, y))
+                    out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
+def mulmod(ctx: FieldCtx, rows, a, b) -> list[int]:
+    """a*b mod f, f monic of degree k with these reduction_rows, for code
+    sequences a, b of length <= k; the result may end in zeros."""
+    raw = _product(ctx, a, b)
     k = len(rows[0])
     if len(raw) <= k:
         return raw
+    add, mul = ctx.add, ctx.mul
     out = raw[:k]
     for top in range(k, len(raw)):
         c = raw[top]
@@ -452,7 +449,7 @@ def irreducible_enumerate(ctx: FieldCtx, d: int) -> list[Modulus]:
     """All monic irreducible degree-d moduli in enumeration order, by testing
     every monic polynomial once; the length is cross-checked against the
     necklace formula.  scan enumerates its moduli as minimal polynomials
-    instead (powersums.LogTable.irreducibles); this is their oracle.
+    instead (powersums.LogTable.roots); this is their oracle.
     """
     out = list(_monic_irreducibles(ctx, d))
     expected = irreducible_count(ctx, d)

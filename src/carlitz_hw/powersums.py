@@ -20,18 +20,21 @@ d.  m0 is the least primitive polynomial of degree d
 (polyring.least_primitive), so the generator is g = T and the table is one
 shift-and-reduce walk over packed residues.  The table also lists the
 orbits of n -> q*n mod (q^d - 1) (LogTable.orbits): the degree engine
-walks them as exponent orbits, and LogTable.irreducibles enumerates the
-moduli of degree d as the minimal polynomials of the roots g^k, one per
-orbit of size d, with no irreducibility test; Zech logs multiply them
-out.  RootSums is the power-sum source of the degree engine
-(invariants.degree_stream) for one modulus: it reads s_i(n) mod m at one
-root theta = g^k as the sum of g^(log a(theta) * n mod (q^d - 1)) over the
-monic a of degree i, one index computation per a and no polynomial
-multiplication, and tests the packed sum for zero.  residue_field builds
-that field once per scan, and shared_field keeps it per process for scan's
-workers and RootSums.of.  residue_cost bounds the memory of one degree
-stream and is checked against the same budget as exact mode wherever a
-field is built or fetched.
+walks them as exponent orbits, and LogTable.roots enumerates the moduli of
+degree d as the minimal polynomials of the roots g^k, one per orbit of size
+d, with no irreducibility test; Zech logs multiply them out.  Only
+LogTable and RootSums know a modulus by the log k of one root; elsewhere,
+as in scan, a modulus is its coefficient codes.  LogTable.orbit_firsts
+walks the moduli's orbits under T -> alpha*T + c (and the Frobenius on
+coefficients) at those roots.  RootSums is the power-sum source of the
+degree engine (invariants.degree_stream) for one modulus: it reads
+s_i(n) mod m at one root theta = g^k as the sum of
+g^(log a(theta) * n mod (q^d - 1)) over the monic a of degree i, one index
+computation per a and no polynomial multiplication, and tests the packed
+sum for zero.  residue_field builds that table once per scan, and
+shared_field keeps it per process for scan's workers and RootSums.of.
+residue_cost bounds the memory of one degree stream and is checked against
+the same budget as exact mode wherever a field is built or fetched.
 """
 
 from __future__ import annotations
@@ -139,21 +142,26 @@ class LogTable:
     and return to 1, which certifies that T is primitive mod m0.  zech[k] is
     log(1 + g^k) (None where g^k = -1), with which sums of powers of g are
     added in the log domain, g^x + g^y = g^(x + zech[y - x]), as
-    minimal_polynomial does inline.  const_logs[c] is the log of the constant
-    c of F_q, which sits in the T^0 coordinate block.  const_codes is its
-    inverse on F_q^*, {log c: c}, whose keys are the q - 1 multiples of
-    N/(q - 1): minimal_polynomial reads each coefficient's code from its log
-    there, with no packed residue decoded.  orbits holds one (n, size, r)
-    per orbit of n -> q*n mod N, in ascending n, its least member: r is the
-    least member of the orbit of n under n -> p*n, a union of orbits under q.
+    minimal_polynomial and orbit_firsts do inline.  const_logs[c] is the log
+    of the constant c of F_q, which sits in the T^0 coordinate block.
+    const_codes is its inverse on F_q^*, {log c: c}, whose keys are the
+    q - 1 multiples of N/(q - 1): minimal_polynomial reads each
+    coefficient's code from its log there, with no packed residue decoded.
+    orbits holds one (n, size, r) per orbit of n -> q*n mod N, in ascending
+    n, its least member: r is the least member of the orbit of n under
+    n -> p*n, a union of orbits under q.
 
     For every monic irreducible m of degree d, A/mA is this field by
     T -> theta for a root theta of m, so one table serves every modulus of
-    degree d (RootSums).
+    degree d (RootSums).  roots is {coefficient codes: k} for every such m,
+    in enumeration order: the minimal polynomial of g^k, k its least member,
+    per orbit of size d, and at d = 1 also T, whose root 0 is no power of g
+    (k = None).  No irreducibility test is made; the count is checked
+    against the necklace formula.
     """
 
     __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "ones", "exp",
-                 "zech", "const_logs", "const_codes", "orbits")
+                 "zech", "const_logs", "const_codes", "orbits", "roots")
 
     def __init__(self, m0: Modulus):
         ctx, d, order = m0.ctx, m0.d, m0.group_order
@@ -198,21 +206,22 @@ class LogTable:
         # an orbit's least member is its first in n: the keys come ascending
         sizes = Counter(frob if q == p else _orbit_reps(q, order))
         self.orbits = [(n, size, frob[n]) for n, size in sizes.items()]
+        roots = {(0, 1): None} if d == 1 else {}
+        for k, size, _ in self.orbits:
+            if size == d:
+                roots[self.minimal_polynomial(k)] = k
+        expected = irreducible_count(ctx, d)
+        if len(roots) != expected:
+            raise InternalError(
+                f"{len(roots)} minimal polynomials != necklace value {expected}")
+        # enumeration order: ascending code, the T^0 coefficient fastest
+        self.roots = dict(sorted(roots.items(), key=lambda root: root[0][::-1]))
 
     def pack(self, coeffs) -> int:
         """The packed residue with these F_q codes, T^0 first."""
         ctx, shifts = self.ctx, self.shifts
         return sum(x << shifts[j * ctx.e + t]
                    for j, c in enumerate(coeffs) for t, x in enumerate(ctx.decode(c)))
-
-    def _add_logs(self, x, y):
-        """log(g^x + g^y), None standing for the log of 0."""
-        if x is None:
-            return y
-        if y is None:
-            return x
-        z = self.zech[(y - x) % self.order]
-        return None if z is None else (x + z) % self.order
 
     def minimal_polynomial(self, k: int) -> tuple[int, ...]:
         """F_q codes, T^0 first, of prod_{j<d} (X - theta^(q^j)), theta = g^k:
@@ -238,24 +247,61 @@ class LogTable:
             raise InternalError(f"minimal polynomial of g^{k} has a "
                                 f"coefficient outside F_{q}") from None
 
-    def irreducibles(self) -> list[tuple[tuple[int, ...], int | None]]:
-        """(coefficient codes, k) for every monic irreducible of degree d, in
-        enumeration order: one minimal polynomial of g^k, k its least
-        member, per orbit k -> q*k mod N of size d (orbits), and at d = 1
-        also T, whose root 0 is no power of g (k = None).  No
-        irreducibility test is made; the count is checked against the
-        necklace formula."""
-        q, d = self.ctx.q, self.d
-        found = {0: ((0, 1), None)} if d == 1 else {}
-        for k, size, _ in self.orbits:
-            if size == d:
-                codes = self.minimal_polynomial(k)
-                found[sum(c * q**j for j, c in enumerate(codes[:d]))] = codes, k
-        expected = irreducible_count(self.ctx, d)
-        if len(found) != expected:
-            raise InternalError(
-                f"{len(found)} minimal polynomials != necklace value {expected}")
-        return [found[code] for code in sorted(found)]
+    def orbit_firsts(self, count: int) -> list[int]:
+        """first[i], for i < count, is the index in roots of the first modulus
+        of the orbit of the i-th under the group generated by
+        T -> alpha*T + c (alpha in F_q^*, c in F_q) and, when e > 1, the p-th
+        power map on coefficients, of order e*q*(q - 1).
+
+        The orbits are walked at the roots theta = g^k, by log lookups alone,
+        through three generators: theta -> theta - 1, theta -> theta/gamma
+        with gamma = g^(N/(q - 1)) generating F_q^*, and, when e > 1,
+        theta -> theta^p.  The first two generate every
+        theta -> (theta - c)/alpha, since the scalings conjugate
+        theta -> theta - 1 into theta -> theta - gamma^j.  An image root maps
+        back to its modulus by the least member of its orbit k -> q*k mod N,
+        as roots lists it; the root 0 of T (d = 1) is k = None.  An orbit is
+        walked only when the enumeration first reaches one of its members
+        below count.
+        """
+        order, zech, d, p = self.order, self.zech, self.d, self.p
+        e, q = self.ctx.e, self.ctx.q
+        minus_one = self.const_logs[p - 1]
+        step = order // (q - 1)
+        conjugates = [q**j % order for j in range(d)]
+        logs = list(self.roots.values())
+        index = {k: i for i, k in enumerate(logs)}
+        group = e * q * (q - 1)
+        first = [None] * count
+        for i in range(count):
+            if first[i] is not None:
+                continue
+            orbit, todo = {i}, [logs[i]]
+            while todo:
+                k = todo.pop()
+                if k is None:  # 0 - 1 = -1
+                    images = [minus_one]
+                else:  # g^k - 1 = g^(k + zech[minus_one - k])
+                    z = zech[(minus_one - k) % order]
+                    images = [None if z is None else (k + z) % order, (k - step) % order]
+                    if e > 1:
+                        images.append(k * p % order)
+                for image in images:
+                    root = None if image is None else min(image * c % order for c in conjugates)
+                    if root not in index:
+                        raise InternalError(
+                            f"root log {image} is no root of a listed modulus of degree {d}")
+                    j = index[root]
+                    if j not in orbit:
+                        orbit.add(j)
+                        todo.append(logs[j])
+            if group % len(orbit):
+                raise InternalError(
+                    f"an orbit of {len(orbit)} moduli does not divide the group order {group}")
+            for j in orbit:
+                if j < count:
+                    first[j] = i
+        return first
 
 
 class RootSums:
@@ -270,14 +316,16 @@ class RootSums:
     monic log, and log(theta^j + b) is t + zech[log b - t] with t = j*k.
     Whether a sum vanishes does not depend on which conjugate of theta is
     used; it is read on the packed sum, by one AND with the table's ones at
-    p = 2 and field by field mod p at odd p.  poly is m itself, and ctx, d
-    and group_order are the table's.
+    p = 2 and field by field mod p at odd p.  A RootSums is made from the
+    coefficient codes of m, which table.roots maps to k; poly is m, and
+    ctx, d and group_order are the table's.
     """
 
     __slots__ = ("table", "k", "poly", "ctx", "d", "group_order", "_logs")
 
-    def __init__(self, table: LogTable, k: int | None, poly: FqPoly):
-        self.table, self.k, self.poly = table, k, poly
+    def __init__(self, table: LogTable, codes: tuple[int, ...]):
+        self.table, self.k = table, table.roots[codes]
+        self.poly = FqPoly(table.ctx, codes, check=False)
         self.ctx, self.d, self.group_order = table.ctx, table.d, table.order
         self._logs = [[0]]  # the monic a of degree 0 is 1, for any theta
 
@@ -287,8 +335,8 @@ class RootSums:
         kept by this process (shared_field), once residue_cost(m) passes budget."""
         _check_stream(m, budget)
         ctx = m.ctx
-        table, roots = shared_field(ctx.p, ctx.e, ctx.field_modulus, ctx.limit, m.d)
-        return cls(table, roots[m.poly.coeffs], m.poly)
+        return cls(shared_field(ctx.p, ctx.e, ctx.field_modulus, ctx.limit, m.d),
+                   m.poly.coeffs)
 
     def logs(self, i: int) -> list[int]:
         """log a(theta) for the monic a of degree i, in no fixed order: only
@@ -321,14 +369,13 @@ class RootSums:
         return True
 
 
-def residue_field(ctx: FieldCtx, d: int, budget: int | None = None):
-    """The residue field of every monic irreducible of degree d, built anew: the
-    LogTable on the least primitive m0 and {coefficient codes: root log k} of
-    every modulus, in enumeration order; budget is checked before the table."""
+def residue_field(ctx: FieldCtx, d: int, budget: int | None = None) -> LogTable:
+    """The residue field of every monic irreducible of degree d, built anew:
+    the LogTable on the least primitive m0, with the roots of every modulus;
+    budget is checked before the table."""
     m0 = least_primitive(ctx, d)
     _check_stream(m0, budget)
-    table = LogTable(m0)
-    return table, dict(table.irreducibles())
+    return LogTable(m0)
 
 
 @lru_cache(maxsize=2)

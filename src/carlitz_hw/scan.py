@@ -2,8 +2,9 @@
 
 A scan builds one residue field for its (q, d), the discrete-log table of
 F_{q^d} on the least primitive polynomial m0 (powersums.residue_field), and
-classifies each modulus at its root there, in enumeration order, with no
-irreducibility test and no field of its own.
+classifies each modulus listed there (LogTable.roots) in enumeration order,
+with no irreducibility test and no field of its own.  Scan sees a modulus
+only as its coefficient codes; how it sits at a root is powersums' concern.
 
 The record of a modulus, apart from m and elapsed_ms, is constant on its
 orbit under T -> alpha*T + c and, when e > 1, the p-th power map on
@@ -13,15 +14,15 @@ degree i up to the factor alpha^i, so sigma(s_i(n)) = alpha^(i*n) s_i(n)
 monic image of m does.  The degree reader reads nothing but which s_i(n)
 vanish.  So a scan classifies the first modulus of each orbit in
 enumeration order and copies its record to the other members, with their
-own m and elapsed_ms 0; the orbits are walked at their roots in the shared
-table (_orbit_firsts), always: the tests check each row against the
+own m and elapsed_ms 0; the shared table walks the orbits
+(LogTable.orbit_firsts), always: the tests check each row against the
 per-modulus engine.  The reversal m -> T^d m(1/T) is no symmetry of the
 record.
 
 The work unit is one orbit representative; representatives are distributed
 over a process pool and come back in enumeration order, so the output is
 byte-identical for any worker count but for elapsed_ms.  A task carries
-its modulus and root; each worker reads the field from
+the coefficient codes of its modulus; each worker reads the field from
 powersums.shared_field, built once per process.  elapsed_ms is the time of
 one classified modulus and excludes the field build.
 
@@ -48,7 +49,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext
 from time import perf_counter
 
-from .errors import DomainError, InternalError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .fieldcore import FieldCtx
 from .invariants import first_defects, genus, hasse_witt
 from .polyring import FqPoly, format_poly, least_primitive
@@ -76,9 +77,9 @@ CSV_HEADER = ",".join(COLUMNS)
 
 
 def _scan_one(table: LogTable, task) -> ScanRecord:
-    _, m_coeffs, k, mode = task
+    _, codes, mode = task
     start = perf_counter()
-    m = RootSums(table, k, FqPoly(table.ctx, m_coeffs, check=False))
+    m = RootSums(table, codes)
     if mode == MODE_WITNESS:
         witness, witness_plus = first_defects(m)
         g, g_plus = genus(m.ctx, m.d)
@@ -99,64 +100,11 @@ def _scan_one(table: LogTable, task) -> ScanRecord:
 
 
 def _scan_pooled(task) -> ScanRecord:
-    return _scan_one(shared_field(*task[0])[0], task)
+    return _scan_one(shared_field(*task[0]), task)
 
 
 def _ms_since(start):
     return int(round((perf_counter() - start) * 1000))
-
-
-def _orbit_firsts(table: LogTable, moduli, count: int) -> list[int]:
-    """first[i], for i < count, is the index of the first modulus in
-    enumeration order of the orbit of moduli[i] = (codes, k) under the group
-    generated by T -> alpha*T + c (alpha in F_q^*, c in F_q) and, when
-    e > 1, the p-th power map on coefficients, of order e*q*(q - 1).
-
-    The orbits are walked at the roots theta = g^k, by log lookups alone,
-    through three generators: theta -> theta - 1, theta -> theta/gamma with
-    gamma = g^(N/(q - 1)) generating F_q^*, and, when e > 1,
-    theta -> theta^p.  The first two generate every theta -> (theta - c)/alpha,
-    since the scalings conjugate theta -> theta - 1 into theta -> theta - gamma^j.
-    An image root maps back to its modulus by the least member of its orbit
-    k -> q*k mod N, as LogTable.irreducibles lists it; the root 0 of T
-    (d = 1) is k = None.  An orbit is walked only when the enumeration first
-    reaches one of its members below count.
-    """
-    ctx, order, d = table.ctx, table.order, table.d
-    p, e, q = ctx.p, ctx.e, ctx.q
-    minus_one = table.const_logs[p - 1]
-    step = order // (q - 1)
-    conjugates = [q**j % order for j in range(d)]
-    index = {k: i for i, (_, k) in enumerate(moduli)}
-    group = e * q * (q - 1)
-    first = [None] * count
-    for i in range(count):
-        if first[i] is not None:
-            continue
-        orbit, todo = {i}, [moduli[i][1]]
-        while todo:
-            k = todo.pop()
-            images = [table._add_logs(k, minus_one)]
-            if k is not None:
-                images.append((k - step) % order)
-                if e > 1:
-                    images.append(k * p % order)
-            for image in images:
-                root = None if image is None else min(image * c % order for c in conjugates)
-                if root not in index:
-                    raise InternalError(
-                        f"root log {image} is no root of a listed modulus of degree {d}")
-                j = index[root]
-                if j not in orbit:
-                    orbit.add(j)
-                    todo.append(moduli[j][1])
-        if group % len(orbit):
-            raise InternalError(
-                f"an orbit of {len(orbit)} moduli does not divide the group order {group}")
-        for j in orbit:
-            if j < count:
-                first[j] = i
-    return first
 
 
 def stream_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
@@ -167,8 +115,8 @@ def stream_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
     `limit` truncates the modulus list, `workers` sizes the pool and
     `budget` is the residue-mode cost ceiling of each degree stream, checked
     once by residue_field before the shared LogTable is built.  One modulus
-    per affine-Frobenius orbit (_orbit_firsts) is classified, and its record
-    is copied to the other members with their own m and elapsed_ms 0.
+    per affine-Frobenius orbit (LogTable.orbit_firsts) is classified, and its
+    record is copied to the other members with their own m and elapsed_ms 0.
 
     Every set-up step (the arguments, the q^d limit, the budget, the field,
     the orbits and the start of the pool) runs in this call, so a failure
@@ -197,12 +145,12 @@ def _stream(ctx, d, mode, limit, workers, budget):
         least_primitive(ctx, d)  # an oversized (q, d) fails even with no modulus
         yield
         return
-    table, roots = residue_field(ctx, d, budget)
-    moduli = list(roots.items())
+    table = residue_field(ctx, d, budget)
+    moduli = list(table.roots)
     count = len(moduli[:limit])
-    first = _orbit_firsts(table, moduli, count)
+    first = table.orbit_firsts(count)
     key = (ctx.p, ctx.e, ctx.field_modulus, ctx.limit, d)
-    tasks = [(key, *moduli[i], mode) for i in range(count) if first[i] == i]
+    tasks = [(key, moduli[i], mode) for i in range(count) if first[i] == i]
     with _classified(table, tasks, workers) as done:
         yield
         # row i needs only the record of first[i] <= i, so each row goes out
@@ -214,7 +162,7 @@ def _stream(ctx, d, mode, limit, workers, budget):
                 yield records[i]
             else:
                 yield records[first[i]]._replace(
-                    elapsed_ms=0, m=format_poly(FqPoly(ctx, moduli[i][0], check=False)))
+                    elapsed_ms=0, m=format_poly(FqPoly(ctx, moduli[i], check=False)))
 
 
 @contextmanager

@@ -29,7 +29,7 @@ def test_c_poly_vanishes_at_one_for_zero_class(p, e, d):
     ctx = make_field(p, e)
     q = ctx.q
     for n in range(q - 1, q**d - 1, q - 1):
-        assert c_poly(n, ctx).eval_at_one().is_zero(), n
+        assert sum(c_poly(n, ctx).coeffs, FqPoly.zero(ctx)).is_zero(), n  # C_n(1)
 
 
 def test_b_poly_examples(f3):
@@ -73,7 +73,7 @@ def test_division_remainder_reports_value_at_one(f3):
     # for n outside the zero class the remainder is C_n(1) = 1 + s_1(n) here
     _, remainder = divide_by_one_minus_u(c_poly(5, f3))
     assert format_poly(remainder) == "2*T^3+T+1"
-    assert remainder == c_poly(5, f3).eval_at_one()
+    assert remainder == sum(c_poly(5, f3).coeffs, FqPoly.zero(f3))
 
 
 def test_divide_by_one_minus_u_inverts_multiplication(f3):

@@ -447,13 +447,13 @@ def test_exponent_out_of_range(capsys):
 
 
 def _second_representative(p, d):
-    """The enumeration index and root log of the second orbit
+    """The enumeration index and coefficient codes of the second orbit
     representative among the moduli of degree d over F_p."""
-    table, roots = powersums.residue_field(make_field(p), d)
-    moduli = list(roots.items())
-    first = scan._orbit_firsts(table, moduli, len(moduli))
+    table = powersums.residue_field(make_field(p), d)
+    moduli = list(table.roots)
+    first = table.orbit_firsts(len(moduli))
     i = [j for j, f in enumerate(first) if f == j][1]
-    return i, moduli[i][1]
+    return i, moduli[i]
 
 
 @pytest.mark.parametrize("exc,err_start", [(KeyboardInterrupt, "interrupted"),
@@ -470,12 +470,12 @@ def test_scan_failure_mid_scan_leaves_complete_rows(capsys, monkeypatch, tmp_pat
     argv = ["scan", "--p", "3", "--d", "3", "--workers", workers]
     code, clean, _ = _run(capsys, *argv)
     assert code == 0
-    index, k = _second_representative(3, 3)
+    index, codes = _second_representative(3, 3)
 
     real_one, real_map = scan._scan_one, ProcessPoolExecutor.map
 
     def failing_one(table, task):
-        if task[2] == k:
+        if task[1] == codes:
             raise exc()
         return real_one(table, task)
 
@@ -485,7 +485,7 @@ def test_scan_failure_mid_scan_leaves_complete_rows(capsys, monkeypatch, tmp_pat
 
         def checked():
             for task in tasks:
-                if task[2] == k:
+                if task[1] == codes:
                     raise exc()
                 yield next(records)
         return checked()

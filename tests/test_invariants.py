@@ -243,10 +243,10 @@ def test_table_degree_matches_square_and_multiply(p, e, d):
 
 @pytest.mark.parametrize("p,e,d", _NINE_FIELDS)
 def test_single_modulus_reads_its_listed_root(p, e, d):
-    # RootSums.of finds each modulus at the root irreducibles() lists for
+    # RootSums.of finds each modulus at the root table.roots lists for
     # it, and every modulus of (q, d) is read in one shared table
     ctx = make_field(p, e)
-    moduli = LogTable(least_primitive(ctx, d)).irreducibles()
+    moduli = list(LogTable(least_primitive(ctx, d)).roots.items())
     views = [RootSums.of(Modulus(FqPoly(ctx, codes))) for codes, _ in moduli]
     assert [(v.poly.coeffs, v.k) for v in views] == moduli
     assert len({id(v.table) for v in views}) == 1
@@ -285,7 +285,7 @@ def test_log_table_matches_s_mod_on_random_moduli(data):
 @functools.lru_cache(maxsize=None)
 def _shared_table(p, e, d):
     table = LogTable(least_primitive(make_field(p, e), d))
-    return table, table.irreducibles()
+    return table, list(table.roots.items())
 
 
 @pytest.mark.parametrize("p,e,d", _NINE_FIELDS)
@@ -294,8 +294,8 @@ def test_vanishes_matches_the_reduced_coordinates(p, e, d):
     # the coordinates reduced mod p, at every i and n of every modulus
     table, roots = _shared_table(p, e, d)
     raw = set()
-    for coeffs, k in roots:
-        view = RootSums(table, k, FqPoly(table.ctx, coeffs))
+    for coeffs, _ in roots:
+        view = RootSums(table, coeffs)
         for i in range(d):
             for n in range(1, table.order):
                 packed = view.power_sum(i, n)
@@ -315,9 +315,9 @@ def test_root_view_matches_s_mod_on_its_minimal_polynomial(data):
     p, e, d = data.draw(st.sampled_from([(2, 1, 3), (2, 1, 6), (3, 1, 2), (3, 1, 4), (5, 1, 3),
                                          (7, 1, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]))
     table, roots = _shared_table(p, e, d)
-    coeffs, k = data.draw(st.sampled_from(roots))
+    coeffs, _ = data.draw(st.sampled_from(roots))
     m = Modulus(FqPoly(table.ctx, coeffs))
-    view = RootSums(table, k, m.poly)
+    view = RootSums(table, coeffs)
     n = data.draw(st.integers(1, m.group_order - 1))
     i = data.draw(st.integers(0, d - 1))
     assert view.vanishes(i, n) == s_mod(i, n, m).is_zero(), (format_poly(m.poly), i, n)

@@ -137,6 +137,10 @@ def test_numpy_path_matches_schoolbook(f3):
         if c:
             slow = slow + FqPoly(f3, [0] * i + [c]) * b
     assert fast == slow
+    # mulmod shares the product, so operands this long take the same path
+    f = FqPoly(f3, [2] * 80 + [1])
+    rows = reduction_rows(f3, f.coeffs)
+    assert FqPoly(f3, mulmod(f3, rows, a.coeffs, b.coeffs)) == slow % f
 
 
 def test_mod_degree_bound(f3, m_headline):

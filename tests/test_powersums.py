@@ -282,7 +282,7 @@ def test_root_enumeration_matches_irreducible_enumerate(p, e, d):
     # minimal polynomials of one root per Frobenius orbit, in code order
     ctx = make_field(p, e)
     table = LogTable(least_primitive(ctx, d))
-    roots = table.irreducibles()
+    roots = list(table.roots.items())
     assert [coeffs for coeffs, _ in roots] == [m.poly.coeffs
                                                for m in irreducible_enumerate(ctx, d)]
     for coeffs, k in roots:
@@ -299,7 +299,7 @@ def test_root_enumeration_matches_irreducible_enumerate(p, e, d):
 def test_root_cases_meet_a_zero_coefficient():
     # T^3 + 2T + 1 over F_3: its product meets a coefficient 0, whose log is None
     assert (3, 1, 3) in _ROOT_CASES
-    assert (1, 2, 0, 1) in dict(LogTable(least_primitive(make_field(3), 3)).irreducibles())
+    assert (1, 2, 0, 1) in LogTable(least_primitive(make_field(3), 3)).roots
 
 
 @pytest.mark.parametrize("p,e,d", [(2, 1, 4), (3, 1, 4), (2, 2, 3), (5, 1, 2)])
@@ -331,8 +331,8 @@ def test_const_codes_invert_const_logs(p, e, d):
 
 @pytest.mark.parametrize("p,e,d", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (3, 2, 2)])
 def test_irreducibles_walks_root_orbits_only_when_q_is_not_p(monkeypatch, p, e, d):
-    # the table walks the orbits under p and, when q != p, those under q;
-    # irreducibles reads the orbits of size d from the table, walking none
+    # the table walks the orbits under p and, when q != p, those under q,
+    # and lists its roots from the orbits of size d, walking none more
     m0 = least_primitive(make_field(p, e), d)
     walks = []
     real_walk = powersums._orbit_reps
@@ -344,7 +344,7 @@ def test_irreducibles_walks_root_orbits_only_when_q_is_not_p(monkeypatch, p, e, 
     monkeypatch.setattr(powersums, "_orbit_reps", counted_walk)
     table = LogTable(m0)
     assert walks == ([p] if e == 1 else [p, p**e])
-    table.irreducibles()
+    list(table.roots.items())
     assert walks == ([p] if e == 1 else [p, p**e])
 
 
@@ -352,7 +352,7 @@ def test_irreducibles_walks_root_orbits_only_when_q_is_not_p(monkeypatch, p, e, 
 def test_minimal_polynomial_rejects_a_coefficient_outside_fq(p, e, d):
     # with a wrong log of -1 the product of X - theta^(q^j) leaves F_q
     table = LogTable(least_primitive(make_field(p, e), d))
-    k = table.irreducibles()[0][1]
+    k = list(table.roots.items())[0][1]
     table.const_logs[p - 1] = 1
     with pytest.raises(InternalError, match="coefficient outside F_"):
         table.minimal_polynomial(k)

@@ -295,8 +295,8 @@ def _substitution_orbits(ctx, d):
 
 def _walked_orbits(ctx, d):
     table = LogTable(least_primitive(ctx, d))
-    moduli = table.irreducibles()
-    first = scan._orbit_firsts(table, moduli, len(moduli))
+    moduli = list(table.roots.items())
+    first = table.orbit_firsts(len(moduli))
     orbits = {}
     for i, ((codes, _), f) in enumerate(zip(moduli, first)):
         assert first[f] == f <= i  # an orbit is named by its first member
@@ -305,7 +305,7 @@ def _walked_orbits(ctx, d):
 
 
 @pytest.mark.parametrize("p,e,d", [(7, 1, 3), (3, 1, 4), (2, 2, 3), (3, 2, 2),
-                                   (2, 3, 2), (3, 1, 1)])
+                                   (2, 3, 2), (3, 1, 1), (2, 2, 1), (3, 2, 1), (5, 1, 2)])
 def test_orbit_walker_matches_substitution(p, e, d):
     ctx = make_field(p, e)
     assert _walked_orbits(ctx, d) == _substitution_orbits(ctx, d)
@@ -314,15 +314,16 @@ def test_orbit_walker_matches_substitution(p, e, d):
 @pytest.mark.parametrize("d,moduli,orbits", [(3, 112, 4), (4, 588, 16)])
 def test_orbit_counts(d, moduli, orbits):
     table = LogTable(least_primitive(make_field(7), d))
-    first = scan._orbit_firsts(table, table.irreducibles(), moduli)
+    first = table.orbit_firsts(moduli)
     assert len(first) == moduli and len(set(first)) == orbits
 
 
 def test_orbit_walker_rejects_an_unlisted_root(f3):
     table = LogTable(least_primitive(f3, 3))
-    moduli = table.irreducibles()
+    *_, last = table.roots
+    del table.roots[last]
     with pytest.raises(InternalError, match="no root of a listed modulus"):
-        scan._orbit_firsts(table, moduli[:-1], len(moduli) - 1)
+        table.orbit_firsts(len(table.roots))
 
 
 def test_scan_classifies_one_modulus_per_orbit(monkeypatch):
