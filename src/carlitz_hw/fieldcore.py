@@ -78,11 +78,13 @@ class FieldCtx:
     (direct residue arithmetic for e = 1, table lookup for small q, generic
     vector arithmetic otherwise); never pickle a context, rebuild it.  For
     e > 1, mulmod multiplies two F_p coordinate lists modulo field_modulus;
-    make_field passes that of a prime-field polyring.Modulus.
+    make_field passes that of a prime-field polyring.Modulus.  Where the
+    tables are built, the inverses and the q literals of format_elem are
+    kept beside them.
     """
 
     __slots__ = ("p", "e", "q", "field_modulus", "limit",
-                 "add", "sub", "neg", "mul", "_inv_table")
+                 "add", "sub", "neg", "mul", "_inv_table", "_names")
 
     def __init__(self, p, e, field_modulus, limit=DEFAULT_LIMIT, mulmod=None):
         self.p = p
@@ -90,6 +92,7 @@ class FieldCtx:
         self.q = p**e
         self.field_modulus = tuple(field_modulus)
         self.limit = limit
+        self._names = None
         if e == 1:
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
@@ -114,6 +117,7 @@ class FieldCtx:
                 self.sub = lambda a, b, _t=add_t, _n=neg_t: _t[a][_n[b]]
                 self.neg = lambda a, _n=neg_t: _n[a]
                 self._inv_table = [None] + [self.pow(a, q - 2) for a in range(1, q)]
+                self._names = [self.format_elem(a) for a in range(q)]
 
     def decode(self, a) -> list[int]:
         """The F_p coordinates c_0, ..., c_{e-1} of the element code a."""
@@ -157,6 +161,8 @@ class FieldCtx:
     def format_elem(self, a) -> str:
         if self.e == 1:
             return str(a)
+        if self._names is not None and 0 <= a < self.q:
+            return self._names[a]
         return "[" + ",".join(str(c) for c in self.decode(a)) + "]"
 
     def parse_elem(self, text: str) -> int:

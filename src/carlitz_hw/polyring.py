@@ -25,7 +25,8 @@ order q^d - 1, by the order test alone; the table is built on it.
 Text grammar (CLI and files): '+'-separated terms  c*T^k | c*T | T^k | T | c
 with c an F_q literal (the '*' may be omitted), or alternatively a single
 comma-separated ascending coefficient list  c0,c1,...,cd.  Whitespace is
-ignored.  format_poly emits descending terms with explicit '*'.
+ignored.  format_poly emits descending terms with explicit '*', and
+format_coeffs the same from bare coefficient codes.
 """
 
 from __future__ import annotations
@@ -252,21 +253,23 @@ def parse_poly(text: str, ctx: FieldCtx) -> FqPoly:
 
 def format_poly(f: FqPoly) -> str:
     """Descending human form; round-trips through parse_poly."""
-    if not f.coeffs:
+    return format_coeffs(f.ctx, f.coeffs)
+
+
+def format_coeffs(ctx: FieldCtx, coeffs) -> str:
+    """format_poly of the polynomial with these F_q codes, T^0 first and no
+    trailing zero, without building it."""
+    if not coeffs:
         return "0"
-    ctx = f.ctx
+    name = ctx.format_elem
     terms = []
-    for k in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[k]
-        if c == 0:
-            continue
-        t = "" if k == 0 else ("T" if k == 1 else f"T^{k}")
-        if k == 0:
-            terms.append(ctx.format_elem(c))
-        elif c == 1:
-            terms.append(t)
-        else:
-            terms.append(f"{ctx.format_elem(c)}*{t}")
+    for k in range(len(coeffs) - 1, 0, -1):
+        c = coeffs[k]
+        if c:
+            t = "T" if k == 1 else f"T^{k}"
+            terms.append(t if c == 1 else f"{name(c)}*{t}")
+    if coeffs[0]:
+        terms.append(name(coeffs[0]))
     return "+".join(terms)
 
 

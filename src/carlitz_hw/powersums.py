@@ -26,7 +26,8 @@ d, with no irreducibility test; Zech logs multiply them out.  Only
 LogTable and RootSums know a modulus by the log k of one root; elsewhere,
 as in scan, a modulus is its coefficient codes.  LogTable.orbit_firsts
 walks the moduli's orbits under T -> alpha*T + c (and the Frobenius on
-coefficients) at those roots.  RootSums is the power-sum source of the
+coefficients) at those roots, and maps an image root back to its modulus by
+one lookup in LogTable.reps.  RootSums is the power-sum source of the
 degree engine (invariants.degree_stream) for one modulus: it reads
 s_i(n) mod m at one root theta = g^k as the sum of
 g^(log a(theta) * n mod (q^d - 1)) over the monic a of degree i, one index
@@ -147,7 +148,8 @@ class LogTable:
     const_codes is its inverse on F_q^*, {log c: c}, whose keys are the
     q - 1 multiples of N/(q - 1): minimal_polynomial reads each
     coefficient's code from its log there, with no packed residue decoded.
-    orbits holds one (n, size, r) per orbit of n -> q*n mod N, in ascending
+    reps[n] is the least member of the orbit of n under n -> q*n mod N, for
+    0 <= n < N.  orbits holds one (n, size, r) per such orbit, in ascending
     n, its least member: r is the least member of the orbit of n under
     n -> p*n, a union of orbits under q.
 
@@ -161,7 +163,7 @@ class LogTable:
     """
 
     __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "ones", "exp",
-                 "zech", "const_logs", "const_codes", "orbits", "roots")
+                 "zech", "const_logs", "const_codes", "reps", "orbits", "roots")
 
     def __init__(self, m0: Modulus):
         ctx, d, order = m0.ctx, m0.d, m0.group_order
@@ -203,9 +205,9 @@ class LogTable:
         self.const_codes = dict(zip(self.const_logs[1:], range(1, q)))
         # n -> p*n raises a residue to its p-th power: the absolute Frobenius
         frob = _orbit_reps(p, order)
+        self.reps = reps = frob if q == p else _orbit_reps(q, order)
         # an orbit's least member is its first in n: the keys come ascending
-        sizes = Counter(frob if q == p else _orbit_reps(q, order))
-        self.orbits = [(n, size, frob[n]) for n, size in sizes.items()]
+        self.orbits = [(n, size, frob[n]) for n, size in Counter(reps).items()]
         roots = {(0, 1): None} if d == 1 else {}
         for k, size, _ in self.orbits:
             if size == d:
@@ -258,17 +260,16 @@ class LogTable:
         with gamma = g^(N/(q - 1)) generating F_q^*, and, when e > 1,
         theta -> theta^p.  The first two generate every
         theta -> (theta - c)/alpha, since the scalings conjugate
-        theta -> theta - 1 into theta -> theta - gamma^j.  An image root maps
-        back to its modulus by the least member of its orbit k -> q*k mod N,
-        as roots lists it; the root 0 of T (d = 1) is k = None.  An orbit is
-        walked only when the enumeration first reaches one of its members
-        below count.
+        theta -> theta - 1 into theta -> theta - gamma^j.  An image root g^k
+        maps back to its modulus by one lookup, reps[k], the least member of
+        its orbit k -> q*k mod N, as roots lists it; the root 0 of T (d = 1)
+        is k = None.  An orbit is walked only when the enumeration first
+        reaches one of its members below count.
         """
-        order, zech, d, p = self.order, self.zech, self.d, self.p
+        order, zech, reps, p = self.order, self.zech, self.reps, self.p
         e, q = self.ctx.e, self.ctx.q
         minus_one = self.const_logs[p - 1]
         step = order // (q - 1)
-        conjugates = [q**j % order for j in range(d)]
         logs = list(self.roots.values())
         index = {k: i for i, k in enumerate(logs)}
         group = e * q * (q - 1)
@@ -287,11 +288,10 @@ class LogTable:
                     if e > 1:
                         images.append(k * p % order)
                 for image in images:
-                    root = None if image is None else min(image * c % order for c in conjugates)
-                    if root not in index:
-                        raise InternalError(
-                            f"root log {image} is no root of a listed modulus of degree {d}")
-                    j = index[root]
+                    j = index.get(None if image is None else reps[image])
+                    if j is None:
+                        raise InternalError(f"root log {image} is no root of a "
+                                            f"listed modulus of degree {self.d}")
                     if j not in orbit:
                         orbit.add(j)
                         todo.append(logs[j])

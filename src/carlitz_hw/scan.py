@@ -33,8 +33,10 @@ write_records writes and flushes each row as it arrives, to stdout or a
 file, so a failure part-way leaves the complete rows before it.
 
 Output formats share one column set, COLUMNS, the fields of ScanRecord.
-CSV writes lowercase booleans and empty cells for unknown values; JSONL
-writes one object per line with the same key order and null for unknowns.
+CSV writes lowercase booleans and empty cells for unknown values; only the
+three flag columns are converted, as csv.writer writes None as an empty
+cell and ints by str.  JSONL writes one object per line with the same key
+order and null for unknowns.  A copied row's m is formatted from its codes.
 In witness-only mode the ordinariness flags and first_defect_n come from
 one early-exit pass (invariants.first_defects) and the lambda/supersingular
 fields stay unknown.
@@ -52,7 +54,7 @@ from time import perf_counter
 from .errors import DomainError, ResourceLimitError
 from .fieldcore import FieldCtx
 from .invariants import first_defects, genus, hasse_witt
-from .polyring import FqPoly, format_poly, least_primitive
+from .polyring import format_coeffs, least_primitive
 from .powersums import LogTable, RootSums, residue_field, shared_field
 
 MODE_FULL = "full"
@@ -84,7 +86,7 @@ def _scan_one(table: LogTable, task) -> ScanRecord:
         witness, witness_plus = first_defects(m)
         g, g_plus = genus(m.ctx, m.d)
         return ScanRecord(
-            m=format_poly(m.poly), d=m.d, g=g, g_plus=g_plus,
+            m=format_coeffs(m.ctx, codes), d=m.d, g=g, g_plus=g_plus,
             lambda_=None, lambda_plus=None,
             ordinary=witness is None, ordinary_plus=witness_plus is None,
             supersingular=None, first_defect_n=witness,
@@ -162,7 +164,7 @@ def _stream(ctx, d, mode, limit, workers, budget):
                 yield records[i]
             else:
                 yield records[first[i]]._replace(
-                    elapsed_ms=0, m=format_poly(FqPoly(ctx, moduli[i], check=False)))
+                    elapsed_ms=0, m=format_coeffs(ctx, moduli[i]))
 
 
 @contextmanager
@@ -185,12 +187,17 @@ def _classified(table: LogTable, tasks, workers: int):
         raise ResourceLimitError(str(exc) or type(exc).__name__) from exc
 
 
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
+# the flag columns by position: True == 1, so a lookup by value would hit d = 1
+_FLAGS = tuple(COLUMNS.index(c) for c in ("ordinary", "ordinary_plus", "supersingular"))
+
+
+def _csv_row(r: ScanRecord) -> list:
+    """The cells of r for csv.writer, the flags in lowercase."""
+    row = list(r)
+    for i in _FLAGS:
+        if row[i] is not None:
+            row[i] = "true" if row[i] else "false"
+    return row
 
 
 def write_records(records, fmt: str, path: str | None = None) -> None:
@@ -204,7 +211,7 @@ def write_records(records, fmt: str, path: str | None = None) -> None:
         if fmt == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(COLUMNS)
-            write = lambda r: writer.writerow([_csv_cell(v) for v in r])
+            write = lambda r: writer.writerow(_csv_row(r))
         else:
             import json  # here: a csv run never loads it
 

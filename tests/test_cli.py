@@ -131,8 +131,10 @@ def test_bpoly_exact_rejects_d_below_one(capsys):
     assert (code, out, err) == (1, "", "error: d must be >= 1, got 0\n")
 
 
-# sha256 of scan's CSV stdout with the last column, elapsed_ms, cut from
-# every line: the argv of the four bench workloads and a full scan over F_9
+# sha256 of scan's stdout with the last column or key, elapsed_ms, cut from
+# every line, as CSV unless the argv names its format: the argv of the four
+# bench workloads, a full scan over F_9, a JSONL scan over F_4 and two scans
+# at d = 1, whose rows hold ints 0 and 1 beside the flag columns
 _GOLDEN_SCANS = [
     ("--p 7 --d 3 --mode full",
      "1b0af6917fb030b6d6d37fc8cd5797bcb8804e73b65fc94b2bb26ba2396c8dd6"),
@@ -144,12 +146,21 @@ _GOLDEN_SCANS = [
      "351773cea28bc2544ffcede1db60fd95d55c99fd672d5ad22d6a3d5bd8fcd1c1"),
     ("--p 3 --e 2 --d 3",
      "570ea81312a0d1e5895e06c7ac0edfde525477a3756f1e5f773cae5686bb6989"),
+    ("--p 2 --e 2 --d 3 --format jsonl",
+     "19407501f2623d3e7a47d0ef46528bfcf98bda1127ae5011c614af995f91bda7"),
+    ("--p 3 --d 1",
+     "f68bbf79312c33597d706b7928bedc48373e9a401aaa4ddd837e9e233bf55e52"),
+    ("--p 2 --e 2 --d 1",
+     "e8f12920f4d440b8b687b7b9bfe6092562a71ce90e2aba3c65e1af3abf961d6d"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", _GOLDEN_SCANS, ids=[a for a, _ in _GOLDEN_SCANS])
 def test_scan_output_matches_its_golden_digest(capsys, args, digest):
-    code, out, _ = _run(capsys, "scan", *args.split(), "--format", "csv", "--workers", "1")
+    argv = args.split()
+    if "--format" not in argv:
+        argv += ["--format", "csv"]
+    code, out, _ = _run(capsys, "scan", *argv, "--workers", "1")
     assert code == 0
     masked = "".join(line.rsplit(",", 1)[0] + "\n" for line in out.splitlines())
     assert hashlib.sha256(masked.encode()).hexdigest() == digest

@@ -162,6 +162,25 @@ def test_elem_literal_round_trip(p, e):
         assert ctx.parse_elem(ctx.format_elem(a)) == a
 
 
+def _computed_literal(ctx, a):
+    return "[" + ",".join(str(c) for c in ctx.decode(a)) + "]"
+
+
+# q <= 64 keeps the q literals beside its tables; F_81 computes each one
+@pytest.mark.parametrize("p,e,cached", [(2, 2, True), (2, 3, True), (3, 2, True),
+                                        (5, 2, True), (2, 6, True), (3, 4, False)])
+def test_format_elem_reads_its_literals_where_the_tables_are(p, e, cached):
+    ctx = make_field(p, e)
+    assert (ctx._names is not None) == cached
+    for a in ctx.elements():
+        text = ctx.format_elem(a)
+        assert text == _computed_literal(ctx, a)
+        assert ctx.parse_elem(text) == a
+    # a code outside [0, q) takes the computed path: no wrap-around, no IndexError
+    for a in (-1, -ctx.q, ctx.q, ctx.q + 1):
+        assert ctx.format_elem(a) == _computed_literal(ctx, a)
+
+
 def test_parse_elem_range_errors(f3, f4):
     with pytest.raises(CoefficientRangeError):
         f3.parse_elem("3")

@@ -304,11 +304,25 @@ def _walked_orbits(ctx, d):
     return {frozenset(o) for o in orbits.values()}
 
 
-@pytest.mark.parametrize("p,e,d", [(7, 1, 3), (3, 1, 4), (2, 2, 3), (3, 2, 2),
-                                   (2, 3, 2), (3, 1, 1), (2, 2, 1), (3, 2, 1), (5, 1, 2)])
+_WALKED_FIELDS = [(7, 1, 3), (3, 1, 4), (2, 2, 3), (3, 2, 2), (2, 3, 2),
+                  (3, 1, 1), (2, 2, 1), (3, 2, 1), (5, 1, 2)]
+
+
+@pytest.mark.parametrize("p,e,d", _WALKED_FIELDS)
 def test_orbit_walker_matches_substitution(p, e, d):
     ctx = make_field(p, e)
     assert _walked_orbits(ctx, d) == _substitution_orbits(ctx, d)
+
+
+@pytest.mark.parametrize("p,e,d", _WALKED_FIELDS)
+def test_orbit_reps_are_least_conjugates(p, e, d):
+    # the walker maps an image root back to its modulus by reps alone
+    q = p**e
+    table = LogTable(least_primitive(make_field(p, e), d))
+    order = table.order
+    assert len(table.reps) == order
+    for n in range(order):
+        assert table.reps[n] == min(n * q**j % order for j in range(d))
 
 
 @pytest.mark.parametrize("d,moduli,orbits", [(3, 112, 4), (4, 588, 16)])
