@@ -22,12 +22,16 @@ shift-and-reduce walk over packed residues.  The table also lists the
 orbits of n -> q*n mod (q^d - 1) (LogTable.orbits): the degree engine
 walks them as exponent orbits, and LogTable.roots enumerates the moduli of
 degree d as the minimal polynomials of the roots g^k, one per orbit of size
-d, with no irreducibility test; Zech logs multiply them out.  Only
-LogTable and RootSums know a modulus by the log k of one root; elsewhere,
-as in scan, a modulus is its coefficient codes.  LogTable.orbit_firsts
-walks the moduli's orbits under T -> alpha*T + c (and the Frobenius on
-coefficients) at those roots, and maps an image root back to its modulus by
-one lookup in LogTable.reps.  RootSums is the power-sum source of the
+d, with no irreducibility test.  They are listed by one walk over the orbits
+of the moduli under T -> alpha*T + c (and the Frobenius on coefficients),
+taken at those roots: Zech logs multiply out one minimal polynomial per
+orbit of moduli, every other member takes its codes from the member that
+reached it by that map's action on coefficients, and an image root maps
+back to its modulus by one lookup in LogTable.reps.  The walk labels each
+modulus with its orbit (LogTable.first), from which scan classifies one
+modulus per orbit.  Only LogTable and RootSums know a modulus by the log k
+of one root; elsewhere, as in scan, a modulus is its coefficient codes.
+RootSums is the power-sum source of the
 degree engine (invariants.degree_stream) for one modulus: it reads
 s_i(n) mod m at one root theta = g^k as the sum of
 g^(log a(theta) * n mod (q^d - 1)) over the monic a of degree i, one index
@@ -143,8 +147,9 @@ class LogTable:
     and return to 1, which certifies that T is primitive mod m0.  zech[k] is
     log(1 + g^k) (None where g^k = -1), with which sums of powers of g are
     added in the log domain, g^x + g^y = g^(x + zech[y - x]), as
-    minimal_polynomial and orbit_firsts do inline.  const_logs[c] is the log
-    of the constant c of F_q, which sits in the T^0 coordinate block.
+    minimal_polynomial and the walk over the moduli do inline.  const_logs[c]
+    is the log of the constant c of F_q, which sits in the T^0 coordinate
+    block.
     const_codes is its inverse on F_q^*, {log c: c}, whose keys are the
     q - 1 multiples of N/(q - 1): minimal_polynomial reads each
     coefficient's code from its log there, with no packed residue decoded.
@@ -160,10 +165,30 @@ class LogTable:
     per orbit of size d, and at d = 1 also T, whose root 0 is no power of g
     (k = None).  No irreducibility test is made; the count is checked
     against the necklace formula.
+
+    The moduli are listed by one walk over their orbits under the group of
+    T -> alpha*T + c (alpha in F_q^*, c in F_q) and, when e > 1, the p-th
+    power map on coefficients, of order e*q*(q - 1) (Rosen, GTM 210, ch. 12).
+    It runs at the roots, by log lookups, through three generators:
+    theta -> theta - 1 (one Zech read), theta -> theta/gamma with
+    gamma = g^(N/(q - 1)) generating F_q^*, and, when e > 1,
+    theta -> theta^p.  The first two generate every
+    theta -> (theta - c)/alpha, since the scalings conjugate
+    theta -> theta - 1 into theta -> theta - gamma^j.  An image root g^k
+    names its modulus by reps[k], the least member of its orbit under q.
+    Each orbit of moduli costs one minimal_polynomial, at the first root
+    orbit of size d that the walk has not reached; every other member gets
+    its codes from its parent's by the generator's coefficient map: f(X + 1)
+    by a Taylor shift (additions only), f_i*gamma^(i - d), or f_i^p.  The
+    scaling and Frobenius images of an orbit are all taken before each
+    translation, so that few Taylor shifts are made.  first[i] is the index
+    in roots of the first modulus, in enumeration order, of the orbit of the
+    i-th; first[i] <= i.
     """
 
     __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "ones", "exp",
-                 "zech", "const_logs", "const_codes", "reps", "orbits", "roots")
+                 "zech", "const_logs", "const_codes", "reps", "orbits", "roots",
+                 "first")
 
     def __init__(self, m0: Modulus):
         ctx, d, order = m0.ctx, m0.d, m0.group_order
@@ -208,16 +233,16 @@ class LogTable:
         self.reps = reps = frob if q == p else _orbit_reps(q, order)
         # an orbit's least member is its first in n: the keys come ascending
         self.orbits = [(n, size, frob[n]) for n, size in Counter(reps).items()]
-        roots = {(0, 1): None} if d == 1 else {}
-        for k, size, _ in self.orbits:
-            if size == d:
-                roots[self.minimal_polynomial(k)] = k
-        expected = irreducible_count(ctx, d)
-        if len(roots) != expected:
-            raise InternalError(
-                f"{len(roots)} minimal polynomials != necklace value {expected}")
+        listed = self._walk_moduli()
         # enumeration order: ascending code, the T^0 coefficient fastest
-        self.roots = dict(sorted(roots.items(), key=lambda root: root[0][::-1]))
+        listed.sort(key=lambda root: root[0][::-1])
+        self.roots = roots = {codes: k for codes, k, _ in listed}
+        expected = irreducible_count(ctx, d)
+        if not len(roots) == len(listed) == expected:
+            raise InternalError(f"{len(listed)} roots with {len(roots)} minimal "
+                                f"polynomials != necklace value {expected}")
+        heads = {}
+        self.first = [heads.setdefault(label, i) for i, (_, _, label) in enumerate(listed)]
 
     def pack(self, coeffs) -> int:
         """The packed residue with these F_q codes, T^0 first."""
@@ -249,59 +274,84 @@ class LogTable:
             raise InternalError(f"minimal polynomial of g^{k} has a "
                                 f"coefficient outside F_{q}") from None
 
-    def orbit_firsts(self, count: int) -> list[int]:
-        """first[i], for i < count, is the index in roots of the first modulus
-        of the orbit of the i-th under the group generated by
-        T -> alpha*T + c (alpha in F_q^*, c in F_q) and, when e > 1, the p-th
-        power map on coefficients, of order e*q*(q - 1).
-
-        The orbits are walked at the roots theta = g^k, by log lookups alone,
-        through three generators: theta -> theta - 1, theta -> theta/gamma
-        with gamma = g^(N/(q - 1)) generating F_q^*, and, when e > 1,
-        theta -> theta^p.  The first two generate every
-        theta -> (theta - c)/alpha, since the scalings conjugate
-        theta -> theta - 1 into theta -> theta - gamma^j.  An image root g^k
-        maps back to its modulus by one lookup, reps[k], the least member of
-        its orbit k -> q*k mod N, as roots lists it; the root 0 of T (d = 1)
-        is k = None.  An orbit is walked only when the enumeration first
-        reaches one of its members below count.
-        """
-        order, zech, reps, p = self.order, self.zech, self.reps, self.p
-        e, q = self.ctx.e, self.ctx.q
+    def _walk_moduli(self) -> list[tuple]:
+        """(codes, k, label) for every modulus of degree d, in the order the
+        walk of the class docstring reaches them; label is the log k at
+        which the walk entered the modulus's orbit, and k = None is the root
+        0 of T (d = 1)."""
+        ctx, d, p, order = self.ctx, self.d, self.p, self.order
+        e, q = ctx.e, ctx.q
+        reps, zech, codes = self.reps, self.zech, self.const_codes
+        add, mul = ctx.add, ctx.mul
         minus_one = self.const_logs[p - 1]
-        step = order // (q - 1)
-        logs = list(self.roots.values())
-        index = {k: i for i, k in enumerate(logs)}
+        step = order // (q - 1)  # the log of gamma
+        # f_i*gamma^(i - d) by row i, and the p-th powers, looked up by code
+        scale = [[mul(c, codes[(i - d) * step % order]) for c in range(q)]
+                 for i in range(d)]
+        frob = [0] + [codes[c * p % order] for c in self.const_logs[1:]]
+
+        def scaled(f):  # f(gamma*X)/gamma^d, whose root is theta/gamma
+            return tuple([row[c] for row, c in zip(scale, f)] + [1])
+
+        def powered(f):  # f with its coefficients to the p-th power: theta^p
+            return tuple([frob[c] for c in f])
+
+        def shifted(f):  # f(X + 1), whose root is theta - 1: a Taylor shift
+            f = list(f)
+            for i in range(d):
+                for j in range(d - 1, i - 1, -1):
+                    f[j] = add(f[j], f[j + 1])
+            return tuple(f)
+
+        # the scaling and the Frobenius as k -> a*k + b mod N, with their
+        # coefficient maps; at q = 2 gamma = 1 and the scaling is no map
+        cheap = (([(1, -step, scaled)] if q > 2 else [])
+                 + ([(p, 0, powered)] if e > 1 else []))
+        starts = [n for n, size, _ in self.orbits if size == d]
+        found = dict.fromkeys(starts)  # the codes of each root orbit, once reached
+        if d == 1:
+            found[None] = None  # T, whose root 0 is no power of g
+
+        def reach(image, f, coefficient_map):
+            """Add the root orbit of g^image to the orbit being walked, with
+            codes coefficient_map(f), unless the walk has reached it."""
+            j = None if image is None else reps[image]
+            if j not in found:
+                raise InternalError(f"image root g^{image} lies in no orbit of "
+                                    f"size {d} under k -> {q}*k")
+            if found[j] is None:
+                found[j] = coefficient_map(f)
+                orbit.append(j)
+
         group = e * q * (q - 1)
-        first = [None] * count
-        for i in range(count):
-            if first[i] is not None:
+        listed = []
+        for k0 in starts:
+            if found[k0] is not None:
                 continue
-            orbit, todo = {i}, [logs[i]]
-            while todo:
-                k = todo.pop()
+            found[k0] = self.minimal_polynomial(k0)
+            orbit, closed, translated = [k0], 0, 0
+            while translated < len(orbit):
+                # every scaling and Frobenius image before the next
+                # translation, the one map that costs a Taylor shift
+                while closed < len(orbit):
+                    k = orbit[closed]
+                    closed += 1
+                    if k is not None:  # both fix the root 0
+                        for a, b, coefficient_map in cheap:
+                            reach((a * k + b) % order, found[k], coefficient_map)
+                k = orbit[translated]
+                translated += 1
                 if k is None:  # 0 - 1 = -1
-                    images = [minus_one]
+                    image = minus_one
                 else:  # g^k - 1 = g^(k + zech[minus_one - k])
                     z = zech[(minus_one - k) % order]
-                    images = [None if z is None else (k + z) % order, (k - step) % order]
-                    if e > 1:
-                        images.append(k * p % order)
-                for image in images:
-                    j = index.get(None if image is None else reps[image])
-                    if j is None:
-                        raise InternalError(f"root log {image} is no root of a "
-                                            f"listed modulus of degree {self.d}")
-                    if j not in orbit:
-                        orbit.add(j)
-                        todo.append(logs[j])
+                    image = None if z is None else (k + z) % order
+                reach(image, found[k], shifted)
             if group % len(orbit):
                 raise InternalError(
                     f"an orbit of {len(orbit)} moduli does not divide the group order {group}")
-            for j in orbit:
-                if j < count:
-                    first[j] = i
-        return first
+            listed.extend((found[j], j, k0) for j in orbit)
+        return listed
 
 
 class RootSums:

@@ -14,10 +14,10 @@ degree i up to the factor alpha^i, so sigma(s_i(n)) = alpha^(i*n) s_i(n)
 monic image of m does.  The degree reader reads nothing but which s_i(n)
 vanish.  So a scan classifies the first modulus of each orbit in
 enumeration order and copies its record to the other members, with their
-own m and elapsed_ms 0; the shared table walks the orbits
-(LogTable.orbit_firsts), always: the tests check each row against the
-per-modulus engine.  The reversal m -> T^d m(1/T) is no symmetry of the
-record.
+own m and elapsed_ms 0; the shared table labels each modulus with its
+orbit as it lists them (LogTable.first), always: the tests check each row
+against the per-modulus engine.  The reversal m -> T^d m(1/T) is no
+symmetry of the record.
 
 The work unit is one orbit representative; representatives are distributed
 over a process pool and come back in enumeration order, so the output is
@@ -117,7 +117,7 @@ def stream_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
     `limit` truncates the modulus list, `workers` sizes the pool and
     `budget` is the residue-mode cost ceiling of each degree stream, checked
     once by residue_field before the shared LogTable is built.  One modulus
-    per affine-Frobenius orbit (LogTable.orbit_firsts) is classified, and its
+    per affine-Frobenius orbit (LogTable.first) is classified, and its
     record is copied to the other members with their own m and elapsed_ms 0.
 
     Every set-up step (the arguments, the q^d limit, the budget, the field,
@@ -149,21 +149,20 @@ def _stream(ctx, d, mode, limit, workers, budget):
         return
     table = residue_field(ctx, d, budget)
     moduli = list(table.roots)
-    count = len(moduli[:limit])
-    first = table.orbit_firsts(count)
+    first = table.first[:limit]
     key = (ctx.p, ctx.e, ctx.field_modulus, ctx.limit, d)
-    tasks = [(key, moduli[i], mode) for i in range(count) if first[i] == i]
+    tasks = [(key, moduli[i], mode) for i, f in enumerate(first) if f == i]
     with _classified(table, tasks, workers) as done:
         yield
         # row i needs only the record of first[i] <= i, so each row goes out
         # as soon as the enumeration reaches it
         records = {}
-        for i in range(count):
-            if first[i] == i:
+        for i, f in enumerate(first):
+            if f == i:
                 records[i] = next(done)
                 yield records[i]
             else:
-                yield records[first[i]]._replace(
+                yield records[f]._replace(
                     elapsed_ms=0, m=format_coeffs(ctx, moduli[i]))
 
 

@@ -462,7 +462,7 @@ def _second_representative(p, d):
     representative among the moduli of degree d over F_p."""
     table = powersums.residue_field(make_field(p), d)
     moduli = list(table.roots)
-    first = table.orbit_firsts(len(moduli))
+    first = table.first
     i = [j for j, f in enumerate(first) if f == j][1]
     return i, moduli[i]
 

@@ -296,6 +296,32 @@ def test_root_enumeration_matches_irreducible_enumerate(p, e, d):
     assert (roots[0][1] is None) == (d == 1)
 
 
+@pytest.mark.parametrize("p,e,d", _ROOT_CASES + [(2, 2, 6), (7, 1, 4), (2, 1, 10)])
+def test_walked_codes_are_the_minimal_polynomials(p, e, d):
+    # the walk multiplies out one minimal polynomial per orbit of moduli and
+    # maps its codes to the others; every listed modulus must be the product
+    # at its own root.  (2, 2, 6) and (3, 2, 3) take all three generators,
+    # (3, 2, 3) at odd p with e > 1, and (2, 1, 10) translations only
+    table = LogTable(least_primitive(make_field(p, e), d))
+    for codes, k in table.roots.items():
+        assert codes == ((0, 1) if k is None else table.minimal_polynomial(k)), k
+
+
+@pytest.mark.parametrize("p,d,orbits", [(7, 3, 4), (7, 4, 16), (2, 6, 5)])
+def test_log_table_multiplies_one_minimal_polynomial_per_orbit(monkeypatch, p, d, orbits):
+    # every other modulus of an orbit takes its codes from a coefficient map
+    calls = []
+    real = LogTable.minimal_polynomial
+
+    def counted(table, k):
+        calls.append(k)
+        return real(table, k)
+
+    monkeypatch.setattr(LogTable, "minimal_polynomial", counted)
+    table = LogTable(least_primitive(make_field(p), d))
+    assert len(set(calls)) == len(calls) == len(set(table.first)) == orbits
+
+
 def test_root_cases_meet_a_zero_coefficient():
     # T^3 + 2T + 1 over F_3: its product meets a coefficient 0, whose log is None
     assert (3, 1, 3) in _ROOT_CASES

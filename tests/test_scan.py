@@ -296,7 +296,7 @@ def _substitution_orbits(ctx, d):
 def _walked_orbits(ctx, d):
     table = LogTable(least_primitive(ctx, d))
     moduli = list(table.roots.items())
-    first = table.orbit_firsts(len(moduli))
+    first = table.first
     orbits = {}
     for i, ((codes, _), f) in enumerate(zip(moduli, first)):
         assert first[f] == f <= i  # an orbit is named by its first member
@@ -328,16 +328,28 @@ def test_orbit_reps_are_least_conjugates(p, e, d):
 @pytest.mark.parametrize("d,moduli,orbits", [(3, 112, 4), (4, 588, 16)])
 def test_orbit_counts(d, moduli, orbits):
     table = LogTable(least_primitive(make_field(7), d))
-    first = table.orbit_firsts(moduli)
+    first = table.first
     assert len(first) == moduli and len(set(first)) == orbits
 
 
-def test_orbit_walker_rejects_an_unlisted_root(f3):
-    table = LogTable(least_primitive(f3, 3))
-    *_, last = table.roots
-    del table.roots[last]
-    with pytest.raises(InternalError, match="no root of a listed modulus"):
-        table.orbit_firsts(len(table.roots))
+def test_orbit_walker_rejects_an_image_root_outside_the_size_d_orbits(monkeypatch, f3):
+    # one conjugate g^(3k) of a root g^k now claims to lie in the orbit of 1,
+    # of size 1, and the orbit of g^k shrinks below size d: the walk meets
+    # one of them as an image root when it lists the cubics over F_3
+    m0 = least_primitive(f3, 3)
+    clean = LogTable(m0)
+    k = next(k for (_, k), f in zip(clean.roots.items(), clean.first)
+             if clean.first.count(f) > 1)
+    real_reps = powersums._orbit_reps
+
+    def corrupted(mult, order):
+        reps = real_reps(mult, order)
+        reps[k * 3 % order] = 0
+        return reps
+
+    monkeypatch.setattr(powersums, "_orbit_reps", corrupted)
+    with pytest.raises(InternalError, match="lies in no orbit of size 3"):
+        LogTable(m0)
 
 
 def test_scan_classifies_one_modulus_per_orbit(monkeypatch):
