@@ -3,16 +3,16 @@
 The digit sum ell(n) of n = a_0 + a_1 q + ... controls everything downstream:
 the expected degree of the generating polynomial attached to n (target_degree)
 and the digit-stripping recursion rho whose iterated partial sums bound the
-degrees of the power sums.  deg 0 = -inf is modelled by the float NEG_INF,
-which already satisfies NEG_INF + x = NEG_INF and NEG_INF < x for every int.
+degrees of the power sums.  The degree engine reads its targets once per
+orbit of n -> q*n, from powersums.LogTable.orbits; target_degree is their
+per-exponent oracle.  deg 0 = -inf is modelled by the float NEG_INF, which
+already satisfies NEG_INF + x = NEG_INF and NEG_INF < x for every int.
 
 n is in the zero class when (q - 1) | n; since ell(n) = n mod (q - 1), this
 is equivalent to (q - 1) | ell(n).  For q = 2 every exponent is zero-class.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .errors import OutOfRangeError
 from .fieldcore import FieldCtx
@@ -41,18 +41,6 @@ def target_degree(n: int, ctx: FieldCtx, d: int) -> int:
         raise OutOfRangeError(f"n={n} outside [1, q^d-2] = [1, {q**d - 2}]")
     t = ell(n, q) // (q - 1)
     return t - 1 if n % (q - 1) == 0 else t
-
-
-@lru_cache(maxsize=4)
-def target_degrees(ctx: FieldCtx, d: int) -> tuple:
-    """target_degree(n, ctx, d) for every 1 <= n <= q^d - 2 as one tuple
-    indexed by n (entry 0 is None), computed once per field and degree."""
-    q = ctx.q
-    q1 = q - 1
-    ells = [0] * (q**d - 1)
-    for n in range(1, len(ells)):
-        ells[n] = ells[n // q] + n % q
-    return (None,) + tuple(ells[n] // q1 - (n % q1 == 0) for n in range(1, len(ells)))
 
 
 def rho(n: int, q: int):

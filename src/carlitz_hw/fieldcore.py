@@ -23,6 +23,8 @@ from .errors import (
     ReducibleModulusError,
 )
 
+# the integer-width ceiling of every size check (q, q^d, q^i, exponents);
+# OverflowLimitError beyond it
 DEFAULT_LIMIT = 2**40
 
 # Largest q for which multiplication/inverse tables are precomputed.
@@ -72,26 +74,25 @@ def power(x, n, mul, one):
 class FieldCtx:
     """The field F_q = F_{p^e} with a fixed defining polynomial.
 
-    Attributes p, e, q, field_modulus (ascending F_p coefficients, length
-    e + 1, monic) and limit (integer-width ceiling) are read-only by
-    convention.  add/sub/neg/mul are plain callables chosen at construction
-    (direct residue arithmetic for e = 1, table lookup for small q, generic
-    vector arithmetic otherwise); never pickle a context, rebuild it.  For
+    Attributes p, e, q and field_modulus (ascending F_p coefficients,
+    length e + 1, monic) are read-only by convention.  add/sub/neg/mul are
+    plain callables chosen at construction (direct residue arithmetic for
+    e = 1, table lookup for small q, generic vector arithmetic otherwise);
+    never pickle a context, rebuild it.  For
     e > 1, mulmod multiplies two F_p coordinate lists modulo field_modulus;
     make_field passes that of a prime-field polyring.Modulus.  Where the
     tables are built, the inverses and the q literals of format_elem are
     kept beside them.
     """
 
-    __slots__ = ("p", "e", "q", "field_modulus", "limit",
+    __slots__ = ("p", "e", "q", "field_modulus",
                  "add", "sub", "neg", "mul", "_inv_table", "_names")
 
-    def __init__(self, p, e, field_modulus, limit=DEFAULT_LIMIT, mulmod=None):
+    def __init__(self, p, e, field_modulus, mulmod=None):
         self.p = p
         self.e = e
         self.q = p**e
         self.field_modulus = tuple(field_modulus)
-        self.limit = limit
         self._names = None
         if e == 1:
             self.add = lambda a, b: (a + b) % p
@@ -219,8 +220,7 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, e={self.e}, q={self.q})"
 
 
-def make_field(p: int, e: int = 1, field_modulus=None,
-               limit: int = DEFAULT_LIMIT) -> FieldCtx:
+def make_field(p: int, e: int = 1, field_modulus=None) -> FieldCtx:
     """Build a validated F_{p^e} context.
 
     With field_modulus omitted, the defining polynomial is the code-order
@@ -233,9 +233,9 @@ def make_field(p: int, e: int = 1, field_modulus=None,
     if not isinstance(e, int) or e < 1:
         raise DomainError(f"extension degree e must be a positive integer, got {e!r}")
     q = p**e
-    if q > limit:
-        raise OverflowLimitError("q = p^e", q, limit)
-    prime = FieldCtx(p, 1, (0, 1), limit)
+    if q > DEFAULT_LIMIT:
+        raise OverflowLimitError("q = p^e", q, DEFAULT_LIMIT)
+    prime = FieldCtx(p, 1, (0, 1))
     if e == 1:
         if field_modulus is not None and tuple(field_modulus) != (0, 1):
             raise DomainError("field_modulus is only meaningful for e > 1")
@@ -256,4 +256,4 @@ def make_field(p: int, e: int = 1, field_modulus=None,
         except ReducibleModulusError:
             raise ReducibleModulusError(
                 f"field_modulus is reducible over F_{p}") from None
-    return FieldCtx(p, e, fmod.poly.coeffs, limit, fmod._mulmod)
+    return FieldCtx(p, e, fmod.poly.coeffs, fmod._mulmod)

@@ -17,20 +17,23 @@ orbits, and first_defects (behind is_ordinary and is_ordinary_plus) takes
 one early-exit pass.  Multiplying n by q rotates its base-q digits, so the
 target and the zero class are constant on such an orbit; multiplying by p
 raises every coefficient to the p-th power and so preserves the u-degree,
-which the stream computes once per orbit of n -> p*n.  The orbits depend
-only on (q, d) and are read from the residue field's LogTable
-(LogTable.orbits), built once per table and so once per scan.  The tests
-expand every orbit and compare it with _reduced_degree read at every
-exponent, and oracle.z_bar and the frobenius suite compute every degree
-without sharing, so they check the orbit reduction independently.
+which the stream computes once per orbit of n -> p*n.  The orbits and
+their targets depend only on (q, d) and are read from the residue field's
+LogTable (LogTable.orbits), built once per table and so once per scan.
+The tests expand every orbit and compare it with _reduced_degree read at
+every exponent against digits.target_degree, and oracle.z_bar and the
+frobenius suite compute every degree without sharing, so they check the
+orbit reduction independently.
 
 One function reads a degree, _reduced_degree: top-down, it asks the
 power sums of m at one of its roots (powersums.RootSums, on a discrete-log
 table of F_{q^d}) whether s_i(n) mod m vanishes and stops at the first
-nonzero power sum.  The engine takes either a Modulus, read at its root in
-the field of its (q, d) kept by the process (RootSums.of), or a RootSums
-that scan cuts from the field it builds.  oracle._bbar_degree, which builds
-all of B_n mod m bottom-up through b_poly, is the oracle of that reader.
+nonzero power sum.  The engine reads one RootSums, which scan cuts from the
+field it builds.  Only the public entry points, hasse_witt, is_ordinary and
+is_ordinary_plus, take a Modulus: they read it at its root in the field of
+its (q, d) kept by the process (RootSums.of), which checks the budget first.
+oracle._bbar_degree, which builds all of B_n mod m bottom-up through b_poly,
+is the oracle of that reader.
 
 Over F_2 every modulus is ordinary and ordinary+ (README, "How degrees are
 computed").  There every n is zero-class with cap w = popcount(n) and target
@@ -46,7 +49,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .digits import target_degrees
 from .errors import (
     DivisionRemainderError,
     InternalError,
@@ -54,8 +56,8 @@ from .errors import (
     OverflowLimitError,
     ParityError,
 )
-from .fieldcore import FieldCtx
-from .polyring import Modulus, format_poly
+from .fieldcore import DEFAULT_LIMIT, FieldCtx
+from .polyring import Modulus, format_coeffs
 from .powersums import RootSums
 
 def genus(ctx: FieldCtx, d: int) -> tuple[int, int]:
@@ -70,8 +72,8 @@ def genus(ctx: FieldCtx, d: int) -> tuple[int, int]:
     if d < 1:
         raise OutOfRangeError(f"d must be >= 1, got {d}")
     q = ctx.q
-    if q**d > ctx.limit:
-        raise OverflowLimitError("q^d", q**d, ctx.limit)
+    if q**d > DEFAULT_LIMIT:
+        raise OverflowLimitError("q^d", q**d, DEFAULT_LIMIT)
     s = (q**d - 1) // (q - 1)
     two_g = (d * q - d - q) * s - (d - 2)
     two_gp = (d - 2) * (s - 1)
@@ -94,20 +96,12 @@ class InvariantsReport(namedtuple("InvariantsReport", [
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        """Stable key set and ordering for serialization."""
-        return {
-            "p": self.p, "e": self.e, "q": self.q,
-            "field_modulus": self.field_modulus,
-            "m": self.m, "d": self.d,
-            "g": self.g, "g_plus": self.g_plus,
-            "lambda": self.lambda_, "lambda_plus": self.lambda_plus,
-            "ordinary": self.ordinary, "ordinary_plus": self.ordinary_plus,
-            "supersingular": self.supersingular,
-            "defects": [{"n": f.n, "target": f.target, "actual": f.actual}
-                        for f in self.defects],
-            "defects_plus": [{"n": f.n, "target": f.target, "actual": f.actual}
-                             for f in self.defects_plus],
-        }
+        """The report keyed by its fields, in field order, lambda_ written as
+        lambda and each Defect as {n, target, actual}."""
+        out = dict(zip([f.rstrip("_") for f in self._fields], self))
+        for key in ("defects", "defects_plus"):
+            out[key] = [f._asdict() for f in out[key]]
+        return out
 
 
 def _reduced_degree(n: int, sums: RootSums, cap: int, zero_class: bool) -> int:
@@ -124,53 +118,52 @@ def _reduced_degree(n: int, sums: RootSums, cap: int, zero_class: bool) -> int:
     return 0
 
 
-def degree_stream(m: Modulus | RootSums, keep=None, budget: int | None = None):
+def degree_stream(sums: RootSums, keep=None):
     """Yield (n, size, degree, target) once per orbit of n -> q*n mod
-    (q^d - 1) but {0}, in ascending n, its least member (LogTable.orbits):
-    the u-degree of the reduced generating polynomial and its digit-sum
-    target, shared by the size members of the orbit.  An orbit for which
-    keep(n) is false, when keep is given, is skipped.
+    (q^d - 1) but {0}, in ascending n, its least member, for the modulus
+    whose power sums sums reads: the u-degree of the reduced generating
+    polynomial and its digit-sum target, shared by the size members of the
+    orbit, both from sums.table.orbits.  An orbit for which keep(n) is
+    false, when keep is given, is skipped.
 
     Each degree is computed at the first orbit visited in its Frobenius
     orbit n -> p*n and read back for the others there, whose targets may
     differ when e > 1.
-
-    Degrees are read by _reduced_degree from the RootSums of m: a Modulus
-    gets one from RootSums.of, which checks budget first; a RootSums (scan)
-    was checked with its field, and budget is not read.
     """
-    sums = m if isinstance(m, RootSums) else RootSums.of(m, budget)
-    q1 = m.ctx.q - 1
-    targets = target_degrees(m.ctx, m.d)
+    table = sums.table
+    q1 = table.ctx.q - 1
     known = {}  # degrees, by least member of the orbit under p
-    for n, size, frob in sums.table.orbits[1:]:
+    for n, size, frob, tgt in table.orbits[1:]:
         if keep is not None and not keep(n):
             continue
-        tgt = targets[n]
         deg = known.get(frob)
         if deg is None:
             zero_class = n % q1 == 0
             deg = known[frob] = _reduced_degree(n, sums, tgt + zero_class, zero_class)
         if deg > tgt:
-            raise InternalError(
-                f"degree {deg} exceeds target {tgt} at n={n} mod {format_poly(m.poly)}")
+            raise InternalError(f"degree {deg} exceeds target {tgt} at n={n} "
+                                f"mod {format_coeffs(table.ctx, sums.codes)}")
         yield n, size, deg, tgt
 
 
 def hasse_witt(m: Modulus | RootSums, budget: int | None = None) -> InvariantsReport:
-    """Full invariant report for one modulus, from the whole degree stream."""
-    ctx = m.ctx
-    d = m.d
+    """Full invariant report for one modulus, from the whole degree stream:
+    a Modulus is read at its root by RootSums.of, which checks budget
+    first; a RootSums (scan) was checked with its field, and budget is not
+    read."""
+    sums = m if isinstance(m, RootSums) else RootSums.of(m, budget)
+    table = sums.table
+    ctx, d = table.ctx, table.d
     q = ctx.q
     g, g_plus = genus(ctx, d)
     lam = lam_plus = 0
     defects: list[Defect] = []
-    for n, size, deg, tgt in degree_stream(m, budget=budget):
+    for n, size, deg, tgt in degree_stream(sums):
         lam += size * deg
         if n % (q - 1) == 0:
             lam_plus += size * deg
         if deg != tgt:
-            defects.extend(Defect(n * q**j % m.group_order, tgt, deg) for j in range(size))
+            defects.extend(Defect(n * q**j % table.order, tgt, deg) for j in range(size))
     defects.sort()
     defects_plus = [f for f in defects if f.n % (q - 1) == 0]
     ordinary = not defects
@@ -182,26 +175,25 @@ def hasse_witt(m: Modulus | RootSums, budget: int | None = None) -> InvariantsRe
     return InvariantsReport(
         p=ctx.p, e=ctx.e, q=q,
         field_modulus=ctx.format_field_modulus(),
-        m=format_poly(m.poly), d=d,
+        m=format_coeffs(ctx, sums.codes), d=d,
         g=g, g_plus=g_plus, lambda_=lam, lambda_plus=lam_plus,
         ordinary=ordinary, ordinary_plus=ordinary_plus,
         supersingular=lam == 0,
         defects=defects, defects_plus=defects_plus)
 
 
-def first_defects(m: Modulus | RootSums,
-                  budget: int | None = None) -> tuple[int | None, int | None]:
+def first_defects(sums: RootSums) -> tuple[int | None, int | None]:
     """The least defective exponent and the least defective zero-class
     exponent, None where there is none, in one early-exit pass over the
     degree stream: after the first defect only zero-class orbits are
     evaluated.  The least member of a defective orbit is its least defect."""
-    q1 = m.ctx.q - 1
+    q1 = sums.table.ctx.q - 1
     first = None
 
     def keep(n):  # reads `first` as the stream asks about the next orbit
         return first is None or n % q1 == 0
 
-    for n, _, deg, tgt in degree_stream(m, keep, budget):
+    for n, _, deg, tgt in degree_stream(sums, keep):
         if deg != tgt:
             if first is None:
                 first = n
@@ -212,13 +204,13 @@ def first_defects(m: Modulus | RootSums,
 
 def is_ordinary(m: Modulus) -> tuple[bool, int | None]:
     """(ordinary, least defective exponent or None)."""
-    n = first_defects(m)[0]
+    n = first_defects(RootSums.of(m))[0]
     return n is None, n
 
 
 def is_ordinary_plus(m: Modulus) -> tuple[bool, int | None]:
     """(ordinary_plus, least defective zero-class exponent or None)."""
-    n = first_defects(m)[1]
+    n = first_defects(RootSums.of(m))[1]
     return n is None, n
 
 

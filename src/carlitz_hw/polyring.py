@@ -44,7 +44,7 @@ from .errors import (
     PolyParseError,
     ReducibleModulusError,
 )
-from .fieldcore import FieldCtx, power
+from .fieldcore import DEFAULT_LIMIT, FieldCtx, power
 
 NEG_INF = float("-inf")
 
@@ -282,8 +282,8 @@ def monic_enumerate(ctx: FieldCtx, i: int):
         raise OutOfRangeError(f"degree must be >= 0, got {i}")
     q = ctx.q
     total = q**i
-    if total > ctx.limit:
-        raise OverflowLimitError("q^i", total, ctx.limit)
+    if total > DEFAULT_LIMIT:
+        raise OverflowLimitError("q^i", total, DEFAULT_LIMIT)
     for idx in range(total):
         coeffs = [(idx // q**j) % q for j in range(i)] + [1]
         yield FqPoly(ctx, coeffs, check=False)
@@ -403,12 +403,12 @@ class Modulus:
         if not poly.is_monic():
             raise DomainError(f"modulus must be monic: {format_poly(poly)}")
         d = len(poly.coeffs) - 1
+        ctx = poly.ctx
+        order = ctx.q**d - 1  # 0 at d = 0, which the next test rejects
+        if order > DEFAULT_LIMIT:  # before Rabin's test, whose cost grows with d
+            raise OverflowLimitError("q^d - 1", order, DEFAULT_LIMIT)
         if d < 1 or not is_irreducible(poly):
             raise ReducibleModulusError(f"modulus is not irreducible: {format_poly(poly)}")
-        ctx = poly.ctx
-        order = ctx.q**d - 1
-        if order > ctx.limit:
-            raise OverflowLimitError("q^d - 1", order, ctx.limit)
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "d", d)
@@ -487,8 +487,8 @@ def least_primitive(ctx: FieldCtx, d: int) -> Modulus:
     if d < 1:
         raise OutOfRangeError(f"degree must be >= 1, got {d}")
     q = ctx.q
-    if q**d > ctx.limit:  # checked before q^d - 1 is factored
-        raise OverflowLimitError("q^d", q**d, ctx.limit)
+    if q**d > DEFAULT_LIMIT:  # checked before q^d - 1 is factored
+        raise OverflowLimitError("q^d", q**d, DEFAULT_LIMIT)
     order = q**d - 1
     cofactors = [order // r for r in _prime_divisors(order)]
     units = [(q - 1) // r for r in _prime_divisors(q - 1)]
@@ -521,6 +521,6 @@ def residue_pow(a: FqPoly, n: int, m: Modulus) -> FqPoly:
     """a^n mod m, by power over the product mod m."""
     if n < 0:
         raise OutOfRangeError(f"exponent must be >= 0, got {n}")
-    if n > m.ctx.limit:
-        raise OverflowLimitError("exponent", n, m.ctx.limit)
+    if n > DEFAULT_LIMIT:
+        raise OverflowLimitError("exponent", n, DEFAULT_LIMIT)
     return FqPoly(m.ctx, power(m.reduce(a).coeffs, n, m._mulmod, [1]), check=False)

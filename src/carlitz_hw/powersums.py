@@ -15,31 +15,31 @@ the degree engine's power sums, which never call it.
 
 Those come from one residue field per (q, d).  For every monic irreducible m
 of degree d, A/mA = F_{q^d} by T -> theta, theta a root of m, so LogTable,
-the discrete-log table of F_{q^d} = A/m0A, serves every modulus of degree
-d.  m0 is the least primitive polynomial of degree d
-(polyring.least_primitive), so the generator is g = T and the table is one
-shift-and-reduce walk over packed residues.  The table also lists the
-orbits of n -> q*n mod (q^d - 1) (LogTable.orbits): the degree engine
-walks them as exponent orbits, and LogTable.roots enumerates the moduli of
-degree d as the minimal polynomials of the roots g^k, one per orbit of size
-d, with no irreducibility test.  They are listed by one walk over the orbits
-of the moduli under T -> alpha*T + c (and the Frobenius on coefficients),
-taken at those roots: Zech logs multiply out one minimal polynomial per
-orbit of moduli, every other member takes its codes from the member that
-reached it by that map's action on coefficients, and an image root maps
-back to its modulus by one lookup in LogTable.reps.  The walk labels each
-modulus with its orbit (LogTable.first), from which scan classifies one
-modulus per orbit.  Only LogTable and RootSums know a modulus by the log k
-of one root; elsewhere, as in scan, a modulus is its coefficient codes.
-RootSums is the power-sum source of the
-degree engine (invariants.degree_stream) for one modulus: it reads
-s_i(n) mod m at one root theta = g^k as the sum of
-g^(log a(theta) * n mod (q^d - 1)) over the monic a of degree i, one index
-computation per a and no polynomial multiplication, and tests the packed
-sum for zero.  residue_field builds that table once per scan, and
-shared_field keeps it per process for scan's workers and RootSums.of.
-residue_cost bounds the memory of one degree stream and is checked against
-the same budget as exact mode wherever a field is built or fetched.
+the discrete-log table of F_{q^d} = A/m0A, serves every modulus of degree d.
+m0 is the least primitive polynomial of degree d (polyring.least_primitive),
+so the generator is g = T and the table is one shift-and-reduce walk over
+packed residues.  The table also lists the orbits of n -> q*n mod (q^d - 1)
+with their digit-sum targets (LogTable.orbits): the degree engine walks them
+as exponent orbits, and LogTable.roots enumerates the moduli of degree d as
+the minimal polynomials of the roots g^k, one per orbit of size d, with no
+irreducibility test.  They are listed by one walk over the orbits of the
+moduli under T -> alpha*T + c (and the Frobenius on coefficients), taken at
+those roots: Zech logs multiply out one minimal polynomial per orbit of
+moduli, every other member takes its codes from the member that reached it
+by that map's action on coefficients, and an image root maps back to its
+modulus by one lookup in LogTable.reps.  The walk labels each modulus with
+its orbit (LogTable.first), from which scan classifies one modulus per
+orbit.  Only LogTable and RootSums know a modulus by the log k of one root;
+elsewhere, as in scan, a modulus is its coefficient codes.  RootSums, the
+one input of the degree engine (invariants.degree_stream), is one modulus,
+its coefficient codes and its table: it reads s_i(n) mod m at one root
+theta = g^k as the sum of g^(log a(theta) * n mod (q^d - 1)) over the monic
+a of degree i, one index computation per a and no polynomial multiplication,
+and tests the packed sum for zero.  residue_field builds that table once per
+scan, and shared_field keeps it per process for scan's workers and
+RootSums.of.  residue_cost bounds the memory of one degree stream and is
+checked against the same budget as exact mode wherever a field is built or
+fetched.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def _check_exact_args(i, n):
         raise OutOfRangeError(f"n must be >= 1, got {n}")
 
 
-def residue_cost(m: Modulus | RootSums) -> int:
+def residue_cost(m: Modulus) -> int:
     """Cost estimate for a degree stream mod m, in table entries: the log
     table holds q^d - 1 packed residues of d*e F_p coordinates each, and its
     Zech table q^d - 1 logs."""
@@ -154,9 +154,12 @@ class LogTable:
     q - 1 multiples of N/(q - 1): minimal_polynomial reads each
     coefficient's code from its log there, with no packed residue decoded.
     reps[n] is the least member of the orbit of n under n -> q*n mod N, for
-    0 <= n < N.  orbits holds one (n, size, r) per such orbit, in ascending
-    n, its least member: r is the least member of the orbit of n under
-    n -> p*n, a union of orbits under q.
+    0 <= n < N.  orbits holds one (n, size, r, target) per such orbit, in
+    ascending n, its least member: r is the least member of the orbit of n
+    under n -> p*n, a union of orbits under q, and target is
+    floor(l(n)/(q - 1)), minus one in the zero class (digits.target_degree;
+    -1 at n = 0), from the base-q digit sum l(n), which n -> q*n keeps, as
+    it only rotates the digits.
 
     For every monic irreducible m of degree d, A/mA is this field by
     T -> theta for a root theta of m, so one table serves every modulus of
@@ -231,8 +234,17 @@ class LogTable:
         # n -> p*n raises a residue to its p-th power: the absolute Frobenius
         frob = _orbit_reps(p, order)
         self.reps = reps = frob if q == p else _orbit_reps(q, order)
+        # digit sums l(n) = l(n mod b) + l(n div b), from a table below
+        # b = q^ceil(d/2) > n div b
+        b = q ** -(-d // 2)
+        ells = [0] * b
+        for n in range(1, b):
+            ells[n] = ells[n // q] + n % q
         # an orbit's least member is its first in n: the keys come ascending
-        self.orbits = [(n, size, frob[n]) for n, size in Counter(reps).items()]
+        q1 = q - 1
+        self.orbits = [(n, size, frob[n],
+                        (ells[n % b] + ells[n // b]) // q1 - (n % q1 == 0))
+                       for n, size in Counter(reps).items()]
         listed = self._walk_moduli()
         # enumeration order: ascending code, the T^0 coefficient fastest
         listed.sort(key=lambda root: root[0][::-1])
@@ -307,7 +319,7 @@ class LogTable:
         # coefficient maps; at q = 2 gamma = 1 and the scaling is no map
         cheap = (([(1, -step, scaled)] if q > 2 else [])
                  + ([(p, 0, powered)] if e > 1 else []))
-        starts = [n for n, size, _ in self.orbits if size == d]
+        starts = [n for n, size, _, _ in self.orbits if size == d]
         found = dict.fromkeys(starts)  # the codes of each root orbit, once reached
         if d == 1:
             found[None] = None  # T, whose root 0 is no power of g
@@ -367,16 +379,14 @@ class RootSums:
     Whether a sum vanishes does not depend on which conjugate of theta is
     used; it is read on the packed sum, by one AND with the table's ones at
     p = 2 and field by field mod p at odd p.  A RootSums is made from the
-    coefficient codes of m, which table.roots maps to k; poly is m, and
-    ctx, d and group_order are the table's.
+    coefficient codes of m, which table.roots maps to k; the field, d and
+    N are the table's.
     """
 
-    __slots__ = ("table", "k", "poly", "ctx", "d", "group_order", "_logs")
+    __slots__ = ("table", "k", "codes", "_logs")
 
     def __init__(self, table: LogTable, codes: tuple[int, ...]):
-        self.table, self.k = table, table.roots[codes]
-        self.poly = FqPoly(table.ctx, codes, check=False)
-        self.ctx, self.d, self.group_order = table.ctx, table.d, table.order
+        self.table, self.k, self.codes = table, table.roots[codes], codes
         self._logs = [[0]]  # the monic a of degree 0 is 1, for any theta
 
     @classmethod
@@ -385,8 +395,7 @@ class RootSums:
         kept by this process (shared_field), once residue_cost(m) passes budget."""
         _check_stream(m, budget)
         ctx = m.ctx
-        return cls(shared_field(ctx.p, ctx.e, ctx.field_modulus, ctx.limit, m.d),
-                   m.poly.coeffs)
+        return cls(shared_field(ctx.p, ctx.e, ctx.field_modulus, m.d), m.poly.coeffs)
 
     def logs(self, i: int) -> list[int]:
         """log a(theta) for the monic a of degree i, in no fixed order: only
@@ -429,11 +438,10 @@ def residue_field(ctx: FieldCtx, d: int, budget: int | None = None) -> LogTable:
 
 
 @lru_cache(maxsize=2)
-def shared_field(p: int, e: int, field_modulus, limit: int, d: int):
-    """residue_field at make_field(p, e, field_modulus, limit), built once
-    per process.  limit is in the key as FieldCtx equality ignores it; the
-    caller checks its budget before reading here."""
-    ctx = make_field(p, e, None if e == 1 else field_modulus, limit)
+def shared_field(p: int, e: int, field_modulus, d: int):
+    """residue_field at make_field(p, e, field_modulus), built once per
+    process; the caller checks its budget before reading here."""
+    ctx = make_field(p, e, None if e == 1 else field_modulus)
     return residue_field(ctx, d, math.inf)
 
 

@@ -81,17 +81,17 @@ CSV_HEADER = ",".join(COLUMNS)
 def _scan_one(table: LogTable, task) -> ScanRecord:
     _, codes, mode = task
     start = perf_counter()
-    m = RootSums(table, codes)
+    sums = RootSums(table, codes)
     if mode == MODE_WITNESS:
-        witness, witness_plus = first_defects(m)
-        g, g_plus = genus(m.ctx, m.d)
+        witness, witness_plus = first_defects(sums)
+        g, g_plus = genus(table.ctx, table.d)
         return ScanRecord(
-            m=format_coeffs(m.ctx, codes), d=m.d, g=g, g_plus=g_plus,
+            m=format_coeffs(table.ctx, codes), d=table.d, g=g, g_plus=g_plus,
             lambda_=None, lambda_plus=None,
             ordinary=witness is None, ordinary_plus=witness_plus is None,
             supersingular=None, first_defect_n=witness,
             elapsed_ms=_ms_since(start))
-    rep = hasse_witt(m)
+    rep = hasse_witt(sums)
     return ScanRecord(
         m=rep.m, d=rep.d, g=rep.g, g_plus=rep.g_plus,
         lambda_=rep.lambda_, lambda_plus=rep.lambda_plus,
@@ -150,7 +150,7 @@ def _stream(ctx, d, mode, limit, workers, budget):
     table = residue_field(ctx, d, budget)
     moduli = list(table.roots)
     first = table.first[:limit]
-    key = (ctx.p, ctx.e, ctx.field_modulus, ctx.limit, d)
+    key = (ctx.p, ctx.e, ctx.field_modulus, d)
     tasks = [(key, moduli[i], mode) for i, f in enumerate(first) if f == i]
     with _classified(table, tasks, workers) as done:
         yield

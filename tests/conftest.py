@@ -1,7 +1,7 @@
 import pytest
 
 from carlitz_hw import Modulus, invariants, make_field, parse_poly
-from carlitz_hw.digits import target_degrees
+from carlitz_hw.digits import target_degree
 from carlitz_hw.powersums import RootSums
 
 
@@ -41,12 +41,12 @@ def _naive_stream(m):
     invariants._reduced_degree at its own exponent with no orbit memo: the
     oracle of invariants.degree_stream."""
     sums, q1 = RootSums.of(m), m.ctx.q - 1
-    targets = target_degrees(m.ctx, m.d)
     out = []
     for n in range(1, m.group_order):
         zero_class = n % q1 == 0
-        deg = invariants._reduced_degree(n, sums, targets[n] + zero_class, zero_class)
-        out.append((n, deg, targets[n]))
+        tgt = target_degree(n, m.ctx, m.d)
+        deg = invariants._reduced_degree(n, sums, tgt + zero_class, zero_class)
+        out.append((n, deg, tgt))
     return out
 
 

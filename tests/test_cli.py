@@ -26,6 +26,7 @@ from carlitz_hw import (
 )
 from carlitz_hw.cli import run
 from carlitz_hw.invariants import first_defects
+from carlitz_hw.powersums import RootSums
 from carlitz_hw.scan import CSV_HEADER
 
 
@@ -218,7 +219,7 @@ def test_scan_witness_output_independent_of_orbit_and_workers(capsys, f3):
     # each row as its modulus classifies alone, with no orbit shared
     for row in out.splitlines()[1:]:
         cells = row.split(",")
-        first, first_plus = first_defects(Modulus(parse_poly(cells[0], f3)))
+        first, first_plus = first_defects(RootSums.of(Modulus(parse_poly(cells[0], f3))))
         assert cells[6:8] == [str(first is None).lower(), str(first_plus is None).lower()]
         assert cells[9] == ("" if first is None else str(first))
 
@@ -320,6 +321,13 @@ def test_scan_resource_failure_exit_code(capsys, monkeypatch, exc):
     monkeypatch.setattr(ProcessPoolExecutor, "map", fail)
     code, out, err = _run(capsys, "scan", "--p", "3", "--d", "3", "--workers", "2")
     assert code == 3 and err.startswith("resource limit:") and out == ""
+
+
+def test_invariants_oversized_modulus_exits_3_at_once(capsys):
+    # q^d - 1 is checked before the modulus is tested for irreducibility
+    code, out, err = _run(capsys, "invariants", "--p", "2", "--m", "T^480+T+1")
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit: q^d - 1 = ") and err.count("\n") == 1
 
 
 @functools.lru_cache(maxsize=None)

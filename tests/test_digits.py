@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlitz_hw import NEG_INF, gekeler_degree_bound, make_field, target_degree
-from carlitz_hw.digits import base_q_digits, ell, rho, rho_exponents, target_degrees
+from carlitz_hw.digits import base_q_digits, ell, rho, rho_exponents
 from carlitz_hw.errors import OutOfRangeError
+from carlitz_hw.powersums import residue_field
 
 
 def test_base_q_digits_examples():
@@ -32,12 +33,21 @@ def test_target_degree_examples(f3):
     assert target_degree(2, f3, 3) == 0
 
 
-@pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 3), (2, 2, 3), (5, 1, 2), (2, 1, 6)])
+@pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 3), (2, 2, 3), (5, 1, 2), (2, 1, 6),
+                                   (2, 2, 6), (3, 2, 2)])
 def test_target_degrees_table_matches_per_exponent(p, e, d):
+    # the degree engine reads each target once per orbit of n -> q*n, from
+    # LogTable.orbits; every member n*q^j of the orbit has it
     ctx = make_field(p, e)
-    top = ctx.q**d - 2
-    assert target_degrees(ctx, d) == (None,) + tuple(
-        target_degree(n, ctx, d) for n in range(1, top + 1))
+    table = residue_field(ctx, d)
+    q, order = ctx.q, table.order
+    assert table.orbits[0][0] == 0  # n = 0, which the engine skips
+    members = []
+    for n, size, _, target in table.orbits[1:]:
+        for j in range(size):
+            members.append(n * q**j % order)
+            assert target_degree(members[-1], ctx, d) == target, (n, j)
+    assert sorted(members) == list(range(1, order))
 
 
 def test_rho_iterates_examples():

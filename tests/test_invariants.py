@@ -18,7 +18,7 @@ from carlitz_hw import (
     verify_identities,
     z_bar,
 )
-from carlitz_hw.digits import target_degrees
+from carlitz_hw.digits import target_degree
 from carlitz_hw.errors import (
     CostCeilingError,
     InternalError,
@@ -136,7 +136,7 @@ def test_orbit_and_naive_reports_are_identical(naive_stream, p, e, d):
     ctx = make_field(p, e)
     for m in irreducible_enumerate(ctx, d):
         naive = naive_stream(m)
-        assert expand_orbits(m, degree_stream(m)) == naive
+        assert expand_orbits(m, degree_stream(RootSums.of(m))) == naive
         rep = hasse_witt(m)
         assert rep.lambda_ == sum(deg for _, deg, _ in naive)
         assert rep.lambda_plus == sum(deg for n, deg, _ in naive if n % (ctx.q - 1) == 0)
@@ -155,7 +155,7 @@ def test_first_defects_match_report(naive_stream, p, e, d, use_orbit):
             want = _firsts(rep.defects, rep.defects_plus)
         else:
             want = _firsts(*_stream_defects(naive_stream(m), ctx.q - 1))
-        assert first_defects(m) == want
+        assert first_defects(RootSums.of(m)) == want
 
 
 def _orbit_of(n, p, order):
@@ -176,14 +176,14 @@ def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline, f4):
         return real(n, *args)
 
     monkeypatch.setattr(invariants, "_reduced_degree", counted)
-    stream = list(degree_stream(m_headline))
+    stream = list(degree_stream(RootSums.of(m_headline)))
     assert len(stream) == len(RootSums.of(m_headline).table.orbits) - 1
     assert [n for n, _, _ in expand_orbits(m_headline, stream)] == list(range(1, 26))
     orbits = {_orbit_of(n, 3, 26) for n in range(1, 26)}
     assert sorted(map(min, orbits)) == calls
 
     calls.clear()
-    assert first_defects(m_headline) == (13, None)
+    assert first_defects(RootSums.of(m_headline)) == (13, None)
     assert len({_orbit_of(n, 3, 26) for n in calls}) == len(calls)
     assert calls == [1, 2, 4, 5, 7, 8, 13, 14]  # past 13, 17 is not zero-class
 
@@ -191,7 +191,7 @@ def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline, f4):
     # reads one degree per orbit of n -> 2n, the union of one or two of them
     quadratic = irreducible_enumerate(f4, 2)[0]
     calls.clear()
-    assert [n for n, _, _, _ in degree_stream(quadratic)] == [1, 2, 3, 5, 6, 7, 10, 11]
+    assert [n for n, _, _, _ in degree_stream(RootSums.of(quadratic))] == [1, 2, 3, 5, 6, 7, 10, 11]
     assert calls == sorted(map(min, {_orbit_of(n, 2, 15) for n in range(1, 15)})) == [1, 3, 5, 7]
 
 
@@ -212,7 +212,7 @@ def _route_sources(m):
 
 def _degrees(n, m, sources):
     zero_class = n % (m.ctx.q - 1) == 0
-    cap = target_degrees(m.ctx, m.d)[n] + zero_class
+    cap = target_degree(n, m.ctx, m.d) + zero_class
     return [invariants._reduced_degree(n, sums, cap, zero_class) for sums in sources]
 
 
@@ -226,9 +226,8 @@ def test_targets_and_zero_class_are_constant_on_exponent_orbits(p, e, d):
     # n -> q*n, and the zero class on every orbit of n -> p*n
     ctx = make_field(p, e)
     q, order = ctx.q, ctx.q**d - 1
-    targets = target_degrees(ctx, d)
     for n in range(1, order):
-        assert targets[n * q % order] == targets[n], n
+        assert target_degree(n * q % order, ctx, d) == target_degree(n, ctx, d), n
         assert (n * p % order % (q - 1) == 0) == (n % (q - 1) == 0), n
 
 
@@ -248,7 +247,7 @@ def test_single_modulus_reads_its_listed_root(p, e, d):
     ctx = make_field(p, e)
     moduli = list(LogTable(least_primitive(ctx, d)).roots.items())
     views = [RootSums.of(Modulus(FqPoly(ctx, codes))) for codes, _ in moduli]
-    assert [(v.poly.coeffs, v.k) for v in views] == moduli
+    assert [(v.codes, v.k) for v in views] == moduli
     assert len({id(v.table) for v in views}) == 1
 
 
@@ -342,7 +341,7 @@ def test_log_table_is_built_once_the_products_reach_its_size(monkeypatch, naive_
                                                              f3, f4):
     built = _count_tables(monkeypatch)
     moduli = irreducible_enumerate(f3, 3)
-    streams = [expand_orbits(m, degree_stream(m)) for m in moduli]
+    streams = [expand_orbits(m, degree_stream(RootSums.of(m))) for m in moduli]
     # one table for the eight single-modulus streams, on the least primitive m0
     m0 = least_primitive(f3, 3)
     assert built == [m0]
@@ -352,14 +351,14 @@ def test_log_table_is_built_once_the_products_reach_its_size(monkeypatch, naive_
     # one table that every single-modulus stream builds
     sextic = next(Modulus(f) for f in monic_enumerate(f4, 6) if is_irreducible(f))
     built.clear()
-    assert first_defects(sextic) == (10, 42)
+    assert first_defects(RootSums.of(sextic)) == (10, 42)
     assert built == [least_primitive(f4, 6)]
     assert _firsts(*_stream_defects(naive_stream(sextic), 3)) == (10, 42)
 
     # an ordinary cubic over F_7 is scanned to the end, with one table
     cubic = Modulus(parse_poly("T^3+T+1", make_field(7)))
     built.clear()
-    assert first_defects(cubic) == (None, None)
+    assert first_defects(RootSums.of(cubic)) == (None, None)
     assert built == [least_primitive(cubic.ctx, 3)]
     assert _firsts(*_stream_defects(naive_stream(cubic), 6)) == (None, None)
 
@@ -378,7 +377,7 @@ def test_degree_stream_cost_ceiling(monkeypatch, m_headline):
     with pytest.raises(CostCeilingError, match="budget"):
         hasse_witt(m_headline, budget=cost - 1)
     with pytest.raises(CostCeilingError, match="budget"):
-        first_defects(m_headline, budget=cost - 1)
+        first_defects(RootSums.of(m_headline, budget=cost - 1))
     assert built == []
     assert hasse_witt(m_headline, budget=cost) == hasse_witt(m_headline)
 
@@ -393,27 +392,8 @@ def test_degree_stream_cost_ceiling_on_a_warm_field(monkeypatch, m_headline):
     with pytest.raises(CostCeilingError, match="budget"):
         hasse_witt(m_headline, budget=cost - 1)
     with pytest.raises(CostCeilingError, match="budget"):
-        first_defects(m_headline, budget=cost - 1)
-    with pytest.raises(CostCeilingError, match="budget"):
-        RootSums.of(m_headline, budget=cost - 1)
+        first_defects(RootSums.of(m_headline, budget=cost - 1))
     assert len(built) == 1
-
-
-def test_field_cache_key_holds_the_limit(m_headline):
-    # FieldCtx equality ignores limit.  At limit q^d - 1 = 26 a cubic over F_3
-    # is a Modulus, but least_primitive rejects q^d = 27, cold or warm
-    tight = Modulus(parse_poly("T^3+2T+1", make_field(3, limit=26)))
-    assert tight.ctx == m_headline.ctx
-    powersums.shared_field.cache_clear()
-    for warm in (False, True):
-        if warm:
-            hasse_witt(m_headline)
-        with pytest.raises(OverflowLimitError):
-            hasse_witt(tight)
-        with pytest.raises(OverflowLimitError):
-            first_defects(tight)
-        with pytest.raises(OverflowLimitError):
-            RootSums.of(tight)
 
 
 @pytest.mark.parametrize("p,e,d", [(3, 1, 3), (2, 2, 2), (2, 1, 4), (5, 1, 2)])
@@ -466,7 +446,7 @@ def test_structural_bounds_at_larger_extensions(naive_stream, p, e):
     ctx = make_field(p, e)
     for m in irreducible_enumerate(ctx, 2)[:2]:
         rep = hasse_witt(m)
-        assert expand_orbits(m, degree_stream(m)) == naive_stream(m)
+        assert expand_orbits(m, degree_stream(RootSums.of(m))) == naive_stream(m)
         assert 0 <= rep.lambda_plus <= rep.lambda_ <= rep.g
         assert not rep.ordinary  # no extension field is ordinary at d = 2
         zf, zp = z_bar(m)

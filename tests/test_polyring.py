@@ -22,6 +22,7 @@ from carlitz_hw.errors import (
     DegreeTooSmallError,
     DomainError,
     OutOfRangeError,
+    OverflowLimitError,
     PolyParseError,
     ReducibleModulusError,
 )
@@ -230,6 +231,13 @@ def test_modulus_validation(f3):
         Modulus(parse_poly("2*T+1", f3))  # not monic
     m = Modulus(parse_poly("T^2+1", f3))
     assert (m.d, m.group_order) == (2, 8)
+
+
+def test_modulus_checks_the_size_before_irreducibility(f2):
+    # 2^480 - 1 is far over the ceiling: refused at once, before Rabin's
+    # test, whose cost grows with d (T^480+T+1 is reducible)
+    with pytest.raises(OverflowLimitError, match="q\\^d - 1"):
+        Modulus(parse_poly("T^480+T+1", f2))
 
 
 # ---------------------------------------------------------------- products mod f

@@ -217,14 +217,15 @@ def test_degree_bound_at_extension_field(f4):
 @pytest.mark.parametrize("p,e,d", [(2, 1, 6), (3, 1, 3), (5, 1, 1), (2, 2, 3),
                                    (3, 2, 2), (2, 3, 2)])
 def test_log_table_exponent_orbits(p, e, d):
-    # each orbit of n -> q*n with its size and the least member of its orbit
-    # under n -> p*n, by brute force; p^(e*d) = 1 mod q^d - 1, and for e > 1
-    # the orbits under p join those under q
+    # each orbit of n -> q*n with its size, the least member of its orbit
+    # under n -> p*n and its target, by brute force; p^(e*d) = 1 mod q^d - 1,
+    # and for e > 1 the orbits under p join those under q
     table = LogTable(least_primitive(make_field(p, e), d))
     order, q = table.order, p**e
     orbits = {frozenset(n * q**j % order for j in range(d)) for n in range(order)}
     assert table.orbits == sorted(
-        (min(o), len(o), min(n * p**j % order for n in o for j in range(e)))
+        (min(o), len(o), min(n * p**j % order for n in o for j in range(e)),
+         ell(min(o), q) // (q - 1) - (min(o) % (q - 1) == 0))
         for o in orbits)
 
 

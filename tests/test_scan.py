@@ -22,7 +22,7 @@ from carlitz_hw.cli import run
 from carlitz_hw.errors import CostCeilingError, DomainError, InternalError, OverflowLimitError
 from carlitz_hw.invariants import first_defects
 from carlitz_hw.polyring import irreducible_count, least_primitive
-from carlitz_hw.powersums import LogTable, residue_cost
+from carlitz_hw.powersums import LogTable, RootSums, residue_cost
 from carlitz_hw.scan import CSV_HEADER, MODE_FULL, MODE_WITNESS, ScanRecord
 
 _ELAPSED = re.compile(r"\d+$", re.M)
@@ -185,7 +185,7 @@ def _report_record(m, mode):
     """The scan record of one checked Modulus, from the per-modulus engine."""
     g, g_plus = genus(m.ctx, m.d)
     if mode == MODE_WITNESS:
-        witness, witness_plus = first_defects(m)
+        witness, witness_plus = first_defects(RootSums.of(m))
         return ScanRecord(m=format_poly(m.poly), d=m.d, g=g, g_plus=g_plus,
                           lambda_=None, lambda_plus=None, ordinary=witness is None,
                           ordinary_plus=witness_plus is None, supersingular=None,
@@ -229,6 +229,20 @@ def test_scan_records_match_per_modulus_reports(naive_stream, p, e, d, use_orbit
         else:
             want = [_stream_record(m, mode, naive_stream(m)) for m in moduli]
         assert got == want, mode
+
+
+def test_two_fields_of_nine_elements_in_one_process():
+    # F_9 on x^2+1, the default, and on x^2+x+2 share (p, e, d), so the field
+    # kept per process must be keyed by the field polynomial too: interleaved,
+    # each modulus's report equals its scan row under its own field
+    fields = [make_field(3, 2), make_field(3, 2, (2, 1, 1))]
+    assert fields[0].field_modulus == (1, 0, 1)
+    rows = [scan_degree(ctx, 2) for ctx in fields]
+    powersums.shared_field.cache_clear()
+    for pair in zip(*rows, strict=True):
+        for ctx, row in zip(fields, pair):
+            m = Modulus(parse_poly(row.m, ctx))
+            assert _report_record(m, MODE_FULL) == row._replace(elapsed_ms=0), row.m
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
@@ -402,7 +416,7 @@ def test_scan_limit_zero_builds_nothing_but_checks_the_size(monkeypatch, f3):
     _, built = _count_calls(monkeypatch)
     assert scan_degree(f3, 3, limit=0, budget=0) == []
     with pytest.raises(OverflowLimitError):
-        scan_degree(make_field(3, limit=26), 3, limit=0, budget=0)
+        scan_degree(f3, 26, limit=0, budget=0)
     assert built == []
 
 
