@@ -6,6 +6,8 @@ exit 2), ResourceLimitError (configured size/cost ceilings, exit 3).
 Division by zero uses the builtin ZeroDivisionError.
 """
 
+import math
+
 
 class CarlitzHWError(Exception):
     """Base class for all library errors."""
@@ -90,10 +92,11 @@ class ResourceLimitError(CarlitzHWError, RuntimeError):
 
 
 class OverflowLimitError(ResourceLimitError):
-    """A value exceeds the configured integer-width limit."""
+    """A value exceeds the configured integer-width limit; a value of more
+    than 30 digits is named by its digit count."""
 
     def __init__(self, what, value, limit):
-        super().__init__(f"{what} = {value} exceeds the configured limit {limit}")
+        super().__init__(f"{what} = {_shown(value)} exceeds the configured limit {limit}")
         self.what = what
         self.value = value
         self.limit = limit
@@ -104,3 +107,13 @@ class OverflowLimitError(ResourceLimitError):
 
 class CostCeilingError(ResourceLimitError):
     """Estimated cost of an exact computation exceeds the budget."""
+
+
+def _shown(value: int) -> str:
+    """value in decimal, or as <k-digit integer> past 30 digits; k is found
+    from the bit length, as str() refuses ints of over 4300 digits."""
+    if abs(value) < 10**30:
+        return str(value)
+    # 2^(b-1) <= |value| < 2^b gives k or k + 1 digits
+    k = int((abs(value).bit_length() - 1) * math.log10(2)) + 1
+    return f"<{k + (abs(value) >= 10**k)}-digit integer>"

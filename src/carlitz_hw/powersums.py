@@ -18,7 +18,9 @@ of degree d, A/mA = F_{q^d} by T -> theta, theta a root of m, so LogTable,
 the discrete-log table of F_{q^d} = A/m0A, serves every modulus of degree d.
 m0 is the least primitive polynomial of degree d (polyring.least_primitive),
 so the generator is g = T and the table is one shift-and-reduce walk over
-packed residues.  The table also lists the orbits of n -> q*n mod (q^d - 1)
+packed residues: at p = 2 one bit per F_2 coordinate, so that x*T is a shift
+and an XOR, and at odd p one field per F_p coordinate, wide enough for a sum
+of q^d residues.  The table also lists the orbits of n -> q*n mod (q^d - 1)
 with their digit-sum targets (LogTable.orbits): the degree engine walks them
 as exponent orbits, and LogTable.roots enumerates the moduli of degree d as
 the minimal polynomials of the roots g^k, one per orbit of size d, with no
@@ -35,18 +37,20 @@ one input of the degree engine (invariants.degree_stream), is one modulus,
 its coefficient codes and its table: it reads s_i(n) mod m at one root
 theta = g^k as the sum of g^(log a(theta) * n mod (q^d - 1)) over the monic
 a of degree i, one index computation per a and no polynomial multiplication,
-and tests the packed sum for zero.  residue_field builds that table once per
-scan, and shared_field keeps it per process for scan's workers and
-RootSums.of.  residue_cost bounds the memory of one degree stream and is
-checked against the same budget as exact mode wherever a field is built or
-fetched.
+and tests the packed sum for zero: at p = 2 the XOR of the terms, which is 0
+exactly when the sum vanishes, and at odd p their integer sum, reduced mod p
+field by field.  residue_field builds that table once per scan, and
+shared_field keeps it per process for scan's workers and RootSums.of.
+residue_cost bounds the memory of one degree stream and is checked against
+the same budget as exact mode wherever a field is built or fetched.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 
 from .errors import (
     CostCeilingError,
@@ -138,18 +142,23 @@ class LogTable:
     root of m0, generates the units: exp[k] = T^k mod m0 for 0 <= k < N (its
     inverse builds zech and const_logs and is not kept).  A residue is packed
     into one int: the F_p coordinate t of its T^0..T^(d-1) coefficient j sits
-    in bit field j*e + t, and every field is wide enough for a sum of q^d
-    residues, so that a power sum over the exp entries takes integer additions
-    only; ones holds the lowest bit of every field.  Each exp entry is the
-    previous one times T: its low coefficients shifted up one slot, plus one
-    of q packed residues c*T^d mod m0 for its top coefficient c, with every
-    field then reduced mod p at once.  The walk must meet N distinct residues
-    and return to 1, which certifies that T is primitive mod m0.  zech[k] is
-    log(1 + g^k) (None where g^k = -1), with which sums of powers of g are
-    added in the log domain, g^x + g^y = g^(x + zech[y - x]), as
-    minimal_polynomial and the walk over the moduli do inline.  const_logs[c]
-    is the log of the constant c of F_q, which sits in the T^0 coordinate
-    block.
+    in bit field j*e + t, shifts[j*e + t] bits up, mask wide.  At p = 2 a
+    field is one bit (mask = 1): a residue is its d*e-bit coordinate vector,
+    the nonzero ones are exactly 1..N, and a power sum over the exp entries
+    is their XOR.  At odd p every field is wide enough for a sum of q^d
+    residues, so that a power sum takes integer additions only and is
+    reduced mod p as it is read.  Each exp entry is the previous one times
+    T: its low coefficients shifted up one slot, plus one of q packed
+    residues c*T^d mod m0 for its top coefficient c; at p = 2 the addition is
+    an XOR, and at odd p every field is then reduced mod p at once, by one
+    mask-and-subtract.  The walk must meet N distinct residues and return to
+    1, which certifies that T is primitive mod m0; at p = 2 its inverse is a
+    list indexed by residue, at odd p a dict.  zech[k] is log(1 + g^k) (None
+    where g^k = -1; at p = 2 the log of exp[k] ^ 1), with which sums of
+    powers of g are added in the log domain, g^x + g^y = g^(x + zech[y - x]),
+    as minimal_polynomial and the walk over the moduli do inline.
+    const_logs[c] is the log of the constant c of F_q, which sits in the T^0
+    coordinate block.
     const_codes is its inverse on F_q^*, {log c: c}, whose keys are the
     q - 1 multiples of N/(q - 1): minimal_polynomial reads each
     coefficient's code from its log there, with no packed residue decoded.
@@ -189,17 +198,15 @@ class LogTable:
     i-th; first[i] <= i.
     """
 
-    __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "ones", "exp",
-                 "zech", "const_logs", "const_codes", "reps", "orbits", "roots",
-                 "first")
+    __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "exp", "zech",
+                 "const_logs", "const_codes", "reps", "orbits", "roots", "first")
 
     def __init__(self, m0: Modulus):
         ctx, d, order = m0.ctx, m0.d, m0.group_order
         p, e, q = ctx.p, ctx.e, ctx.q
-        width = (q**d * (p - 1)).bit_length()
-        # the mod-p step below needs 2^(width-1) >= p, which holds because
-        # 2^(width-1) > q^d (p - 1)/2 >= p - 1
-        assert p <= 1 << (width - 1), (p, width)
+        # at p = 2 a coordinate is one bit and a sum of residues is their
+        # XOR; at odd p every field is wide enough for a sum of q^d residues
+        width = 1 if p == 2 else (q**d * (p - 1)).bit_length()
         self.ctx, self.d, self.p, self.order = ctx, d, p, order
         self.shifts = shifts = range(0, width * d * e, width)
         self.mask = mask = (1 << width) - 1
@@ -210,25 +217,42 @@ class LogTable:
         tail = m0.poly.coeffs[:d]
         red = {self.pack([c]): self.pack([ctx.mul(ctx.neg(c), f) for f in tail])
                for c in range(q)}
-        # each field of the sum is at most 2p - 2; it is >= p exactly when
-        # adding 2^(width-1) - p sets its top bit, and then p is subtracted
-        carry = width - 1
-        self.ones = ones = sum(1 << s for s in shifts)
-        bias, tops = ones * ((1 << carry) - p), ones << carry
         exp = []
         x = 1
-        for _ in range(order):
-            exp.append(x)
-            y = ((x & low) << slot) + red[x >> top]
-            x = y - (((y + bias) & tops) >> carry) * p
-        log = dict(zip(exp, range(order)))
-        if len(log) != order:
+        if p == 2:  # a residue is its d*e coordinate bits, x*T needs no mod p
+            for _ in range(order):
+                exp.append(x)
+                x = ((x & low) << slot) ^ red[x >> top]
+            # exp lies in [0, 2^(d*e)) = [0, N], so it is a bijection onto
+            # the residues 1..N exactly when every one of them is met
+            log = [None] * (order + 1)
+            for k, y in enumerate(exp):
+                log[y] = k
+            bijective = None not in log[1:]
+        else:
+            # each field of the sum is at most 2p - 2; it is >= p exactly when
+            # adding 2^(width-1) - p sets its top bit, and then p is subtracted;
+            # this needs 2^(width-1) >= p, which holds because
+            # 2^(width-1) > q^d (p - 1)/2 >= p - 1
+            assert p <= 1 << (width - 1), (p, width)
+            carry = width - 1
+            ones = sum(1 << s for s in shifts)  # the lowest bit of every field
+            bias, tops = ones * ((1 << carry) - p), ones << carry
+            for _ in range(order):
+                exp.append(x)
+                y = ((x & low) << slot) + red[x >> top]
+                x = y - (((y + bias) & tops) >> carry) * p
+            log = dict(zip(exp, range(order)))
+            bijective = len(log) == order
+        if not bijective:
             raise InternalError(f"discrete-log table of {m0!r} is not a bijection")
         if x != 1:
             raise InternalError(f"T^{order} != 1 in the discrete-log table of {m0!r}")
         self.exp = exp
-        # 1 + g^k changes only the T^0 coordinate of the F_p prime field
-        self.zech = [log.get(x + 1 - p if (x & mask) == p - 1 else x + 1) for x in exp]
+        if p == 2:  # 1 + g^k flips the T^0 bit; log[0] is None
+            self.zech = [log[x ^ 1] for x in exp]
+        else:  # 1 + g^k changes only the T^0 coordinate of the F_p prime field
+            self.zech = [log.get(x + 1 - p if (x & mask) == p - 1 else x + 1) for x in exp]
         self.const_logs = [None] + [log[self.pack([c])] for c in range(1, q)]
         self.const_codes = dict(zip(self.const_logs[1:], range(1, q)))
         # n -> p*n raises a residue to its p-th power: the absolute Frobenius
@@ -377,10 +401,11 @@ class RootSums:
     monic polynomial of lower degree, so log b is const_logs[c] plus a stored
     monic log, and log(theta^j + b) is t + zech[log b - t] with t = j*k.
     Whether a sum vanishes does not depend on which conjugate of theta is
-    used; it is read on the packed sum, by one AND with the table's ones at
-    p = 2 and field by field mod p at odd p.  A RootSums is made from the
-    coefficient codes of m, which table.roots maps to k; the field, d and
-    N are the table's.
+    used; it is read on the packed sum: at p = 2 the XOR of the terms, the
+    coordinate bits of s_i(n) mod m, which vanishes when it is 0, and at odd
+    p their integer sum, reduced field by field mod p up to the first
+    nonzero field.  A RootSums is made from the coefficient codes of m,
+    which table.roots maps to k; the field, d and N are the table's.
     """
 
     __slots__ = ("table", "k", "codes", "_logs")
@@ -412,15 +437,19 @@ class RootSums:
         return logs[i]
 
     def power_sum(self, i: int, n: int) -> int:
-        """s_i(n) mod m at theta, packed, its coordinates not yet reduced mod p."""
-        exp, order = self.table.exp, self.table.order
-        return sum([exp[la * n % order] for la in self.logs(i)])
+        """s_i(n) mod m at theta, packed: at p = 2 the XOR of the terms, its
+        coordinate bits; at odd p their sum, its coordinates not yet reduced
+        mod p."""
+        table = self.table
+        exp, order = table.exp, table.order
+        terms = [exp[la * n % order] for la in self.logs(i)]
+        return reduce(xor, terms) if table.p == 2 else sum(terms)
 
     def vanishes(self, i: int, n: int) -> bool:
         """s_i(n) == 0 mod m, for 0 <= i < d and 1 <= n < q^d - 1."""
         table, x = self.table, self.power_sum(i, n)
-        if table.p == 2:  # a field's sum is even exactly when its low bit is 0
-            return not x & table.ones
+        if table.p == 2:
+            return not x
         p, mask = table.p, table.mask
         for s in table.shifts:
             if (x >> s & mask) % p:

@@ -11,6 +11,15 @@ def coordinates(table, packed):
     return [(packed >> s & table.mask) % table.p for s in table.shifts]
 
 
+def add_coordinates(table, terms):
+    """The F_p coordinates of the sum of these packed residues, added
+    coordinate by coordinate mod p, whatever the packing."""
+    total = [0] * len(table.shifts)
+    for term in terms:
+        total = [(a + b) % table.p for a, b in zip(total, coordinates(table, term))]
+    return total
+
+
 @pytest.fixture(scope="session")
 def f2():
     return make_field(2)

@@ -134,8 +134,9 @@ def test_bpoly_exact_rejects_d_below_one(capsys):
 
 # sha256 of scan's stdout with the last column or key, elapsed_ms, cut from
 # every line, as CSV unless the argv names its format: the argv of the four
-# bench workloads, a full scan over F_9, a JSONL scan over F_4 and two scans
-# at d = 1, whose rows hold ints 0 and 1 beside the flag columns
+# bench workloads, a full scan over F_9, a JSONL scan over F_4, two scans
+# at d = 1, whose rows hold ints 0 and 1 beside the flag columns, and two
+# more in characteristic 2, over F_2 and F_8
 _GOLDEN_SCANS = [
     ("--p 7 --d 3 --mode full",
      "1b0af6917fb030b6d6d37fc8cd5797bcb8804e73b65fc94b2bb26ba2396c8dd6"),
@@ -153,6 +154,10 @@ _GOLDEN_SCANS = [
      "f68bbf79312c33597d706b7928bedc48373e9a401aaa4ddd837e9e233bf55e52"),
     ("--p 2 --e 2 --d 1",
      "e8f12920f4d440b8b687b7b9bfe6092562a71ce90e2aba3c65e1af3abf961d6d"),
+    ("--p 2 --d 9",
+     "43cf83ae087a48d25b9a0772626d7c1a5891394c2ef25133aa9496a0909e7ab4"),
+    ("--p 2 --e 3 --d 3",
+     "2491198e1cb1b1cd9f0bcc28205b7e3519e9d0a503973da551b4126535682b30"),
 ]
 
 
@@ -328,6 +333,15 @@ def test_invariants_oversized_modulus_exits_3_at_once(capsys):
     code, out, err = _run(capsys, "invariants", "--p", "2", "--m", "T^480+T+1")
     assert (code, out) == (3, "")
     assert err.startswith("resource limit: q^d - 1 = ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d,digits", [(2000, 603), (20000, 6021)])
+def test_oversized_modulus_names_q_to_the_d_by_its_digit_count(capsys, d, digits):
+    # 2^20000 - 1 has more digits than str() converts by default
+    code, out, err = _run(capsys, "invariants", "--p", "2", "--m", f"T^{d}+T+1")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"resource limit: q^d - 1 = <{digits}-digit integer> exceeds")
+    assert len(err) < 200
 
 
 @functools.lru_cache(maxsize=None)

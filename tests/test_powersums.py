@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from carlitz_hw import (
@@ -22,8 +24,8 @@ from carlitz_hw.errors import (
     PrimeFieldOnlyError,
 )
 from carlitz_hw.polyring import is_irreducible, least_primitive, monic_enumerate, residue_pow
-from carlitz_hw.powersums import LogTable
-from conftest import coordinates
+from carlitz_hw.powersums import LogTable, RootSums
+from conftest import add_coordinates
 
 
 def _s_oracle(i, n, ctx):
@@ -242,6 +244,36 @@ def test_log_table_walk_matches_residue_pow(p, e, d):
     assert table.exp == [table.pack(residue_pow(t, k, m0).coeffs) for k in range(table.order)]
 
 
+@pytest.mark.parametrize("e,d", [(1, d) for d in range(1, 11)] + [(2, d) for d in range(1, 6)]
+                         + [(3, d) for d in range(1, 4)])
+def test_characteristic_two_table_is_one_bit_per_coordinate(e, d):
+    # at p = 2 a residue is its d*e coordinate bits, so exp permutes the
+    # nonzero residues 1..q^d - 1 and 1 + g^k flips the T^0 bit
+    table = LogTable(least_primitive(make_field(2, e), d))
+    assert all(x < 1 << (d * e) for x in table.exp)
+    assert sorted(table.exp) == list(range(1, table.order + 1))
+    log = {x: k for k, x in enumerate(table.exp)}
+    assert table.zech == [log.get(x ^ 1) for x in table.exp]  # None at exp[k] = 1
+
+
+@pytest.mark.parametrize("e,d", [(2, 6), (1, 13)])
+def test_characteristic_two_vanishes_matches_s_mod(e, d):
+    # where a field per coordinate wide enough for q^d residues took 156 and
+    # 182 bits; sampled moduli, i and n against the sums reduced mod m
+    ctx = make_field(2, e)
+    table = LogTable(least_primitive(ctx, d))
+    rng = random.Random(d)
+    seen = set()
+    for codes in rng.sample(sorted(table.roots), 2):
+        m, view = Modulus(FqPoly(ctx, codes)), RootSums(table, codes)
+        for _ in range(5):
+            i, n = rng.randrange(d), rng.randrange(1, table.order)
+            got = view.vanishes(i, n)
+            assert got == s_mod(i, n, m).is_zero(), (codes, i, n)
+            seen.add(got)
+    assert seen == {False, True}
+
+
 def _order_of_t(m):
     """The multiplicative order of T mod m by repeated multiplication and
     division, None when T = 0 mod m."""
@@ -272,10 +304,10 @@ def test_least_primitive_matches_brute_force(p, e, d):
 
 
 def _is_root(table, coeffs, k):
-    """Whether the polynomial with these F_q codes vanishes at g^k."""
-    value = sum(table.exp[(table.const_logs[c] + j * k) % table.order]
-                for j, c in enumerate(coeffs) if c)
-    return not any(coordinates(table, value))
+    """Whether the polynomial with these F_q codes vanishes at g^k, its terms
+    added coordinate by coordinate mod p."""
+    return not any(add_coordinates(table, [table.exp[(table.const_logs[c] + j * k) % table.order]
+                                           for j, c in enumerate(coeffs) if c]))
 
 
 @pytest.mark.parametrize("p,e,d", _ROOT_CASES)
