@@ -152,10 +152,9 @@ class LogTable:
     residues c*T^d mod m0 for its top coefficient c; at p = 2 the addition is
     an XOR, and at odd p every field is then reduced mod p at once, by one
     mask-and-subtract.  The walk must meet N distinct residues and return to
-    1, which certifies that T is primitive mod m0; at p = 2 its inverse is a
-    list indexed by residue, at odd p a dict.  zech[k] is log(1 + g^k) (None
-    where g^k = -1; at p = 2 the log of exp[k] ^ 1), with which sums of
-    powers of g are added in the log domain, g^x + g^y = g^(x + zech[y - x]),
+    1, which certifies that T is primitive mod m0.  zech[k] is log(1 + g^k)
+    (None where g^k = -1; at p = 2 the log of exp[k] ^ 1), with which sums
+    of powers of g are added in the log domain, g^x + g^y = g^(x + zech[y - x]),
     as minimal_polynomial and the walk over the moduli do inline.
     const_logs[c] is the log of the constant c of F_q, which sits in the T^0
     coordinate block.
@@ -223,12 +222,6 @@ class LogTable:
             for _ in range(order):
                 exp.append(x)
                 x = ((x & low) << slot) ^ red[x >> top]
-            # exp lies in [0, 2^(d*e)) = [0, N], so it is a bijection onto
-            # the residues 1..N exactly when every one of them is met
-            log = [None] * (order + 1)
-            for k, y in enumerate(exp):
-                log[y] = k
-            bijective = None not in log[1:]
         else:
             # each field of the sum is at most 2p - 2; it is >= p exactly when
             # adding 2^(width-1) - p sets its top bit, and then p is subtracted;
@@ -242,17 +235,14 @@ class LogTable:
                 exp.append(x)
                 y = ((x & low) << slot) + red[x >> top]
                 x = y - (((y + bias) & tops) >> carry) * p
-            log = dict(zip(exp, range(order)))
-            bijective = len(log) == order
-        if not bijective:
+        log = dict(zip(exp, range(order)))
+        if len(log) != order:
             raise InternalError(f"discrete-log table of {m0!r} is not a bijection")
         if x != 1:
             raise InternalError(f"T^{order} != 1 in the discrete-log table of {m0!r}")
         self.exp = exp
-        if p == 2:  # 1 + g^k flips the T^0 bit; log[0] is None
-            self.zech = [log[x ^ 1] for x in exp]
-        else:  # 1 + g^k changes only the T^0 coordinate of the F_p prime field
-            self.zech = [log.get(x + 1 - p if (x & mask) == p - 1 else x + 1) for x in exp]
+        # 1 + g^k changes only the T^0 coordinate of the F_p prime field
+        self.zech = [log.get(x + 1 - p if (x & mask) == p - 1 else x + 1) for x in exp]
         self.const_logs = [None] + [log[self.pack([c])] for c in range(1, q)]
         self.const_codes = dict(zip(self.const_logs[1:], range(1, q)))
         # n -> p*n raises a residue to its p-th power: the absolute Frobenius
