@@ -142,9 +142,8 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_scan(args) -> int:
     ctx = _make_ctx(args)
-    mode = scan.MODE_WITNESS if args.mode == "witness" else scan.MODE_FULL
     # every set-up failure raises here, before any output or --out file
-    rows = scan.stream_degree(ctx, args.d, mode=mode, limit=args.limit,
+    rows = scan.stream_degree(ctx, args.d, mode=args.mode, limit=args.limit,
                               workers=args.workers, budget=_budget())
     with contextlib.closing(rows):
         scan.write_records(rows, args.format, args.out)

@@ -52,12 +52,10 @@ from collections import namedtuple
 from .errors import (
     DivisionRemainderError,
     InternalError,
-    OutOfRangeError,
-    OverflowLimitError,
     ParityError,
 )
-from .fieldcore import DEFAULT_LIMIT, FieldCtx
-from .polyring import Modulus, format_coeffs
+from .fieldcore import FieldCtx
+from .polyring import Modulus, field_order, format_coeffs
 from .powersums import RootSums
 
 def genus(ctx: FieldCtx, d: int) -> tuple[int, int]:
@@ -67,14 +65,11 @@ def genus(ctx: FieldCtx, d: int) -> tuple[int, int]:
         2g+ = (d - 2) ((q^d - 1)/(q - 1) - 1)
 
     Both right-hand sides are provably even; an odd value means the formula
-    was transcribed wrongly and raises ParityError.
+    was transcribed wrongly and raises ParityError.  d and q^d are checked
+    as for a residue field (polyring.field_order).
     """
-    if d < 1:
-        raise OutOfRangeError(f"d must be >= 1, got {d}")
     q = ctx.q
-    if q**d > DEFAULT_LIMIT:
-        raise OverflowLimitError("q^d", q**d, DEFAULT_LIMIT)
-    s = (q**d - 1) // (q - 1)
+    s = (field_order(ctx, d) - 1) // (q - 1)
     two_g = (d * q - d - q) * s - (d - 2)
     two_gp = (d - 2) * (s - 1)
     if two_g % 2 or two_g < 0:

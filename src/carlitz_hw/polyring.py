@@ -19,8 +19,8 @@ irreducible_enumerate lists moduli in that same order.  irreducible_enumerate
 tests every monic polynomial with is_irreducible and is the oracle of the
 root enumeration that scan uses (powersums.LogTable.roots).
 least_irreducible finds the first modulus of a degree, the default field
-polynomial of make_field.  least_primitive finds the first at which T has
-order q^d - 1, by the order test alone; the table is built on it.
+polynomial of make_field.  least_primitive finds the codes of the first at
+which T has order q^d - 1, which proves it irreducible; the table takes them.
 
 Text grammar (CLI and files): '+'-separated terms  c*T^k | c*T | T^k | T | c
 with c an F_q literal (the '*' may be omitted), or alternatively a single
@@ -471,25 +471,31 @@ def least_irreducible(ctx: FieldCtx, d: int) -> Modulus:
     return m
 
 
-def least_primitive(ctx: FieldCtx, d: int) -> Modulus:
-    """The first monic f of degree d in enumeration order at which T has
-    order N = q^d - 1: T^N = 1 and T^(N/r) != 1 mod f for every prime r | N.
+def field_order(ctx: FieldCtx, d: int) -> int:
+    """q^d, the size of the residue fields of degree d >= 1, within DEFAULT_LIMIT."""
+    if d < 1:
+        raise OutOfRangeError(f"d must be >= 1, got {d}")
+    if ctx.q**d > DEFAULT_LIMIT:
+        raise OverflowLimitError("q^d", ctx.q**d, DEFAULT_LIMIT)
+    return ctx.q**d
+
+
+def least_primitive(ctx: FieldCtx, d: int) -> tuple[int, ...]:
+    """The codes of the first monic f of degree d in enumeration order at
+    which T has order N = q^d - 1: T^N = 1 and T^(N/r) != 1 for prime r | N.
 
     Such an f is irreducible with no test of its own: the powers of T are
     then N distinct units of F_q[T]/f, a ring of q^d elements, so every
     nonzero element is a unit and the ring is a field.  (-1)^d f(0) is the
     norm T^(N/(q-1)) of the root T, so it must be primitive in F_q; that
-    filter skips most candidates when q > 2.  At d > 1 a candidate with a
-    root c in F_q^* is skipped before any power of T is taken: T - c then
-    divides f, so F_q[T]/f is no field and T cannot have order N there.  At
-    d = 1 the answer is T - a with a primitive (T itself is no unit mod T).
+    filter skips most candidates when q > 2.  At d > 1 no power of T is
+    taken at a binomial T^d + a, where T^d is in F_q and T has order
+    dividing d(q - 1) < N, nor at an f with a root c in F_q^*, which T - c
+    divides.  At d = 1 the answer is T - a with a primitive (T itself is no
+    unit mod T).
     """
-    if d < 1:
-        raise OutOfRangeError(f"degree must be >= 1, got {d}")
     q = ctx.q
-    if q**d > DEFAULT_LIMIT:  # checked before q^d - 1 is factored
-        raise OverflowLimitError("q^d", q**d, DEFAULT_LIMIT)
-    order = q**d - 1
+    order = field_order(ctx, d) - 1  # checked before q^d - 1 is factored
     cofactors = [order // r for r in _prime_divisors(order)]
     units = [(q - 1) // r for r in _prime_divisors(q - 1)]
     primitive = {c for c in range(1, q) if all(ctx.pow(c, k) != 1 for k in units)}
@@ -507,13 +513,13 @@ def least_primitive(ctx: FieldCtx, d: int) -> Modulus:
         f0 = f.coeffs[0]
         if (f0 if d % 2 == 0 else ctx.neg(f0)) not in primitive:
             continue
-        if d > 1 and has_root(f.coeffs):
+        if d > 1 and (not any(f.coeffs[1:d]) or has_root(f.coeffs)):
             continue
         mul = partial(mulmod, ctx, reduction_rows(ctx, f.coeffs))
         t = [0, 1] if d > 1 else [ctx.neg(f0)]
         if (is_one(power(t, order, mul, [1]))
                 and not any(is_one(power(t, k, mul, [1])) for k in cofactors)):
-            return Modulus(f)
+            return f.coeffs
     raise InternalError(f"no primitive polynomial of degree {d} over F_{q}")
 
 

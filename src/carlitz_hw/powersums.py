@@ -41,8 +41,8 @@ and tests the packed sum for zero: at p = 2 the XOR of the terms, which is 0
 exactly when the sum vanishes, and at odd p their integer sum, reduced mod p
 field by field.  residue_field builds that table once per scan, and
 shared_field keeps it per process for scan's workers and RootSums.of.
-residue_cost bounds the memory of one degree stream and is checked against
-the same budget as exact mode wherever a field is built or fetched.
+residue_cost bounds the memory of a degree stream from (q, d) alone, checked
+against the exact-mode budget before m0 is searched for and on every fetch.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ from .fieldcore import FieldCtx, make_field
 from .polyring import (
     FqPoly,
     Modulus,
+    field_order,
+    format_coeffs,
     format_poly,
     irreducible_count,
     least_primitive,
@@ -83,11 +85,11 @@ def _check_exact_args(i, n):
         raise OutOfRangeError(f"n must be >= 1, got {n}")
 
 
-def residue_cost(m: Modulus) -> int:
-    """Cost estimate for a degree stream mod m, in table entries: the log
-    table holds q^d - 1 packed residues of d*e F_p coordinates each, and its
-    Zech table q^d - 1 logs."""
-    return m.group_order * (m.d * m.ctx.e + 1)
+def residue_cost(ctx: FieldCtx, d: int) -> int:
+    """Cost estimate for a degree stream mod any modulus of degree d, in
+    table entries: the log table holds q^d - 1 packed residues of d*e F_p
+    coordinates each, and its Zech table q^d - 1 logs."""
+    return (ctx.q**d - 1) * (d * ctx.e + 1)
 
 
 def check_budget(what: str, cost: int, budget: int | None) -> None:
@@ -95,10 +97,6 @@ def check_budget(what: str, cost: int, budget: int | None) -> None:
     limit = DEFAULT_COST_CEILING if budget is None else budget
     if cost > limit:
         raise CostCeilingError(f"{what} estimated cost {cost} exceeds budget {limit}")
-
-
-def _check_stream(m: Modulus, budget: int | None) -> None:
-    check_budget(f"degree stream mod {format_poly(m.poly)}", residue_cost(m), budget)
 
 
 def s_exact(i: int, n: int, ctx: FieldCtx, budget: int | None = None) -> FqPoly:
@@ -138,8 +136,8 @@ class LogTable:
     """Discrete-log table of one residue field F_{q^d} = A/m0A, N = q^d - 1,
     and the enumeration of every monic irreducible of degree d by its roots.
 
-    m0 is a primitive polynomial (polyring.least_primitive), so g = T, the
-    root of m0, generates the units: exp[k] = T^k mod m0 for 0 <= k < N (its
+    m0 is the codes, T^0 first, of a primitive polynomial (polyring.
+    least_primitive), which fix d and N; g = T, the root of m0, generates the units: exp[k] = T^k mod m0 for 0 <= k < N (its
     inverse builds zech and const_logs and is not kept).  A residue is packed
     into one int: the F_p coordinate t of its T^0..T^(d-1) coefficient j sits
     in bit field j*e + t, shifts[j*e + t] bits up, mask wide.  At p = 2 a
@@ -200,9 +198,9 @@ class LogTable:
     __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "exp", "zech",
                  "const_logs", "const_codes", "reps", "orbits", "roots", "first")
 
-    def __init__(self, m0: Modulus):
-        ctx, d, order = m0.ctx, m0.d, m0.group_order
-        p, e, q = ctx.p, ctx.e, ctx.q
+    def __init__(self, ctx: FieldCtx, m0: tuple[int, ...]):
+        p, e, q, d = ctx.p, ctx.e, ctx.q, len(m0) - 1
+        order = q**d - 1
         # at p = 2 a coordinate is one bit and a sum of residues is their
         # XOR; at odd p every field is wide enough for a sum of q^d residues
         width = 1 if p == 2 else (q**d * (p - 1)).bit_length()
@@ -213,8 +211,7 @@ class LogTable:
         # top slot's c turns into c*T^d = -c*(m0 - T^d), read from red
         slot, top = e * width, (d - 1) * e * width
         low = (1 << top) - 1
-        tail = m0.poly.coeffs[:d]
-        red = {self.pack([c]): self.pack([ctx.mul(ctx.neg(c), f) for f in tail])
+        red = {self.pack([c]): self.pack([ctx.mul(ctx.neg(c), f) for f in m0[:d]])
                for c in range(q)}
         exp = []
         x = 1
@@ -236,10 +233,11 @@ class LogTable:
                 y = ((x & low) << slot) + red[x >> top]
                 x = y - (((y + bias) & tops) >> carry) * p
         log = dict(zip(exp, range(order)))
+        name = format_coeffs(ctx, m0)  # for the errors below
         if len(log) != order:
-            raise InternalError(f"discrete-log table of {m0!r} is not a bijection")
+            raise InternalError(f"discrete-log table of {name} is not a bijection")
         if x != 1:
-            raise InternalError(f"T^{order} != 1 in the discrete-log table of {m0!r}")
+            raise InternalError(f"T^{order} != 1 in the discrete-log table of {name}")
         self.exp = exp
         # 1 + g^k changes only the T^0 coordinate of the F_p prime field
         self.zech = [log.get(x + 1 - p if (x & mask) == p - 1 else x + 1) for x in exp]
@@ -407,9 +405,9 @@ class RootSums:
     @classmethod
     def of(cls, m: Modulus, budget: int | None = None) -> "RootSums":
         """The sums of one modulus m at its root in the field of its (q, d)
-        kept by this process (shared_field), once residue_cost(m) passes budget."""
-        _check_stream(m, budget)
+        kept by this process (shared_field), once its residue_cost passes budget."""
         ctx = m.ctx
+        check_budget(f"degree stream mod {format_poly(m.poly)}", residue_cost(ctx, m.d), budget)
         return cls(shared_field(ctx.p, ctx.e, ctx.field_modulus, m.d), m.poly.coeffs)
 
     def logs(self, i: int) -> list[int]:
@@ -450,10 +448,10 @@ class RootSums:
 def residue_field(ctx: FieldCtx, d: int, budget: int | None = None) -> LogTable:
     """The residue field of every monic irreducible of degree d, built anew:
     the LogTable on the least primitive m0, with the roots of every modulus;
-    budget is checked before the table."""
-    m0 = least_primitive(ctx, d)
-    _check_stream(m0, budget)
-    return LogTable(m0)
+    the q^d limit and budget are checked from (q, d), before m0 is sought."""
+    field_order(ctx, d)
+    check_budget(f"degree {d} residue field over F_{ctx.q}", residue_cost(ctx, d), budget)
+    return LogTable(ctx, least_primitive(ctx, d))
 
 
 @lru_cache(maxsize=2)

@@ -1,10 +1,11 @@
 """Exhaustive classification of all monic irreducible moduli of one degree.
 
 A scan builds one residue field for its (q, d), the discrete-log table of
-F_{q^d} on the least primitive polynomial m0 (powersums.residue_field), and
-classifies each modulus listed there (LogTable.roots) in enumeration order,
-with no irreducibility test and no field of its own.  Scan sees a modulus
-only as its coefficient codes; how it sits at a root is powersums' concern.
+F_{q^d} on the least primitive polynomial m0 (powersums.residue_field,
+budgeted from (q, d) before m0 is sought), and classifies each modulus
+listed there (LogTable.roots) in enumeration order, with no irreducibility
+test, no Modulus and no field of its own.  Scan sees a modulus only as its
+coefficient codes; how it sits at a root is powersums' concern.
 
 The record of a modulus, apart from m and elapsed_ms, is constant on its
 orbit under T -> alpha*T + c and, when e > 1, the p-th power map on
@@ -37,7 +38,7 @@ CSV writes lowercase booleans and empty cells for unknown values; only the
 three flag columns are converted, as csv.writer writes None as an empty
 cell and ints by str.  JSONL writes one object per line with the same key
 order and null for unknowns.  A copied row's m is formatted from its codes.
-In witness-only mode the ordinariness flags and first_defect_n come from
+In witness mode the ordinariness flags and first_defect_n come from
 one early-exit pass (invariants.first_defects) and the lambda/supersingular
 fields stay unknown.
 """
@@ -54,11 +55,11 @@ from time import perf_counter
 from .errors import DomainError, ResourceLimitError
 from .fieldcore import FieldCtx
 from .invariants import first_defects, genus, hasse_witt
-from .polyring import format_coeffs, least_primitive
+from .polyring import field_order, format_coeffs
 from .powersums import LogTable, RootSums, residue_field, shared_field
 
 MODE_FULL = "full"
-MODE_WITNESS = "witness-only"
+MODE_WITNESS = "witness"
 
 
 class ScanRecord(namedtuple("ScanRecord", [
@@ -116,7 +117,7 @@ def stream_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
     order, each yielded as soon as its orbit representative is classified;
     `limit` truncates the modulus list, `workers` sizes the pool and
     `budget` is the residue-mode cost ceiling of each degree stream, checked
-    once by residue_field before the shared LogTable is built.  One modulus
+    once by residue_field from (q, d) before m0 is searched for.  One modulus
     per affine-Frobenius orbit (LogTable.first) is classified, and its
     record is copied to the other members with their own m and elapsed_ms 0.
 
@@ -144,7 +145,7 @@ def _stream(ctx, d, mode, limit, workers, budget):
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     if limit == 0:
-        least_primitive(ctx, d)  # an oversized (q, d) fails even with no modulus
+        field_order(ctx, d)  # an oversized (q, d) fails even with no modulus
         yield
         return
     table = residue_field(ctx, d, budget)

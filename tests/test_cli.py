@@ -551,6 +551,35 @@ def test_scan_setup_failure_writes_nothing(capsys, monkeypatch, tmp_path,
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv,budget,want", [
+    (("--p", "65537", "--d", "2"), None, 3),
+    (("--p", "10007", "--d", "3"), None, 3),
+    (("--p", "10007", "--d", "2"), "10", 3),
+    (("--p", "65537", "--d", "2", "--limit", "0"), None, 0),
+])
+def test_scan_refuses_a_large_field_before_the_search(capsys, monkeypatch, argv, budget, want):
+    # the q^d limit and the budget read (q, d) alone, so an oversized scan is
+    # refused, and --limit 0 answers, with no primitive polynomial searched
+    # for (O(q) per candidate) and no table built
+    def refuse(ctx, d):
+        raise AssertionError(f"searched for m0 at q = {ctx.q}, d = {d}")
+
+    for module in (carlitz_hw.polyring, powersums, scan):
+        monkeypatch.setattr(module, "least_primitive", refuse, raising=False)
+    built = []
+    monkeypatch.setattr(powersums, "LogTable", lambda *args: built.append(args))
+    if budget is None:
+        monkeypatch.delenv("CARLITZ_HW_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("CARLITZ_HW_BUDGET", budget)
+    code, out, err = _run(capsys, "scan", *argv, "--workers", "1")
+    if want == 3:
+        assert code == 3 and "budget" in err and out == ""
+    else:
+        assert (code, out, err) == (0, CSV_HEADER + "\n", "")
+    assert built == []
+
+
 def test_scan_row_zero_is_out_before_the_second_representative(monkeypatch):
     seen = []
     real = scan._scan_one

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from carlitz_hw.polyring import (
     least_primitive,
     monic_enumerate,
 )
-from carlitz_hw.powersums import LogTable, RootSums, residue_cost, s_mod
+from carlitz_hw.powersums import LogTable, RootSums, residue_cost, residue_field, s_mod
 from conftest import add_coordinates, coordinates, expand_orbits
 
 
@@ -245,7 +246,7 @@ def test_single_modulus_reads_its_listed_root(p, e, d):
     # RootSums.of finds each modulus at the root table.roots lists for
     # it, and every modulus of (q, d) is read in one shared table
     ctx = make_field(p, e)
-    moduli = list(LogTable(least_primitive(ctx, d)).roots.items())
+    moduli = list(residue_field(ctx, d).roots.items())
     views = [RootSums.of(Modulus(FqPoly(ctx, codes))) for codes, _ in moduli]
     assert [(v.codes, v.k) for v in views] == moduli
     assert len({id(v.table) for v in views}) == 1
@@ -283,7 +284,7 @@ def test_log_table_matches_s_mod_on_random_moduli(data):
 
 @functools.lru_cache(maxsize=None)
 def _shared_table(p, e, d):
-    table = LogTable(least_primitive(make_field(p, e), d))
+    table = residue_field(make_field(p, e), d)
     return table, list(table.roots.items())
 
 
@@ -326,14 +327,15 @@ def test_root_view_matches_s_mod_on_its_minimal_polynomial(data):
 
 
 def _count_tables(monkeypatch):
-    """Every LogTable build, by argument, from a cold per-process field cache."""
+    """Every LogTable build, by the codes of m0, from a cold per-process
+    field cache."""
     powersums.shared_field.cache_clear()
     built = []
     real = powersums.LogTable
 
-    def counted(m):
-        built.append(m)
-        return real(m)
+    def counted(ctx, m0):
+        built.append(m0)
+        return real(ctx, m0)
 
     monkeypatch.setattr(powersums, "LogTable", counted)
     return built
@@ -370,16 +372,17 @@ def test_log_table_certifies_its_generator():
     # of 342; over F_2, T^5 = 1 mod T^4 + T^3 + T^2 + T + 1, of order 15, so
     # the one-bit walk returns to 1 but meets only 5 residues
     for p, poly in [(7, "T^3+2"), (2, "T^4+T^3+T^2+T+1")]:
-        m = Modulus(parse_poly(poly, make_field(p)))
-        with pytest.raises(InternalError, match="bijection"):
-            LogTable(m)
+        ctx = make_field(p)
+        with pytest.raises(InternalError, match=f"table of {re.escape(poly)} is not a bijection"):
+            LogTable(ctx, parse_poly(poly, ctx).coeffs)
 
 
 def test_degree_stream_cost_ceiling(monkeypatch, m_headline):
     built = _count_tables(monkeypatch)
-    cost = residue_cost(m_headline)
+    cost = residue_cost(m_headline.ctx, m_headline.d)
     assert cost == 26 * (3 + 1)
-    with pytest.raises(CostCeilingError, match="budget"):
+    # the single-modulus check names the modulus it was given
+    with pytest.raises(CostCeilingError, match=r"degree stream mod T\^3\+2\*T\+1 .*budget"):
         hasse_witt(m_headline, budget=cost - 1)
     with pytest.raises(CostCeilingError, match="budget"):
         first_defects(RootSums.of(m_headline, budget=cost - 1))
@@ -391,7 +394,7 @@ def test_degree_stream_cost_ceiling_on_a_warm_field(monkeypatch, m_headline):
     # the field of (3, 3) is kept by the process, and the budget is still
     # checked on every call, before the cache is read
     built = _count_tables(monkeypatch)
-    cost = residue_cost(m_headline)
+    cost = residue_cost(m_headline.ctx, m_headline.d)
     hasse_witt(m_headline)
     assert len(built) == 1
     with pytest.raises(CostCeilingError, match="budget"):

@@ -24,7 +24,7 @@ from carlitz_hw.errors import (
     PrimeFieldOnlyError,
 )
 from carlitz_hw.polyring import is_irreducible, least_primitive, monic_enumerate, residue_pow
-from carlitz_hw.powersums import LogTable, RootSums
+from carlitz_hw.powersums import LogTable, RootSums, residue_field
 from conftest import add_coordinates
 
 
@@ -222,7 +222,7 @@ def test_log_table_exponent_orbits(p, e, d):
     # each orbit of n -> q*n with its size, the least member of its orbit
     # under n -> p*n and its target, by brute force; p^(e*d) = 1 mod q^d - 1,
     # and for e > 1 the orbits under p join those under q
-    table = LogTable(least_primitive(make_field(p, e), d))
+    table = residue_field(make_field(p, e), d)
     order, q = table.order, p**e
     orbits = {frozenset(n * q**j % order for j in range(d)) for n in range(order)}
     assert table.orbits == sorted(
@@ -239,9 +239,9 @@ def test_log_table_walk_matches_residue_pow(p, e, d):
     # computes every T^k mod m0 on its own
     ctx = make_field(p, e)
     m0 = least_primitive(ctx, d)
-    table = LogTable(m0)
+    table, m = LogTable(ctx, m0), Modulus(FqPoly(ctx, m0))
     t = FqPoly.gen(ctx)
-    assert table.exp == [table.pack(residue_pow(t, k, m0).coeffs) for k in range(table.order)]
+    assert table.exp == [table.pack(residue_pow(t, k, m).coeffs) for k in range(table.order)]
 
 
 @pytest.mark.parametrize("e,d", [(1, d) for d in range(1, 11)] + [(2, d) for d in range(1, 6)]
@@ -249,7 +249,7 @@ def test_log_table_walk_matches_residue_pow(p, e, d):
 def test_characteristic_two_zech_flips_the_constant_bit(e, d):
     # at p = 2 a residue is its d*e coordinate bits, so 1 + g^k flips the
     # T^0 bit of exp[k]
-    table = LogTable(least_primitive(make_field(2, e), d))
+    table = residue_field(make_field(2, e), d)
     log = {x: k for k, x in enumerate(table.exp)}
     assert table.zech == [log.get(x ^ 1) for x in table.exp]  # None at exp[k] = 1
 
@@ -259,7 +259,7 @@ def test_characteristic_two_vanishes_matches_s_mod(e, d):
     # where a field per coordinate wide enough for q^d residues took 156 and
     # 182 bits; sampled moduli, i and n against the sums reduced mod m
     ctx = make_field(2, e)
-    table = LogTable(least_primitive(ctx, d))
+    table = residue_field(ctx, d)
     rng = random.Random(d)
     seen = set()
     for codes in rng.sample(sorted(table.roots), 2):
@@ -298,7 +298,7 @@ def test_least_primitive_matches_brute_force(p, e, d):
     ctx = make_field(p, e)
     want = next(f for f in monic_enumerate(ctx, d)
                 if is_irreducible(f) and _order_of_t(Modulus(f)) == ctx.q**d - 1)
-    assert least_primitive(ctx, d).poly == want
+    assert least_primitive(ctx, d) == want.coeffs
 
 
 def _is_root(table, coeffs, k):
@@ -312,7 +312,7 @@ def _is_root(table, coeffs, k):
 def test_root_enumeration_matches_irreducible_enumerate(p, e, d):
     # minimal polynomials of one root per Frobenius orbit, in code order
     ctx = make_field(p, e)
-    table = LogTable(least_primitive(ctx, d))
+    table = residue_field(ctx, d)
     roots = list(table.roots.items())
     assert [coeffs for coeffs, _ in roots] == [m.poly.coeffs
                                                for m in irreducible_enumerate(ctx, d)]
@@ -333,7 +333,7 @@ def test_walked_codes_are_the_minimal_polynomials(p, e, d):
     # maps its codes to the others; every listed modulus must be the product
     # at its own root.  (2, 2, 6) and (3, 2, 3) take all three generators,
     # (3, 2, 3) at odd p with e > 1, and (2, 1, 10) translations only
-    table = LogTable(least_primitive(make_field(p, e), d))
+    table = residue_field(make_field(p, e), d)
     for codes, k in table.roots.items():
         assert codes == ((0, 1) if k is None else table.minimal_polynomial(k)), k
 
@@ -349,14 +349,14 @@ def test_log_table_multiplies_one_minimal_polynomial_per_orbit(monkeypatch, p, d
         return real(table, k)
 
     monkeypatch.setattr(LogTable, "minimal_polynomial", counted)
-    table = LogTable(least_primitive(make_field(p), d))
+    table = residue_field(make_field(p), d)
     assert len(set(calls)) == len(calls) == len(set(table.first)) == orbits
 
 
 def test_root_cases_meet_a_zero_coefficient():
     # T^3 + 2T + 1 over F_3: its product meets a coefficient 0, whose log is None
     assert (3, 1, 3) in _ROOT_CASES
-    assert (1, 2, 0, 1) in LogTable(least_primitive(make_field(3), 3)).roots
+    assert (1, 2, 0, 1) in residue_field(make_field(3), 3).roots
 
 
 @pytest.mark.parametrize("p,e,d", [(2, 1, 4), (3, 1, 4), (2, 2, 3), (5, 1, 2)])
@@ -365,7 +365,7 @@ def test_minimal_polynomial_of_a_subfield_root_is_a_power(p, e, d):
     # f^(d/s), f the irreducible of degree s with root theta; (T + 1)^4 over
     # F_2 has zero coefficients midway through the product
     ctx = make_field(p, e)
-    table = LogTable(least_primitive(ctx, d))
+    table = residue_field(ctx, d)
     for k in range(table.order):
         s = next(s for s in range(1, d + 1) if k * ctx.q**s % table.order == k)
         if s < d:
@@ -378,7 +378,7 @@ def test_minimal_polynomial_of_a_subfield_root_is_a_power(p, e, d):
 def test_const_codes_invert_const_logs(p, e, d):
     # the logs of F_q^* are the q - 1 multiples of N/(q - 1)
     ctx = make_field(p, e)
-    table = LogTable(least_primitive(ctx, d))
+    table = residue_field(ctx, d)
     step = table.order // (ctx.q - 1)
     assert sorted(table.const_codes) == list(range(0, table.order, step))
     assert sorted(table.const_codes.values()) == list(range(1, ctx.q))
@@ -390,7 +390,8 @@ def test_const_codes_invert_const_logs(p, e, d):
 def test_irreducibles_walks_root_orbits_only_when_q_is_not_p(monkeypatch, p, e, d):
     # the table walks the orbits under p and, when q != p, those under q,
     # and lists its roots from the orbits of size d, walking none more
-    m0 = least_primitive(make_field(p, e), d)
+    ctx = make_field(p, e)
+    m0 = least_primitive(ctx, d)
     walks = []
     real_walk = powersums._orbit_reps
 
@@ -399,7 +400,7 @@ def test_irreducibles_walks_root_orbits_only_when_q_is_not_p(monkeypatch, p, e, 
         return real_walk(mult, order)
 
     monkeypatch.setattr(powersums, "_orbit_reps", counted_walk)
-    table = LogTable(m0)
+    table = LogTable(ctx, m0)
     assert walks == ([p] if e == 1 else [p, p**e])
     list(table.roots.items())
     assert walks == ([p] if e == 1 else [p, p**e])
@@ -408,7 +409,7 @@ def test_irreducibles_walks_root_orbits_only_when_q_is_not_p(monkeypatch, p, e, 
 @pytest.mark.parametrize("p,e,d", [(3, 1, 3), (2, 2, 3), (7, 1, 3), (2, 1, 4)])
 def test_minimal_polynomial_rejects_a_coefficient_outside_fq(p, e, d):
     # with a wrong log of -1 the product of X - theta^(q^j) leaves F_q
-    table = LogTable(least_primitive(make_field(p, e), d))
+    table = residue_field(make_field(p, e), d)
     k = list(table.roots.items())[0][1]
     table.const_logs[p - 1] = 1
     with pytest.raises(InternalError, match="coefficient outside F_"):
@@ -417,8 +418,9 @@ def test_minimal_polynomial_rejects_a_coefficient_outside_fq(p, e, d):
 
 @pytest.mark.parametrize("p,e,d", [(2, 1, 12), (2, 2, 6), (3, 1, 7), (7, 1, 4), (3, 2, 3)])
 def test_least_primitive_takes_no_power_at_a_root(monkeypatch, p, e, d):
-    # a candidate with a root c in F_q^* has the factor T - c, so the order
-    # of T is never tested there
+    # a candidate with a root c in F_q^* has the factor T - c, and at a
+    # binomial T^d + a, T^d lies in F_q, so the order of T is never tested
+    # there; T^6 + [0,1] over F_4 has no root but is a binomial
     ctx = make_field(p, e)
     candidates, powered = [], []
     real_rows, real_power = polyring.reduction_rows, polyring.power
@@ -441,5 +443,6 @@ def test_least_primitive_takes_no_power_at_a_root(monkeypatch, p, e, d):
             v = ctx.add(ctx.mul(v, c), a)
         return v
 
-    assert powered and powered[-1] == m0.poly.coeffs
+    assert powered and powered[-1] == m0
     assert all(value(f, c) for f in powered for c in range(1, ctx.q))
+    assert all(any(f[1:d]) for f in powered)

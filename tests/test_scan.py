@@ -22,7 +22,7 @@ from carlitz_hw.cli import run
 from carlitz_hw.errors import CostCeilingError, DomainError, InternalError, OverflowLimitError
 from carlitz_hw.invariants import first_defects
 from carlitz_hw.polyring import irreducible_count, least_primitive
-from carlitz_hw.powersums import LogTable, RootSums, residue_cost
+from carlitz_hw.powersums import LogTable, RootSums, residue_cost, residue_field
 from carlitz_hw.scan import CSV_HEADER, MODE_FULL, MODE_WITNESS, ScanRecord
 
 _ELAPSED = re.compile(r"\d+$", re.M)
@@ -88,15 +88,16 @@ def test_scan_ordinary_only_mode(f3):
 
 
 def _count_calls(monkeypatch):
-    """Every is_irreducible call and every LogTable build, by argument, from
-    a cold per-process field cache."""
+    """Every is_irreducible call and every LogTable build, by last argument
+    (the polynomial tested, the codes of m0), from a cold per-process field
+    cache."""
     powersums.shared_field.cache_clear()
     tested, built = [], []
 
     def counting(calls, real):
-        def counted(arg):
-            calls.append(arg)
-            return real(arg)
+        def counted(*args):
+            calls.append(args[-1])
+            return real(*args)
         return counted
 
     monkeypatch.setattr(polyring, "is_irreducible", counting(tested, polyring.is_irreducible))
@@ -154,27 +155,30 @@ def test_write_records_format_guard(tmp_path):
 
 
 def test_scan_tests_each_polynomial_once(monkeypatch, f3):
-    calls = []
-    real = polyring.is_irreducible
+    # none at all: the search for the least primitive cubic T^3+2T+1 tests
+    # the order of T, which proves it irreducible, and the table is built
+    # on its codes, never a Modulus; the moduli themselves are minimal
+    # polynomials of roots, never tested
+    tested, built = _count_calls(monkeypatch)
+    made = []
+    real = polyring.Modulus
 
-    def counted(f):
-        calls.append(f)
-        return real(f)
+    def counted(poly):
+        made.append(poly)
+        return real(poly)
 
-    monkeypatch.setattr(polyring, "is_irreducible", counted)
+    monkeypatch.setattr(polyring, "Modulus", counted)
     assert len(scan_degree(f3, 3)) == 8
-    # only the least primitive cubic T^3+2T+1, as it becomes a Modulus: the
-    # search for it tests the order of T instead, and the moduli themselves
-    # are minimal polynomials of roots, never tested
-    assert calls == [parse_poly("T^3+2T+1", f3)]
+    assert tested == [] and made == []
+    assert built == [(1, 2, 0, 1)]
 
 
 @pytest.mark.parametrize("mode", [MODE_FULL, MODE_WITNESS])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scan_budget_checked_before_the_shared_table(monkeypatch, f3, mode, workers):
     _, built = _count_calls(monkeypatch)
-    cost = residue_cost(Modulus(parse_poly("T^3+2T+1", f3)))
-    with pytest.raises(CostCeilingError, match="T\\^3\\+2\\*T\\+1"):
+    cost = residue_cost(f3, 3)
+    with pytest.raises(CostCeilingError, match="degree 3 residue field over F_3 "):
         scan_degree(f3, 3, mode=mode, workers=workers, budget=cost - 1)
     assert built == []
     assert len(scan_degree(f3, 3, mode=mode, workers=workers, budget=cost)) == 8
@@ -308,7 +312,7 @@ def _substitution_orbits(ctx, d):
 
 
 def _walked_orbits(ctx, d):
-    table = LogTable(least_primitive(ctx, d))
+    table = residue_field(ctx, d)
     moduli = list(table.roots.items())
     first = table.first
     orbits = {}
@@ -332,7 +336,7 @@ def test_orbit_walker_matches_substitution(p, e, d):
 def test_orbit_reps_are_least_conjugates(p, e, d):
     # the walker maps an image root back to its modulus by reps alone
     q = p**e
-    table = LogTable(least_primitive(make_field(p, e), d))
+    table = residue_field(make_field(p, e), d)
     order = table.order
     assert len(table.reps) == order
     for n in range(order):
@@ -341,7 +345,7 @@ def test_orbit_reps_are_least_conjugates(p, e, d):
 
 @pytest.mark.parametrize("d,moduli,orbits", [(3, 112, 4), (4, 588, 16)])
 def test_orbit_counts(d, moduli, orbits):
-    table = LogTable(least_primitive(make_field(7), d))
+    table = residue_field(make_field(7), d)
     first = table.first
     assert len(first) == moduli and len(set(first)) == orbits
 
@@ -351,7 +355,7 @@ def test_orbit_walker_rejects_an_image_root_outside_the_size_d_orbits(monkeypatc
     # of size 1, and the orbit of g^k shrinks below size d: the walk meets
     # one of them as an image root when it lists the cubics over F_3
     m0 = least_primitive(f3, 3)
-    clean = LogTable(m0)
+    clean = LogTable(f3, m0)
     k = next(k for (_, k), f in zip(clean.roots.items(), clean.first)
              if clean.first.count(f) > 1)
     real_reps = powersums._orbit_reps
@@ -363,7 +367,7 @@ def test_orbit_walker_rejects_an_image_root_outside_the_size_d_orbits(monkeypatc
 
     monkeypatch.setattr(powersums, "_orbit_reps", corrupted)
     with pytest.raises(InternalError, match="lies in no orbit of size 3"):
-        LogTable(m0)
+        LogTable(f3, m0)
 
 
 def test_scan_classifies_one_modulus_per_orbit(monkeypatch):
