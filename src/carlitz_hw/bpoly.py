@@ -127,7 +127,7 @@ def divide_by_one_minus_u(c_poly: UPoly) -> tuple[UPoly, FqPoly]:
 
 
 def c_poly(n: int, ctx: FieldCtx, m: Modulus | None = None,
-           d: int | None = None, budget: int | None = None) -> UPoly:
+           d: int | None = None) -> UPoly:
     """C_n(u) with coefficients s_i(n), i = 0..floor(l(n)/(q-1)).
 
     Residue mode when m is given (coefficients reduced mod m, n checked
@@ -147,18 +147,18 @@ def c_poly(n: int, ctx: FieldCtx, m: Modulus | None = None,
     cap = ell(n, q) // (q - 1)
     if m is not None:
         return UPoly([s_mod(i, n, m) for i in range(cap + 1)], m)
-    return UPoly([s_exact(i, n, ctx, budget=budget) for i in range(cap + 1)])
+    return UPoly([s_exact(i, n, ctx) for i in range(cap + 1)])
 
 
 def b_poly(n: int, ctx: FieldCtx, m: Modulus | None = None,
-           d: int | None = None, budget: int | None = None) -> UPoly:
+           d: int | None = None) -> UPoly:
     """B_n(u): partial-sum coefficients for zero-class n, C_n(u) otherwise.
 
     The partial sums stop below deg C_n: from there on they equal
     C_n(1) = 0.  Both coefficient rings take the same loop; that it agrees
     with C_n(u)/(1 - u) is checked by the division verify suite.
     """
-    c = c_poly(n, ctx, m, d, budget)
+    c = c_poly(n, ctx, m, d)
     if n % (ctx.q - 1) != 0:
         return c
     partial = []

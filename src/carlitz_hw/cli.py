@@ -9,7 +9,8 @@ that died) and interrupts (one "interrupted" line).  A scan streams its
 rows, so a failure after its set-up leaves the complete rows before it; a
 reader that closes stdout early ends the scan with exit 1.  The environment variable
 CARLITZ_HW_BUDGET (decimal integer) overrides the exact-mode and the
-residue-mode cost ceilings.
+residue-mode cost ceilings; powersums.check_budget reads it where a cost is
+checked, so a malformed value is an error (exit 1) only there.
 """
 
 from __future__ import annotations
@@ -88,16 +89,6 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _budget() -> int | None:
-    raw = os.environ.get("CARLITZ_HW_BUDGET")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"CARLITZ_HW_BUDGET must be a decimal integer, got {raw!r}")
-
-
 def _make_ctx(args):
     if args.field_poly is not None:
         if args.e == 1:
@@ -135,7 +126,7 @@ def _print_json(obj) -> None:
 
 def _cmd_invariants(args) -> int:
     ctx = _make_ctx(args)
-    rep = invariants.hasse_witt(_parse_modulus(args.m, ctx), budget=_budget())
+    rep = invariants.hasse_witt(_parse_modulus(args.m, ctx))
     _print_json(rep.to_json_dict())
     return 0
 
@@ -144,7 +135,7 @@ def _cmd_scan(args) -> int:
     ctx = _make_ctx(args)
     # every set-up failure raises here, before any output or --out file
     rows = scan.stream_degree(ctx, args.d, mode=args.mode, limit=args.limit,
-                              workers=args.workers, budget=_budget())
+                              workers=args.workers)
     with contextlib.closing(rows):
         scan.write_records(rows, args.format, args.out)
     return 0
@@ -159,7 +150,7 @@ def _cmd_bpoly(args) -> int:
     else:
         if args.d is None:
             raise DomainError("--exact requires --d for range validation")
-        poly = b_poly(args.n, ctx, d=args.d, budget=_budget())
+        poly = b_poly(args.n, ctx, d=args.d)
     parts = [_fmt_degree(poly.u_degree)]
     parts.extend(format_poly(c) for c in poly.coeffs)
     print("; ".join(parts))
@@ -171,7 +162,7 @@ def _cmd_powersum(args) -> int:
     if args.mod is not None:
         poly = powersums.s_mod(args.i, args.n, _parse_modulus(args.mod, ctx))
     else:
-        poly = powersums.s_exact(args.i, args.n, ctx, budget=_budget())
+        poly = powersums.s_exact(args.i, args.n, ctx)
     print(f"{_fmt_degree(poly.degree)}; {format_poly(poly)}")
     return 0
 
@@ -190,10 +181,9 @@ def _cmd_verify(args) -> int:
     names = [s.strip() for s in args.suites.split(",") if s.strip()]
     if not names:
         raise DomainError("--suites must name at least one suite")
-    budget = _budget()
     all_passed = True
     for name in names:
-        checks = run_verify_suite(name, ctx, args.d, budget=budget)
+        checks = run_verify_suite(name, ctx, args.d)
         skipped = max(c.skipped for c in checks)
         if skipped:
             print(f"note: suite={name} skipped={skipped} items over budget", file=sys.stderr)

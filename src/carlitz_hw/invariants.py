@@ -31,7 +31,8 @@ table of F_{q^d}) whether s_i(n) mod m vanishes and stops at the first
 nonzero power sum.  The engine reads one RootSums, which scan cuts from the
 field it builds.  Only the public entry points, hasse_witt, is_ordinary and
 is_ordinary_plus, take a Modulus: they read it at its root in the field of
-its (q, d) kept by the process (RootSums.of), which checks the budget first.
+its (q, d) kept by the process (RootSums.of), which checks the budget
+(CARLITZ_HW_BUDGET) on every call.
 oracle._bbar_degree, which builds all of B_n mod m bottom-up through b_poly,
 is the oracle of that reader.
 
@@ -141,12 +142,11 @@ def degree_stream(sums: RootSums, keep=None):
         yield n, size, deg, tgt
 
 
-def hasse_witt(m: Modulus | RootSums, budget: int | None = None) -> InvariantsReport:
+def hasse_witt(m: Modulus | RootSums) -> InvariantsReport:
     """Full invariant report for one modulus, from the whole degree stream:
-    a Modulus is read at its root by RootSums.of, which checks budget
-    first; a RootSums (scan) was checked with its field, and budget is not
-    read."""
-    sums = m if isinstance(m, RootSums) else RootSums.of(m, budget)
+    a Modulus is read at its root by RootSums.of, which checks the budget
+    first; a RootSums (scan) was checked with its field."""
+    sums = m if isinstance(m, RootSums) else RootSums.of(m)
     table = sums.table
     ctx, d = table.ctx, table.d
     q = ctx.q

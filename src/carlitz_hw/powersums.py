@@ -43,17 +43,19 @@ field by field.  residue_field builds that table once per scan, and
 shared_field keeps it per process for scan's workers and RootSums.of.
 residue_cost bounds the memory of a degree stream from (q, d) alone, checked
 against the exact-mode budget before m0 is searched for and on every fetch.
+The budget is CARLITZ_HW_BUDGET, read by check_budget at every check.
 """
 
 from __future__ import annotations
 
-import math
+import os
 from collections import Counter
 from functools import lru_cache, reduce
 from operator import xor
 
 from .errors import (
     CostCeilingError,
+    DomainError,
     InternalError,
     OutOfRangeError,
 )
@@ -92,17 +94,22 @@ def residue_cost(ctx: FieldCtx, d: int) -> int:
     return (ctx.q**d - 1) * (d * ctx.e + 1)
 
 
-def check_budget(what: str, cost: int, budget: int | None) -> None:
-    """CostCeilingError when cost exceeds budget (DEFAULT_COST_CEILING if None)."""
-    limit = DEFAULT_COST_CEILING if budget is None else budget
+def check_budget(what: str, cost: int) -> None:
+    """CostCeilingError when cost exceeds CARLITZ_HW_BUDGET, read on every
+    call (DEFAULT_COST_CEILING when unset); DomainError when no integer."""
+    raw = os.environ.get("CARLITZ_HW_BUDGET")
+    try:
+        limit = DEFAULT_COST_CEILING if raw is None else int(raw)
+    except ValueError:
+        raise DomainError(f"CARLITZ_HW_BUDGET must be a decimal integer, got {raw!r}") from None
     if cost > limit:
         raise CostCeilingError(f"{what} estimated cost {cost} exceeds budget {limit}")
 
 
-def s_exact(i: int, n: int, ctx: FieldCtx, budget: int | None = None) -> FqPoly:
+def s_exact(i: int, n: int, ctx: FieldCtx) -> FqPoly:
     """The exact power sum in F_q[T], by brute force.  This is the oracle."""
     _check_exact_args(i, n)
-    check_budget(f"s_exact(i={i}, n={n})", exact_cost(i, n, ctx), budget)
+    check_budget(f"s_exact(i={i}, n={n})", exact_cost(i, n, ctx))
     return _s_exact_cached(i, n, ctx)
 
 
@@ -403,11 +410,11 @@ class RootSums:
         self._logs = [[0]]  # the monic a of degree 0 is 1, for any theta
 
     @classmethod
-    def of(cls, m: Modulus, budget: int | None = None) -> "RootSums":
+    def of(cls, m: Modulus) -> "RootSums":
         """The sums of one modulus m at its root in the field of its (q, d)
-        kept by this process (shared_field), once its residue_cost passes budget."""
+        kept by this process (shared_field), its residue_cost checked on every call."""
         ctx = m.ctx
-        check_budget(f"degree stream mod {format_poly(m.poly)}", residue_cost(ctx, m.d), budget)
+        check_budget(f"degree stream mod {format_poly(m.poly)}", residue_cost(ctx, m.d))
         return cls(shared_field(ctx.p, ctx.e, ctx.field_modulus, m.d), m.poly.coeffs)
 
     def logs(self, i: int) -> list[int]:
@@ -445,21 +452,21 @@ class RootSums:
         return True
 
 
-def residue_field(ctx: FieldCtx, d: int, budget: int | None = None) -> LogTable:
+def residue_field(ctx: FieldCtx, d: int) -> LogTable:
     """The residue field of every monic irreducible of degree d, built anew:
     the LogTable on the least primitive m0, with the roots of every modulus;
     the q^d limit and budget are checked from (q, d), before m0 is sought."""
     field_order(ctx, d)
-    check_budget(f"degree {d} residue field over F_{ctx.q}", residue_cost(ctx, d), budget)
+    check_budget(f"degree {d} residue field over F_{ctx.q}", residue_cost(ctx, d))
     return LogTable(ctx, least_primitive(ctx, d))
 
 
 @lru_cache(maxsize=2)
 def shared_field(p: int, e: int, field_modulus, d: int):
     """residue_field at make_field(p, e, field_modulus), built once per
-    process; the caller checks its budget before reading here."""
+    process."""
     ctx = make_field(p, e, None if e == 1 else field_modulus)
-    return residue_field(ctx, d, math.inf)
+    return residue_field(ctx, d)
 
 
 def _orbit_reps(mult: int, order: int) -> list[int]:

@@ -2,7 +2,7 @@
 
 A scan builds one residue field for its (q, d), the discrete-log table of
 F_{q^d} on the least primitive polynomial m0 (powersums.residue_field,
-budgeted from (q, d) before m0 is sought), and classifies each modulus
+its cost checked from (q, d) before m0 is sought), and classifies each modulus
 listed there (LogTable.roots) in enumeration order, with no irreducibility
 test, no Modulus and no field of its own.  Scan sees a modulus only as its
 coefficient codes; how it sits at a root is powersums' concern.
@@ -111,13 +111,12 @@ def _ms_since(start):
 
 
 def stream_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
-                  limit: int | None = None, workers: int = 1,
-                  budget: int | None = None) -> Iterator[ScanRecord]:
+                  limit: int | None = None, workers: int = 1) -> Iterator[ScanRecord]:
     """One record per monic irreducible modulus of degree d, in enumeration
     order, each yielded as soon as its orbit representative is classified;
-    `limit` truncates the modulus list, `workers` sizes the pool and
-    `budget` is the residue-mode cost ceiling of each degree stream, checked
-    once by residue_field from (q, d) before m0 is searched for.  One modulus
+    `limit` truncates the modulus list and `workers` sizes the pool.  The
+    budget is checked once by residue_field from (q, d) before m0 is
+    searched for, and not at all when `limit` is 0.  One modulus
     per affine-Frobenius orbit (LogTable.first) is classified, and its
     record is copied to the other members with their own m and elapsed_ms 0.
 
@@ -125,19 +124,18 @@ def stream_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
     the orbits and the start of the pool) runs in this call, so a failure
     there raises before the first record exists.  Closing the generator
     drops the pool's tasks that have not started."""
-    rows = _stream(ctx, d, mode, limit, workers, budget)
+    rows = _stream(ctx, d, mode, limit, workers)
     next(rows)  # runs the set-up, up to the bare yield
     return rows
 
 
 def scan_degree(ctx: FieldCtx, d: int, mode: str = MODE_FULL,
-                limit: int | None = None, workers: int = 1,
-                budget: int | None = None) -> list[ScanRecord]:
+                limit: int | None = None, workers: int = 1) -> list[ScanRecord]:
     """The records of stream_degree, as one list."""
-    return list(stream_degree(ctx, d, mode, limit, workers, budget))
+    return list(stream_degree(ctx, d, mode, limit, workers))
 
 
-def _stream(ctx, d, mode, limit, workers, budget):
+def _stream(ctx, d, mode, limit, workers):
     if mode not in (MODE_FULL, MODE_WITNESS):
         raise DomainError(f"unknown scan mode {mode!r}")
     if limit is not None and limit < 0:
@@ -148,7 +146,7 @@ def _stream(ctx, d, mode, limit, workers, budget):
         field_order(ctx, d)  # an oversized (q, d) fails even with no modulus
         yield
         return
-    table = residue_field(ctx, d, budget)
+    table = residue_field(ctx, d)
     moduli = list(table.roots)
     first = table.first[:limit]
     key = (ctx.p, ctx.e, ctx.field_modulus, d)

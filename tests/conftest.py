@@ -20,6 +20,13 @@ def add_coordinates(table, terms):
     return total
 
 
+@pytest.fixture(autouse=True)
+def _default_budget(monkeypatch):
+    """Every test starts at the default budget, whatever CARLITZ_HW_BUDGET the
+    test runner's environment holds; a test sets it with monkeypatch.setenv."""
+    monkeypatch.delenv("CARLITZ_HW_BUDGET", raising=False)
+
+
 @pytest.fixture(scope="session")
 def f2():
     return make_field(2)

@@ -19,12 +19,14 @@ from carlitz_hw import (
     Modulus,
     bpoly,
     make_field,
+    oracle,
     parse_poly,
     powersums,
     run_verify_suite,
     scan,
 )
 from carlitz_hw.cli import run
+from carlitz_hw.errors import OverflowLimitError
 from carlitz_hw.invariants import first_defects
 from carlitz_hw.powersums import RootSums
 from carlitz_hw.scan import CSV_HEADER
@@ -248,8 +250,8 @@ def test_division_suite_reports_a_broken_identity(monkeypatch, capsys, f3):
     # so with a failed check and exit 1, not crash inside b_poly
     real = bpoly.s_exact
 
-    def broken(i, n, ctx, budget=None):
-        s = real(i, n, ctx, budget=budget)
+    def broken(i, n, ctx):
+        s = real(i, n, ctx)
         return s + FqPoly.one(ctx) if i == 1 else s
 
     monkeypatch.setattr(bpoly, "s_exact", broken)
@@ -428,11 +430,43 @@ def test_verify_suite_partly_over_budget(capsys, monkeypatch):
     assert err == "note: suite=gekeler skipped=12 items over budget\n"
 
 
-def test_budget_env_must_be_integer(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ("powersum", "--p", "3", "--i", "1", "--n", "5", "--exact"),
+    ("invariants", "--p", "3", "--m", "T^3+2T+1"),
+    ("scan", "--p", "3", "--d", "3", "--workers", "1"),
+    ("verify", "--p", "3", "--d", "2", "--suites", "gekeler"),
+], ids=["powersum-exact", "invariants", "scan", "verify-gekeler"])
+def test_budget_env_must_be_integer(capsys, monkeypatch, argv):
+    # read where a cost is checked: by each of these commands
     monkeypatch.setenv("CARLITZ_HW_BUDGET", "lots")
-    code, _, err = _run(capsys, "powersum", "--p", "3", "--i", "1", "--n", "5",
-                        "--exact")
-    assert code == 1 and "CARLITZ_HW_BUDGET" in err
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: CARLITZ_HW_BUDGET must be a decimal integer, got 'lots'\n"
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("scan", "--p", "3", "--d", "3", "--limit", "0"), CSV_HEADER + "\n"),
+    (("verify", "--p", "3", "--d", "2", "--suites", "lemma31,digits,frobenius"),
+     "suite=lemma31 result=pass\nsuite=digits result=pass\nsuite=frobenius result=pass\n"),
+], ids=["scan-limit-0", "verify-no-cost"])
+def test_budget_env_is_not_read_where_no_cost_is_checked(capsys, monkeypatch, argv, want):
+    # the budget is read where a cost is checked, so a run that checks none
+    # ignores a malformed value
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", "lots")
+    assert _run(capsys, *argv) == (0, want, "")
+
+
+def test_verify_refuses_a_large_field_before_any_suite(capsys, monkeypatch):
+    # 2^41 > DEFAULT_LIMIT: the digits suite would walk every n < 2^41
+    def walked(*args):
+        raise AssertionError("the digits suite started")
+
+    monkeypatch.setattr(oracle, "ell", walked)
+    with pytest.raises(OverflowLimitError):
+        run_verify_suite("digits", make_field(2), 41)
+    for suite in ("digits", "gekeler", "division"):
+        code, out, err = _run(capsys, "verify", "--p", "2", "--d", "41", "--suites", suite)
+        assert code == 3 and out == "" and err.startswith("resource limit: q^d")
 
 
 def test_field_poly_flag(capsys):

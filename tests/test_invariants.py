@@ -382,12 +382,16 @@ def test_degree_stream_cost_ceiling(monkeypatch, m_headline):
     cost = residue_cost(m_headline.ctx, m_headline.d)
     assert cost == 26 * (3 + 1)
     # the single-modulus check names the modulus it was given
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", str(cost - 1))
     with pytest.raises(CostCeilingError, match=r"degree stream mod T\^3\+2\*T\+1 .*budget"):
-        hasse_witt(m_headline, budget=cost - 1)
+        hasse_witt(m_headline)
     with pytest.raises(CostCeilingError, match="budget"):
-        first_defects(RootSums.of(m_headline, budget=cost - 1))
+        first_defects(RootSums.of(m_headline))
     assert built == []
-    assert hasse_witt(m_headline, budget=cost) == hasse_witt(m_headline)
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", str(cost))
+    at_cost = hasse_witt(m_headline)
+    monkeypatch.delenv("CARLITZ_HW_BUDGET")
+    assert at_cost == hasse_witt(m_headline)
 
 
 def test_degree_stream_cost_ceiling_on_a_warm_field(monkeypatch, m_headline):
@@ -397,10 +401,11 @@ def test_degree_stream_cost_ceiling_on_a_warm_field(monkeypatch, m_headline):
     cost = residue_cost(m_headline.ctx, m_headline.d)
     hasse_witt(m_headline)
     assert len(built) == 1
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", str(cost - 1))
     with pytest.raises(CostCeilingError, match="budget"):
-        hasse_witt(m_headline, budget=cost - 1)
+        hasse_witt(m_headline)
     with pytest.raises(CostCeilingError, match="budget"):
-        first_defects(RootSums.of(m_headline, budget=cost - 1))
+        first_defects(RootSums.of(m_headline))
     assert len(built) == 1
 
 

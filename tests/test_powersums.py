@@ -1,7 +1,11 @@
+import importlib
+import inspect
+import pkgutil
 import random
 
 import pytest
 
+import carlitz_hw
 from carlitz_hw import (
     FqPoly,
     Modulus,
@@ -65,11 +69,34 @@ def test_s_exact_rejects_bad_args(f3):
         s_exact(1, 0, f3)
 
 
-def test_cost_ceiling(f3):
+def test_cost_ceiling(monkeypatch, f3):
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", "10")
     with pytest.raises(CostCeilingError):
-        s_exact(3, 10**6, f3, budget=10)
-    # generous budget allows the same arguments to start (keep n small here)
-    s_exact(1, 64, f3, budget=None)
+        s_exact(3, 10**6, f3)
+    # the default budget allows the same arguments to start (keep n small here)
+    monkeypatch.delenv("CARLITZ_HW_BUDGET")
+    s_exact(1, 64, f3)
+
+
+def test_no_library_function_takes_a_budget():
+    # the budget is one setting, CARLITZ_HW_BUDGET, read by check_budget alone
+    modules = [carlitz_hw] + [importlib.import_module(f"carlitz_hw.{info.name}")
+                              for info in pkgutil.iter_modules(carlitz_hw.__path__)]
+    checked = set()
+    for module in modules:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not getattr(obj, "__module__", "").startswith("carlitz_hw"):
+                continue
+            attrs = [k for k in vars(obj) if not k.startswith("_")] if isinstance(obj, type) else []
+            for f in filter(callable, [obj] + [getattr(obj, k) for k in attrs]):
+                try:
+                    params = inspect.signature(f).parameters
+                except ValueError:  # an exception class with the builtin __init__
+                    continue
+                assert "budget" not in params, (module.__name__, name)
+                checked.add(f)
+    assert {powersums.RootSums.of, powersums.check_budget, carlitz_hw.scan_degree} <= checked
+    assert not hasattr(carlitz_hw.cli, "_budget")
 
 
 def test_s_mod_equals_reduced_exact(f3, f4, m_headline):

@@ -178,10 +178,12 @@ def test_scan_tests_each_polynomial_once(monkeypatch, f3):
 def test_scan_budget_checked_before_the_shared_table(monkeypatch, f3, mode, workers):
     _, built = _count_calls(monkeypatch)
     cost = residue_cost(f3, 3)
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", str(cost - 1))
     with pytest.raises(CostCeilingError, match="degree 3 residue field over F_3 "):
-        scan_degree(f3, 3, mode=mode, workers=workers, budget=cost - 1)
+        scan_degree(f3, 3, mode=mode, workers=workers)
     assert built == []
-    assert len(scan_degree(f3, 3, mode=mode, workers=workers, budget=cost)) == 8
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", str(cost))
+    assert len(scan_degree(f3, 3, mode=mode, workers=workers)) == 8
     assert len(built) == 1  # one table for the eight moduli of the scan
 
 
@@ -418,9 +420,10 @@ def test_scan_limit_zero_builds_nothing_but_checks_the_size(monkeypatch, f3):
     # --limit 0 lists no modulus and builds no field, but an oversized (q, d)
     # still fails, before the budget is read
     _, built = _count_calls(monkeypatch)
-    assert scan_degree(f3, 3, limit=0, budget=0) == []
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", "0")
+    assert scan_degree(f3, 3, limit=0) == []
     with pytest.raises(OverflowLimitError):
-        scan_degree(f3, 26, limit=0, budget=0)
+        scan_degree(f3, 26, limit=0)
     assert built == []
 
 
