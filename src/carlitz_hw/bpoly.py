@@ -4,8 +4,8 @@ C_n(u) = sum_i s_i(n) u^i is a polynomial because s_i(n) = 0 once i exceeds
 floor(l(n)/(q-1)).  B_n(u) is C_n(u) for exponents outside the zero class;
 for zero-class n the coefficients switch to the partial sums of the s_i
 (equivalently B_n = C_n/(1-u), exact because C_n(1) = 0 there), truncated at
-u^(d-2).  B_n does not depend on the ambient degree d, so the exact-mode
-functions take d only to validate ranges.  C_n and B_n are each built by one
+u^(d-2).  B_n depends on n alone, so exact mode takes no degree d; d
+enters only with the modulus m.  C_n and B_n are each built by one
 body for both coefficient rings; the identity B_n = C_n/(1-u) is checked by
 the division verify suite (oracle), not on every construction.
 
@@ -126,8 +126,7 @@ def divide_by_one_minus_u(c_poly: UPoly) -> tuple[UPoly, FqPoly]:
     return UPoly(quotient, c_poly.modulus), remainder
 
 
-def c_poly(n: int, ctx: FieldCtx, m: Modulus | None = None,
-           d: int | None = None) -> UPoly:
+def c_poly(n: int, ctx: FieldCtx, m: Modulus | None = None) -> UPoly:
     """C_n(u) with coefficients s_i(n), i = 0..floor(l(n)/(q-1)).
 
     Residue mode when m is given (coefficients reduced mod m, n checked
@@ -135,30 +134,27 @@ def c_poly(n: int, ctx: FieldCtx, m: Modulus | None = None,
     identically and are not computed.
     """
     if m is not None:
-        ctx, d = m.ctx, m.d
-    q = ctx.q
-    if d is not None:
-        if d < 1:
-            raise OutOfRangeError(f"d must be >= 1, got {d}")
-        if not 1 <= n <= q**d - 2:
-            raise OutOfRangeError(f"n={n} outside [1, q^d-2] = [1, {q**d - 2}]")
+        ctx = m.ctx
+        top = m.group_order - 1  # q^d - 2
+        if not 1 <= n <= top:
+            raise OutOfRangeError(f"n={n} outside [1, q^d-2] = [1, {top}]")
     elif n < 1:
         raise OutOfRangeError(f"n must be >= 1, got {n}")
+    q = ctx.q
     cap = ell(n, q) // (q - 1)
     if m is not None:
         return UPoly([s_mod(i, n, m) for i in range(cap + 1)], m)
     return UPoly([s_exact(i, n, ctx) for i in range(cap + 1)])
 
 
-def b_poly(n: int, ctx: FieldCtx, m: Modulus | None = None,
-           d: int | None = None) -> UPoly:
+def b_poly(n: int, ctx: FieldCtx, m: Modulus | None = None) -> UPoly:
     """B_n(u): partial-sum coefficients for zero-class n, C_n(u) otherwise.
 
     The partial sums stop below deg C_n: from there on they equal
     C_n(1) = 0.  Both coefficient rings take the same loop; that it agrees
     with C_n(u)/(1 - u) is checked by the division verify suite.
     """
-    c = c_poly(n, ctx, m, d)
+    c = c_poly(n, ctx, m)
     if n % (ctx.q - 1) != 0:
         return c
     partial = []

@@ -24,7 +24,7 @@ import sys
 from . import invariants, powersums, scan
 from .errors import DomainError, InternalError, PolyParseError, ResourceLimitError
 from .fieldcore import make_field
-from .polyring import NEG_INF, Modulus, format_poly, parse_poly
+from .polyring import Modulus, format_poly, parse_poly
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,8 +65,6 @@ def _build_parser() -> _Parser:
     group = p_bp.add_mutually_exclusive_group(required=True)
     group.add_argument("--mod", default=None, help="reduce mod this modulus")
     group.add_argument("--exact", action="store_true")
-    p_bp.add_argument("--d", type=int, default=None,
-                      help="ambient degree for range validation (with --exact)")
 
     p_ps = sub.add_parser("powersum", parents=[shared],
                           help="power sum over monic polynomials of one degree")
@@ -110,14 +108,6 @@ def _make_ctx(args):
     return ctx
 
 
-def _parse_modulus(text, ctx) -> Modulus:
-    return Modulus(parse_poly(text, ctx))
-
-
-def _fmt_degree(deg) -> str:
-    return "-inf" if deg == NEG_INF else str(deg)
-
-
 def _print_json(obj) -> None:
     import json
 
@@ -126,7 +116,7 @@ def _print_json(obj) -> None:
 
 def _cmd_invariants(args) -> int:
     ctx = _make_ctx(args)
-    rep = invariants.hasse_witt(_parse_modulus(args.m, ctx))
+    rep = invariants.hasse_witt(Modulus(parse_poly(args.m, ctx)))
     _print_json(rep.to_json_dict())
     return 0
 
@@ -146,12 +136,10 @@ def _cmd_bpoly(args) -> int:
 
     ctx = _make_ctx(args)
     if args.mod is not None:
-        poly = b_poly(args.n, ctx, m=_parse_modulus(args.mod, ctx))
+        poly = b_poly(args.n, ctx, m=Modulus(parse_poly(args.mod, ctx)))
     else:
-        if args.d is None:
-            raise DomainError("--exact requires --d for range validation")
-        poly = b_poly(args.n, ctx, d=args.d)
-    parts = [_fmt_degree(poly.u_degree)]
+        poly = b_poly(args.n, ctx)
+    parts = [str(poly.u_degree)]
     parts.extend(format_poly(c) for c in poly.coeffs)
     print("; ".join(parts))
     return 0
@@ -160,10 +148,10 @@ def _cmd_bpoly(args) -> int:
 def _cmd_powersum(args) -> int:
     ctx = _make_ctx(args)
     if args.mod is not None:
-        poly = powersums.s_mod(args.i, args.n, _parse_modulus(args.mod, ctx))
+        poly = powersums.s_mod(args.i, args.n, Modulus(parse_poly(args.mod, ctx)))
     else:
         poly = powersums.s_exact(args.i, args.n, ctx)
-    print(f"{_fmt_degree(poly.degree)}; {format_poly(poly)}")
+    print(f"{poly.degree}; {format_poly(poly)}")
     return 0
 
 

@@ -195,18 +195,9 @@ class FieldCtx:
         return self.encode(vec)
 
     def format_field_modulus(self) -> str:
-        terms = []
-        for k in range(self.e, -1, -1):
-            c = self.field_modulus[k] if k < len(self.field_modulus) else 0
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append("x" if c == 1 else f"{c}*x")
-            else:
-                terms.append(f"x^{k}" if c == 1 else f"{c}*x^{k}")
-        return "+".join(terms) if terms else "0"
+        """The defining polynomial over F_p in x, in format_poly's grammar."""
+        from .polyring import format_coeffs  # polyring imports this module
+        return format_coeffs(make_field(self.p), self.field_modulus).replace("T", "x")
 
     def __eq__(self, other):
         return (isinstance(other, FieldCtx)

@@ -8,6 +8,7 @@ which the CLI parser reads.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from .bpoly import b_poly, c_poly, divide_by_one_minus_u, one_upoly
@@ -45,20 +46,9 @@ def s1_closed_form(n: int, ctx: FieldCtx) -> FqPoly:
     if not p - 1 <= a + b < 2 * (p - 1):
         raise ClosedFormWindowError(
             n, f"digit sum {a + b} outside [{p - 1}, {2 * (p - 1)})")
-    binom = _binomial_mod_p(b, p - 1 - a, p)
-    coeff = (-binom) % p
+    coeff = -math.comb(b, p - 1 - a) % p
     tp_minus_t = FqPoly(ctx, [0, (-1) % p] + [0] * (p - 2) + [1], check=False)
     return (tp_minus_t ** (a + b - (p - 1))).scale(coeff)
-
-
-def _binomial_mod_p(top, k, p):
-    if k < 0 or k > top:
-        return 0
-    num = den = 1
-    for j in range(k):
-        num = num * (top - j) % p
-        den = den * (j + 1) % p
-    return num * pow(den, -1, p) % p
 
 
 def f_poly(n: int, ctx: FieldCtx) -> FqPoly:

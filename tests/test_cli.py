@@ -18,6 +18,7 @@ from carlitz_hw import (
     FqPoly,
     Modulus,
     bpoly,
+    format_poly,
     make_field,
     oracle,
     parse_poly,
@@ -111,8 +112,7 @@ def test_powersum_zero_degree_formatting(capsys):
 
 
 def test_bpoly_exact(capsys):
-    code, out, _ = _run(capsys, "bpoly", "--p", "3", "--n", "8", "--exact",
-                        "--d", "3")
+    code, out, _ = _run(capsys, "bpoly", "--p", "3", "--n", "8", "--exact")
     assert code == 0
     assert out.strip() == "1; 1; 2*T^6+2*T^4+2*T^2"
 
@@ -124,14 +124,17 @@ def test_bpoly_mod(capsys):
     assert out.strip() == "1; 1; 2"
 
 
-def test_bpoly_exact_requires_d(capsys):
-    code, _, err = _run(capsys, "bpoly", "--p", "3", "--n", "8", "--exact")
-    assert code == 1 and "--d" in err
+def test_bpoly_takes_no_d(capsys):
+    code, out, err = _run(capsys, "bpoly", "--p", "3", "--n", "8", "--exact", "--d", "3")
+    assert (code, out) == (1, "") and "--d" in err
 
 
-def test_bpoly_exact_rejects_d_below_one(capsys):
-    code, out, err = _run(capsys, "bpoly", "--p", "3", "--n", "5", "--exact", "--d", "0")
-    assert (code, out, err) == (1, "", "error: d must be >= 1, got 0\n")
+def test_bpoly_exact_has_no_upper_bound_on_n(capsys, f3):
+    # B_n depends on n alone: q^d - 1 is out of range only with a modulus
+    code, out, _ = _run(capsys, "bpoly", "--p", "3", "--n", "26", "--exact")
+    b = bpoly.b_poly(26, f3)
+    assert code == 0
+    assert out == "; ".join([str(b.u_degree)] + [format_poly(c) for c in b.coeffs]) + "\n"
 
 
 # sha256 of scan's stdout with the last column or key, elapsed_ms, cut from

@@ -35,6 +35,15 @@ def test_make_field_default_modulus_f4():
     assert ctx.format_field_modulus() == "x^2+x+1"
 
 
+@pytest.mark.parametrize("p,e,field_modulus,text", [
+    (3, 2, None, "x^2+1"),
+    (7, 3, None, "x^3+2"),
+    (5, 2, (2, 4, 1), "x^2+4*x+2"),
+])
+def test_format_field_modulus(p, e, field_modulus, text):
+    assert make_field(p, e, field_modulus).format_field_modulus() == text
+
+
 @pytest.mark.parametrize("p,e,modulus", [
     (2, 3, (1, 1, 0, 1)),
     (2, 4, (1, 1, 0, 0, 1)),

@@ -137,7 +137,8 @@ def test_s1_closed_form_examples(f3):
     assert format_poly(s1_closed_form(2, f3)) == "2"
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+# from p = 7 on the window reaches C(b, k) >= p
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_s1_closed_form_matches_oracle_on_window(p):
     ctx = make_field(p)
     checked = 0
