@@ -34,7 +34,7 @@ from .scan import ScanRecord, scan_degree, stream_degree, write_records
 __version__ = "0.1.0"
 
 _LAZY = {
-    "UPoly": "bpoly", "b_poly": "bpoly", "c_poly": "bpoly", "u_degree": "bpoly",
+    "UPoly": "bpoly", "b_poly": "bpoly", "c_poly": "bpoly",
     "f_poly": "oracle", "run_verify_suite": "oracle", "s1_closed_form": "oracle",
     "verify_identities": "oracle", "z_bar": "oracle",
 }

@@ -13,7 +13,9 @@ A UPoly stores its FqPoly coefficients ascending in u, exact in F_q[T], or
 reduced mod an irreducible m when it has that modulus (every coefficient of
 degree < d); u_degree of the zero polynomial is -inf.
 
-This module builds whole polynomials bottom-up, s_0 first.  It serves the
+This module builds whole polynomials, every s_i(n) up to the cap, the top
+one first: it is the costliest, so a C_n or B_n over the budget of s_exact
+or s_mod is refused before any cheaper term is computed.  It serves the
 bpoly command and the oracle module (z_bar and the verify suites), and it
 is the oracle of the degree engine, which reads each degree top-down from
 the power sums alone (invariants._reduced_degree) and never builds B_n.
@@ -57,13 +59,6 @@ class UPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def coefficient(self, i: int) -> FqPoly:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        if not self.coeffs:
-            raise DomainError("zero UPoly has no coefficient field context")
-        return FqPoly.zero(self.coeffs[0].ctx)
-
     def __mul__(self, other):
         if not isinstance(other, UPoly):
             return NotImplemented
@@ -81,9 +76,10 @@ class UPoly:
             for j, y in enumerate(b):
                 if y.is_zero():
                     continue
-                prod = x * y
-                if m is not None:
-                    prod = m.reduce(prod)
+                if m is None:
+                    prod = x * y
+                else:  # by the one product mod m
+                    prod = FqPoly(ctx, m._mulmod(x.coeffs, y.coeffs), check=False)
                 out[i + j] = out[i + j] + prod
         return UPoly(out, self.modulus)
 
@@ -97,11 +93,6 @@ class UPoly:
     def __repr__(self):
         inner = "; ".join(format_poly(c) for c in self.coeffs) or "0"
         return f"UPoly[{'exact' if self.modulus is None else 'residue'}]({inner})"
-
-
-def u_degree(poly: UPoly):
-    """Index of the last nonzero coefficient; -inf for the zero polynomial."""
-    return poly.u_degree
 
 
 def one_upoly(ctx: FieldCtx, m: Modulus | None = None) -> UPoly:
@@ -131,7 +122,8 @@ def c_poly(n: int, ctx: FieldCtx, m: Modulus | None = None) -> UPoly:
 
     Residue mode when m is given (coefficients reduced mod m, n checked
     against m's degree), exact otherwise.  Higher coefficients vanish
-    identically and are not computed.
+    identically and are not computed.  The top coefficient is computed
+    first: it is the costliest, so its budget check is the first one made.
     """
     if m is not None:
         ctx = m.ctx
@@ -142,9 +134,10 @@ def c_poly(n: int, ctx: FieldCtx, m: Modulus | None = None) -> UPoly:
         raise OutOfRangeError(f"n must be >= 1, got {n}")
     q = ctx.q
     cap = ell(n, q) // (q - 1)
+    top_down = range(cap, -1, -1)
     if m is not None:
-        return UPoly([s_mod(i, n, m) for i in range(cap + 1)], m)
-    return UPoly([s_exact(i, n, ctx) for i in range(cap + 1)])
+        return UPoly([s_mod(i, n, m) for i in top_down][::-1], m)
+    return UPoly([s_exact(i, n, ctx) for i in top_down][::-1])
 
 
 def b_poly(n: int, ctx: FieldCtx, m: Modulus | None = None) -> UPoly:

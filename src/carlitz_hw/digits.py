@@ -33,12 +33,12 @@ def ell(n: int, q: int) -> int:
     return sum(base_q_digits(n, q))
 
 
-def target_degree(n: int, ctx: FieldCtx, d: int) -> int:
+def target_degree(n: int, ctx: FieldCtx) -> int:
     """The degree the reduced generating polynomial attains iff the field
     is ordinary at n: floor(l(n)/(q-1)), minus one in the zero class."""
     q = ctx.q
-    if not 1 <= n <= q**d - 2:
-        raise OutOfRangeError(f"n={n} outside [1, q^d-2] = [1, {q**d - 2}]")
+    if n < 1:
+        raise OutOfRangeError(f"n must be >= 1, got {n}")
     t = ell(n, q) // (q - 1)
     return t - 1 if n % (q - 1) == 0 else t
 

@@ -149,14 +149,6 @@ class FieldCtx:
             return self._inv_table[a]
         return self.pow(a, self.q - 2)
 
-    def frobenius(self, a):
-        """a^p, the absolute Frobenius."""
-        return self.pow(a, self.p)
-
-    def elements(self):
-        """All q elements once, in ascending code order."""
-        return range(self.q)
-
     # -- literal syntax: decimal residue for e = 1, "[c0,c1,...]" for e > 1 --
 
     def format_elem(self, a) -> str:

@@ -1,7 +1,10 @@
 """The brute-force oracle that certifies the degree engine: B_n built
-bottom-up by bpoly.b_poly (_bbar_degree, z_bar), the degree-one closed form
-and f_poly, and the identity suites of the verify command.  Nothing in the
-engine imports it; the CLI does inside the verify command.  s_exact and
+whole by bpoly.b_poly (_bbar_degree, z_bar), the degree-one closed form
+and f_poly, and the identity suites of the verify command.  A suite that
+computes power sums (gekeler, division, frobenius) checks the cost estimate
+of its costliest item, exact_cost or mod_cost, against the budget once,
+before its first item: it runs every item or none.  Nothing in the engine
+imports this module; the CLI does inside the verify command.  s_exact and
 s_mod stay in powersums, which bpoly reads, and SUITE_NAMES in invariants,
 which the CLI parser reads.
 """
@@ -13,18 +16,12 @@ from collections import namedtuple
 
 from .bpoly import b_poly, c_poly, divide_by_one_minus_u, one_upoly
 from .digits import ell, gekeler_degree_bound, rho, rho_exponents
-from .errors import (
-    ClosedFormWindowError,
-    CostCeilingError,
-    InternalError,
-    OutOfRangeError,
-    PrimeFieldOnlyError,
-)
+from .errors import ClosedFormWindowError, InternalError, OutOfRangeError, PrimeFieldOnlyError
 from .fieldcore import FieldCtx
 from .invariants import SUITE_NAMES, genus
 from .polyring import (
     NEG_INF, FqPoly, Modulus, field_order, format_poly, irreducible_enumerate, residue_pow)
-from .powersums import s_exact, s_mod
+from .powersums import check_budget, exact_cost, mod_cost, s_exact, s_mod
 
 
 def s1_closed_form(n: int, ctx: FieldCtx) -> FqPoly:
@@ -85,22 +82,11 @@ def z_bar(m: Modulus):
 # ---------------------------------------------------------------------------
 # identity suites
 
-# skipped counts the items over the cost budget, which were not checked
-IdentityCheck = namedtuple("IdentityCheck", ["name", "passed", "detail", "skipped"],
-                           defaults=("", 0))
+IdentityCheck = namedtuple("IdentityCheck", ["name", "passed", "detail"])
 
 
 def _check(name, passed, detail=""):
     return IdentityCheck(name, bool(passed), "" if passed else detail)
-
-
-def _within_budget(suite, checks, skipped, total):
-    """The checks, each marked with the number of items skipped over the
-    cost budget; CostCeilingError when that is every one of total items,
-    since then the suite has checked nothing."""
-    if total and skipped == total:
-        raise CostCeilingError(f"verify suite {suite}: all {total} items are over budget")
-    return [c._replace(skipped=skipped) for c in checks]
 
 
 def verify_identities(ctx: FieldCtx, d: int) -> list[IdentityCheck]:
@@ -168,16 +154,12 @@ def _suite_gekeler(ctx, d):
     q = ctx.q
     prime_field = ctx.e == 1
     top = q**d - 2
+    check_budget("verify suite gekeler", exact_cost(d - 1, top, ctx))
     bound_bad = eq_bad = vanish_bad = None
-    skipped = 0
     for n in range(1, top + 1):
         l_n = ell(n, q)
         for i in range(d):
-            try:
-                s_poly = s_exact(i, n, ctx)
-            except CostCeilingError:
-                skipped += 1
-                continue
+            s_poly = s_exact(i, n, ctx)
             bound = gekeler_degree_bound(i, n, ctx)
             if not s_poly.degree <= bound and bound_bad is None:
                 bound_bad = (i, n)
@@ -189,7 +171,6 @@ def _suite_gekeler(ctx, d):
             if (prime_field and s_poly.is_zero() and not vanish_expected
                     and vanish_bad is None):
                 vanish_bad = (i, n)
-    note = f" ({skipped} pairs over budget)" if skipped else ""
     checks = [
         _check("power-sum-degree-bound", bound_bad is None,
                f"counterexample (i,n)={bound_bad}"),
@@ -198,12 +179,13 @@ def _suite_gekeler(ctx, d):
     ]
     if prime_field:
         checks.insert(1, _check("power-sum-degree-equality", eq_bad is None,
-                                f"counterexample (i,n)={eq_bad}{note}"))
-    return _within_budget("gekeler", checks, skipped, top * d)
+                                f"counterexample (i,n)={eq_bad}"))
+    return checks
 
 
 def _suite_frobenius(ctx, d):
     p = ctx.p
+    check_budget("verify suite frobenius", mod_cost(d - 1, ctx.q**d - 2, ctx, d))
     deg_bad = twist_bad = None
     for m in irreducible_enumerate(ctx, d):
         order = m.group_order
@@ -231,27 +213,22 @@ def _suite_division(ctx, d):
     """B_n = C_n/(1 - u) at every zero-class n: the only place the division
     identity is computed; b_poly builds B_n from partial sums alone."""
     q = ctx.q
+    # q^d - q is the largest zero-class n, and its C_n has u-degree d - 1
+    check_budget("verify suite division", exact_cost(d - 1, q**d - q, ctx))
     rem_bad = agree_bad = None
-    skipped = 0
-    zero_class = range(q - 1, q**d - 1, q - 1)
-    for n in zero_class:
-        try:
-            quotient, remainder = divide_by_one_minus_u(c_poly(n, ctx))
-            b = b_poly(n, ctx)
-        except CostCeilingError:
-            skipped += 1
-            continue
+    for n in range(q - 1, q**d - 1, q - 1):
+        quotient, remainder = divide_by_one_minus_u(c_poly(n, ctx))
+        b = b_poly(n, ctx)
         if not remainder.is_zero() and rem_bad is None:
             rem_bad = n
         if quotient != b and agree_bad is None:
             agree_bad = n
-    note = f" ({skipped} exponents over budget)" if skipped else ""
-    return _within_budget("division", [
+    return [
         _check("division-zero-remainder", rem_bad is None,
-               f"counterexample n={rem_bad}{note}"),
+               f"counterexample n={rem_bad}"),
         _check("division-vs-partial-sums", agree_bad is None,
                f"counterexample n={agree_bad}"),
-    ], skipped, len(zero_class))
+    ]
 
 
 def run_verify_suite(name: str, ctx: FieldCtx, d: int) -> list[IdentityCheck]:

@@ -159,9 +159,6 @@ class FqPoly:
                     r[top - db + j] = sub(r[top - db + j], mul(f, b[j]))
         return FqPoly(ctx, quot, check=False), FqPoly(ctx, r, check=False)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -420,11 +417,6 @@ class Modulus:
     def __setattr__(self, name, value):
         raise AttributeError("Modulus is immutable")
 
-    def reduce(self, f: FqPoly) -> FqPoly:
-        if len(f.coeffs) <= self.d:
-            return f
-        return f % self.poly
-
     def __eq__(self, other):
         return isinstance(other, Modulus) and self.poly == other.poly
 
@@ -529,4 +521,4 @@ def residue_pow(a: FqPoly, n: int, m: Modulus) -> FqPoly:
         raise OutOfRangeError(f"exponent must be >= 0, got {n}")
     if n > DEFAULT_LIMIT:
         raise OverflowLimitError("exponent", n, DEFAULT_LIMIT)
-    return FqPoly(m.ctx, power(m.reduce(a).coeffs, n, m._mulmod, [1]), check=False)
+    return FqPoly(m.ctx, power((a % m.poly).coeffs, n, m._mulmod, [1]), check=False)

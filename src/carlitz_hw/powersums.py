@@ -10,8 +10,11 @@ q^i * ceil(log2 n) * (i*n + 1) against a configurable budget
 
 The reduced sum s_mod enumerates the same monic polynomials and accumulates
 residue powers by square-and-multiply (residue_pow), never leaving degree
-< d.  It serves b_poly and the verify suites (oracle), and is the oracle of
-the degree engine's power sums, which never call it.
+< d.  Its calls are guarded against the same budget by mod_cost,
+q^i * bit_length(n) * d^2: q^i residue powers of about bit_length(n)
+products of d^2 coefficient operations each.  It serves b_poly and the
+verify suites (oracle), and is the oracle of the degree engine's power
+sums, which never call it.
 
 Those come from one residue field per (q, d).  For every monic irreducible m
 of degree d, A/mA = F_{q^d} by T -> theta, theta a root of m, so LogTable,
@@ -42,7 +45,7 @@ exactly when the sum vanishes, and at odd p their integer sum, reduced mod p
 field by field.  residue_field builds that table once per scan, and
 shared_field keeps it per process for scan's workers and RootSums.of.
 residue_cost bounds the memory of a degree stream from (q, d) alone, checked
-against the exact-mode budget before m0 is searched for and on every fetch.
+against the budget before m0 is searched for and on every fetch.
 The budget is CARLITZ_HW_BUDGET, read by check_budget at every check.
 """
 
@@ -87,6 +90,12 @@ def _check_exact_args(i, n):
         raise OutOfRangeError(f"n must be >= 1, got {n}")
 
 
+def mod_cost(i: int, n: int, ctx: FieldCtx, d: int) -> int:
+    """Cost estimate for s_mod mod a modulus of degree d, in coefficient
+    operations."""
+    return ctx.q**i * max(n.bit_length(), 1) * d * d
+
+
 def residue_cost(ctx: FieldCtx, d: int) -> int:
     """Cost estimate for a degree stream mod any modulus of degree d, in
     table entries: the log table holds q^d - 1 packed residues of d*e F_p
@@ -128,6 +137,7 @@ def s_mod(i: int, n: int, m: Modulus) -> FqPoly:
     if not 1 <= n <= m.group_order - 1:
         raise OutOfRangeError(
             f"n={n} outside [1, q^d-2] = [1, {m.group_order - 1}]")
+    check_budget(f"s_mod(i={i}, n={n})", mod_cost(i, n, m.ctx, m.d))
     total = FqPoly.zero(m.ctx)
     for a in monic_enumerate(m.ctx, i):
         power = residue_pow(a, n, m)

@@ -60,7 +60,7 @@ def _naive_stream(m):
     out = []
     for n in range(1, m.group_order):
         zero_class = n % q1 == 0
-        tgt = target_degree(n, m.ctx, m.d)
+        tgt = target_degree(n, m.ctx)
         deg = invariants._reduced_degree(n, sums, tgt + zero_class, zero_class)
         out.append((n, deg, tgt))
     return out

@@ -8,12 +8,12 @@ from carlitz_hw import (
     format_poly,
     irreducible_enumerate,
     make_field,
+    powersums,
     s_exact,
     s_mod,
-    u_degree,
 )
 from carlitz_hw.bpoly import UPoly, divide_by_one_minus_u, one_upoly
-from carlitz_hw.errors import DomainError, OutOfRangeError
+from carlitz_hw.errors import CostCeilingError, DomainError, OutOfRangeError
 
 
 def test_c_poly_examples(f3):
@@ -56,11 +56,26 @@ def test_b_poly_residue_cor31_witness(f4):
         assert b_poly(42, f4, m=m) == one_upoly(f4, m)
 
 
+def test_c_poly_checks_its_top_term_first(monkeypatch, f3, m_headline):
+    # l(25) = 5 at q = 3, so C_25 has u-degree 2: s_2(25) is the costliest
+    # term, and over budget it is refused before any term is computed
+    calls = []
+    monkeypatch.setattr(powersums, "residue_pow", lambda *args: calls.append(args))
+    monkeypatch.setattr(powersums, "_s_exact_cached", lambda *args: calls.append(args))
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", str(powersums.mod_cost(2, 25, f3, 3) - 1))
+    with pytest.raises(CostCeilingError, match=r"^s_mod\(i=2, n=25\) "):
+        c_poly(25, f3, m_headline)
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", str(powersums.exact_cost(2, 25, f3) - 1))
+    with pytest.raises(CostCeilingError, match=r"^s_exact\(i=2, n=25\) "):
+        c_poly(25, f3)
+    assert calls == []
+
+
 def test_u_degree_examples(f3, m_headline):
     for m in irreducible_enumerate(f3, 2) + [m_headline]:
-        assert u_degree(b_poly(5, f3, m=m)) == 1
-    assert u_degree(b_poly(8, f3, m=m_headline)) == 1
-    assert u_degree(UPoly(())) == NEG_INF
+        assert b_poly(5, f3, m=m).u_degree == 1
+    assert b_poly(8, f3, m=m_headline).u_degree == 1
+    assert UPoly(()).u_degree == NEG_INF
 
 
 def test_division_cross_check_runs_on_zero_class(f3):
@@ -84,8 +99,7 @@ def test_divide_by_one_minus_u_inverts_multiplication(f3):
     quotient, remainder = divide_by_one_minus_u(c)
     one_minus_u = UPoly([one, -one])
     back = one_minus_u * quotient
-    rebuilt = [remainder + back.coefficient(0)] + \
-        [back.coefficient(i) for i in range(1, len(c.coeffs))]
+    rebuilt = [remainder + back.coeffs[0]] + list(back.coeffs[1:len(c.coeffs)])
     assert UPoly(rebuilt) == c
 
 

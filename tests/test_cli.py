@@ -392,7 +392,7 @@ def test_engine_import_leaves_out_the_oracle_and_json(module):
 def test_package_root_resolves_the_lazy_names():
     from carlitz_hw import bpoly, oracle
 
-    for name in ("UPoly", "b_poly", "c_poly", "u_degree"):
+    for name in ("UPoly", "b_poly", "c_poly"):
         assert getattr(carlitz_hw, name) is getattr(bpoly, name)
     for name in ("f_poly", "run_verify_suite", "s1_closed_form", "verify_identities",
                  "z_bar"):
@@ -410,35 +410,51 @@ def test_scan_interrupt_exit_code(capsys, monkeypatch):
     assert code == 3 and err == "interrupted\n" and out == ""
 
 
-@pytest.mark.parametrize("budget,suite", [("1", "division"), ("0", "gekeler")])
-def test_verify_suite_entirely_over_budget(capsys, monkeypatch, budget, suite):
-    # a suite that could check nothing must not report result=pass
-    monkeypatch.setenv("CARLITZ_HW_BUDGET", budget)
-    code, out, err = _run(capsys, "verify", "--p", "3", "--d", "2", "--suites", suite)
-    assert code == 3 and out == ""
-    assert err.startswith(f"resource limit: verify suite {suite}: all ")
+@pytest.mark.parametrize("suite,cost", [
+    ("gekeler", 72),    # exact_cost(1, 7): s_1(q^d - 2)
+    ("division", 63),   # exact_cost(1, 6): s_1(q^d - q), the top of C_6
+    ("frobenius", 36),  # mod_cost(1, 7, ctx, 2): s_1(q^d - 2) mod m
+])
+def test_verify_suite_checks_its_costliest_item_first(capsys, monkeypatch, suite, cost):
+    # one budget check per suite, before its first item: over budget, the
+    # suite computes nothing and reports no result; within it, every item runs
+    def reached(*args, **kwargs):
+        raise AssertionError(f"the {suite} suite started")
+
+    argv = ("verify", "--p", "3", "--d", "2", "--suites", suite)
+    with monkeypatch.context() as patched:
+        for name in ("s_exact", "c_poly", "irreducible_enumerate"):
+            patched.setattr(oracle, name, reached)
+        patched.setenv("CARLITZ_HW_BUDGET", str(cost - 1))
+        assert _run(capsys, *argv) == (
+            3, "", f"resource limit: verify suite {suite} estimated cost {cost} "
+                   f"exceeds budget {cost - 1}\n")
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", str(cost))
+    assert _run(capsys, *argv) == (0, f"suite={suite} result=pass\n", "")
 
 
 def test_verify_suite_partly_over_budget(capsys, monkeypatch):
-    # budget 1 leaves s_0 at n = 1, 2: 12 of the 14 (i, n) pairs are skipped
+    # a suite with items over budget is refused whole: it passes no result
+    # and skips nothing, and the suites after it do not run
     monkeypatch.setenv("CARLITZ_HW_BUDGET", "1")
-    code, out, err = _run(capsys, "verify", "--p", "3", "--d", "2",
-                          "--suites", "gekeler,division")
-    assert code == 3 and out == "suite=gekeler result=pass\n"
-    assert err.splitlines() == [
-        "note: suite=gekeler skipped=12 items over budget",
-        "resource limit: verify suite division: all 3 items are over budget"]
-    code, out, err = _run(capsys, "verify", "--p", "3", "--d", "2", "--suites", "gekeler")
-    assert code == 0 and out == "suite=gekeler result=pass\n"
-    assert err == "note: suite=gekeler skipped=12 items over budget\n"
+    assert _run(capsys, "verify", "--p", "3", "--d", "2", "--suites", "gekeler,division") == (
+        3, "", "resource limit: verify suite gekeler estimated cost 72 exceeds budget 1\n")
+
+
+def test_identity_checks_carry_no_skip_count():
+    assert oracle.IdentityCheck._fields == ("name", "passed", "detail")
 
 
 @pytest.mark.parametrize("argv", [
     ("powersum", "--p", "3", "--i", "1", "--n", "5", "--exact"),
+    ("powersum", "--p", "3", "--i", "1", "--n", "5", "--mod", "T^3+2T+1"),
+    ("bpoly", "--p", "3", "--n", "5", "--mod", "T^3+2T+1"),
     ("invariants", "--p", "3", "--m", "T^3+2T+1"),
     ("scan", "--p", "3", "--d", "3", "--workers", "1"),
     ("verify", "--p", "3", "--d", "2", "--suites", "gekeler"),
-], ids=["powersum-exact", "invariants", "scan", "verify-gekeler"])
+    ("verify", "--p", "3", "--d", "2", "--suites", "frobenius"),
+], ids=["powersum-exact", "powersum-mod", "bpoly-mod", "invariants", "scan",
+        "verify-gekeler", "verify-frobenius"])
 def test_budget_env_must_be_integer(capsys, monkeypatch, argv):
     # read where a cost is checked: by each of these commands
     monkeypatch.setenv("CARLITZ_HW_BUDGET", "lots")
@@ -449,8 +465,8 @@ def test_budget_env_must_be_integer(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv,want", [
     (("scan", "--p", "3", "--d", "3", "--limit", "0"), CSV_HEADER + "\n"),
-    (("verify", "--p", "3", "--d", "2", "--suites", "lemma31,digits,frobenius"),
-     "suite=lemma31 result=pass\nsuite=digits result=pass\nsuite=frobenius result=pass\n"),
+    (("verify", "--p", "3", "--d", "2", "--suites", "lemma31,digits"),
+     "suite=lemma31 result=pass\nsuite=digits result=pass\n"),
 ], ids=["scan-limit-0", "verify-no-cost"])
 def test_budget_env_is_not_read_where_no_cost_is_checked(capsys, monkeypatch, argv, want):
     # the budget is read where a cost is checked, so a run that checks none

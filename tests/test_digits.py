@@ -22,15 +22,13 @@ def test_top_exponent_digit_sum(p, e, d):
 
 def test_target_degree_range_errors(f3):
     with pytest.raises(OutOfRangeError):
-        target_degree(0, f3, 3)
-    with pytest.raises(OutOfRangeError):
-        target_degree(26, f3, 3)  # q^d - 1 is excluded
+        target_degree(0, f3)
 
 
 def test_target_degree_examples(f3):
-    assert target_degree(5, f3, 3) == 1
-    assert target_degree(8, f3, 3) == 1
-    assert target_degree(2, f3, 3) == 0
+    assert target_degree(5, f3) == 1
+    assert target_degree(8, f3) == 1
+    assert target_degree(2, f3) == 0
 
 
 @pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 3), (2, 2, 3), (5, 1, 2), (2, 1, 6),
@@ -46,7 +44,7 @@ def test_target_degrees_table_matches_per_exponent(p, e, d):
     for n, size, _, target in table.orbits[1:]:
         for j in range(size):
             members.append(n * q**j % order)
-            assert target_degree(members[-1], ctx, d) == target, (n, j)
+            assert target_degree(members[-1], ctx) == target, (n, j)
     assert sorted(members) == list(range(1, order))
 
 

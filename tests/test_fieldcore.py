@@ -86,9 +86,7 @@ def test_field_poly_only_for_extensions():
 def test_field_axioms_exhaustive(p, e):
     ctx = make_field(p, e)
     q = ctx.q
-    elems = list(ctx.elements())
-    assert len(elems) == q
-    assert len(set(elems)) == q
+    elems = range(q)
     for a in elems:
         assert ctx.add(a, ctx.neg(a)) == 0
         assert ctx.pow(a, ctx.q) == a  # Frobenius to the e-th power is identity
@@ -98,8 +96,8 @@ def test_field_axioms_exhaustive(p, e):
         for b in elems:
             assert ctx.mul(a, b) == ctx.mul(b, a)
             assert ctx.add(a, b) == ctx.add(b, a)
-            assert ctx.frobenius(ctx.add(a, b)) == ctx.add(
-                ctx.frobenius(a), ctx.frobenius(b))
+            assert ctx.pow(ctx.add(a, b), ctx.p) == ctx.add(
+                ctx.pow(a, ctx.p), ctx.pow(b, ctx.p))
 
 
 def _mul_oracle(ctx, a, b):
@@ -127,14 +125,14 @@ def _mul_oracle(ctx, a, b):
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
 def test_mul_against_vector_oracle(p, e):
     ctx = make_field(p, e)
-    for a in ctx.elements():
-        for b in ctx.elements():
+    for a in range(ctx.q):
+        for b in range(ctx.q):
             assert ctx.mul(a, b) == _mul_oracle(ctx, a, b)
 
 
 def test_enumeration_order_f4(f4):
-    assert list(f4.elements()) == [0, 1, 2, 3]
-    assert [f4.format_elem(a) for a in f4.elements()] == \
+    # codes 0..q-1 name the elements, the x^0 coordinate fastest
+    assert [f4.format_elem(a) for a in range(f4.q)] == \
         ["[0,0]", "[1,0]", "[0,1]", "[1,1]"]
 
 
@@ -142,7 +140,7 @@ def test_f3_known_values(f3):
     assert f3.mul(2, 2) == 1
     # additive pairing: the elements of F_3 sum to zero
     total = 0
-    for a in f3.elements():
+    for a in range(f3.q):
         total = f3.add(total, a)
     assert total == 0
 
@@ -165,7 +163,7 @@ def test_pow_rejects_negative(f3):
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (3, 2), (5, 2)])
 def test_elem_literal_round_trip(p, e):
     ctx = make_field(p, e)
-    for a in ctx.elements():
+    for a in range(ctx.q):
         assert ctx.parse_elem(ctx.format_elem(a)) == a
 
 
@@ -179,7 +177,7 @@ def _computed_literal(ctx, a):
 def test_format_elem_reads_its_literals_where_the_tables_are(p, e, cached):
     ctx = make_field(p, e)
     assert (ctx._names is not None) == cached
-    for a in ctx.elements():
+    for a in range(ctx.q):
         text = ctx.format_elem(a)
         assert text == _computed_literal(ctx, a)
         assert ctx.parse_elem(text) == a

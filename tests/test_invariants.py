@@ -213,7 +213,7 @@ def _route_sources(m):
 
 def _degrees(n, m, sources):
     zero_class = n % (m.ctx.q - 1) == 0
-    cap = target_degree(n, m.ctx, m.d) + zero_class
+    cap = target_degree(n, m.ctx) + zero_class
     return [invariants._reduced_degree(n, sums, cap, zero_class) for sums in sources]
 
 
@@ -228,7 +228,7 @@ def test_targets_and_zero_class_are_constant_on_exponent_orbits(p, e, d):
     ctx = make_field(p, e)
     q, order = ctx.q, ctx.q**d - 1
     for n in range(1, order):
-        assert target_degree(n * q % order, ctx, d) == target_degree(n, ctx, d), n
+        assert target_degree(n * q % order, ctx) == target_degree(n, ctx), n
         assert (n * p % order % (q - 1) == 0) == (n % (q - 1) == 0), n
 
 

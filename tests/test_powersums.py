@@ -131,6 +131,20 @@ def test_s_mod_range_checks(f3, m_headline):
         s_mod(1, 0, m_headline)
 
 
+def test_s_mod_cost_ceiling(monkeypatch, f3, m_headline):
+    # mod_cost = q^i * bit_length(n) * d^2 is checked as s_exact checks exact_cost
+    cost = powersums.mod_cost(2, 25, f3, 3)
+    assert cost == 9 * 5 * 9
+    want = s_mod(2, 25, m_headline)
+    assert want == s_exact(2, 25, f3) % m_headline.poly
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", str(cost - 1))
+    with pytest.raises(CostCeilingError) as info:
+        s_mod(2, 25, m_headline)
+    assert str(info.value) == "s_mod(i=2, n=25) estimated cost 405 exceeds budget 404"
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", str(cost))
+    assert s_mod(2, 25, m_headline) == want
+
+
 def test_s1_closed_form_examples(f3):
     assert format_poly(s1_closed_form(5, f3)) == "2*T^3+T"
     assert format_poly(s1_closed_form(4, f3)) == "2"

@@ -301,7 +301,7 @@ def _substitution_orbits(ctx, d):
         images = set()
         f = m.poly
         for _ in range(ctx.e):
-            f = FqPoly(ctx, [ctx.frobenius(c) for c in f.coeffs])
+            f = FqPoly(ctx, [ctx.pow(c, ctx.p) for c in f.coeffs])
             for alpha in range(1, ctx.q):
                 for c in range(ctx.q):
                     lin = FqPoly(ctx, [c, alpha])
