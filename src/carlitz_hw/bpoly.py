@@ -121,17 +121,16 @@ def c_poly(n: int, ctx: FieldCtx, m: Modulus | None = None) -> UPoly:
     """C_n(u) with coefficients s_i(n), i = 0..floor(l(n)/(q-1)).
 
     Residue mode when m is given (coefficients reduced mod m, n checked
-    against m's degree), exact otherwise.  Higher coefficients vanish
-    identically and are not computed.  The top coefficient is computed
-    first: it is the costliest, so its budget check is the first one made.
+    against m's degree), exact otherwise (n < 1 has cap 0, and s_exact
+    rejects it).  Higher coefficients vanish identically and are not
+    computed.  The top coefficient is computed first: it is the costliest,
+    so its budget check is the first one made.
     """
     if m is not None:
         ctx = m.ctx
         top = m.group_order - 1  # q^d - 2
         if not 1 <= n <= top:
             raise OutOfRangeError(f"n={n} outside [1, q^d-2] = [1, {top}]")
-    elif n < 1:
-        raise OutOfRangeError(f"n must be >= 1, got {n}")
     q = ctx.q
     cap = ell(n, q) // (q - 1)
     top_down = range(cap, -1, -1)

@@ -4,15 +4,15 @@ Subcommands: invariants, scan, bpoly, powersum, genus, verify.  Machine
 payload goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 domain errors (bad input, reducible modulus, failed verify), 2 internal
 invariant violations, 3 resource limits (cost ceilings, including a verify
-suite whose costliest item is over budget, refused before its first item;
+suite whose whole-run estimate is over budget, refused before it starts;
 memory exhaustion; a scan worker process that died) and interrupts (one
 "interrupted" line).  A scan streams its rows, so a failure after its
 set-up leaves the complete rows before it; a reader that closes stdout
 early ends the scan with exit 1.  The environment variable
 CARLITZ_HW_BUDGET (decimal integer) overrides the cost ceilings of exact
-and reduced power sums and of residue-mode streams; powersums.check_budget
-reads it where a cost is checked, so a malformed value is an error (exit 1)
-only there.
+and reduced power sums, residue-mode streams and verify suites;
+powersums.check_budget reads it where a cost is checked, so a malformed
+value is an error (exit 1) only there.
 """
 
 from __future__ import annotations
@@ -137,10 +137,8 @@ def _cmd_bpoly(args) -> int:
     from .bpoly import b_poly
 
     ctx = _make_ctx(args)
-    if args.mod is not None:
-        poly = b_poly(args.n, ctx, m=Modulus(parse_poly(args.mod, ctx)))
-    else:
-        poly = b_poly(args.n, ctx)
+    m = None if args.mod is None else Modulus(parse_poly(args.mod, ctx))
+    poly = b_poly(args.n, ctx, m)
     parts = [str(poly.u_degree)]
     parts.extend(format_poly(c) for c in poly.coeffs)
     print("; ".join(parts))

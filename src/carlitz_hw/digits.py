@@ -3,10 +3,12 @@
 The digit sum ell(n) of n = a_0 + a_1 q + ... controls everything downstream:
 the expected degree of the generating polynomial attached to n (target_degree)
 and the digit-stripping recursion rho whose iterated partial sums bound the
-degrees of the power sums.  The degree engine reads its targets once per
-orbit of n -> q*n, from powersums.LogTable.orbits; target_degree is their
-per-exponent oracle.  deg 0 = -inf is modelled by the float NEG_INF, which
-already satisfies NEG_INF + x = NEG_INF and NEG_INF < x for every int.
+degrees of the power sums (checked by the gekeler verify suite); rho reads
+n as rho_exponents, its powers of q.  The degree engine reads its targets
+once per orbit of n -> q*n, from powersums.LogTable.orbits; target_degree
+is their per-exponent oracle.  deg 0 = -inf is modelled by the float
+NEG_INF, which already satisfies NEG_INF + x = NEG_INF and NEG_INF < x for
+every int.
 
 n is in the zero class when (q - 1) | n; since ell(n) = n mod (q - 1), this
 is equivalent to (q - 1) | ell(n).  For q = 2 every exponent is zero-class.
@@ -43,30 +45,6 @@ def target_degree(n: int, ctx: FieldCtx) -> int:
     return t - 1 if n % (q - 1) == 0 else t
 
 
-def rho(n: int, q: int):
-    """One digit-stripping step.
-
-    -inf when l(n) < q - 1; otherwise n minus its q - 1 smallest base-q
-    power terms, the powers listed with digit multiplicity.
-    """
-    if n == NEG_INF:
-        return NEG_INF
-    digits = list(base_q_digits(n, q))
-    if sum(digits) < q - 1:
-        return NEG_INF
-    remaining = q - 1
-    for j, a in enumerate(digits):
-        take = a if a < remaining else remaining
-        digits[j] -= take
-        remaining -= take
-        if remaining == 0:
-            break
-    out = 0
-    for j in range(len(digits) - 1, -1, -1):
-        out = out * q + digits[j]
-    return out
-
-
 def rho_exponents(n: int, q: int) -> tuple[int, ...]:
     """The ascending exponent list e_1 <= e_2 <= ... with n = sum q^(e_i),
     each digit position repeated with its multiplicity."""
@@ -74,6 +52,17 @@ def rho_exponents(n: int, q: int) -> tuple[int, ...]:
     for j, a in enumerate(base_q_digits(n, q)):
         out.extend([j] * a)
     return tuple(out)
+
+
+def rho(n: int, q: int):
+    """One digit-stripping step: n minus its q - 1 smallest base-q power
+    terms (rho_exponents), or -inf when it has fewer than q - 1."""
+    if n == NEG_INF:
+        return NEG_INF
+    exps = rho_exponents(n, q)
+    if len(exps) < q - 1:
+        return NEG_INF
+    return n - sum(q**e for e in exps[:q - 1])
 
 
 def gekeler_degree_bound(i: int, n: int, ctx: FieldCtx):

@@ -1,9 +1,10 @@
 """The brute-force oracle that certifies the degree engine: B_n built
 whole by bpoly.b_poly (_bbar_degree, z_bar), the degree-one closed form
-and f_poly, and the identity suites of the verify command.  A suite that
-computes power sums (gekeler, division, frobenius) checks the cost estimate
-of its costliest item, exact_cost or mod_cost, against the budget once,
-before its first item: it runs every item or none.  Nothing in the engine
+and f_poly, and the identity suites of the verify command.  Each suite
+sits in one table with its whole-run estimate, its item count times the
+cost of its costliest item (d digit operations, exact_cost or mod_cost);
+run_verify_suite checks that against the budget once, before the suite
+starts, so a suite runs every item or none.  Nothing in the engine
 imports this module; the CLI does inside the verify command.  s_exact and
 s_mod stay in powersums, which bpoly reads, and SUITE_NAMES in invariants,
 which the CLI parser reads.
@@ -15,12 +16,13 @@ import math
 from collections import namedtuple
 
 from .bpoly import b_poly, c_poly, divide_by_one_minus_u, one_upoly
-from .digits import ell, gekeler_degree_bound, rho, rho_exponents
+from .digits import ell, gekeler_degree_bound
 from .errors import ClosedFormWindowError, InternalError, OutOfRangeError, PrimeFieldOnlyError
 from .fieldcore import FieldCtx
 from .invariants import SUITE_NAMES, genus
 from .polyring import (
-    NEG_INF, FqPoly, Modulus, field_order, format_poly, irreducible_enumerate, residue_pow)
+    FqPoly, Modulus, field_order, format_poly, irreducible_count, irreducible_enumerate,
+    residue_pow)
 from .powersums import check_budget, exact_cost, mod_cost, s_exact, s_mod
 
 
@@ -129,24 +131,17 @@ def verify_identities(ctx: FieldCtx, d: int) -> list[IdentityCheck]:
 def _suite_digits(ctx, d):
     q = ctx.q
     top = q**d - 2
-    cong_bad = rho_bad = sym_bad = None
+    cong_bad = sym_bad = None
     for n in range(1, top + 1):
         l_n = ell(n, q)
         if (l_n - n) % (q - 1) != 0 and cong_bad is None:
             cong_bad = n
         if l_n + ell(q**d - 1 - n, q) != (q - 1) * d and sym_bad is None:
             sym_bad = n
-        # digit-vector rho against the integer definition
-        exps = rho_exponents(n, q)
-        want = NEG_INF if len(exps) < q - 1 else n - sum(q**e for e in exps[:q - 1])
-        if rho(n, q) != want and rho_bad is None:
-            rho_bad = n
     return [
         _check("digit-symmetry", sym_bad is None, f"counterexample n={sym_bad}"),
         _check("zero-class-congruence", cong_bad is None,
                f"counterexample n={cong_bad}"),
-        _check("rho-digit-vs-integer", rho_bad is None,
-               f"counterexample n={rho_bad}"),
     ]
 
 
@@ -154,7 +149,6 @@ def _suite_gekeler(ctx, d):
     q = ctx.q
     prime_field = ctx.e == 1
     top = q**d - 2
-    check_budget("verify suite gekeler", exact_cost(d - 1, top, ctx))
     bound_bad = eq_bad = vanish_bad = None
     for n in range(1, top + 1):
         l_n = ell(n, q)
@@ -185,7 +179,6 @@ def _suite_gekeler(ctx, d):
 
 def _suite_frobenius(ctx, d):
     p = ctx.p
-    check_budget("verify suite frobenius", mod_cost(d - 1, ctx.q**d - 2, ctx, d))
     deg_bad = twist_bad = None
     for m in irreducible_enumerate(ctx, d):
         order = m.group_order
@@ -213,8 +206,6 @@ def _suite_division(ctx, d):
     """B_n = C_n/(1 - u) at every zero-class n: the only place the division
     identity is computed; b_poly builds B_n from partial sums alone."""
     q = ctx.q
-    # q^d - q is the largest zero-class n, and its C_n has u-degree d - 1
-    check_budget("verify suite division", exact_cost(d - 1, q**d - q, ctx))
     rem_bad = agree_bad = None
     for n in range(q - 1, q**d - 1, q - 1):
         quotient, remainder = divide_by_one_minus_u(c_poly(n, ctx))
@@ -231,17 +222,27 @@ def _suite_division(ctx, d):
     ]
 
 
+# name: (suite, whole-run estimate at top = q^d - 2), its item count times its
+# costliest item: d digit operations per n, or d power sums per n (3d per
+# modulus and n for frobenius: B_n mod m and both sides of the twist)
+_SUITES = {
+    "lemma31": (verify_identities, lambda ctx, d, top: d * top),
+    "digits": (_suite_digits, lambda ctx, d, top: d * top),
+    "gekeler": (_suite_gekeler, lambda ctx, d, top: d * top * exact_cost(d - 1, top, ctx)),
+    "frobenius": (_suite_frobenius, lambda ctx, d, top: 3 * d * top
+                  * irreducible_count(ctx, d) * mod_cost(d - 1, top, ctx, d)),
+    # zero-class n only, the largest q^d - q
+    "division": (_suite_division, lambda ctx, d, top: d * (top // (ctx.q - 1))
+                 * exact_cost(d - 1, top + 2 - ctx.q, ctx)),
+}
+
+
 def run_verify_suite(name: str, ctx: FieldCtx, d: int) -> list[IdentityCheck]:
-    """One named identity suite at (q, d), within the q^d limit; see SUITE_NAMES."""
-    field_order(ctx, d)
-    if name == "lemma31":
-        return verify_identities(ctx, d)
-    if name == "digits":
-        return _suite_digits(ctx, d)
-    if name == "gekeler":
-        return _suite_gekeler(ctx, d)
-    if name == "frobenius":
-        return _suite_frobenius(ctx, d)
-    if name == "division":
-        return _suite_division(ctx, d)
-    raise OutOfRangeError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    """One named identity suite at (q, d), within the q^d limit and, by its
+    whole-run estimate, the budget; see SUITE_NAMES."""
+    top = field_order(ctx, d) - 2
+    if name not in _SUITES:
+        raise OutOfRangeError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    suite, estimate = _SUITES[name]
+    check_budget(f"verify suite {name}", estimate(ctx, d, top))
+    return suite(ctx, d)

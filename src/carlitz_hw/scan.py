@@ -84,21 +84,19 @@ def _scan_one(table: LogTable, task) -> ScanRecord:
     start = perf_counter()
     sums = RootSums(table, codes)
     if mode == MODE_WITNESS:
-        witness, witness_plus = first_defects(sums)
-        g, g_plus = genus(table.ctx, table.d)
-        return ScanRecord(
-            m=format_coeffs(table.ctx, codes), d=table.d, g=g, g_plus=g_plus,
-            lambda_=None, lambda_plus=None,
-            ordinary=witness is None, ordinary_plus=witness_plus is None,
-            supersingular=None, first_defect_n=witness,
-            elapsed_ms=_ms_since(start))
-    rep = hasse_witt(sums)
+        first, first_plus = first_defects(sums)
+        lam = lam_plus = None
+    else:
+        rep = hasse_witt(sums)
+        first = rep.defects[0].n if rep.defects else None
+        first_plus = rep.defects_plus[0].n if rep.defects_plus else None
+        lam, lam_plus = rep.lambda_, rep.lambda_plus
+    g, g_plus = genus(table.ctx, table.d)
     return ScanRecord(
-        m=rep.m, d=rep.d, g=rep.g, g_plus=rep.g_plus,
-        lambda_=rep.lambda_, lambda_plus=rep.lambda_plus,
-        ordinary=rep.ordinary, ordinary_plus=rep.ordinary_plus,
-        supersingular=rep.supersingular,
-        first_defect_n=rep.defects[0].n if rep.defects else None,
+        m=format_coeffs(table.ctx, codes), d=table.d, g=g, g_plus=g_plus,
+        lambda_=lam, lambda_plus=lam_plus,
+        ordinary=first is None, ordinary_plus=first_plus is None,
+        supersingular=None if lam is None else lam == 0, first_defect_n=first,
         elapsed_ms=_ms_since(start))
 
 

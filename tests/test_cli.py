@@ -27,8 +27,9 @@ from carlitz_hw import (
     scan,
 )
 from carlitz_hw.cli import run
-from carlitz_hw.errors import OverflowLimitError
-from carlitz_hw.invariants import first_defects
+from carlitz_hw.errors import CostCeilingError, OverflowLimitError
+from carlitz_hw.invariants import SUITE_NAMES, first_defects
+from carlitz_hw.polyring import irreducible_count
 from carlitz_hw.powersums import RootSums
 from carlitz_hw.scan import CSV_HEADER
 
@@ -411,19 +412,22 @@ def test_scan_interrupt_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("suite,cost", [
-    ("gekeler", 72),    # exact_cost(1, 7): s_1(q^d - 2)
-    ("division", 63),   # exact_cost(1, 6): s_1(q^d - q), the top of C_6
-    ("frobenius", 36),  # mod_cost(1, 7, ctx, 2): s_1(q^d - 2) mod m
+    ("lemma31", 14),     # d(q^d - 2) digit operations
+    ("digits", 14),
+    ("gekeler", 1008),   # d(q^d - 2) sums times exact_cost(1, 7)
+    ("frobenius", 4536),  # 3d(q^d - 2) sums on each of 3 moduli, times mod_cost(1, 7, ctx, 2)
+    ("division", 378),   # d sums at each of 3 zero-class n, times exact_cost(1, 6)
 ])
-def test_verify_suite_checks_its_costliest_item_first(capsys, monkeypatch, suite, cost):
-    # one budget check per suite, before its first item: over budget, the
-    # suite computes nothing and reports no result; within it, every item runs
+def test_verify_suite_checks_its_whole_cost_first(capsys, monkeypatch, suite, cost):
+    # one budget check per suite, on its item count times its costliest item,
+    # before the suite starts: over budget it computes nothing and reports no
+    # result; within it, every item runs
     def reached(*args, **kwargs):
         raise AssertionError(f"the {suite} suite started")
 
     argv = ("verify", "--p", "3", "--d", "2", "--suites", suite)
     with monkeypatch.context() as patched:
-        for name in ("s_exact", "c_poly", "irreducible_enumerate"):
+        for name in ("ell", "s_exact", "c_poly", "irreducible_enumerate"):
             patched.setattr(oracle, name, reached)
         patched.setenv("CARLITZ_HW_BUDGET", str(cost - 1))
         assert _run(capsys, *argv) == (
@@ -433,12 +437,64 @@ def test_verify_suite_checks_its_costliest_item_first(capsys, monkeypatch, suite
     assert _run(capsys, *argv) == (0, f"suite={suite} result=pass\n", "")
 
 
+@pytest.mark.parametrize("p,e,d", [(3, 1, 2), (2, 1, 3), (2, 2, 2)])
+def test_verify_suite_estimate_bounds_its_work(monkeypatch, p, e, d):
+    # a suite computes no more digit sums or power sums (s_exact cache misses
+    # and s_mod calls) than its item count, and its refused estimate covers
+    # that count times the costliest sum it computed
+    ctx = make_field(p, e)
+    q, top = ctx.q, ctx.q**d - 2
+    items = {"lemma31": d * top, "digits": d * top, "gekeler": d * top,
+             "frobenius": 3 * d * top * irreducible_count(ctx, d),
+             "division": d * (top // (q - 1))}
+    cache, real_ell = powersums._s_exact_cached, oracle.ell
+    costs, ells = [], []
+
+    def count_exact(real):
+        def spy(i, n, ctx):
+            misses = cache.cache_info().misses
+            out = real(i, n, ctx)
+            if cache.cache_info().misses > misses:
+                costs.append(powersums.exact_cost(i, n, ctx))
+            return out
+        return spy
+
+    def count_mod(real):
+        def spy(i, n, m):
+            costs.append(powersums.mod_cost(i, n, m.ctx, m.d))
+            return real(i, n, m)
+        return spy
+
+    def count_ell(n, q):
+        ells.append(n)
+        return real_ell(n, q)
+
+    for module in (oracle, bpoly):
+        monkeypatch.setattr(module, "s_exact", count_exact(module.s_exact))
+        monkeypatch.setattr(module, "s_mod", count_mod(module.s_mod))
+    monkeypatch.setattr(oracle, "ell", count_ell)
+    for name in SUITE_NAMES:
+        monkeypatch.setenv("CARLITZ_HW_BUDGET", "0")
+        with pytest.raises(CostCeilingError) as refused:
+            run_verify_suite(name, ctx, d)
+        estimate = int(re.search(r"estimated cost (\d+)", str(refused.value))[1])
+        monkeypatch.delenv("CARLITZ_HW_BUDGET")
+        cache.cache_clear()
+        del costs[:], ells[:]
+        assert all(c.passed for c in run_verify_suite(name, ctx, d)), name
+        if name in ("lemma31", "digits"):
+            assert not costs and len(ells) <= items[name] == estimate, name
+        else:
+            assert costs and len(costs) <= items[name], (name, len(costs))
+            assert items[name] * max(costs) <= estimate, name
+
+
 def test_verify_suite_partly_over_budget(capsys, monkeypatch):
     # a suite with items over budget is refused whole: it passes no result
     # and skips nothing, and the suites after it do not run
     monkeypatch.setenv("CARLITZ_HW_BUDGET", "1")
     assert _run(capsys, "verify", "--p", "3", "--d", "2", "--suites", "gekeler,division") == (
-        3, "", "resource limit: verify suite gekeler estimated cost 72 exceeds budget 1\n")
+        3, "", "resource limit: verify suite gekeler estimated cost 1008 exceeds budget 1\n")
 
 
 def test_identity_checks_carry_no_skip_count():
@@ -453,8 +509,9 @@ def test_identity_checks_carry_no_skip_count():
     ("scan", "--p", "3", "--d", "3", "--workers", "1"),
     ("verify", "--p", "3", "--d", "2", "--suites", "gekeler"),
     ("verify", "--p", "3", "--d", "2", "--suites", "frobenius"),
+    ("verify", "--p", "3", "--d", "2", "--suites", "lemma31,digits"),
 ], ids=["powersum-exact", "powersum-mod", "bpoly-mod", "invariants", "scan",
-        "verify-gekeler", "verify-frobenius"])
+        "verify-gekeler", "verify-frobenius", "verify-lemma31-digits"])
 def test_budget_env_must_be_integer(capsys, monkeypatch, argv):
     # read where a cost is checked: by each of these commands
     monkeypatch.setenv("CARLITZ_HW_BUDGET", "lots")
@@ -465,9 +522,8 @@ def test_budget_env_must_be_integer(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv,want", [
     (("scan", "--p", "3", "--d", "3", "--limit", "0"), CSV_HEADER + "\n"),
-    (("verify", "--p", "3", "--d", "2", "--suites", "lemma31,digits"),
-     "suite=lemma31 result=pass\nsuite=digits result=pass\n"),
-], ids=["scan-limit-0", "verify-no-cost"])
+    (("genus", "--p", "3", "--d", "3"), '{"p":3,"e":1,"q":3,"d":3,"g":19,"g_plus":6}\n'),
+], ids=["scan-limit-0", "genus"])
 def test_budget_env_is_not_read_where_no_cost_is_checked(capsys, monkeypatch, argv, want):
     # the budget is read where a cost is checked, so a run that checks none
     # ignores a malformed value

