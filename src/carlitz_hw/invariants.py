@@ -13,13 +13,16 @@ defect certifying non-ordinariness.
 All consumers read one degree engine, degree_stream, which yields
 (n, size, degree, target) once per orbit of n -> q*n mod (q^d - 1), n its
 least member: hasse_witt takes the whole stream and expands only defective
-orbits, and first_defects (behind is_ordinary and is_ordinary_plus) takes
-one early-exit pass.  Multiplying n by q rotates its base-q digits, so the
-target and the zero class are constant on such an orbit; multiplying by p
-raises every coefficient to the p-th power and so preserves the u-degree,
-which the stream computes once per orbit of n -> p*n.  The orbits and
-their targets depend only on (q, d) and are read from the residue field's
-LogTable (LogTable.orbits), built once per table and so once per scan.
+orbits, and defect_pass reads lambda, lambda_plus and the least defects in
+one pass, checked as hasse_witt checks its report (scan's full mode), or
+only the least defects in one early-exit pass (scan's witness mode, and
+first_defects behind is_ordinary and is_ordinary_plus).  Multiplying n by
+q rotates its base-q digits, so the target and the zero class are
+constant on such an orbit; multiplying by p raises every coefficient to
+the p-th power and so preserves the u-degree, which the stream computes
+once per orbit of n -> p*n.  The orbits and their targets depend only on
+(q, d) and are read from the residue field's LogTable (LogTable.orbits),
+built once per table and so once per scan.
 The tests expand every orbit and compare it with _reduced_degree read at
 every exponent against digits.target_degree, and oracle.z_bar and the
 frobenius suite compute every degree without sharing, so they check the
@@ -28,11 +31,15 @@ orbit reduction independently.
 One function reads a degree, _reduced_degree: top-down, it asks the
 power sums of m at one of its roots (powersums.RootSums, on a discrete-log
 table of F_{q^d}) whether s_i(n) mod m vanishes and stops at the first
-nonzero power sum.  The engine reads one RootSums, which scan cuts from the
-field it builds.  Only the public entry points, hasse_witt, is_ordinary and
-is_ordinary_plus, take a Modulus: they read it at its root in the field of
-its (q, d) kept by the process (RootSums.of), which checks the budget
-(CARLITZ_HW_BUDGET) on every call.
+nonzero power sum.  In the zero class, where n is a trivial zero of the
+Carlitz-Goss zeta function and C_n(1) = 0, its first read is the sum
+below the cap, 1 + s_1 + ... + s_(cap-1) = -s_cap, which gathers
+(q^cap - 1)/(q - 1) terms where s_cap gathers q^cap.  The engine reads
+one RootSums, which scan cuts from the field it builds.  Only the public
+entry points, hasse_witt, is_ordinary and is_ordinary_plus, take a
+Modulus: they read it at its root in the field of its (q, d) kept by the
+process (RootSums.of), which checks the budget (CARLITZ_HW_BUDGET) on
+every call.
 oracle._bbar_degree, which builds all of B_n mod m bottom-up through b_poly,
 is the oracle of that reader.
 
@@ -42,8 +49,9 @@ w - 1.  For n = sum_j 2^(k_j) and the conjugates theta_j = theta^(2^(k_j))
 of a root theta of m, s_w(n)(theta) expands, over the monic a of degree w,
 to the permanent of [theta_j^t], which in characteristic 2 is the
 Vandermonde determinant prod_(j<l) (theta_j + theta_l), nonzero since the
-theta_j are distinct.  So the first query is at target at every n, and
-lambda = g, lambda+ = g+.  The engine has no shortcut for this.
+theta_j are distinct.  So the first read, the sum below the cap, which is
+-s_w(n), does not vanish: every n is at target, and lambda = g,
+lambda+ = g+.  The engine has no shortcut for this.
 """
 
 from __future__ import annotations
@@ -103,10 +111,20 @@ class InvariantsReport(namedtuple("InvariantsReport", [
 def _reduced_degree(n: int, sums: RootSums, cap: int, zero_class: bool) -> int:
     """The u-degree of B_n mod m, read top-down from the power sums of m at
     one of its roots: the largest i <= cap with s_i(n) != 0, one less in the
-    zero class.  There C_n(1) = 0 makes the partial sum P_(i-1) = -(s_i + ... + s_cap),
-    which is -s_i at the first nonzero s_i from the top.  An exponent at its
-    target costs one power sum, and s_0 = 1 is never computed."""
-    for i in range(cap, 0, -1):
+    zero class.  There C_n(1) = s_0 + ... + s_cap = 0, n being a trivial
+    zero of the Carlitz-Goss zeta function, makes the partial sum
+    P_(i-1) = -(s_i + ... + s_cap), which is -s_i at the first nonzero s_i
+    from the top.  The first read there is P_(cap-1) = 1 + s_1 + ... +
+    s_(cap-1) = -s_cap, the sum below the cap: (q^cap - 1)/(q - 1) terms
+    against q^cap for s_cap, and none at cap = 1.  Only when it vanishes
+    does the walk go on, from s_(cap-1).  An exponent at its target costs
+    one read."""
+    top = cap
+    if zero_class:
+        if not sums.vanishes_below(cap, n):
+            return cap - 1
+        top = cap - 1
+    for i in range(top, 0, -1):
         if not sums.vanishes(i, n):
             return i - 1 if zero_class else i
     if zero_class:  # s_0 = 1 would be all of C_n(1)
@@ -163,10 +181,8 @@ def hasse_witt(m: Modulus | RootSums) -> InvariantsReport:
     defects_plus = [f for f in defects if f.n % (q - 1) == 0]
     ordinary = not defects
     ordinary_plus = not defects_plus
-    if ordinary != (lam == g) or ordinary_plus != (lam_plus == g_plus):
-        raise InternalError("ordinariness flags disagree with lambda sums")
-    if g - lam != sum(f.target - f.actual for f in defects):
-        raise InternalError("defect total disagrees with g - lambda")
+    _check_totals((g, g_plus), lam, lam_plus, ordinary, ordinary_plus,
+                  sum(f.target - f.actual for f in defects))
     return InvariantsReport(
         p=ctx.p, e=ctx.e, q=q,
         field_modulus=ctx.format_field_modulus(),
@@ -177,24 +193,56 @@ def hasse_witt(m: Modulus | RootSums) -> InvariantsReport:
         defects=defects, defects_plus=defects_plus)
 
 
-def first_defects(sums: RootSums) -> tuple[int | None, int | None]:
-    """The least defective exponent and the least defective zero-class
-    exponent, None where there is none, in one early-exit pass over the
-    degree stream: after the first defect only zero-class orbits are
-    evaluated.  The least member of a defective orbit is its least defect."""
+def _check_totals(genera, lam, lam_plus, ordinary, ordinary_plus, short) -> None:
+    """InternalError unless the flags agree with the lambda sums against
+    genera = (g, g_plus), and g - lambda is short, the total of
+    target - degree over the defects."""
+    g, g_plus = genera
+    if ordinary != (lam == g) or ordinary_plus != (lam_plus == g_plus):
+        raise InternalError("ordinariness flags disagree with lambda sums")
+    if g - lam != short:
+        raise InternalError("defect total disagrees with g - lambda")
+
+
+def defect_pass(sums: RootSums, genera=None) -> tuple:
+    """(first, first_plus, lambda, lambda_plus) in one pass over the degree
+    stream: the least defective exponent and the least defective zero-class
+    exponent, None where there is none.  The least member of the first
+    defective orbit is the least defect, as the stream comes in ascending
+    least members.  Given genera = (g, g_plus), every orbit is read, and the
+    lambda sums are checked against them as hasse_witt checks its report.
+    Without, the pass exits early: after the first defect only zero-class
+    orbits are evaluated, and both lambdas are None."""
     q1 = sums.table.ctx.q - 1
-    first = None
+    first = first_plus = None
+    lam = lam_plus = short = 0
 
     def keep(n):  # reads `first` as the stream asks about the next orbit
         return first is None or n % q1 == 0
 
-    for n, _, deg, tgt in degree_stream(sums, keep):
+    for n, size, deg, tgt in degree_stream(sums, keep if genera is None else None):
+        zero_class = n % q1 == 0
+        lam += size * deg
+        if zero_class:
+            lam_plus += size * deg
         if deg != tgt:
+            short += size * (tgt - deg)
             if first is None:
                 first = n
-            if n % q1 == 0:
-                return first, n
-    return first, None
+            if zero_class and first_plus is None:
+                first_plus = n
+                if genera is None:
+                    break
+    if genera is None:
+        return first, first_plus, None, None
+    _check_totals(genera, lam, lam_plus, first is None, first_plus is None, short)
+    return first, first_plus, lam, lam_plus
+
+
+def first_defects(sums: RootSums) -> tuple[int | None, int | None]:
+    """The least defective exponent and the least defective zero-class
+    exponent, None where there is none, from the early-exit defect_pass."""
+    return defect_pass(sums)[:2]
 
 
 def is_ordinary(m: Modulus) -> tuple[bool, int | None]:

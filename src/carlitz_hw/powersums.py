@@ -42,7 +42,9 @@ theta = g^k as the sum of g^(log a(theta) * n mod (q^d - 1)) over the monic
 a of degree i, one index computation per a and no polynomial multiplication,
 and tests the packed sum for zero: at p = 2 the XOR of the terms, which is 0
 exactly when the sum vanishes, and at odd p their integer sum, reduced mod p
-field by field.  residue_field builds that table once per scan, and
+field by field.  The same gather and zero test read the sum below a cap,
+1 + s_1(n) + ... + s_(cap-1)(n), which the degree engine reads first in
+the zero class.  residue_field builds that table once per scan, and
 shared_field keeps it per process for scan's workers and RootSums.of.
 residue_cost bounds the memory of a degree stream from (q, d) alone, checked
 against the budget before m0 is searched for and on every fetch.
@@ -53,8 +55,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from functools import lru_cache, reduce
-from operator import xor
+from functools import lru_cache
 
 from .errors import (
     CostCeilingError,
@@ -405,12 +406,14 @@ class RootSums:
     first time it is asked for: every b of degree < j is 0 or c times a
     monic polynomial of lower degree, so log b is const_logs[c] plus a stored
     monic log, and log(theta^j + b) is t + zech[log b - t] with t = j*k.
-    Whether a sum vanishes does not depend on which conjugate of theta is
-    used; it is read on the packed sum: at p = 2 the XOR of the terms, the
-    coordinate bits of s_i(n) mod m, which vanishes when it is 0, and at odd
-    p their integer sum, reduced field by field mod p up to the first
-    nonzero field.  A RootSums is made from the coefficient codes of m,
-    which table.roots maps to k; the field, d and N are the table's.
+    sum_below(cap, n) is the sum over every monic a of degree < cap, the
+    packed 1 for a = 1 included.  Whether a sum vanishes does not depend on
+    which conjugate of theta is used; it is read on the packed sum: at p = 2
+    the XOR of the terms, the coordinate bits of the sum, which vanishes
+    when it is 0, and at odd p their integer sum, reduced field by field
+    mod p up to the first nonzero field.  A RootSums is made from the
+    coefficient codes of m, which table.roots maps to k; the field, d and N
+    are the table's.
     """
 
     __slots__ = ("table", "k", "codes", "_logs")
@@ -445,14 +448,40 @@ class RootSums:
         """s_i(n) mod m at theta, packed: at p = 2 the XOR of the terms, its
         coordinate bits; at odd p their sum, its coordinates not yet reduced
         mod p."""
+        return self._gather([self.logs(i)], n)
+
+    def sum_below(self, cap: int, n: int) -> int:
+        """1 + s_1(n) + ... + s_(cap-1)(n) mod m at theta, the sum of a^n
+        over the monic a of degree < cap, packed as power_sum: the packed 1
+        alone at cap = 1, with no term gathered."""
+        return self._gather(map(self.logs, range(1, cap)), n, 1)
+
+    def _gather(self, levels, n: int, x: int = 0) -> int:
+        """x plus the terms g^(la * n mod N) over every log la of the lists
+        in levels, packed: at p = 2 each term is XORed in as it is read, with
+        no list of terms; at odd p the terms are added as integers."""
         table = self.table
         exp, order = table.exp, table.order
-        terms = [exp[la * n % order] for la in self.logs(i)]
-        return reduce(xor, terms) if table.p == 2 else sum(terms)
+        if table.p == 2:
+            for logs in levels:
+                for la in logs:
+                    x ^= exp[la * n % order]
+            return x
+        return x + sum([exp[la * n % order] for logs in levels for la in logs])
 
     def vanishes(self, i: int, n: int) -> bool:
         """s_i(n) == 0 mod m, for 0 <= i < d and 1 <= n < q^d - 1."""
-        table, x = self.table, self.power_sum(i, n)
+        return self._is_zero(self.power_sum(i, n))
+
+    def vanishes_below(self, cap: int, n: int) -> bool:
+        """sum_below(cap, n) == 0 mod m, for 1 <= cap <= d and
+        1 <= n < q^d - 1."""
+        return self._is_zero(self.sum_below(cap, n))
+
+    def _is_zero(self, x: int) -> bool:
+        """Whether the packed sum x is 0 mod m: at p = 2 x itself is the
+        coordinate vector, at odd p each field is reduced mod p in turn."""
+        table = self.table
         if table.p == 2:
             return not x
         p, mask = table.p, table.mask

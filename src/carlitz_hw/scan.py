@@ -38,9 +38,12 @@ CSV writes lowercase booleans and empty cells for unknown values; only the
 three flag columns are converted, as csv.writer writes None as an empty
 cell and ints by str.  JSONL writes one object per line with the same key
 order and null for unknowns.  A copied row's m is formatted from its codes.
-In witness mode the ordinariness flags and first_defect_n come from
-one early-exit pass (invariants.first_defects) and the lambda/supersingular
-fields stay unknown.
+Both modes read one pass over the degree stream (invariants.defect_pass),
+with no defect list built.  Full mode reads every orbit for lambda,
+lambda_plus and first_defect_n, and checks the flags and g - lambda against
+the genus of the record as hasse_witt checks its report (InternalError,
+exit 2).  Witness mode exits early, and its lambda/supersingular fields
+stay unknown.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from time import perf_counter
 
 from .errors import DomainError, ResourceLimitError
 from .fieldcore import FieldCtx
-from .invariants import first_defects, genus, hasse_witt
+from .invariants import defect_pass, genus
 from .polyring import field_order, format_coeffs
 from .powersums import LogTable, RootSums, residue_field, shared_field
 
@@ -82,16 +85,9 @@ CSV_HEADER = ",".join(COLUMNS)
 def _scan_one(table: LogTable, task) -> ScanRecord:
     _, codes, mode = task
     start = perf_counter()
-    sums = RootSums(table, codes)
-    if mode == MODE_WITNESS:
-        first, first_plus = first_defects(sums)
-        lam = lam_plus = None
-    else:
-        rep = hasse_witt(sums)
-        first = rep.defects[0].n if rep.defects else None
-        first_plus = rep.defects_plus[0].n if rep.defects_plus else None
-        lam, lam_plus = rep.lambda_, rep.lambda_plus
     g, g_plus = genus(table.ctx, table.d)
+    first, first_plus, lam, lam_plus = defect_pass(
+        RootSums(table, codes), None if mode == MODE_WITNESS else (g, g_plus))
     return ScanRecord(
         m=format_coeffs(table.ctx, codes), d=table.d, g=g, g_plus=g_plus,
         lambda_=lam, lambda_plus=lam_plus,

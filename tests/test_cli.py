@@ -178,6 +178,26 @@ def test_scan_output_matches_its_golden_digest(capsys, args, digest):
     assert hashlib.sha256(masked.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("p,shift,message", [
+    ("3", (1, 0), "defect total disagrees with g - lambda"),
+    ("5", (1, 0), "ordinariness flags disagree with lambda sums"),
+    ("5", (0, 1), "ordinariness flags disagree with lambda sums")])
+def test_full_scan_checks_lambda_against_the_genus(capsys, monkeypatch, p, shift, message):
+    # the one-pass full mode keeps the report's checks: a genus off by one
+    # is an internal error (exit 2), where witness mode reads no lambda.
+    # The first cubic over F_3 is defective, every one over F_5 ordinary.
+    real = scan.genus
+    monkeypatch.setattr(scan, "genus", lambda ctx, d: tuple(
+        g + s for g, s in zip(real(ctx, d), shift)))
+    code, out, err = _run(capsys, "scan", "--p", p, "--d", "3", "--mode", "full",
+                          "--workers", "1")
+    assert code == 2 and out == CSV_HEADER + "\n"
+    assert message in err
+    code, _, _ = _run(capsys, "scan", "--p", p, "--d", "3", "--mode", "witness",
+                      "--workers", "1")
+    assert code == 0
+
+
 def test_scan_csv_stdout(capsys):
     code, out, _ = _run(capsys, "scan", "--p", "2", "--d", "2",
                         "--workers", "1")

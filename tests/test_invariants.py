@@ -22,6 +22,7 @@ from carlitz_hw import (
 from carlitz_hw.digits import target_degree
 from carlitz_hw.errors import (
     CostCeilingError,
+    DivisionRemainderError,
     InternalError,
     OutOfRangeError,
     OverflowLimitError,
@@ -205,6 +206,12 @@ class _SModOnly:
     def vanishes(self, i, n):
         return s_mod(i, n, self.m).is_zero()
 
+    def vanishes_below(self, cap, n):
+        below = FqPoly.one(self.m.ctx)  # s_0(n) = 1
+        for i in range(1, cap):
+            below = below + s_mod(i, n, self.m)
+        return below.is_zero()
+
 
 def _route_sources(m):
     """Sources of m that answer on each route: s_mod and the log table."""
@@ -280,6 +287,61 @@ def test_log_table_matches_s_mod_on_random_moduli(data):
                 == _at_root(s_mod(i, n, m), view)), (format_poly(m.poly), i, n)
     want = oracle._bbar_degree(n, m)
     assert _degrees(n, m, sources) == [want, want]
+
+
+@pytest.mark.parametrize("p,e,d", _NINE_FIELDS)
+def test_sum_below_the_cap_is_minus_the_sum_at_the_cap(p, e, d):
+    # the zero-class identity the first read rests on: at a trivial zero n,
+    # 1 + s_1(n) + ... + s_(cap-1)(n) = -s_cap(n), coordinate by coordinate
+    # at the root of every modulus
+    ctx = make_field(p, e)
+    for m in irreducible_enumerate(ctx, d):
+        view = RootSums.of(m)
+        for n in range(ctx.q - 1, m.group_order, ctx.q - 1):
+            cap = target_degree(n, ctx) + 1
+            assert (coordinates(view.table, view.sum_below(cap, n))
+                    == _at_root(-s_mod(cap, n, m), view)), (format_poly(m.poly), n)
+
+
+def test_zero_class_reads_never_gather_the_cap(monkeypatch):
+    # the work of the four orbit heads of the cubics over F_7, counted where
+    # every read gathers its terms: no zero-class degree gathers level cap,
+    # the q^cap monic logs of that degree, and the total is pinned (the
+    # top-down read from s_cap gathered 7616 terms)
+    table = residue_field(make_field(7), 3)
+    heads = [codes for i, (codes, f) in enumerate(zip(table.roots, table.first)) if f == i]
+    gathered = []
+    real = RootSums._gather
+
+    def spy(self, levels, n, x=0):
+        levels = list(levels)
+        gathered.append((n, [len(logs) for logs in levels]))
+        return real(self, levels, n, x)
+
+    monkeypatch.setattr(RootSums, "_gather", spy)
+    for codes in heads:
+        invariants.defect_pass(RootSums(table, codes), genus(table.ctx, 3))
+    assert len(heads) == 4
+    zero_class = [(n, sizes) for n, sizes in gathered if n % 6 == 0]
+    assert zero_class
+    for n, sizes in zero_class:
+        assert 7 ** (target_degree(n, table.ctx) + 1) not in sizes, (n, sizes)
+    assert sum(sum(sizes) for _, sizes in gathered) == 5656
+
+
+def test_a_zero_class_read_with_no_nonzero_sum_is_an_internal_error():
+    # a reader whose every sum vanishes breaks C_n(1) = 0, which the zero-class
+    # read rests on; outside the zero class it is a degree-0 exponent
+    class Vanishing:
+        def vanishes(self, i, n):
+            return True
+
+        def vanishes_below(self, cap, n):
+            return True
+
+    with pytest.raises(DivisionRemainderError, match="C_6"):
+        invariants._reduced_degree(6, Vanishing(), 2, True)
+    assert invariants._reduced_degree(5, Vanishing(), 2, False) == 0
 
 
 @functools.lru_cache(maxsize=None)

@@ -436,3 +436,25 @@ def test_every_modulus_over_f2_is_ordinary(d):
     assert len(records) == irreducible_count(make_field(2), d)
     for r in records:
         assert (r.lambda_, r.lambda_plus, r.first_defect_n) == (r.g, r.g_plus, None), r
+
+
+@pytest.mark.parametrize("p,d,ordinary,ordinary_plus,moduli,fallen", [
+    (3, 4, 12, 12, 18, 1), (5, 4, 60, 60, 150, 10), (7, 4, 126, 168, 588, 20),
+    (3, 7, 216, 288, 312, 8)])
+def test_census_where_the_sum_below_the_cap_vanishes(monkeypatch, p, d, ordinary,
+                                                     ordinary_plus, moduli, fallen):
+    # the census counts of ROADMAP (ordinary / ordinary+ / moduli), in fields
+    # where a zero-class sum below the cap vanishes `fallen` times over the
+    # orbit heads, so the read goes on top-down from s_(cap-1) there
+    vanished = []
+    real = RootSums.vanishes_below
+
+    def spy(self, cap, n):
+        vanished.append(real(self, cap, n))
+        return vanished[-1]
+
+    monkeypatch.setattr(RootSums, "vanishes_below", spy)
+    records = scan_degree(make_field(p), d)
+    assert (sum(r.ordinary for r in records), sum(r.ordinary_plus for r in records),
+            len(records)) == (ordinary, ordinary_plus, moduli)
+    assert sum(vanished) == fallen
