@@ -169,6 +169,9 @@ def _cmd_verify(args) -> int:
     names = [s.strip() for s in args.suites.split(",") if s.strip()]
     if not names:
         raise DomainError("--suites must name at least one suite")
+    unknown = [name for name in names if name not in invariants.SUITE_NAMES]
+    if unknown:  # before any suite runs, so a failed run prints no result
+        raise DomainError(f"unknown suite {unknown[0]!r}; choose from {invariants.SUITE_NAMES}")
     all_passed = True
     for name in names:
         checks = run_verify_suite(name, ctx, args.d)

@@ -79,8 +79,9 @@ class InternalError(CarlitzHWError, RuntimeError):
 class DivisionRemainderError(InternalError):
     """C_n(1) != 0 at a zero-class n, where division by (1 - u) must be
     exact.  Raised only by the degree reader (invariants._reduced_degree)
-    when every power sum above s_0 vanishes; the division verify suite
-    reports the same fault as a failed check instead."""
+    when every partial sum 1 + s_1 + ... + s_(i-1) it reads vanishes, P_0 = 1
+    included, which no correct reader reports; the division verify suite
+    reports a nonzero C_n(1) as a failed check instead."""
 
 
 class ParityError(InternalError):

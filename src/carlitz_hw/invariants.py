@@ -12,10 +12,11 @@ defect certifying non-ordinariness.
 
 All consumers read one degree engine, degree_stream, which yields
 (n, size, degree, target) once per orbit of n -> q*n mod (q^d - 1), n its
-least member: hasse_witt takes the whole stream and expands only defective
-orbits, and defect_pass reads lambda, lambda_plus and the least defects in
-one pass, checked as hasse_witt checks its report (scan's full mode), or
-only the least defects in one early-exit pass (scan's witness mode, and
+least member, through one pass over it, defect_pass.  Its full pass reads
+lambda, lambda_plus, the least defects and the defective orbits, and
+checks the flags and g - lambda against the genus: scan's full mode reads
+it, and hasse_witt expands its defective orbits into their members.  Its
+early-exit pass reads only the least defects (scan's witness mode, and
 first_defects behind is_ordinary and is_ordinary_plus).  Multiplying n by
 q rotates its base-q digits, so the target and the zero class are
 constant on such an orbit; multiplying by p raises every coefficient to
@@ -28,14 +29,16 @@ every exponent against digits.target_degree, and oracle.z_bar and the
 frobenius suite compute every degree without sharing, so they check the
 orbit reduction independently.
 
-One function reads a degree, _reduced_degree: top-down, it asks the
-power sums of m at one of its roots (powersums.RootSums, on a discrete-log
-table of F_{q^d}) whether s_i(n) mod m vanishes and stops at the first
-nonzero power sum.  In the zero class, where n is a trivial zero of the
-Carlitz-Goss zeta function and C_n(1) = 0, its first read is the sum
-below the cap, 1 + s_1 + ... + s_(cap-1) = -s_cap, which gathers
-(q^cap - 1)/(q - 1) terms where s_cap gathers q^cap.  The engine reads
-one RootSums, which scan cuts from the field it builds.  Only the public
+One function reads a degree, _reduced_degree, in one top-down loop over
+the power sums of m at one of its roots (powersums.RootSums, on a
+discrete-log table of F_{q^d}), stopping at the first that does not
+vanish.  Outside the zero class it reads s_i(n) mod m, and the degree is
+that i.  In the zero class, where n is a trivial zero of the Carlitz-Goss
+zeta function and C_n(1) = 0, it reads B_n's own coefficients: the
+u^(i-1) coefficient is the partial sum 1 + s_1 + ... + s_(i-1) =
+-(s_i + ... + s_cap), which gathers (q^i - 1)/(q - 1) terms where s_i
+gathers q^i, and the degree is i - 1.  The engine reads one
+RootSums, which scan cuts from the field it builds.  Only the public
 entry points, hasse_witt, is_ordinary and is_ordinary_plus, take a
 Modulus: they read it at its root in the field of its (q, d) kept by the
 process (RootSums.of), which checks the budget (CARLITZ_HW_BUDGET) on
@@ -49,8 +52,8 @@ w - 1.  For n = sum_j 2^(k_j) and the conjugates theta_j = theta^(2^(k_j))
 of a root theta of m, s_w(n)(theta) expands, over the monic a of degree w,
 to the permanent of [theta_j^t], which in characteristic 2 is the
 Vandermonde determinant prod_(j<l) (theta_j + theta_l), nonzero since the
-theta_j are distinct.  So the first read, the sum below the cap, which is
--s_w(n), does not vanish: every n is at target, and lambda = g,
+theta_j are distinct.  So the first read, the partial sum below the cap,
+which is -s_w(n), does not vanish: every n is at target, and lambda = g,
 lambda+ = g+.  The engine has no shortcut for this.
 """
 
@@ -110,24 +113,19 @@ class InvariantsReport(namedtuple("InvariantsReport", [
 
 def _reduced_degree(n: int, sums: RootSums, cap: int, zero_class: bool) -> int:
     """The u-degree of B_n mod m, read top-down from the power sums of m at
-    one of its roots: the largest i <= cap with s_i(n) != 0, one less in the
-    zero class.  There C_n(1) = s_0 + ... + s_cap = 0, n being a trivial
-    zero of the Carlitz-Goss zeta function, makes the partial sum
-    P_(i-1) = -(s_i + ... + s_cap), which is -s_i at the first nonzero s_i
-    from the top.  The first read there is P_(cap-1) = 1 + s_1 + ... +
-    s_(cap-1) = -s_cap, the sum below the cap: (q^cap - 1)/(q - 1) terms
-    against q^cap for s_cap, and none at cap = 1.  Only when it vanishes
-    does the walk go on, from s_(cap-1).  An exponent at its target costs
-    one read."""
-    top = cap
-    if zero_class:
-        if not sums.vanishes_below(cap, n):
-            return cap - 1
-        top = cap - 1
-    for i in range(top, 0, -1):
-        if not sums.vanishes(i, n):
-            return i - 1 if zero_class else i
-    if zero_class:  # s_0 = 1 would be all of C_n(1)
+    one of its roots: the largest i <= cap with s_i(n) != 0, and in the
+    zero class the largest i < cap whose coefficient of B_n, the partial
+    sum P_i = 1 + s_1 + ... + s_i, does not vanish (RootSums.vanishes_below
+    at i + 1).  There C_n(1) = 0, n being a trivial zero of the
+    Carlitz-Goss zeta function, makes P_(i-1) = -(s_i + ... + s_cap), which
+    is -s_i once the reads above it have vanished: each read decides what
+    s_i would, from (q^i - 1)/(q - 1) terms against q^i, and none at i = 1.
+    An exponent at its target costs one read."""
+    read = sums.vanishes_below if zero_class else sums.vanishes
+    for i in range(cap, 0, -1):
+        if not read(i, n):
+            return i - zero_class
+    if zero_class:  # P_0 = 1 read as zero: the reader is at fault
         raise DivisionRemainderError(f"C_{n}(1) = 1 != 0 for zero-class n")
     return 0
 
@@ -160,62 +158,44 @@ def degree_stream(sums: RootSums, keep=None):
         yield n, size, deg, tgt
 
 
-def hasse_witt(m: Modulus | RootSums) -> InvariantsReport:
-    """Full invariant report for one modulus, from the whole degree stream:
-    a Modulus is read at its root by RootSums.of, which checks the budget
-    first; a RootSums (scan) was checked with its field."""
-    sums = m if isinstance(m, RootSums) else RootSums.of(m)
+def hasse_witt(m: Modulus) -> InvariantsReport:
+    """Full invariant report for one modulus, read at its root by
+    RootSums.of (which checks the budget first) in the checked full
+    defect_pass; only the defective orbits it returns are expanded into
+    their members."""
+    sums = RootSums.of(m)
     table = sums.table
     ctx, d = table.ctx, table.d
     q = ctx.q
     g, g_plus = genus(ctx, d)
-    lam = lam_plus = 0
-    defects: list[Defect] = []
-    for n, size, deg, tgt in degree_stream(sums):
-        lam += size * deg
-        if n % (q - 1) == 0:
-            lam_plus += size * deg
-        if deg != tgt:
-            defects.extend(Defect(n * q**j % table.order, tgt, deg) for j in range(size))
-    defects.sort()
-    defects_plus = [f for f in defects if f.n % (q - 1) == 0]
-    ordinary = not defects
-    ordinary_plus = not defects_plus
-    _check_totals((g, g_plus), lam, lam_plus, ordinary, ordinary_plus,
-                  sum(f.target - f.actual for f in defects))
+    first, first_plus, lam, lam_plus, defective = defect_pass(sums, (g, g_plus))
+    defects = sorted(Defect(n * q**j % table.order, tgt, deg)
+                     for n, size, deg, tgt in defective for j in range(size))
     return InvariantsReport(
         p=ctx.p, e=ctx.e, q=q,
         field_modulus=ctx.format_field_modulus(),
         m=format_coeffs(ctx, sums.codes), d=d,
         g=g, g_plus=g_plus, lambda_=lam, lambda_plus=lam_plus,
-        ordinary=ordinary, ordinary_plus=ordinary_plus,
+        ordinary=first is None, ordinary_plus=first_plus is None,
         supersingular=lam == 0,
-        defects=defects, defects_plus=defects_plus)
-
-
-def _check_totals(genera, lam, lam_plus, ordinary, ordinary_plus, short) -> None:
-    """InternalError unless the flags agree with the lambda sums against
-    genera = (g, g_plus), and g - lambda is short, the total of
-    target - degree over the defects."""
-    g, g_plus = genera
-    if ordinary != (lam == g) or ordinary_plus != (lam_plus == g_plus):
-        raise InternalError("ordinariness flags disagree with lambda sums")
-    if g - lam != short:
-        raise InternalError("defect total disagrees with g - lambda")
+        defects=defects, defects_plus=[f for f in defects if f.n % (q - 1) == 0])
 
 
 def defect_pass(sums: RootSums, genera=None) -> tuple:
-    """(first, first_plus, lambda, lambda_plus) in one pass over the degree
-    stream: the least defective exponent and the least defective zero-class
-    exponent, None where there is none.  The least member of the first
-    defective orbit is the least defect, as the stream comes in ascending
-    least members.  Given genera = (g, g_plus), every orbit is read, and the
-    lambda sums are checked against them as hasse_witt checks its report.
+    """(first, first_plus, lambda, lambda_plus, defective) in one pass over
+    the degree stream: the least defective exponent and the least defective
+    zero-class exponent, None where there is none, and the defective orbits
+    read, as (n, size, degree, target) in ascending n.  The least member of
+    the first defective orbit is the least defect, as the stream comes in
+    ascending least members.  Given genera = (g, g_plus), every orbit is
+    read, and InternalError is raised unless the flags agree with the lambda
+    sums and g - lambda is the total of target - degree over the defects.
     Without, the pass exits early: after the first defect only zero-class
     orbits are evaluated, and both lambdas are None."""
     q1 = sums.table.ctx.q - 1
+    defective = []
     first = first_plus = None
-    lam = lam_plus = short = 0
+    lam = lam_plus = 0
 
     def keep(n):  # reads `first` as the stream asks about the next orbit
         return first is None or n % q1 == 0
@@ -226,7 +206,7 @@ def defect_pass(sums: RootSums, genera=None) -> tuple:
         if zero_class:
             lam_plus += size * deg
         if deg != tgt:
-            short += size * (tgt - deg)
+            defective.append((n, size, deg, tgt))
             if first is None:
                 first = n
             if zero_class and first_plus is None:
@@ -234,9 +214,13 @@ def defect_pass(sums: RootSums, genera=None) -> tuple:
                 if genera is None:
                     break
     if genera is None:
-        return first, first_plus, None, None
-    _check_totals(genera, lam, lam_plus, first is None, first_plus is None, short)
-    return first, first_plus, lam, lam_plus
+        return first, first_plus, None, None, defective
+    g, g_plus = genera
+    if (first is None) != (lam == g) or (first_plus is None) != (lam_plus == g_plus):
+        raise InternalError("ordinariness flags disagree with lambda sums")
+    if g - lam != sum(size * (tgt - deg) for _, size, deg, tgt in defective):
+        raise InternalError("defect total disagrees with g - lambda")
+    return first, first_plus, lam, lam_plus, defective
 
 
 def first_defects(sums: RootSums) -> tuple[int | None, int | None]:

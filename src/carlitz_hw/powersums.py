@@ -43,9 +43,10 @@ a of degree i, one index computation per a and no polynomial multiplication,
 and tests the packed sum for zero: at p = 2 the XOR of the terms, which is 0
 exactly when the sum vanishes, and at odd p their integer sum, reduced mod p
 field by field.  The same gather and zero test read the sum below a cap,
-1 + s_1(n) + ... + s_(cap-1)(n), which the degree engine reads first in
-the zero class.  residue_field builds that table once per scan, and
-shared_field keeps it per process for scan's workers and RootSums.of.
+1 + s_1(n) + ... + s_(cap-1)(n), the u^(cap-1) coefficient of B_n in the
+zero class, where the degree engine reads these sums and no s_i(n).
+residue_field builds that table once per scan, and shared_field keeps it
+per process for scan's workers and RootSums.of.
 residue_cost bounds the memory of a degree stream from (q, d) alone, checked
 against the budget before m0 is searched for and on every fetch.
 The budget is CARLITZ_HW_BUDGET, read by check_budget at every check.

@@ -39,11 +39,11 @@ three flag columns are converted, as csv.writer writes None as an empty
 cell and ints by str.  JSONL writes one object per line with the same key
 order and null for unknowns.  A copied row's m is formatted from its codes.
 Both modes read one pass over the degree stream (invariants.defect_pass),
-with no defect list built.  Full mode reads every orbit for lambda,
-lambda_plus and first_defect_n, and checks the flags and g - lambda against
-the genus of the record as hasse_witt checks its report (InternalError,
-exit 2).  Witness mode exits early, and its lambda/supersingular fields
-stay unknown.
+which lists defective orbits only, never their members.  Full mode reads
+every orbit for lambda, lambda_plus and first_defect_n, and checks the
+flags and g - lambda against the genus of the record, the check
+hasse_witt's report rests on too (InternalError, exit 2).  Witness mode
+exits early, and its lambda/supersingular fields stay unknown.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _scan_one(table: LogTable, task) -> ScanRecord:
     _, codes, mode = task
     start = perf_counter()
     g, g_plus = genus(table.ctx, table.d)
-    first, first_plus, lam, lam_plus = defect_pass(
+    first, first_plus, lam, lam_plus, _ = defect_pass(
         RootSums(table, codes), None if mode == MODE_WITNESS else (g, g_plus))
     return ScanRecord(
         m=format_coeffs(table.ctx, codes), d=table.d, g=g, g_plus=g_plus,

@@ -301,6 +301,13 @@ def test_verify_unknown_suite(capsys):
     assert code == 1 and "unknown suite" in err
 
 
+def test_verify_checks_every_suite_name_before_the_first_runs(capsys):
+    # lemma31 would pass; the unknown name after it fails the run first
+    assert _run(capsys, "verify", "--p", "3", "--d", "2", "--suites", "lemma31,foo") == (
+        1, "", "error: unknown suite 'foo'; choose from "
+               "('lemma31', 'digits', 'gekeler', 'frobenius', 'division')\n")
+
+
 def test_unknown_flag_is_error(capsys):
     code, _, err = _run(capsys, "scan", "--p", "3", "--d", "2", "--frobnicate")
     assert code == 1 and "unrecognized arguments" in err

@@ -303,35 +303,61 @@ def test_sum_below_the_cap_is_minus_the_sum_at_the_cap(p, e, d):
                     == _at_root(-s_mod(cap, n, m), view)), (format_poly(m.poly), n)
 
 
-def test_zero_class_reads_never_gather_the_cap(monkeypatch):
-    # the work of the four orbit heads of the cubics over F_7, counted where
-    # every read gathers its terms: no zero-class degree gathers level cap,
-    # the q^cap monic logs of that degree, and the total is pinned (the
-    # top-down read from s_cap gathered 7616 terms)
-    table = residue_field(make_field(7), 3)
+@pytest.mark.parametrize("p,d,total", [(7, 3, 5656), (5, 4, 30760), (3, 6, 71049)])
+def test_zero_class_reads_never_gather_the_cap(monkeypatch, p, d, total):
+    # the work of the orbit heads of the moduli of degree d over F_p, counted
+    # where every read gathers its terms: a zero-class degree reads only
+    # partial sums below a level, never s_i itself, so it never gathers
+    # level cap, the q^cap monic logs of that degree, and the total is pinned
+    table = residue_field(make_field(p), d)
     heads = [codes for i, (codes, f) in enumerate(zip(table.roots, table.first)) if f == i]
-    gathered = []
-    real = RootSums._gather
+    gathered, asked = [], []
+    real_gather, real_vanishes = RootSums._gather, RootSums.vanishes
 
-    def spy(self, levels, n, x=0):
+    def gather(self, levels, n, x=0):
         levels = list(levels)
         gathered.append((n, [len(logs) for logs in levels]))
-        return real(self, levels, n, x)
+        return real_gather(self, levels, n, x)
 
-    monkeypatch.setattr(RootSums, "_gather", spy)
+    def vanishes(self, i, n):
+        asked.append(n)
+        return real_vanishes(self, i, n)
+
+    monkeypatch.setattr(RootSums, "_gather", gather)
+    monkeypatch.setattr(RootSums, "vanishes", vanishes)
     for codes in heads:
-        invariants.defect_pass(RootSums(table, codes), genus(table.ctx, 3))
-    assert len(heads) == 4
-    zero_class = [(n, sizes) for n, sizes in gathered if n % 6 == 0]
-    assert zero_class
+        invariants.defect_pass(RootSums(table, codes), genus(table.ctx, d))
+    zero_class = [(n, sizes) for n, sizes in gathered if n % (p - 1) == 0]
+    assert zero_class and asked
+    assert not [n for n in asked if n % (p - 1) == 0]
     for n, sizes in zero_class:
-        assert 7 ** (target_degree(n, table.ctx) + 1) not in sizes, (n, sizes)
-    assert sum(sum(sizes) for _, sizes in gathered) == 5656
+        assert p ** (target_degree(n, table.ctx) + 1) not in sizes, (n, sizes)
+    assert sum(sum(sizes) for _, sizes in gathered) == total
+
+
+@pytest.mark.parametrize("p,d,fell,two_levels", [(3, 6, 84, 32), (5, 4, 120, 0)])
+def test_zero_class_reads_below_a_vanishing_sum_match_the_oracle(p, d, fell, two_levels):
+    # the only exponents whose degree is read below the cap, where a read of
+    # s_i became a read of the partial sum below i: zero-class orbit heads
+    # where the partial sum below the cap vanishes, at every modulus,
+    # against B_n mod m built bottom-up
+    table = residue_field(make_field(p), d)
+    drops = []
+    for codes in table.roots:
+        sums, m = RootSums(table, codes), Modulus(FqPoly(table.ctx, codes))
+        for n, _, _, tgt in table.orbits[1:]:
+            if n % (p - 1) == 0 and sums.vanishes_below(tgt + 1, n):
+                deg = invariants._reduced_degree(n, sums, tgt + 1, True)
+                assert deg == oracle._bbar_degree(n, m), (codes, n)
+                drops.append(tgt - deg)
+    assert (len(drops), drops.count(2)) == (fell, two_levels)
+    assert set(drops) <= {1, 2}
 
 
 def test_a_zero_class_read_with_no_nonzero_sum_is_an_internal_error():
-    # a reader whose every sum vanishes breaks C_n(1) = 0, which the zero-class
-    # read rests on; outside the zero class it is a degree-0 exponent
+    # a reader whose every sum vanishes reads even P_0 = 1 as zero, so in the
+    # zero class no partial sum is left to give the degree; outside the zero
+    # class it is a degree-0 exponent
     class Vanishing:
         def vanishes(self, i, n):
             return True

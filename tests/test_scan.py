@@ -444,8 +444,9 @@ def test_every_modulus_over_f2_is_ordinary(d):
 def test_census_where_the_sum_below_the_cap_vanishes(monkeypatch, p, d, ordinary,
                                                      ordinary_plus, moduli, fallen):
     # the census counts of ROADMAP (ordinary / ordinary+ / moduli), in fields
-    # where a zero-class sum below the cap vanishes `fallen` times over the
-    # orbit heads, so the read goes on top-down from s_(cap-1) there
+    # where a zero-class partial sum below a level vanishes `fallen` times
+    # over the orbit heads, each time at the cap, so the read goes on
+    # top-down to the partial sum below cap - 1 there
     vanished = []
     real = RootSums.vanishes_below
 
