@@ -76,14 +76,6 @@ class InternalError(CarlitzHWError, RuntimeError):
     """An invariant that must hold mathematically was violated: a bug."""
 
 
-class DivisionRemainderError(InternalError):
-    """C_n(1) != 0 at a zero-class n, where division by (1 - u) must be
-    exact.  Raised only by the degree reader (invariants._reduced_degree)
-    when every partial sum 1 + s_1 + ... + s_(i-1) it reads vanishes, P_0 = 1
-    included, which no correct reader reports; the division verify suite
-    reports a nonzero C_n(1) as a failed check instead."""
-
-
 class ParityError(InternalError):
     """A genus formula produced an odd value for 2g."""
 

@@ -30,42 +30,40 @@ frobenius suite compute every degree without sharing, so they check the
 orbit reduction independently.
 
 One function reads a degree, _reduced_degree, in one top-down loop over
-the power sums of m at one of its roots (powersums.RootSums, on a
-discrete-log table of F_{q^d}), stopping at the first that does not
-vanish.  Outside the zero class it reads s_i(n) mod m, and the degree is
-that i.  In the zero class, where n is a trivial zero of the Carlitz-Goss
-zeta function and C_n(1) = 0, it reads B_n's own coefficients: the
-u^(i-1) coefficient is the partial sum 1 + s_1 + ... + s_(i-1) =
--(s_i + ... + s_cap), which gathers (q^i - 1)/(q - 1) terms where s_i
-gathers q^i, and the degree is i - 1.  The engine reads one
-RootSums, which scan cuts from the field it builds.  Only the public
-entry points, hasse_witt, is_ordinary and is_ordinary_plus, take a
-Modulus: they read it at its root in the field of its (q, d) kept by the
-process (RootSums.of), which checks the budget (CARLITZ_HW_BUDGET) on
-every call.
+the coefficients of B_n mod m from the target down, read from the power
+sums of m at one of its roots (powersums.RootSums, on a discrete-log
+table of F_{q^d}): the degree is the first j whose u^j coefficient does
+not vanish, and 0 below that, as the u^0 coefficient is 1.  Outside the
+zero class that coefficient is s_j(n).  In the zero class, where n is a
+trivial zero of the Carlitz-Goss zeta function and C_n(1) = 0, it is the
+partial sum 1 + s_1 + ... + s_j, which gathers (q^(j+1) - 1)/(q - 1)
+terms where s_(j+1), the coefficient that decides the same degree, would
+gather q^(j+1).  Both are one RootSums.vanishes read, over a range of
+degrees of the monic a.  The engine reads one RootSums, which scan cuts
+from the field it builds.  Only the public entry points, hasse_witt,
+is_ordinary and is_ordinary_plus, take a Modulus: they read it at its
+root in the field of its (q, d) kept by the process (RootSums.of), which
+checks the budget (CARLITZ_HW_BUDGET) on every call.
 oracle._bbar_degree, which builds all of B_n mod m bottom-up through b_poly,
 is the oracle of that reader.
 
 Over F_2 every modulus is ordinary and ordinary+ (README, "How degrees are
-computed").  There every n is zero-class with cap w = popcount(n) and target
-w - 1.  For n = sum_j 2^(k_j) and the conjugates theta_j = theta^(2^(k_j))
-of a root theta of m, s_w(n)(theta) expands, over the monic a of degree w,
-to the permanent of [theta_j^t], which in characteristic 2 is the
-Vandermonde determinant prod_(j<l) (theta_j + theta_l), nonzero since the
-theta_j are distinct.  So the first read, the partial sum below the cap,
-which is -s_w(n), does not vanish: every n is at target, and lambda = g,
-lambda+ = g+.  The engine has no shortcut for this.
+computed").  There every n is zero-class with target w - 1,
+w = popcount(n).  For n = sum_j 2^(k_j) and the conjugates
+theta_j = theta^(2^(k_j)) of a root theta of m, s_w(n)(theta) expands,
+over the monic a of degree w, to the permanent of [theta_j^t], which in
+characteristic 2 is the Vandermonde determinant
+prod_(j<l) (theta_j + theta_l), nonzero since the theta_j are distinct.
+So the first read, the partial sum 1 + s_1 + ... + s_(w-1) = -s_w(n),
+does not vanish: every n is at target, and lambda = g, lambda+ = g+.  The
+engine has no shortcut for this.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import (
-    DivisionRemainderError,
-    InternalError,
-    ParityError,
-)
+from .errors import InternalError, ParityError
 from .fieldcore import FieldCtx
 from .polyring import Modulus, field_order, format_coeffs
 from .powersums import RootSums
@@ -111,22 +109,16 @@ class InvariantsReport(namedtuple("InvariantsReport", [
         return out
 
 
-def _reduced_degree(n: int, sums: RootSums, cap: int, zero_class: bool) -> int:
+def _reduced_degree(n: int, sums: RootSums, target: int, zero_class: bool) -> int:
     """The u-degree of B_n mod m, read top-down from the power sums of m at
-    one of its roots: the largest i <= cap with s_i(n) != 0, and in the
-    zero class the largest i < cap whose coefficient of B_n, the partial
-    sum P_i = 1 + s_1 + ... + s_i, does not vanish (RootSums.vanishes_below
-    at i + 1).  There C_n(1) = 0, n being a trivial zero of the
-    Carlitz-Goss zeta function, makes P_(i-1) = -(s_i + ... + s_cap), which
-    is -s_i once the reads above it have vanished: each read decides what
-    s_i would, from (q^i - 1)/(q - 1) terms against q^i, and none at i = 1.
-    An exponent at its target costs one read."""
-    read = sums.vanishes_below if zero_class else sums.vanishes
-    for i in range(cap, 0, -1):
-        if not read(i, n):
-            return i - zero_class
-    if zero_class:  # P_0 = 1 read as zero: the reader is at fault
-        raise DivisionRemainderError(f"C_{n}(1) = 1 != 0 for zero-class n")
+    one of its roots: the largest j <= target whose u^j coefficient does not
+    vanish, and 0 when none does, as the u^0 coefficient is 1.  That
+    coefficient is s_j(n), and in the zero class, where n is a trivial zero
+    of the Carlitz-Goss zeta function and C_n(1) = 0, the partial sum
+    P_j = 1 + s_1 + ... + s_j.  An exponent at its target costs one read."""
+    for j in range(target, 0, -1):
+        if not sums.vanishes(range(0 if zero_class else j, j + 1), n):
+            return j
     return 0
 
 
@@ -150,8 +142,7 @@ def degree_stream(sums: RootSums, keep=None):
             continue
         deg = known.get(frob)
         if deg is None:
-            zero_class = n % q1 == 0
-            deg = known[frob] = _reduced_degree(n, sums, tgt + zero_class, zero_class)
+            deg = known[frob] = _reduced_degree(n, sums, tgt, n % q1 == 0)
         if deg > tgt:
             raise InternalError(f"degree {deg} exceeds target {tgt} at n={n} "
                                 f"mod {format_coeffs(table.ctx, sums.codes)}")

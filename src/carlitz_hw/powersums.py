@@ -42,9 +42,10 @@ theta = g^k as the sum of g^(log a(theta) * n mod (q^d - 1)) over the monic
 a of degree i, one index computation per a and no polynomial multiplication,
 and tests the packed sum for zero: at p = 2 the XOR of the terms, which is 0
 exactly when the sum vanishes, and at odd p their integer sum, reduced mod p
-field by field.  The same gather and zero test read the sum below a cap,
-1 + s_1(n) + ... + s_(cap-1)(n), the u^(cap-1) coefficient of B_n in the
-zero class, where the degree engine reads these sums and no s_i(n).
+field by field.  The sum is taken over the monic a whose degree lies in a
+range (RootSums.packed_sum): one degree for s_i(n), and every degree up to j
+for the partial sum 1 + s_1(n) + ... + s_j(n), the u^j coefficient of B_n
+in the zero class, where the degree engine reads these sums and no s_i(n).
 residue_field builds that table once per scan, and shared_field keeps it
 per process for scan's workers and RootSums.of.
 residue_cost bounds the memory of a degree stream from (q, d) alone, checked
@@ -398,8 +399,9 @@ class LogTable:
 
 
 class RootSums:
-    """Whether s_i(n) mod m vanishes, read at a root theta = g^k of m in a
-    LogTable (k = None for theta = 0, the root of m = T).
+    """Whether a sum of power sums s_i(n) mod m vanishes, read at a root
+    theta = g^k of m in a LogTable (k = None for theta = 0, the root of
+    m = T).
 
     Under A/mA = F_{q^d}, T -> theta, s_i(n) mod m is the sum of a(theta)^n
     over the monic a of degree i, and a(theta)^n = g^(log a(theta) * n mod N).
@@ -407,14 +409,15 @@ class RootSums:
     first time it is asked for: every b of degree < j is 0 or c times a
     monic polynomial of lower degree, so log b is const_logs[c] plus a stored
     monic log, and log(theta^j + b) is t + zech[log b - t] with t = j*k.
-    sum_below(cap, n) is the sum over every monic a of degree < cap, the
-    packed 1 for a = 1 included.  Whether a sum vanishes does not depend on
-    which conjugate of theta is used; it is read on the packed sum: at p = 2
-    the XOR of the terms, the coordinate bits of the sum, which vanishes
-    when it is 0, and at odd p their integer sum, reduced field by field
-    mod p up to the first nonzero field.  A RootSums is made from the
-    coefficient codes of m, which table.roots maps to k; the field, d and N
-    are the table's.
+    A read sums over the monic a whose degree lies in a range: one degree
+    for s_i(n), and range(j + 1) for the partial sum 1 + s_1 + ... + s_j,
+    whose degree-0 term is exp[0], the packed 1.  Whether a sum vanishes
+    does not depend on which conjugate of theta is used; it is read on the
+    packed sum: at p = 2 the XOR of the terms, the coordinate bits of the
+    sum, which vanishes when it is 0, and at odd p their integer sum,
+    reduced field by field mod p up to the first nonzero field.  A RootSums
+    is made from the coefficient codes of m, which table.roots maps to k;
+    the field, d and N are the table's.
     """
 
     __slots__ = ("table", "k", "codes", "_logs")
@@ -445,43 +448,27 @@ class RootSums:
                          for lb in below])
         return logs[i]
 
-    def power_sum(self, i: int, n: int) -> int:
-        """s_i(n) mod m at theta, packed: at p = 2 the XOR of the terms, its
-        coordinate bits; at odd p their sum, its coordinates not yet reduced
-        mod p."""
-        return self._gather([self.logs(i)], n)
-
-    def sum_below(self, cap: int, n: int) -> int:
-        """1 + s_1(n) + ... + s_(cap-1)(n) mod m at theta, the sum of a^n
-        over the monic a of degree < cap, packed as power_sum: the packed 1
-        alone at cap = 1, with no term gathered."""
-        return self._gather(map(self.logs, range(1, cap)), n, 1)
-
-    def _gather(self, levels, n: int, x: int = 0) -> int:
-        """x plus the terms g^(la * n mod N) over every log la of the lists
-        in levels, packed: at p = 2 each term is XORed in as it is read, with
-        no list of terms; at odd p the terms are added as integers."""
+    def packed_sum(self, degrees: range, n: int) -> int:
+        """The sum of a(theta)^n over the monic a whose degree lies in
+        degrees, packed: at p = 2 the XOR of the terms, its coordinate bits,
+        each term XORed in as it is read; at odd p their integer sum, its
+        coordinates not yet reduced mod p.  range(i, i + 1) is s_i(n) mod m,
+        and range(j + 1) the partial sum 1 + s_1(n) + ... + s_j(n)."""
         table = self.table
         exp, order = table.exp, table.order
         if table.p == 2:
-            for logs in levels:
-                for la in logs:
+            x = 0
+            for i in degrees:
+                for la in self.logs(i):
                     x ^= exp[la * n % order]
             return x
-        return x + sum([exp[la * n % order] for logs in levels for la in logs])
+        return sum([exp[la * n % order] for i in degrees for la in self.logs(i)])
 
-    def vanishes(self, i: int, n: int) -> bool:
-        """s_i(n) == 0 mod m, for 0 <= i < d and 1 <= n < q^d - 1."""
-        return self._is_zero(self.power_sum(i, n))
-
-    def vanishes_below(self, cap: int, n: int) -> bool:
-        """sum_below(cap, n) == 0 mod m, for 1 <= cap <= d and
-        1 <= n < q^d - 1."""
-        return self._is_zero(self.sum_below(cap, n))
-
-    def _is_zero(self, x: int) -> bool:
-        """Whether the packed sum x is 0 mod m: at p = 2 x itself is the
-        coordinate vector, at odd p each field is reduced mod p in turn."""
+    def vanishes(self, degrees: range, n: int) -> bool:
+        """packed_sum(degrees, n) == 0 mod m, for degrees within [0, d - 1]
+        and 1 <= n < q^d - 1: at p = 2 the packed sum is the coordinate
+        vector, at odd p each field is reduced mod p in turn."""
+        x = self.packed_sum(degrees, n)
         table = self.table
         if table.p == 2:
             return not x

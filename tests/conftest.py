@@ -54,15 +54,14 @@ def m_headline(f3):
 
 def _naive_stream(m):
     """(n, degree, target) at every 1 <= n <= q^d - 2, each degree read by
-    invariants._reduced_degree at its own exponent with no orbit memo: the
+    invariants._reduced_degree from the target of its own exponent
+    (digits.target_degree), with no orbit memo and no orbit table: the
     oracle of invariants.degree_stream."""
     sums, q1 = RootSums.of(m), m.ctx.q - 1
     out = []
     for n in range(1, m.group_order):
-        zero_class = n % q1 == 0
         tgt = target_degree(n, m.ctx)
-        deg = invariants._reduced_degree(n, sums, tgt + zero_class, zero_class)
-        out.append((n, deg, tgt))
+        out.append((n, invariants._reduced_degree(n, sums, tgt, n % q1 == 0), tgt))
     return out
 
 

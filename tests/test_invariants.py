@@ -22,7 +22,6 @@ from carlitz_hw import (
 from carlitz_hw.digits import target_degree
 from carlitz_hw.errors import (
     CostCeilingError,
-    DivisionRemainderError,
     InternalError,
     OutOfRangeError,
     OverflowLimitError,
@@ -203,14 +202,16 @@ class _SModOnly:
     def __init__(self, m):
         self.m = m
 
-    def vanishes(self, i, n):
-        return s_mod(i, n, self.m).is_zero()
+    def vanishes(self, degrees, n):
+        return _s_mod_sum(degrees, n, self.m).is_zero()
 
-    def vanishes_below(self, cap, n):
-        below = FqPoly.one(self.m.ctx)  # s_0(n) = 1
-        for i in range(1, cap):
-            below = below + s_mod(i, n, self.m)
-        return below.is_zero()
+
+def _s_mod_sum(degrees, n, m):
+    """The sum of s_mod(i, n, m) over i in degrees; s_mod(0, n, m) = 1."""
+    total = FqPoly.zero(m.ctx)
+    for i in degrees:
+        total = total + s_mod(i, n, m)
+    return total
 
 
 def _route_sources(m):
@@ -220,8 +221,8 @@ def _route_sources(m):
 
 def _degrees(n, m, sources):
     zero_class = n % (m.ctx.q - 1) == 0
-    cap = target_degree(n, m.ctx) + zero_class
-    return [invariants._reduced_degree(n, sums, cap, zero_class) for sums in sources]
+    target = target_degree(n, m.ctx)
+    return [invariants._reduced_degree(n, sums, target, zero_class) for sums in sources]
 
 
 _NINE_FIELDS = [(2, 1, 1), (3, 1, 1), (2, 1, 5), (3, 1, 3), (5, 1, 2),
@@ -283,7 +284,7 @@ def test_log_table_matches_s_mod_on_random_moduli(data):
     sources = _route_sources(m)
     view = sources[1]
     for i in range(d):
-        assert (coordinates(view.table, view.power_sum(i, n))
+        assert (coordinates(view.table, view.packed_sum(range(i, i + 1), n))
                 == _at_root(s_mod(i, n, m), view)), (format_poly(m.poly), i, n)
     want = oracle._bbar_degree(n, m)
     assert _degrees(n, m, sources) == [want, want]
@@ -291,83 +292,87 @@ def test_log_table_matches_s_mod_on_random_moduli(data):
 
 @pytest.mark.parametrize("p,e,d", _NINE_FIELDS)
 def test_sum_below_the_cap_is_minus_the_sum_at_the_cap(p, e, d):
-    # the zero-class identity the first read rests on: at a trivial zero n,
-    # 1 + s_1(n) + ... + s_(cap-1)(n) = -s_cap(n), coordinate by coordinate
-    # at the root of every modulus
+    # the zero-class coefficients of B_n the reader reads, at the root of
+    # every modulus: every partial sum P_j = 1 + s_1(n) + ... + s_j(n),
+    # j < d, against s_mod coordinate by coordinate, and the identity the
+    # first read rests on: at a trivial zero n, P_target = -s_(target+1)(n)
     ctx = make_field(p, e)
     for m in irreducible_enumerate(ctx, d):
         view = RootSums.of(m)
         for n in range(ctx.q - 1, m.group_order, ctx.q - 1):
-            cap = target_degree(n, ctx) + 1
-            assert (coordinates(view.table, view.sum_below(cap, n))
-                    == _at_root(-s_mod(cap, n, m), view)), (format_poly(m.poly), n)
+            for j in range(d):
+                assert (coordinates(view.table, view.packed_sum(range(j + 1), n))
+                        == _at_root(_s_mod_sum(range(j + 1), n, m), view)), (
+                            format_poly(m.poly), j, n)
+            target = target_degree(n, ctx)
+            assert (coordinates(view.table, view.packed_sum(range(target + 1), n))
+                    == _at_root(-s_mod(target + 1, n, m), view)), (format_poly(m.poly), n)
 
 
-@pytest.mark.parametrize("p,d,total", [(7, 3, 5656), (5, 4, 30760), (3, 6, 71049)])
+@pytest.mark.parametrize("p,d,total", [(7, 3, 5696), (5, 4, 31090), (3, 6, 72430)])
 def test_zero_class_reads_never_gather_the_cap(monkeypatch, p, d, total):
     # the work of the orbit heads of the moduli of degree d over F_p, counted
-    # where every read gathers its terms: a zero-class degree reads only
-    # partial sums below a level, never s_i itself, so it never gathers
-    # level cap, the q^cap monic logs of that degree, and the total is pinned
+    # at the one reader: a zero-class degree reads only partial sums
+    # range(j + 1) with 1 <= j <= target, never P_0 = 1, whose answer is
+    # known, and never level target + 1, the q^(target+1) monic logs of
+    # that degree; every other read is one level, and the total of
+    # gathered terms is pinned
     table = residue_field(make_field(p), d)
     heads = [codes for i, (codes, f) in enumerate(zip(table.roots, table.first)) if f == i]
-    gathered, asked = [], []
-    real_gather, real_vanishes = RootSums._gather, RootSums.vanishes
+    reads, terms = [], []
+    real = RootSums.vanishes
 
-    def gather(self, levels, n, x=0):
-        levels = list(levels)
-        gathered.append((n, [len(logs) for logs in levels]))
-        return real_gather(self, levels, n, x)
+    def vanishes(self, degrees, n):
+        reads.append((n, degrees))
+        terms.append(sum(len(self.logs(i)) for i in degrees))
+        return real(self, degrees, n)
 
-    def vanishes(self, i, n):
-        asked.append(n)
-        return real_vanishes(self, i, n)
-
-    monkeypatch.setattr(RootSums, "_gather", gather)
     monkeypatch.setattr(RootSums, "vanishes", vanishes)
     for codes in heads:
         invariants.defect_pass(RootSums(table, codes), genus(table.ctx, d))
-    zero_class = [(n, sizes) for n, sizes in gathered if n % (p - 1) == 0]
-    assert zero_class and asked
-    assert not [n for n in asked if n % (p - 1) == 0]
-    for n, sizes in zero_class:
-        assert p ** (target_degree(n, table.ctx) + 1) not in sizes, (n, sizes)
-    assert sum(sum(sizes) for _, sizes in gathered) == total
+    assert {n % (p - 1) == 0 for n, _ in reads} == {False, True}
+    for n, degrees in reads:
+        j = degrees[-1]
+        assert 1 <= j <= target_degree(n, table.ctx), (n, degrees)
+        if n % (p - 1) == 0:
+            assert degrees == range(j + 1), (n, degrees)
+        else:
+            assert degrees == range(j, j + 1), (n, degrees)
+    assert sum(terms) == total
 
 
 @pytest.mark.parametrize("p,d,fell,two_levels", [(3, 6, 84, 32), (5, 4, 120, 0)])
 def test_zero_class_reads_below_a_vanishing_sum_match_the_oracle(p, d, fell, two_levels):
-    # the only exponents whose degree is read below the cap, where a read of
-    # s_i became a read of the partial sum below i: zero-class orbit heads
-    # where the partial sum below the cap vanishes, at every modulus,
-    # against B_n mod m built bottom-up
+    # the only exponents whose degree is read below the target: zero-class
+    # orbit heads where the partial sum P_target vanishes, at every
+    # modulus, against B_n mod m built bottom-up
     table = residue_field(make_field(p), d)
     drops = []
     for codes in table.roots:
         sums, m = RootSums(table, codes), Modulus(FqPoly(table.ctx, codes))
         for n, _, _, tgt in table.orbits[1:]:
-            if n % (p - 1) == 0 and sums.vanishes_below(tgt + 1, n):
-                deg = invariants._reduced_degree(n, sums, tgt + 1, True)
+            if n % (p - 1) == 0 and sums.vanishes(range(tgt + 1), n):
+                deg = invariants._reduced_degree(n, sums, tgt, True)
                 assert deg == oracle._bbar_degree(n, m), (codes, n)
                 drops.append(tgt - deg)
     assert (len(drops), drops.count(2)) == (fell, two_levels)
     assert set(drops) <= {1, 2}
 
 
-def test_a_zero_class_read_with_no_nonzero_sum_is_an_internal_error():
-    # a reader whose every sum vanishes reads even P_0 = 1 as zero, so in the
-    # zero class no partial sum is left to give the degree; outside the zero
-    # class it is a degree-0 exponent
+def test_a_reader_whose_every_read_vanishes_gives_degree_0():
+    # the u^0 coefficient of B_n is 1 in both classes, so a degree whose
+    # every read from the target down vanishes is 0 with no read of it
     class Vanishing:
-        def vanishes(self, i, n):
+        def vanishes(self, degrees, n):
+            asked.append(degrees)
             return True
 
-        def vanishes_below(self, cap, n):
-            return True
-
-    with pytest.raises(DivisionRemainderError, match="C_6"):
-        invariants._reduced_degree(6, Vanishing(), 2, True)
+    asked = []
+    assert invariants._reduced_degree(6, Vanishing(), 2, True) == 0
+    assert asked == [range(3), range(2)]
+    asked.clear()
     assert invariants._reduced_degree(5, Vanishing(), 2, False) == 0
+    assert asked == [range(2, 3), range(1, 2)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -379,18 +384,28 @@ def _shared_table(p, e, d):
 @pytest.mark.parametrize("p,e,d", _NINE_FIELDS)
 def test_vanishes_matches_the_reduced_coordinates(p, e, d):
     # the packed read (one AND at p = 2, field by field at odd p) against
-    # the coordinates reduced mod p, at every i and n of every modulus
+    # the coordinates reduced mod p, at every level and n of every modulus,
+    # and at every partial sum of every zero-class n; each level's sum
+    # against s_mod at the root
     table, roots = _shared_table(p, e, d)
+    q1 = table.ctx.q - 1
     raw = set()
     for coeffs, _ in roots:
         view = RootSums(table, coeffs)
-        for i in range(d):
-            for n in range(1, table.order):
-                packed = view.power_sum(i, n)
+        m = Modulus(FqPoly(table.ctx, coeffs))
+        for n in range(1, table.order):
+            reads = [range(i, i + 1) for i in range(d)]
+            if n % q1 == 0:
+                reads += [range(j + 1) for j in range(1, d)]
+            for degrees in reads:
+                packed = view.packed_sum(degrees, n)
                 want = not any(coordinates(table, packed))
-                assert view.vanishes(i, n) == want, (coeffs, i, n)
+                assert view.vanishes(degrees, n) == want, (coeffs, degrees, n)
                 if want:
                     raw.update(packed >> s & table.mask for s in table.shifts)
+            for i in range(d):
+                assert (coordinates(table, view.packed_sum(range(i, i + 1), n))
+                        == _at_root(s_mod(i, n, m), view)), (coeffs, i, n)
     # some vanishing sum has a field equal to p, not 0, before reduction; at
     # p = 2 the sum is an XOR, which has no unreduced form
     if p > 2 and d > 1:
@@ -410,7 +425,8 @@ def test_root_view_matches_s_mod_on_its_minimal_polynomial(data):
     view = RootSums(table, coeffs)
     n = data.draw(st.integers(1, m.group_order - 1))
     i = data.draw(st.integers(0, d - 1))
-    assert view.vanishes(i, n) == s_mod(i, n, m).is_zero(), (format_poly(m.poly), i, n)
+    assert (view.vanishes(range(i, i + 1), n)
+            == s_mod(i, n, m).is_zero()), (format_poly(m.poly), i, n)
     assert _degrees(n, m, [view]) == [oracle._bbar_degree(n, m)]
 
 
@@ -553,6 +569,24 @@ def test_structural_bounds_at_larger_extensions(naive_stream, p, e):
         zf, zp = z_bar(m)
         assert zf.u_degree == rep.lambda_
         assert zp.u_degree == rep.lambda_plus
+
+
+@pytest.mark.parametrize("p,e,d", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 2, 2), (3, 2, 3),
+                                   (2, 3, 2), (2, 3, 3), (5, 2, 2)])
+def test_universal_defect_at_e_above_one(p, e, d):
+    # n* = p^(e-1) (q + p - 1) has base-q digits q - p^(e-1) and p^(e-1), so
+    # target 1 outside the zero class, and s_1(n*) = 0 in F_q[T] by Lucas
+    # (README, "How degrees are computed"): every modulus of degree d >= 2
+    # has the defect n* at degree 0, and none is ordinary
+    ctx = make_field(p, e)
+    star = p ** (e - 1) * (ctx.q + p - 1)
+    assert star < ctx.q**2 - 1 and star % (ctx.q - 1) == 1
+    assert target_degree(star, ctx) == 1
+    assert powersums.s_exact(1, star, ctx).is_zero()
+    for m in irreducible_enumerate(ctx, d):
+        rep = hasse_witt(m)
+        assert Defect(star, 1, 0) in rep.defects, (format_poly(m.poly), rep.defects)
+        assert not rep.ordinary
 
 
 def test_ordinary_implies_exact_degrees_match(f3):

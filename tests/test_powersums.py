@@ -308,7 +308,7 @@ def test_characteristic_two_vanishes_matches_s_mod(e, d):
         m, view = Modulus(FqPoly(ctx, codes)), RootSums(table, codes)
         for _ in range(5):
             i, n = rng.randrange(d), rng.randrange(1, table.order)
-            got = view.vanishes(i, n)
+            got = view.vanishes(range(i, i + 1), n)
             assert got == s_mod(i, n, m).is_zero(), (codes, i, n)
             seen.add(got)
     assert seen == {False, True}

@@ -444,17 +444,19 @@ def test_every_modulus_over_f2_is_ordinary(d):
 def test_census_where_the_sum_below_the_cap_vanishes(monkeypatch, p, d, ordinary,
                                                      ordinary_plus, moduli, fallen):
     # the census counts of ROADMAP (ordinary / ordinary+ / moduli), in fields
-    # where a zero-class partial sum below a level vanishes `fallen` times
-    # over the orbit heads, each time at the cap, so the read goes on
-    # top-down to the partial sum below cap - 1 there
+    # where a zero-class partial sum vanishes `fallen` times over the orbit
+    # heads, each time at the target, so the read goes on top-down to the
+    # partial sum one level below there
     vanished = []
-    real = RootSums.vanishes_below
+    real = RootSums.vanishes
 
-    def spy(self, cap, n):
-        vanished.append(real(self, cap, n))
-        return vanished[-1]
+    def spy(self, degrees, n):
+        zero = real(self, degrees, n)
+        if n % (p - 1) == 0:
+            vanished.append(zero)
+        return zero
 
-    monkeypatch.setattr(RootSums, "vanishes_below", spy)
+    monkeypatch.setattr(RootSums, "vanishes", spy)
     records = scan_degree(make_field(p), d)
     assert (sum(r.ordinary for r in records), sum(r.ordinary_plus for r in records),
             len(records)) == (ordinary, ordinary_plus, moduli)
