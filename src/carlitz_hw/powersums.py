@@ -29,12 +29,13 @@ as exponent orbits, and LogTable.roots enumerates the moduli of degree d as
 the minimal polynomials of the roots g^k, one per orbit of size d, with no
 irreducibility test.  They are listed by one walk over the orbits of the
 moduli under T -> alpha*T + c (and the Frobenius on coefficients), taken at
-those roots: Zech logs multiply out one minimal polynomial per orbit of
-moduli, every other member takes its codes from the member that reached it
-by that map's action on coefficients, and an image root maps back to its
-modulus by one lookup in LogTable.reps.  The walk labels each modulus with
-its orbit (LogTable.first), from which scan classifies one modulus per
-orbit.  Only LogTable and RootSums know a modulus by the log k of one root;
+those roots: Zech logs multiply out one minimal polynomial per orbit, its
+class under the scalings and the Frobenius takes its codes by their action
+on coefficients, every member is translated by -1 once, and a translate in
+no class reached yet starts one with the Taylor shift of its parent's codes;
+an image root maps back to its modulus by one lookup in LogTable.reps.
+The walk labels each modulus with its orbit (LogTable.first), from which
+scan classifies one modulus per orbit.  Only LogTable and RootSums know a modulus by the log k of one root;
 elsewhere, as in scan, a modulus is its coefficient codes.  RootSums, the
 one input of the degree engine (invariants.degree_stream), is one modulus,
 its coefficient codes and its table: it reads s_i(n) mod m at one root
@@ -195,22 +196,24 @@ class LogTable:
     (k = None).  No irreducibility test is made; the count is checked
     against the necklace formula.
 
-    The moduli are listed by one walk over their orbits under the group of
-    T -> alpha*T + c (alpha in F_q^*, c in F_q) and, when e > 1, the p-th
-    power map on coefficients, of order e*q*(q - 1) (Rosen, GTM 210, ch. 12).
-    It runs at the roots, by log lookups, through three generators:
-    theta -> theta - 1 (one Zech read), theta -> theta/gamma with
-    gamma = g^(N/(q - 1)) generating F_q^*, and, when e > 1,
-    theta -> theta^p.  The first two generate every
-    theta -> (theta - c)/alpha, since the scalings conjugate
-    theta -> theta - 1 into theta -> theta - gamma^j.  An image root g^k
-    names its modulus by reps[k], the least member of its orbit under q.
-    Each orbit of moduli costs one minimal_polynomial, at the first root
-    orbit of size d that the walk has not reached; every other member gets
-    its codes from its parent's by the generator's coefficient map: f(X + 1)
-    by a Taylor shift (additions only), f_i*gamma^(i - d), or f_i^p.  The
-    scaling and Frobenius images of an orbit are all taken before each
-    translation, so that few Taylor shifts are made.  first[i] is the index
+    The moduli are listed by one walk over their orbits under the group
+    H x| {theta -> theta - c} (Rosen, GTM 210, ch. 12), of order
+    e*q*(q - 1), where H = {theta -> theta^(p^i)/gamma^a : i < e,
+    a < q - 1}, gamma = g^(N/(q - 1)) generating F_q^*, holds the scalings
+    and the p-th power map on coefficients.  It runs at the roots, by log
+    lookups.  Each orbit of moduli costs one minimal_polynomial, at the
+    first root orbit of size d that the walk has not reached, and its class
+    under H is entered at once: theta^(p^i)/gamma^a is
+    g^(k*p^i - a*N/(q - 1)), and its codes are f with its coefficients
+    raised to the p^i-th power, then scaled a times, f_i -> f_i*gamma^(i - d).
+    Every member is then translated once, in the order entered, by
+    theta -> theta - 1 (one Zech read); a translate in a root orbit not yet
+    reached starts a new class, with the Taylor shift f(X + 1) of its
+    parent's codes (additions only).  The translation and H generate the
+    group, since the scalings conjugate theta -> theta - 1 into
+    theta -> theta - gamma^a, so one Taylor shift is made per class under H
+    but the first of each orbit.  An image root g^k names its modulus by reps[k], the
+    least member of its orbit under q.  first[i] is the index
     in roots of the first modulus, in enumeration order, of the orbit of the
     i-th; first[i] <= i.
     """
@@ -333,64 +336,53 @@ class LogTable:
         scale = [[mul(c, codes[(i - d) * step % order]) for c in range(q)]
                  for i in range(d)]
         frob = [0] + [codes[c * p % order] for c in self.const_logs[1:]]
-
-        def scaled(f):  # f(gamma*X)/gamma^d, whose root is theta/gamma
-            return tuple([row[c] for row, c in zip(scale, f)] + [1])
-
-        def powered(f):  # f with its coefficients to the p-th power: theta^p
-            return tuple([frob[c] for c in f])
-
-        def shifted(f):  # f(X + 1), whose root is theta - 1: a Taylor shift
-            f = list(f)
-            for i in range(d):
-                for j in range(d - 1, i - 1, -1):
-                    f[j] = add(f[j], f[j + 1])
-            return tuple(f)
-
-        # the scaling and the Frobenius as k -> a*k + b mod N, with their
-        # coefficient maps; at q = 2 gamma = 1 and the scaling is no map
-        cheap = (([(1, -step, scaled)] if q > 2 else [])
-                 + ([(p, 0, powered)] if e > 1 else []))
-        starts = [n for n, size, _, _ in self.orbits if size == d]
-        found = dict.fromkeys(starts)  # the codes of each root orbit, once reached
+        # the codes of each root orbit of size d, once reached, in ascending n
+        found = {n: None for n, size, _, _ in self.orbits if size == d}
         if d == 1:
             found[None] = None  # T, whose root 0 is no power of g
 
-        def reach(image, f, coefficient_map):
-            """Add the root orbit of g^image to the orbit being walked, with
-            codes coefficient_map(f), unless the walk has reached it."""
-            j = None if image is None else reps[image]
+        def orbit_of(k):  # the root orbit of g^k, named by its least member
+            j = None if k is None else reps[k]
             if j not in found:
-                raise InternalError(f"image root g^{image} lies in no orbit of "
+                raise InternalError(f"image root g^{k} lies in no orbit of "
                                     f"size {d} under k -> {q}*k")
-            if found[j] is None:
-                found[j] = coefficient_map(f)
-                orbit.append(j)
+            return j
+
+        def close(k, f):
+            """Enter the root orbit of every theta^(p^i)/gamma^a, theta = g^k
+            with codes f, i < e and a < q - 1, with codes scale^a(frob^i(f)):
+            f(gamma*X)/gamma^d has the root theta/gamma, and f with its
+            coefficients to the p-th power the root theta^p.  Both fix 0."""
+            for i in range(e):
+                g = f
+                for a in range(q - 1):
+                    j = orbit_of(None if k is None else (k * p**i - a * step) % order)
+                    if found[j] is None:
+                        found[j] = g
+                        orbit.append(j)
+                    g = tuple([row[c] for row, c in zip(scale, g)] + [1])
+                f = tuple([frob[c] for c in f])
 
         group = e * q * (q - 1)
         listed = []
-        for k0 in starts:
+        for k0 in found:  # only codes change, so the keys may be walked
             if found[k0] is not None:
                 continue
-            found[k0] = self.minimal_polynomial(k0)
-            orbit, closed, translated = [k0], 0, 0
-            while translated < len(orbit):
-                # every scaling and Frobenius image before the next
-                # translation, the one map that costs a Taylor shift
-                while closed < len(orbit):
-                    k = orbit[closed]
-                    closed += 1
-                    if k is not None:  # both fix the root 0
-                        for a, b, coefficient_map in cheap:
-                            reach((a * k + b) % order, found[k], coefficient_map)
-                k = orbit[translated]
-                translated += 1
+            orbit = []
+            close(k0, self.minimal_polynomial(k0))
+            for k in orbit:  # theta -> theta - 1, once per member as entered
                 if k is None:  # 0 - 1 = -1
                     image = minus_one
                 else:  # g^k - 1 = g^(k + zech[minus_one - k])
                     z = zech[(minus_one - k) % order]
                     image = None if z is None else (k + z) % order
-                reach(image, found[k], shifted)
+                if found[orbit_of(image)] is None:
+                    # f(X + 1), whose root is theta - 1: a Taylor shift
+                    f = list(found[k])
+                    for i in range(d):
+                        for j in range(d - 1, i - 1, -1):
+                            f[j] = add(f[j], f[j + 1])
+                    close(image, tuple(f))
             if group % len(orbit):
                 raise InternalError(
                     f"an orbit of {len(orbit)} moduli does not divide the group order {group}")
@@ -406,9 +398,9 @@ class RootSums:
     Under A/mA = F_{q^d}, T -> theta, s_i(n) mod m is the sum of a(theta)^n
     over the monic a of degree i, and a(theta)^n = g^(log a(theta) * n mod N).
     Only the logs of monic a(theta) are kept, computed for one degree j the
-    first time it is asked for: every b of degree < j is 0 or c times a
-    monic polynomial of lower degree, so log b is const_logs[c] plus a stored
-    monic log, and log(theta^j + b) is t + zech[log b - t] with t = j*k.
+    first time it is asked for, from degree j - 1 alone: a = T*b + c with
+    b monic of degree j - 1, so with x = k + log b(theta), log a(theta) is x
+    at c = 0 and x + zech[const_logs[c] - x] otherwise.
     A read sums over the monic a whose degree lies in a range: one degree
     for s_i(n), and range(j + 1) for the partial sum 1 + s_1 + ... + s_j,
     whose degree-0 term is exp[0], the packed 1.  Whether a sum vanishes
@@ -437,15 +429,14 @@ class RootSums:
     def logs(self, i: int) -> list[int]:
         """log a(theta) for the monic a of degree i, in no fixed order: only
         sums read them."""
-        logs, table = self._logs, self.table
-        order, zech = table.order, table.zech
+        logs, table, k = self._logs, self.table, self.k
+        order, zech, const = table.order, table.zech, table.const_logs[1:]
         while len(logs) <= i:
-            # log b for every b of degree < j, None for b = 0, not reduced mod N
-            below = [None] + [lc + la for lc in table.const_logs[1:]
-                              for lower in logs for la in lower]
-            t = len(logs) * self.k % order  # log theta^j
-            logs.append([t if lb is None else (t + zech[(lb - t) % order]) % order
-                         for lb in below])
+            # a = T*b + c, b monic of degree j - 1: with x = k + log b(theta),
+            # log a(theta) is x at c = 0 and x + zech[log c - x] otherwise
+            xs = [(k + lb) % order for lb in logs[-1]]
+            logs.append(xs + [(x + zech[(lc - x) % order]) % order
+                              for x in xs for lc in const])
         return logs[i]
 
     def packed_sum(self, degrees: range, n: int) -> int:

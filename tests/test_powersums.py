@@ -373,26 +373,42 @@ def test_root_enumeration_matches_irreducible_enumerate(p, e, d):
 def test_walked_codes_are_the_minimal_polynomials(p, e, d):
     # the walk multiplies out one minimal polynomial per orbit of moduli and
     # maps its codes to the others; every listed modulus must be the product
-    # at its own root.  (2, 2, 6) and (3, 2, 3) take all three generators,
-    # (3, 2, 3) at odd p with e > 1, and (2, 1, 10) translations only
+    # at its own root.  (2, 2, 6) and (3, 2, 3) take scalings, the Frobenius
+    # and translations, (3, 2, 3) at odd p with e > 1, and (2, 1, 10)
+    # translations only
     table = residue_field(make_field(p, e), d)
     for codes, k in table.roots.items():
         assert codes == ((0, 1) if k is None else table.minimal_polynomial(k)), k
 
 
-@pytest.mark.parametrize("p,d,orbits", [(7, 3, 4), (7, 4, 16), (2, 6, 5)])
-def test_log_table_multiplies_one_minimal_polynomial_per_orbit(monkeypatch, p, d, orbits):
-    # every other modulus of an orbit takes its codes from a coefficient map
-    calls = []
-    real = LogTable.minimal_polynomial
+@pytest.mark.parametrize("p,e,d,orbits,shifts", [
+    (7, 1, 3, 4, 16), (7, 1, 4, 16, 84), (2, 1, 6, 5, 4), (2, 2, 6, 31, 82),
+    (3, 1, 4, 4, 6), (13, 1, 3, 6, 56), (3, 2, 2, 1, 2), (2, 3, 3, 1, 7),
+    (1009, 1, 1, 1, 1)])
+def test_log_table_multiplies_one_minimal_polynomial_per_orbit(monkeypatch, p, e, d,
+                                                               orbits, shifts):
+    # every other modulus of an orbit takes its codes from a coefficient map,
+    # and a class under the scalings and the Frobenius from one Taylor shift
+    # f(X + 1) of d(d + 1)/2 additions; at (1009, 1, 1) a walk that took the
+    # whole group, of order about 10^6, per orbit would make far more
+    ctx = make_field(p, e)
+    m0 = least_primitive(ctx, d)
+    calls, adds = [], []
+    real, add = LogTable.minimal_polynomial, ctx.add
 
     def counted(table, k):
         calls.append(k)
         return real(table, k)
 
+    def counted_add(a, b):
+        adds.append(a)
+        return add(a, b)
+
     monkeypatch.setattr(LogTable, "minimal_polynomial", counted)
-    table = residue_field(make_field(p), d)
+    monkeypatch.setattr(ctx, "add", counted_add)
+    table = LogTable(ctx, m0)
     assert len(set(calls)) == len(calls) == len(set(table.first)) == orbits
+    assert len(adds) == shifts * d * (d + 1) // 2
 
 
 def test_root_cases_meet_a_zero_coefficient():

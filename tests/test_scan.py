@@ -324,8 +324,11 @@ def _walked_orbits(ctx, d):
     return {frozenset(o) for o in orbits.values()}
 
 
+# (2, 1, 1) and (2, 1, 6) at q = 2, where the scalings and the Frobenius are
+# trivial and the walk translates only; (7, 1, 1) at d = 1, with the root 0
 _WALKED_FIELDS = [(7, 1, 3), (3, 1, 4), (2, 2, 3), (3, 2, 2), (2, 3, 2),
-                  (3, 1, 1), (2, 2, 1), (3, 2, 1), (5, 1, 2)]
+                  (3, 1, 1), (2, 2, 1), (3, 2, 1), (5, 1, 2), (2, 1, 1),
+                  (2, 1, 6), (5, 1, 3), (11, 1, 2), (7, 1, 1)]
 
 
 @pytest.mark.parametrize("p,e,d", _WALKED_FIELDS)
