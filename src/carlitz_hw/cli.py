@@ -5,10 +5,12 @@ payload goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 domain errors (bad input, reducible modulus, failed verify), 2 internal
 invariant violations, 3 resource limits (cost ceilings, including a verify
 suite whose whole-run estimate is over budget, refused before it starts;
-memory exhaustion; a scan worker process that died) and interrupts (one
-"interrupted" line).  A scan streams its rows, so a failure after its
-set-up leaves the complete rows before it; a reader that closes stdout
-early ends the scan with exit 1.  The environment variable
+a refused cost of more than 30 digits is shown by its digit count; memory
+exhaustion; a scan worker process that died) and interrupts (one
+"interrupted" line).  An error raised in a scan worker exits with its own
+code and line, as in one process.  A scan streams its rows, so a failure
+after its set-up leaves the complete rows before it; a reader that closes
+stdout early ends the scan with exit 1.  The environment variable
 CARLITZ_HW_BUDGET (decimal integer) overrides the cost ceilings of exact
 and reduced power sums, residue-mode streams and verify suites;
 powersums.check_budget reads it where a cost is checked, so a malformed
@@ -100,7 +102,8 @@ def _make_ctx(args):
         try:
             coeffs = parse_poly(text.replace("x", "T"), make_field(args.p)).coeffs
         except PolyParseError as exc:  # the grammar and the text in x, as typed
-            raise PolyParseError(exc.message.replace("T", "x"), text, exc.pos) from None
+            message, _, pos = exc.args
+            raise PolyParseError(message.replace("T", "x"), text, pos) from None
         ctx = make_field(args.p, args.e, coeffs)
     else:
         ctx = make_field(args.p, args.e)

@@ -4,6 +4,11 @@ Three bases, mirroring the CLI exit codes: DomainError (bad user input,
 exit 1), InternalError (an arithmetic identity that must hold was violated,
 exit 2), ResourceLimitError (configured size/cost ceilings, exit 3).
 Division by zero uses the builtin ZeroDivisionError.
+
+Every error keeps its constructor arguments in args and builds its message
+from them in __str__, so the default pickling rebuilds it as itself (a scan
+worker's error reaches the CLI that way).  An integer of more than 30
+digits in a limit error is named by its digit count.
 """
 
 import math
@@ -12,18 +17,21 @@ import math
 class CarlitzHWError(Exception):
     """Base class for all library errors."""
 
+    def __repr__(self):
+        # Name('message'); the default would print every argument whole
+        return f"{type(self).__name__}({str(self)!r})"
+
 
 class DomainError(CarlitzHWError, ValueError):
     """Invalid input: out of range, unparsable, or failing a precondition."""
 
 
 class NotPrimeError(DomainError):
-    def __init__(self, p):
-        super().__init__(f"{p} is not prime")
-        self.p = p
+    """p is not prime; args (p,)."""
 
-    def __reduce__(self):
-        return type(self), (self.p,)
+    def __str__(self):
+        (p,) = self.args
+        return f"{p} is not prime"
 
 
 class ReducibleModulusError(DomainError):
@@ -31,16 +39,11 @@ class ReducibleModulusError(DomainError):
 
 
 class PolyParseError(DomainError):
-    """Text does not match the polynomial grammar."""
+    """Text does not match the polynomial grammar; args (message, text, pos)."""
 
-    def __init__(self, message, text, pos):
-        super().__init__(f"{message} at position {pos}: {text!r}")
-        self.message = message
-        self.text = text
-        self.pos = pos
-
-    def __reduce__(self):
-        return type(self), (self.message, self.text, self.pos)
+    def __str__(self):
+        message, text, pos = self.args
+        return f"{message} at position {pos}: {text!r}"
 
 
 class CoefficientRangeError(DomainError):
@@ -56,16 +59,11 @@ class OutOfRangeError(DomainError):
 
 
 class ClosedFormWindowError(DomainError):
-    """Exponent outside the window on which the degree-one closed form is valid."""
+    """n outside the window where the degree-one closed form holds; args (n, why)."""
 
-    def __init__(self, n, why=""):
-        msg = f"closed form not applicable for n={n}"
-        super().__init__(msg + (f": {why}" if why else ""))
-        self.n = n
-        self.why = why
-
-    def __reduce__(self):
-        return type(self), (self.n, self.why)
+    def __str__(self):
+        n, why = self.args
+        return f"closed form not applicable for n={n}: {why}"
 
 
 class PrimeFieldOnlyError(DomainError):
@@ -85,21 +83,19 @@ class ResourceLimitError(CarlitzHWError, RuntimeError):
 
 
 class OverflowLimitError(ResourceLimitError):
-    """A value exceeds the configured integer-width limit; a value of more
-    than 30 digits is named by its digit count."""
+    """A value exceeds the configured integer-width limit; args (what, value, limit)."""
 
-    def __init__(self, what, value, limit):
-        super().__init__(f"{what} = {_shown(value)} exceeds the configured limit {limit}")
-        self.what = what
-        self.value = value
-        self.limit = limit
-
-    def __reduce__(self):
-        return type(self), (self.what, self.value, self.limit)
+    def __str__(self):
+        what, value, limit = self.args
+        return f"{what} = {_shown(value)} exceeds the configured limit {limit}"
 
 
 class CostCeilingError(ResourceLimitError):
-    """Estimated cost of an exact computation exceeds the budget."""
+    """Estimated cost of a computation exceeds the budget; args (what, cost, limit)."""
+
+    def __str__(self):
+        what, cost, limit = self.args
+        return f"{what} estimated cost {_shown(cost)} exceeds budget {limit}"
 
 
 def _shown(value: int) -> str:

@@ -116,7 +116,7 @@ def check_budget(what: str, cost: int) -> None:
     except ValueError:
         raise DomainError(f"CARLITZ_HW_BUDGET must be a decimal integer, got {raw!r}") from None
     if cost > limit:
-        raise CostCeilingError(f"{what} estimated cost {cost} exceeds budget {limit}")
+        raise CostCeilingError(what, cost, limit)
 
 
 def s_exact(i: int, n: int, ctx: FieldCtx) -> FqPoly:
@@ -483,7 +483,7 @@ def residue_field(ctx: FieldCtx, d: int) -> LogTable:
 def shared_field(p: int, e: int, field_modulus, d: int):
     """residue_field at make_field(p, e, field_modulus), built once per
     process."""
-    ctx = make_field(p, e, None if e == 1 else field_modulus)
+    ctx = make_field(p, e, field_modulus)
     return residue_field(ctx, d)
 
 

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -27,7 +28,13 @@ from carlitz_hw import (
     scan,
 )
 from carlitz_hw.cli import run
-from carlitz_hw.errors import CostCeilingError, OverflowLimitError
+from carlitz_hw.errors import (
+    CostCeilingError,
+    InternalError,
+    NotPrimeError,
+    OverflowLimitError,
+    PolyParseError,
+)
 from carlitz_hw.invariants import SUITE_NAMES, first_defects
 from carlitz_hw.polyring import irreducible_count
 from carlitz_hw.powersums import RootSums
@@ -377,6 +384,22 @@ def test_oversized_modulus_names_q_to_the_d_by_its_digit_count(capsys, d, digits
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("argv", [
+    ("powersum", "--p", "3", "--i", "9100", "--n", "2", "--exact"),
+    ("powersum", "--p", "2", "--i", "20000", "--n", "5", "--exact"),
+    # 2^14000 - 1 has 4215 digits, which int() still parses; C_n's top term
+    # is refused
+    ("bpoly", "--p", "2", "--n", str(2**14000 - 1), "--exact"),
+], ids=["powersum-p3", "powersum-p2", "bpoly-p2"])
+def test_a_cost_past_4300_digits_is_refused_by_its_digit_count(capsys, argv):
+    # str() refuses an int of more than 4300 digits, so the refused cost is
+    # named by its digit count, as q^d - 1 is above
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"resource limit: .* estimated cost <\d+-digit integer> "
+                        r"exceeds budget 1000000000\n", err), err[:200]
+
+
 @functools.lru_cache(maxsize=None)
 def _fresh_imports():
     """{module: set of the modules loaded once it is imported} for
@@ -504,7 +527,7 @@ def test_verify_suite_estimate_bounds_its_work(monkeypatch, p, e, d):
         monkeypatch.setenv("CARLITZ_HW_BUDGET", "0")
         with pytest.raises(CostCeilingError) as refused:
             run_verify_suite(name, ctx, d)
-        estimate = int(re.search(r"estimated cost (\d+)", str(refused.value))[1])
+        _, estimate, _ = refused.value.args
         monkeypatch.delenv("CARLITZ_HW_BUDGET")
         cache.cache_clear()
         del costs[:], ells[:]
@@ -668,6 +691,28 @@ def test_scan_failure_mid_scan_leaves_complete_rows(capsys, monkeypatch, tmp_pat
     assert index == 2 and (out == "") == to_file
     mask = lambda text: re.sub(r"\d+$", "X", text, flags=re.M)
     assert mask(written) == mask("".join(clean.splitlines(True)[:1 + index]))
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="a spawned pool worker would not see the patched _scan_one")
+@pytest.mark.parametrize("exc,code", [
+    (NotPrimeError(6), 1),
+    (PolyParseError("unbalanced ']'", "T+1]", 3), 1),
+    (InternalError("T^26 != 1 in the discrete-log table of F_27"), 2),
+    (OverflowLimitError("q^d - 1", 2**20000 - 1, 2**40), 3),
+    (CostCeilingError("degree 3 residue field over F_3", 3**9100, 10**9), 3),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_a_pool_worker_error_is_the_same_error(capsys, monkeypatch, exc, code):
+    # a worker's error reaches the parent pickled; each must come back as
+    # itself, with its own exit code and line, not as a broken pool (exit 3)
+    def failing_one(table, task):
+        raise exc
+
+    monkeypatch.setattr(scan, "_scan_one", failing_one)
+    results = [_run(capsys, "scan", "--p", "3", "--d", "3", "--workers", workers)
+               for workers in ("1", "2")]
+    assert results[0] == results[1]
+    assert results[0][0] == code and len(results[0][2].splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv,budget,want", [
