@@ -26,7 +26,7 @@ bpoly command.
 from __future__ import annotations
 
 from .digits import ell
-from .errors import DomainError, OutOfRangeError
+from .errors import DomainError, OutOfRangeError, _shown
 from .fieldcore import FieldCtx
 from .polyring import NEG_INF, FqPoly, Modulus, format_poly
 from .powersums import s_exact, s_mod
@@ -130,7 +130,7 @@ def c_poly(n: int, ctx: FieldCtx, m: Modulus | None = None) -> UPoly:
         ctx = m.ctx
         top = m.group_order - 1  # q^d - 2
         if not 1 <= n <= top:
-            raise OutOfRangeError(f"n={n} outside [1, q^d-2] = [1, {top}]")
+            raise OutOfRangeError(f"n={_shown(n)} outside [1, q^d-2] = [1, {top}]")
     q = ctx.q
     cap = ell(n, q) // (q - 1)
     top_down = range(cap, -1, -1)

@@ -8,7 +8,8 @@ Division by zero uses the builtin ZeroDivisionError.
 Every error keeps its constructor arguments in args and builds its message
 from them in __str__, so the default pickling rebuilds it as itself (a scan
 worker's error reaches the CLI that way).  An integer of more than 30
-digits in a limit error is named by its digit count.
+digits in a limit error is named by its digit count, and a value too large
+to build is given as text that names it.
 """
 
 import math
@@ -83,7 +84,8 @@ class ResourceLimitError(CarlitzHWError, RuntimeError):
 
 
 class OverflowLimitError(ResourceLimitError):
-    """A value exceeds the configured integer-width limit; args (what, value, limit)."""
+    """A value exceeds the configured integer-width limit; args (what, value,
+    limit), value an int or, when too large to build, the text naming it."""
 
     def __str__(self):
         what, value, limit = self.args
@@ -98,9 +100,12 @@ class CostCeilingError(ResourceLimitError):
         return f"{what} estimated cost {_shown(cost)} exceeds budget {limit}"
 
 
-def _shown(value: int) -> str:
+def _shown(value) -> str:
     """value in decimal, or as <k-digit integer> past 30 digits; k is found
-    from the bit length, as str() refuses ints of over 4300 digits."""
+    from the bit length, as str() refuses ints of over 4300 digits.  Text
+    is shown as it is."""
+    if isinstance(value, str):
+        return value
     if abs(value) < 10**30:
         return str(value)
     # 2^(b-1) <= |value| < 2^b gives k or k + 1 digits

@@ -11,6 +11,11 @@ context may be shared freely between threads or processes (rebuild it from
 (p, e, field_modulus) rather than pickling it).  power is the package's one
 square-and-multiply loop: FieldCtx.pow, FqPoly powers, polyring.residue_pow
 and polyring.is_irreducible run it, each with its own product.
+
+checked_power is the package's one size check of a power: q = p^e here,
+and q^i, q^d and q^d - 1 in polyring, each refused above DEFAULT_LIMIT
+before any work that depends on it.  A power past 2^20 bits is refused
+without being built, named by its base and exponent.
 """
 
 from __future__ import annotations
@@ -21,11 +26,16 @@ from .errors import (
     NotPrimeError,
     OverflowLimitError,
     ReducibleModulusError,
+    _shown,
 )
 
 # the integer-width ceiling of every size check (q, q^d, q^i, exponents);
 # OverflowLimitError beyond it
 DEFAULT_LIMIT = 2**40
+
+# checked_power builds no power of more bits; one of 2^20 bits took up to
+# 60 ms (2-core x86-64, Python 3.11)
+_BUILT_BITS = 2**20
 
 # Largest q for which multiplication/inverse tables are precomputed.
 _TABLE_MAX_Q = 64
@@ -56,6 +66,20 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def checked_power(what: str, base: int, k: int, minus_one: bool = False) -> int:
+    """base^k, less 1 with minus_one, for base >= 2 and k >= 0, or
+    OverflowLimitError(what, ...) above DEFAULT_LIMIT.  base^k has at most
+    k * bit_length(base) bits and, as bit_length(base) >= 2, at least half
+    as many, so past 2^20 it is over the limit and is named, not built."""
+    if k * base.bit_length() > _BUILT_BITS:
+        named = f"{_shown(base)}^{_shown(k)}" + " - 1" * minus_one
+        raise OverflowLimitError(what, named, DEFAULT_LIMIT)
+    value = base**k - minus_one
+    if value > DEFAULT_LIMIT:
+        raise OverflowLimitError(what, value, DEFAULT_LIMIT)
+    return value
 
 
 def power(x, n, mul, one):
@@ -215,9 +239,7 @@ def make_field(p: int, e: int = 1, field_modulus=None) -> FieldCtx:
         raise NotPrimeError(p)
     if not isinstance(e, int) or e < 1:
         raise DomainError(f"extension degree e must be a positive integer, got {e!r}")
-    q = p**e
-    if q > DEFAULT_LIMIT:
-        raise OverflowLimitError("q = p^e", q, DEFAULT_LIMIT)
+    checked_power("q = p^e", p, e)
     prime = FieldCtx(p, 1, (0, 1))
     if e == 1:
         if field_modulus is not None and tuple(field_modulus) != (0, 1):

@@ -6,7 +6,7 @@ deg f = len(coeffs) - 1 otherwise; deg 0 = -inf.  Values are immutable and
 the usual operators are overloaded, a ** n being the unreduced power.
 
 There is one product mod f: mulmod, on the reduction_rows T^(k+j) mod f of
-a monic f, irreducible or not.  is_irreducible (Rabin's test) and
+a monic f, irreducible or not.  is_irreducible (Ben-Or's test) and
 residue_pow, the exponentiation in A/mA, take powers by fieldcore.power over
 it; a Modulus keeps that product for its m.  residue_pow computes the
 reduced power sums of s_mod, which bpoly and the oracle module read, and
@@ -44,7 +44,7 @@ from .errors import (
     PolyParseError,
     ReducibleModulusError,
 )
-from .fieldcore import DEFAULT_LIMIT, FieldCtx, power
+from .fieldcore import DEFAULT_LIMIT, FieldCtx, checked_power, power
 
 NEG_INF = float("-inf")
 
@@ -240,12 +240,26 @@ def parse_poly(text: str, ctx: FieldCtx) -> FqPoly:
         if m.group("T") is None:
             k = 0
         else:
-            k = int(m.group("exp")) if m.group("exp") is not None else 1
+            k = _exponent(m.group("exp")) if m.group("exp") is not None else 1
         coeffs[k] = ctx.add(coeffs.get(k, 0), c)
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c
     return FqPoly(ctx, out, check=False)
+
+
+def _exponent(digits: str) -> int:
+    """The exponent these decimal digits write, refused above DEFAULT_LIMIT
+    before a coefficient list that long is built; past 30 digits it is
+    named by its digit count unconverted, as int() refuses over 4300."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > 30:
+        raise OverflowLimitError("exponent", f"<{len(digits)}-digit integer>",
+                                 DEFAULT_LIMIT)
+    k = int(digits)
+    if k > DEFAULT_LIMIT:
+        raise OverflowLimitError("exponent", k, DEFAULT_LIMIT)
+    return k
 
 
 def format_poly(f: FqPoly) -> str:
@@ -278,10 +292,7 @@ def monic_enumerate(ctx: FieldCtx, i: int):
     if i < 0:
         raise OutOfRangeError(f"degree must be >= 0, got {i}")
     q = ctx.q
-    total = q**i
-    if total > DEFAULT_LIMIT:
-        raise OverflowLimitError("q^i", total, DEFAULT_LIMIT)
-    for idx in range(total):
+    for idx in range(checked_power("q^i", q, i)):
         coeffs = [(idx // q**j) % q for j in range(i)] + [1]
         yield FqPoly(ctx, coeffs, check=False)
 
@@ -343,24 +354,21 @@ def mulmod(ctx: FieldCtx, rows, a, b) -> list[int]:
 
 
 def is_irreducible(f: FqPoly) -> bool:
-    """Rabin's irreducibility test over F_q: f of degree k is irreducible iff
-    T^(q^k) = T mod f and gcd(T^(q^(k/r)) - T, f) = 1 for every prime r
-    dividing k.  The powers run on mulmod, mod f over its leading coefficient.
-    """
+    """Ben-Or's test over F_q: f of degree k is irreducible iff
+    gcd(T^(q^i) - T, f) = 1 for 1 <= i <= k/2, as T^(q^i) - T is the product
+    of the monic irreducibles of degree dividing i and a reducible f has a
+    factor of degree at most k/2; the walk stops at the first i that shows
+    one.  The powers run on mulmod, mod f over its leading coefficient."""
     k = len(f.coeffs) - 1
     if k < 1:
         raise DegreeTooSmallError("irreducibility needs degree >= 1")
     ctx = f.ctx
     monic = f.scale(ctx.inv(f.coeffs[-1]))
     mul = partial(mulmod, ctx, reduction_rows(ctx, monic.coeffs))
-    t = FqPoly.gen(ctx) % monic
-    tq = [t]
-    for _ in range(k):
-        tq.append(FqPoly(ctx, power(tq[-1].coeffs, ctx.q, mul, [1]), check=False))
-    if tq[k] != t:
-        return False
-    for r in _prime_divisors(k):
-        if gcd(tq[k // r] - t, f).degree != 0:
+    x = t = FqPoly.gen(ctx) % monic
+    for _ in range(k // 2):
+        x = FqPoly(ctx, power(x.coeffs, ctx.q, mul, [1]), check=False)
+        if gcd(x - t, f).degree != 0:
             return False
     return True
 
@@ -401,9 +409,9 @@ class Modulus:
             raise DomainError(f"modulus must be monic: {format_poly(poly)}")
         d = len(poly.coeffs) - 1
         ctx = poly.ctx
-        order = ctx.q**d - 1  # 0 at d = 0, which the next test rejects
-        if order > DEFAULT_LIMIT:  # before Rabin's test, whose cost grows with d
-            raise OverflowLimitError("q^d - 1", order, DEFAULT_LIMIT)
+        # 0 at d = 0, which the next test rejects; checked before the
+        # irreducibility test, whose cost grows with d
+        order = checked_power("q^d - 1", ctx.q, d, minus_one=True)
         if d < 1 or not is_irreducible(poly):
             raise ReducibleModulusError(f"modulus is not irreducible: {format_poly(poly)}")
         object.__setattr__(self, "poly", poly)
@@ -467,9 +475,7 @@ def field_order(ctx: FieldCtx, d: int) -> int:
     """q^d, the size of the residue fields of degree d >= 1, within DEFAULT_LIMIT."""
     if d < 1:
         raise OutOfRangeError(f"d must be >= 1, got {d}")
-    if ctx.q**d > DEFAULT_LIMIT:
-        raise OverflowLimitError("q^d", ctx.q**d, DEFAULT_LIMIT)
-    return ctx.q**d
+    return checked_power("q^d", ctx.q, d)
 
 
 def least_primitive(ctx: FieldCtx, d: int) -> tuple[int, ...]:

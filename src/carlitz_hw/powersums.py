@@ -65,6 +65,7 @@ from .errors import (
     DomainError,
     InternalError,
     OutOfRangeError,
+    _shown,
 )
 from .fieldcore import FieldCtx, make_field
 from .polyring import (
@@ -122,7 +123,7 @@ def check_budget(what: str, cost: int) -> None:
 def s_exact(i: int, n: int, ctx: FieldCtx) -> FqPoly:
     """The exact power sum in F_q[T], by brute force.  This is the oracle."""
     _check_exact_args(i, n)
-    check_budget(f"s_exact(i={i}, n={n})", exact_cost(i, n, ctx))
+    check_budget(f"s_exact(i={i}, n={_shown(n)})", exact_cost(i, n, ctx))
     return _s_exact_cached(i, n, ctx)
 
 
@@ -140,8 +141,8 @@ def s_mod(i: int, n: int, m: Modulus) -> FqPoly:
         raise OutOfRangeError(f"i={i} outside [0, d-1] = [0, {m.d - 1}]")
     if not 1 <= n <= m.group_order - 1:
         raise OutOfRangeError(
-            f"n={n} outside [1, q^d-2] = [1, {m.group_order - 1}]")
-    check_budget(f"s_mod(i={i}, n={n})", mod_cost(i, n, m.ctx, m.d))
+            f"n={_shown(n)} outside [1, q^d-2] = [1, {m.group_order - 1}]")
+    check_budget(f"s_mod(i={i}, n={_shown(n)})", mod_cost(i, n, m.ctx, m.d))
     total = FqPoly.zero(m.ctx)
     for a in monic_enumerate(m.ctx, i):
         power = residue_pow(a, n, m)

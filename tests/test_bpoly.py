@@ -154,6 +154,8 @@ def test_range_rejection(f3, m_headline):
         b_poly(0, f3)
     with pytest.raises(OutOfRangeError):
         b_poly(26, f3, m=m_headline)  # q^d - 1
+    with pytest.raises(OutOfRangeError, match="n=<5001-digit integer> outside"):
+        b_poly(10**5000, f3, m=m_headline)  # str() refuses n
     with pytest.raises(OutOfRangeError):
         c_poly(0, f3)
     b_poly(26, f3)  # exact mode has no ambient degree to bound n

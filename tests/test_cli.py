@@ -398,6 +398,34 @@ def test_a_cost_past_4300_digits_is_refused_by_its_digit_count(capsys, argv):
     assert (code, out) == (3, "")
     assert re.fullmatch(r"resource limit: .* estimated cost <\d+-digit integer> "
                         r"exceeds budget 1000000000\n", err), err[:200]
+    assert len(err) < 200  # n too is named by its digit count
+
+
+_OVERSIZED_EXPONENTS = [
+    (("genus", "--p", "2", "--d", "99999999999"), "q^d = 2^99999999999"),
+    (("scan", "--p", "3", "--d", "100000000"), "q^d = 3^100000000"),
+    (("verify", "--p", "2", "--d", "9999999999"), "q^d = 2^9999999999"),
+    (("genus", "--p", "2", "--e", "99999999999", "--d", "2"), "q = p^e = 2^99999999999"),
+    (("invariants", "--p", "3", "--m", "T^99999999999999999999"),
+     "exponent = 99999999999999999999"),
+    (("invariants", "--p", "3", "--m", "T^" + "9" * 5000), "exponent = <5000-digit integer>"),
+    (("invariants", "--p", "3", "--m", "T^9999999+1"), "q^d - 1 = 3^9999999 - 1"),
+]
+
+
+@pytest.mark.parametrize("argv,named", _OVERSIZED_EXPONENTS,
+                         ids=["genus-d", "scan-d", "verify-d", "genus-e", "m-20-digits",
+                              "m-5000-digits", "m-3^9999999"])
+def test_an_oversized_exponent_is_refused_before_its_power_is_built(argv, named):
+    # q^d, p^e and q^d - 1 past 2^20 bits are named by base and exponent,
+    # unbuilt, and a modulus's exponent is checked before its coefficient
+    # list is built; in a subprocess, so a power that is built times out
+    done = subprocess.run(_main_argv(*argv), capture_output=True, text=True,
+                          timeout=10, check=False)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith(f"resource limit: {named} exceeds the configured limit ")
+    assert done.stderr.count("\n") == 1 and len(done.stderr.encode()) < 200
+    assert len(done.stderr.encode()) < 200, done.stderr[:200]
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ from carlitz_hw.errors import (
     OverflowLimitError,
     ReducibleModulusError,
 )
-from carlitz_hw.fieldcore import is_prime, power
+from carlitz_hw.fieldcore import DEFAULT_LIMIT, checked_power, is_prime, power
 
 
 def test_is_prime_small():
@@ -75,6 +75,27 @@ def test_make_field_rejects_nonprime():
 def test_make_field_overflow():
     with pytest.raises(OverflowLimitError):
         make_field(2, 41)
+
+
+def test_checked_power_at_the_limit():
+    assert checked_power("q^d", 2, 40) == DEFAULT_LIMIT
+    assert checked_power("q^d - 1", 2, 40, minus_one=True) == DEFAULT_LIMIT - 1
+    assert checked_power("q^i", 7, 0) == 1
+    with pytest.raises(OverflowLimitError) as info:
+        checked_power("q^d", 2, 41)
+    assert info.value.args == ("q^d", 2**41, DEFAULT_LIMIT)
+
+
+@pytest.mark.parametrize("base,k,minus_one,value", [
+    (2, 2**19, False, 2**2**19),                # 2^20 bits at most: built
+    (2, 2**19 + 1, False, "2^524289"),          # past them: named
+    (3, 9999999, True, "3^9999999 - 1"),
+    (2**40 - 87, 10**40, False, "1099511627689^<41-digit integer>"),
+], ids=["built", "named", "minus-one", "long-exponent"])
+def test_checked_power_names_a_power_past_2_to_the_20_bits(base, k, minus_one, value):
+    with pytest.raises(OverflowLimitError) as info:
+        checked_power("q^d", base, k, minus_one)
+    assert info.value.args == ("q^d", value, DEFAULT_LIMIT)
 
 
 def test_field_poly_only_for_extensions():

@@ -189,10 +189,14 @@ def test_is_irreducible_requires_degree(f3):
         is_irreducible(parse_poly("2", f3))
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_is_irreducible_matches_trial_division(p):
-    ctx = make_field(p)
-    for k in range(1, 5):
+@pytest.mark.parametrize("p, e, top", [(2, 1, 6), (3, 1, 5), (2, 2, 4)],
+                         ids=["2", "3", "4"])
+def test_is_irreducible_matches_trial_division(p, e, top):
+    # every monic f of degree up to top over F_q; at q = 2 the squares of the
+    # irreducible quadratics and cubics, whose only factor has degree k/2,
+    # show a walk that stops short of k/2
+    ctx = make_field(p, e)
+    for k in range(1, top + 1):
         for f in monic_enumerate(ctx, k):
             assert is_irreducible(f) == _irreducible_by_trial_division(f), \
                 format_poly(f)
@@ -234,8 +238,8 @@ def test_modulus_validation(f3):
 
 
 def test_modulus_checks_the_size_before_irreducibility(f2):
-    # 2^480 - 1 is far over the ceiling: refused at once, before Rabin's
-    # test, whose cost grows with d (T^480+T+1 is reducible)
+    # 2^480 - 1 is far over the ceiling: refused at once, before the
+    # irreducibility test, whose cost grows with d (T^480+T+1 is reducible)
     with pytest.raises(OverflowLimitError, match="q\\^d - 1"):
         Modulus(parse_poly("T^480+T+1", f2))
 

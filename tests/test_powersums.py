@@ -78,6 +78,13 @@ def test_cost_ceiling(monkeypatch, f3):
     s_exact(1, 64, f3)
 
 
+def test_a_refused_n_past_4300_digits_is_named_by_its_digit_count(f3):
+    # the budget's what string names n as the error names its cost, since
+    # str() refuses an int of more than 4300 digits
+    with pytest.raises(CostCeilingError, match=r"s_exact\(i=1, n=<5001-digit integer>\)"):
+        s_exact(1, 10**5000, f3)
+
+
 def test_no_library_function_takes_a_budget():
     # the budget is one setting, CARLITZ_HW_BUDGET, read by check_budget alone
     modules = [carlitz_hw] + [importlib.import_module(f"carlitz_hw.{info.name}")
@@ -129,6 +136,8 @@ def test_s_mod_range_checks(f3, m_headline):
         s_mod(1, 26, m_headline)
     with pytest.raises(OutOfRangeError):
         s_mod(1, 0, m_headline)
+    with pytest.raises(OutOfRangeError, match="n=<5001-digit integer> outside"):
+        s_mod(1, 10**5000, m_headline)  # str() refuses n
 
 
 def test_s_mod_cost_ceiling(monkeypatch, f3, m_headline):
@@ -336,7 +345,7 @@ _ROOT_CASES = ([(2, 1, d) for d in range(1, 9)]
 
 @pytest.mark.parametrize("p,e,d", _ROOT_CASES)
 def test_least_primitive_matches_brute_force(p, e, d):
-    # the first monic irreducible, by Rabin's test, at which T has order q^d - 1
+    # the first monic irreducible, by Ben-Or's test, at which T has order q^d - 1
     ctx = make_field(p, e)
     want = next(f for f in monic_enumerate(ctx, d)
                 if is_irreducible(f) and _order_of_t(Modulus(f)) == ctx.q**d - 1)
