@@ -29,23 +29,31 @@ every exponent against digits.target_degree, and oracle.z_bar and the
 frobenius suite compute every degree without sharing, so they check the
 orbit reduction independently.
 
-One function reads a degree, _reduced_degree, in one top-down loop over
-the coefficients of B_n mod m from the target down, read from the power
-sums of m at one of its roots (powersums.RootSums, on a discrete-log
-table of F_{q^d}): the degree is the first j whose u^j coefficient does
-not vanish, and 0 below that, as the u^0 coefficient is 1.  Outside the
-zero class that coefficient is s_j(n).  In the zero class, where n is a
-trivial zero of the Carlitz-Goss zeta function and C_n(1) = 0, it is the
-partial sum 1 + s_1 + ... + s_j, which gathers (q^(j+1) - 1)/(q - 1)
-terms where s_(j+1), the coefficient that decides the same degree, would
-gather q^(j+1).  Both are one RootSums.vanishes read, over a range of
-degrees of the monic a.  The engine reads one RootSums, which scan cuts
-from the field it builds.  Only the public entry points, hasse_witt,
-is_ordinary and is_ordinary_plus, take a Modulus: they read it at its
+A degree is read from the coefficients of B_n mod m from the target down,
+from the power sums of m at one of its roots (powersums.RootSums, on a
+discrete-log table of F_{q^d}): the degree is the first j whose u^j
+coefficient does not vanish, and 0 below that, as the u^0 coefficient is
+1.  Outside the zero class that coefficient is s_j(n).  In the zero class,
+where n is a trivial zero of the Carlitz-Goss zeta function and
+C_n(1) = 0, it is the partial sum 1 + s_1 + ... + s_j, which gathers
+(q^(j+1) - 1)/(q - 1) terms where s_(j+1), the coefficient that decides
+the same degree, would gather q^(j+1).  Both are a read over a range of
+degrees of the monic a.  The full pass reads every degree in one level
+walk (_level_degrees): the exponents wait at their targets, split by zero
+class, and from the highest level down each level and class is one
+RootSums.vanishing call, which gathers the logs of the monic a once and
+answers for every exponent there; one whose coefficient vanishes moves
+down a level.  The early-exit pass reads one exponent at a time as the
+stream reaches it, _reduced_degree's top-down loop of RootSums.vanishes
+reads, so that it reads nothing past its exit (a level walk over chunks
+of the stream was slower there).  Both ask each exponent the same reads.
+The engine reads one RootSums, which scan cuts from the field it builds.
+Only the public entry points, hasse_witt, is_ordinary and
+is_ordinary_plus, take a Modulus: they read it at its
 root in the field of its (q, d) kept by the process (RootSums.of), which
 checks the budget (CARLITZ_HW_BUDGET) on every call.
 oracle._bbar_degree, which builds all of B_n mod m bottom-up through b_poly,
-is the oracle of that reader.
+is the oracle of both.
 
 Over F_2 every modulus is ordinary and ordinary+ (README, "How degrees are
 computed").  There every n is zero-class with target w - 1,
@@ -122,6 +130,34 @@ def _reduced_degree(n: int, sums: RootSums, target: int, zero_class: bool) -> in
     return 0
 
 
+def _level_degrees(sums: RootSums, orbits) -> dict[int, int]:
+    """{r: degree} for the least member r of every orbit under n -> p*n,
+    from its own (r, size, r, target) in orbits, read level by level from
+    the highest target down with one sums.vanishing call per level and
+    class: an r whose u^j coefficient does not vanish has degree j, one
+    whose does moves down to level j - 1, and one that reaches level 0 has
+    degree 0.  So r is read at the same (degrees, r) pairs as by
+    _reduced_degree from its target."""
+    q1 = sums.table.ctx.q - 1
+    levels = [([], []) for _ in range(sums.table.d)]  # by target (< d), by zero class
+    for n, _, r, tgt in orbits:
+        if n == r:
+            levels[tgt][n % q1 == 0].append(n)
+    degrees = {}
+    for j in range(len(levels) - 1, 0, -1):
+        for zero_class, ns in enumerate(levels[j]):
+            if ns:
+                flags = sums.vanishing(range(0 if zero_class else j, j + 1), ns)
+                for n, vanishes in zip(ns, flags):
+                    if vanishes:
+                        levels[j - 1][zero_class].append(n)
+                    else:
+                        degrees[n] = j
+    for ns in levels[0]:
+        degrees.update(dict.fromkeys(ns, 0))
+    return degrees
+
+
 def degree_stream(sums: RootSums, keep=None):
     """Yield (n, size, degree, target) once per orbit of n -> q*n mod
     (q^d - 1) but {0}, in ascending n, its least member, for the modulus
@@ -131,13 +167,18 @@ def degree_stream(sums: RootSums, keep=None):
     false, when keep is given, is skipped.
 
     Each degree is computed at the first orbit visited in its Frobenius
-    orbit n -> p*n and read back for the others there, whose targets may
-    differ when e > 1.
+    orbit n -> p*n, its least member, and read back for the others there,
+    whose targets may differ when e > 1.  Without keep every degree is read
+    before the first yield, level by level (_level_degrees); with it, one
+    orbit at a time as the stream reaches it (_reduced_degree), so that an
+    early exit reads no further.
     """
     table = sums.table
     q1 = table.ctx.q - 1
-    known = {}  # degrees, by least member of the orbit under p
-    for n, size, frob, tgt in table.orbits[1:]:
+    orbits = table.orbits[1:]
+    # degrees, by least member of the orbit under p
+    known = _level_degrees(sums, orbits) if keep is None else {}
+    for n, size, frob, tgt in orbits:
         if keep is not None and not keep(n):
             continue
         deg = known.get(frob)

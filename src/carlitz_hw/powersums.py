@@ -47,6 +47,9 @@ field by field.  The sum is taken over the monic a whose degree lies in a
 range (RootSums.packed_sum): one degree for s_i(n), and every degree up to j
 for the partial sum 1 + s_1(n) + ... + s_j(n), the u^j coefficient of B_n
 in the zero class, where the degree engine reads these sums and no s_i(n).
+A read asks about one exponent (RootSums.vanishes) or about a batch of
+them over one range (RootSums.vanishing, which lists the logs once); both
+test the packed sum by one zero test, RootSums.is_zero.
 residue_field builds that table once per scan, and shared_field keeps it
 per process for scan's workers and RootSums.of.
 residue_cost bounds the memory of a degree stream from (q, d) alone, checked
@@ -67,7 +70,7 @@ from .errors import (
     OutOfRangeError,
     _shown,
 )
-from .fieldcore import FieldCtx, make_field
+from .fieldcore import _BUILT_BITS, FieldCtx, make_field
 from .polyring import (
     FqPoly,
     Modulus,
@@ -83,9 +86,14 @@ from .polyring import (
 DEFAULT_COST_CEILING = 10**9
 
 
-def exact_cost(i: int, n: int, ctx: FieldCtx) -> int:
-    """Cost estimate for s_exact, in coefficient operations."""
-    return ctx.q**i * max(max(n - 1, 0).bit_length(), 1) * (i * n + 1)
+def exact_cost(i: int, n: int, ctx: FieldCtx) -> int | str:
+    """Cost estimate for s_exact, in coefficient operations; the text
+    naming it where q^i would have more than 2^20 bits, which is not built
+    (check_budget refuses it)."""
+    rest = max(max(n - 1, 0).bit_length(), 1) * (i * n + 1)
+    if i * ctx.q.bit_length() > _BUILT_BITS:
+        return f"{ctx.q}^{_shown(i)} * {_shown(rest)}"
+    return ctx.q**i * rest
 
 
 def _check_exact_args(i, n):
@@ -108,22 +116,24 @@ def residue_cost(ctx: FieldCtx, d: int) -> int:
     return (ctx.q**d - 1) * (d * ctx.e + 1)
 
 
-def check_budget(what: str, cost: int) -> None:
+def check_budget(what: str, cost: int | str) -> None:
     """CostCeilingError when cost exceeds CARLITZ_HW_BUDGET, read on every
-    call (DEFAULT_COST_CEILING when unset); DomainError when no integer."""
+    call (DEFAULT_COST_CEILING when unset), or is text naming a cost past
+    2^(2^19), above every budget int() parses (4300 digits at most);
+    DomainError when no integer."""
     raw = os.environ.get("CARLITZ_HW_BUDGET")
     try:
         limit = DEFAULT_COST_CEILING if raw is None else int(raw)
     except ValueError:
         raise DomainError(f"CARLITZ_HW_BUDGET must be a decimal integer, got {raw!r}") from None
-    if cost > limit:
+    if isinstance(cost, str) or cost > limit:
         raise CostCeilingError(what, cost, limit)
 
 
 def s_exact(i: int, n: int, ctx: FieldCtx) -> FqPoly:
     """The exact power sum in F_q[T], by brute force.  This is the oracle."""
     _check_exact_args(i, n)
-    check_budget(f"s_exact(i={i}, n={_shown(n)})", exact_cost(i, n, ctx))
+    check_budget(f"s_exact(i={_shown(i)}, n={_shown(n)})", exact_cost(i, n, ctx))
     return _s_exact_cached(i, n, ctx)
 
 
@@ -408,7 +418,9 @@ class RootSums:
     does not depend on which conjugate of theta is used; it is read on the
     packed sum: at p = 2 the XOR of the terms, the coordinate bits of the
     sum, which vanishes when it is 0, and at odd p their integer sum,
-    reduced field by field mod p up to the first nonzero field.  A RootSums
+    reduced field by field mod p up to the first nonzero field (is_zero).
+    vanishes reads one exponent, and vanishing a batch over one range of
+    degrees, from one list of the logs.  A RootSums
     is made from the coefficient codes of m, which table.roots maps to k;
     the field, d and N are the table's.
     """
@@ -456,11 +468,32 @@ class RootSums:
             return x
         return sum([exp[la * n % order] for i in degrees for la in self.logs(i)])
 
+    def vanishing(self, degrees: range, ns) -> list[bool]:
+        """[vanishes(degrees, n) for n in ns], from one list of the logs of
+        the monic a whose degree lies in degrees, gathered once for all of
+        ns."""
+        table = self.table
+        exp, order = table.exp, table.order
+        logs = [la for i in degrees for la in self.logs(i)]
+        if table.p == 2:
+            sums = []
+            for n in ns:
+                x = 0
+                for la in logs:
+                    x ^= exp[la * n % order]
+                sums.append(x)
+        else:
+            sums = [sum([exp[la * n % order] for la in logs]) for n in ns]
+        return list(map(self.is_zero, sums))
+
     def vanishes(self, degrees: range, n: int) -> bool:
         """packed_sum(degrees, n) == 0 mod m, for degrees within [0, d - 1]
-        and 1 <= n < q^d - 1: at p = 2 the packed sum is the coordinate
+        and 1 <= n < q^d - 1."""
+        return self.is_zero(self.packed_sum(degrees, n))
+
+    def is_zero(self, x: int) -> bool:
+        """Whether the packed sum x is 0 mod m: at p = 2 x is the coordinate
         vector, at odd p each field is reduced mod p in turn."""
-        x = self.packed_sum(degrees, n)
         table = self.table
         if table.p == 2:
             return not x

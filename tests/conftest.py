@@ -20,6 +20,26 @@ def add_coordinates(table, terms):
     return total
 
 
+def spy_reads(monkeypatch, record):
+    """Call record(sums, degrees, n, vanishes) at every read of a RootSums,
+    whether one exponent (vanishes) or a batch of them (vanishing) asks."""
+    one, batch = RootSums.vanishes, RootSums.vanishing
+
+    def vanishes(self, degrees, n):
+        flag = one(self, degrees, n)
+        record(self, degrees, n, flag)
+        return flag
+
+    def vanishing(self, degrees, ns):
+        flags = batch(self, degrees, ns)
+        for n, flag in zip(ns, flags):
+            record(self, degrees, n, flag)
+        return flags
+
+    monkeypatch.setattr(RootSums, "vanishes", vanishes)
+    monkeypatch.setattr(RootSums, "vanishing", vanishing)
+
+
 @pytest.fixture(autouse=True)
 def _default_budget(monkeypatch):
     """Every test starts at the default budget, whatever CARLITZ_HW_BUDGET the

@@ -401,6 +401,17 @@ def test_a_cost_past_4300_digits_is_refused_by_its_digit_count(capsys, argv):
     assert len(err) < 200  # n too is named by its digit count
 
 
+def test_an_exact_power_sum_past_2_to_the_20_bits_is_refused_unbuilt():
+    # q^i has more than 2^20 bits, so its cost is named by base and
+    # exponent, not built; in a subprocess, so a power that is built times out
+    done = subprocess.run(_main_argv("powersum", "--p", "3", "--i", "99999999999", "--n", "2",
+                                     "--exact"),
+                          capture_output=True, text=True, timeout=10, check=False)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3, "", "resource limit: s_exact(i=99999999999, n=2) estimated cost "
+               "3^99999999999 * 199999999999 exceeds budget 1000000000\n")
+
+
 _OVERSIZED_EXPONENTS = [
     (("genus", "--p", "2", "--d", "99999999999"), "q^d = 2^99999999999"),
     (("scan", "--p", "3", "--d", "100000000"), "q^d = 3^100000000"),

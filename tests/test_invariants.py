@@ -36,7 +36,7 @@ from carlitz_hw.polyring import (
     monic_enumerate,
 )
 from carlitz_hw.powersums import LogTable, RootSums, residue_cost, residue_field, s_mod
-from conftest import add_coordinates, coordinates, expand_orbits
+from conftest import add_coordinates, coordinates, expand_orbits, spy_reads
 
 
 def test_genus_values(f3, f4):
@@ -168,15 +168,23 @@ def _orbit_of(n, p, order):
 
 
 def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline, f4):
-    # counted at the one degree reader, whichever route answers it
+    # counted at the degree readers: the exponents whose degrees the level
+    # walk returns, in ascending n, and each exponent the early-exit pass
+    # reads one at a time
     calls = []
-    real = invariants._reduced_degree
+    real, real_walk = invariants._reduced_degree, invariants._level_degrees
 
     def counted(n, *args):
         calls.append(n)
         return real(n, *args)
 
+    def walked(*args):
+        degrees = real_walk(*args)
+        calls.extend(sorted(degrees))
+        return degrees
+
     monkeypatch.setattr(invariants, "_reduced_degree", counted)
+    monkeypatch.setattr(invariants, "_level_degrees", walked)
     stream = list(degree_stream(RootSums.of(m_headline)))
     assert len(stream) == len(RootSums.of(m_headline).table.orbits) - 1
     assert [n for n, _, _ in expand_orbits(m_headline, stream)] == list(range(1, 26))
@@ -227,6 +235,43 @@ def _degrees(n, m, sources):
 
 _NINE_FIELDS = [(2, 1, 1), (3, 1, 1), (2, 1, 5), (3, 1, 3), (5, 1, 2),
                 (7, 1, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]
+
+
+# at (3, 1, 6) and (5, 1, 4) zero-class partial sums vanish at the target,
+# and at (2, 2, 6) one degree is shared over orbits under q with different
+# targets; there only the moduli scan classifies, one per orbit, are read
+@pytest.mark.parametrize("p,e,d,every", [(*field, True) for field in _NINE_FIELDS]
+                         + [(3, 1, 6, True), (5, 1, 4, True), (2, 2, 6, False)])
+def test_level_walk_matches_the_naive_stream(monkeypatch, naive_stream, p, e, d, every):
+    # full mode reads every degree level by level: its stream, its report
+    # and its least defects against the per-exponent naive stream, bit for
+    # bit, and its reads, exponent by exponent, against the top-down reads
+    # of _reduced_degree at the least member of each orbit under p
+    ctx = make_field(p, e)
+    table = residue_field(ctx, d)
+    reads = []
+    spy_reads(monkeypatch, lambda sums, degrees, n, _: reads.append((n, degrees[0], degrees[-1])))
+    for i, codes in enumerate(table.roots):
+        if not every and table.first[i] != i:
+            continue
+        m, sums = Modulus(FqPoly(ctx, codes)), RootSums(table, codes)
+        naive = naive_stream(m)
+        defects = _stream_defects(naive, ctx.q - 1)
+        reads.clear()
+        first, first_plus, lam, lam_plus, _ = invariants.defect_pass(sums, genus(ctx, d))
+        walked = sorted(reads)
+        reads.clear()
+        for n, _, r, tgt in table.orbits[1:]:
+            if n == r:
+                invariants._reduced_degree(n, sums, tgt, n % (ctx.q - 1) == 0)
+        assert walked == sorted(reads), codes
+        assert expand_orbits(m, degree_stream(sums)) == naive, codes
+        assert (first, first_plus) == _firsts(*defects) == first_defects(sums), codes
+        assert (lam, lam_plus) == (sum(deg for _, deg, _ in naive),
+                                   sum(deg for n, deg, _ in naive if n % (ctx.q - 1) == 0))
+        rep = hasse_witt(m)
+        assert (rep.lambda_, rep.lambda_plus, rep.defects, rep.defects_plus) == (
+            lam, lam_plus, *defects), codes
 
 
 @pytest.mark.parametrize("p,e,d", _NINE_FIELDS)
@@ -320,14 +365,12 @@ def test_zero_class_reads_never_gather_the_cap(monkeypatch, p, d, total):
     table = residue_field(make_field(p), d)
     heads = [codes for i, (codes, f) in enumerate(zip(table.roots, table.first)) if f == i]
     reads, terms = [], []
-    real = RootSums.vanishes
 
-    def vanishes(self, degrees, n):
+    def record(sums, degrees, n, _):
         reads.append((n, degrees))
-        terms.append(sum(len(self.logs(i)) for i in degrees))
-        return real(self, degrees, n)
+        terms.append(sum(len(sums.logs(i)) for i in degrees))
 
-    monkeypatch.setattr(RootSums, "vanishes", vanishes)
+    spy_reads(monkeypatch, record)
     for codes in heads:
         invariants.defect_pass(RootSums(table, codes), genus(table.ctx, d))
     assert {n % (p - 1) == 0 for n, _ in reads} == {False, True}
@@ -406,6 +449,10 @@ def test_vanishes_matches_the_reduced_coordinates(p, e, d):
             for i in range(d):
                 assert (coordinates(table, view.packed_sum(range(i, i + 1), n))
                         == _at_root(s_mod(i, n, m), view)), (coeffs, i, n)
+        # the batch read answers as the reads of its exponents one by one
+        for degrees, ns in ([(range(i, i + 1), range(1, table.order)) for i in range(d)]
+                            + [(range(j + 1), range(q1, table.order, q1)) for j in range(1, d)]):
+            assert view.vanishing(degrees, ns) == [view.vanishes(degrees, n) for n in ns]
     # some vanishing sum has a field equal to p, not 0, before reduction; at
     # p = 2 the sum is an XOR, which has no unreduced form
     if p > 2 and d > 1:

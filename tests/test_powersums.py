@@ -85,6 +85,16 @@ def test_a_refused_n_past_4300_digits_is_named_by_its_digit_count(f3):
         s_exact(1, 10**5000, f3)
 
 
+def test_a_cost_whose_power_is_past_2_to_the_20_bits_is_refused_at_any_budget(monkeypatch, f3):
+    # q^i is named, not built, and its cost is above the largest budget
+    # int() parses, 4300 nines
+    monkeypatch.setenv("CARLITZ_HW_BUDGET", "9" * 4300)
+    assert powersums.exact_cost(99999999999, 2, f3) == "3^99999999999 * 199999999999"
+    with pytest.raises(CostCeilingError, match=r"^s_exact\(i=99999999999, n=2\) estimated "
+                                               r"cost 3\^99999999999 \* 199999999999 exceeds"):
+        s_exact(99999999999, 2, f3)
+
+
 def test_no_library_function_takes_a_budget():
     # the budget is one setting, CARLITZ_HW_BUDGET, read by check_budget alone
     modules = [carlitz_hw] + [importlib.import_module(f"carlitz_hw.{info.name}")

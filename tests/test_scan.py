@@ -24,6 +24,7 @@ from carlitz_hw.invariants import first_defects
 from carlitz_hw.polyring import irreducible_count, least_primitive
 from carlitz_hw.powersums import LogTable, RootSums, residue_cost, residue_field
 from carlitz_hw.scan import CSV_HEADER, MODE_FULL, MODE_WITNESS, ScanRecord
+from conftest import spy_reads
 
 _ELAPSED = re.compile(r"\d+$", re.M)
 
@@ -451,15 +452,12 @@ def test_census_where_the_sum_below_the_cap_vanishes(monkeypatch, p, d, ordinary
     # heads, each time at the target, so the read goes on top-down to the
     # partial sum one level below there
     vanished = []
-    real = RootSums.vanishes
 
-    def spy(self, degrees, n):
-        zero = real(self, degrees, n)
+    def record(sums, degrees, n, zero):
         if n % (p - 1) == 0:
             vanished.append(zero)
-        return zero
 
-    monkeypatch.setattr(RootSums, "vanishes", spy)
+    spy_reads(monkeypatch, record)
     records = scan_degree(make_field(p), d)
     assert (sum(r.ordinary for r in records), sum(r.ordinary_plus for r in records),
             len(records)) == (ordinary, ordinary_plus, moduli)
