@@ -17,8 +17,8 @@ This module builds whole polynomials, every s_i(n) up to the cap, the top
 one first: it is the costliest, so a C_n or B_n over the budget of s_exact
 or s_mod is refused before any cheaper term is computed.  It serves the
 bpoly command and the oracle module (z_bar and the verify suites), and it
-is the oracle of the degree engine, which reads each degree top-down from
-the power sums alone (invariants._reduced_degree) and never builds B_n.
+is the oracle of the degree engine, which reads single coefficients of
+B_n from the power sums alone (invariants) and never builds B_n.
 Neither the engine nor scan imports it; the CLI imports it inside the
 bpoly command.
 """

@@ -38,57 +38,48 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _build_parser() -> _Parser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--p", type=int, required=True, help="characteristic (prime)")
-    shared.add_argument("--e", type=int, default=1, help="extension degree (default 1)")
-    shared.add_argument("--field-poly", default=None,
-                        help="defining polynomial of F_q over F_p in x "
-                             "(only with --e > 1; default: least irreducible)")
+def _build_parser(command=None) -> _Parser:
+    # a call parses one command; the others need only their names and help
+    # lines, for --help and the invalid-choice error
     top = _Parser(prog="carlitz-hw",
                   description="Hasse-Witt invariants and ordinariness of "
                               "cyclotomic function fields over F_q(T)")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p_inv = sub.add_parser("invariants", parents=[shared],
-                           help="full invariant report for one modulus")
-    p_inv.add_argument("--m", required=True, help="monic irreducible modulus in T")
-
-    p_scan = sub.add_parser("scan", parents=[shared],
-                            help="classify all irreducible moduli of a degree")
-    p_scan.add_argument("--d", type=int, required=True)
-    p_scan.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_scan.add_argument("--out", default=None, help="output path (default stdout)")
-    p_scan.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    p_scan.add_argument("--mode", choices=("full", "witness"), default="full")
-    p_scan.add_argument("--limit", type=int, default=None)
-
-    p_bp = sub.add_parser("bpoly", parents=[shared],
-                          help="generating polynomial of one exponent")
-    p_bp.add_argument("--n", type=int, required=True)
-    group = p_bp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--mod", default=None, help="reduce mod this modulus")
-    group.add_argument("--exact", action="store_true")
-
-    p_ps = sub.add_parser("powersum", parents=[shared],
-                          help="power sum over monic polynomials of one degree")
-    p_ps.add_argument("--i", type=int, required=True)
-    p_ps.add_argument("--n", type=int, required=True)
-    group = p_ps.add_mutually_exclusive_group(required=True)
-    group.add_argument("--mod", default=None)
-    group.add_argument("--exact", action="store_true")
-
-    p_gen = sub.add_parser("genus", parents=[shared],
-                           help="genus pair for all moduli of a degree")
-    p_gen.add_argument("--d", type=int, required=True)
-
-    p_ver = sub.add_parser("verify", parents=[shared],
-                           help="run the identity suites at (q, d)")
-    p_ver.add_argument("--d", type=int, required=True)
-    p_ver.add_argument("--suites", default=",".join(invariants.SUITE_NAMES),
-                       help="comma-separated subset of: "
-                            + ",".join(invariants.SUITE_NAMES))
+    for name, (_, text) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=text)
+        if name == command:
+            _add_arguments(cmd, name)
     return top
+
+
+def _add_arguments(cmd: _Parser, name: str) -> None:
+    cmd.add_argument("--p", type=int, required=True, help="characteristic (prime)")
+    cmd.add_argument("--e", type=int, default=1, help="extension degree (default 1)")
+    cmd.add_argument("--field-poly", default=None,
+                     help="defining polynomial of F_q over F_p in x "
+                          "(only with --e > 1; default: least irreducible)")
+    if name == "invariants":
+        cmd.add_argument("--m", required=True, help="monic irreducible modulus in T")
+    if name in ("scan", "genus", "verify"):
+        cmd.add_argument("--d", type=int, required=True)
+    if name == "scan":
+        cmd.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+        cmd.add_argument("--out", default=None, help="output path (default stdout)")
+        cmd.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        cmd.add_argument("--mode", choices=("full", "witness"), default="full")
+        cmd.add_argument("--limit", type=int, default=None)
+    if name == "powersum":
+        cmd.add_argument("--i", type=int, required=True)
+    if name in ("bpoly", "powersum"):
+        cmd.add_argument("--n", type=int, required=True)
+        group = cmd.add_mutually_exclusive_group(required=True)
+        group.add_argument("--mod", default=None,
+                           help="reduce mod this modulus" if name == "bpoly" else None)
+        group.add_argument("--exact", action="store_true")
+    if name == "verify":
+        cmd.add_argument("--suites", default=",".join(invariants.SUITE_NAMES),
+                         help="comma-separated subset of: "
+                              + ",".join(invariants.SUITE_NAMES))
 
 
 def _make_ctx(args):
@@ -191,21 +182,24 @@ def _cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
-_DISPATCH = {
-    "invariants": _cmd_invariants,
-    "scan": _cmd_scan,
-    "bpoly": _cmd_bpoly,
-    "powersum": _cmd_powersum,
-    "genus": _cmd_genus,
-    "verify": _cmd_verify,
+# the commands in the order --help lists them: (handler, help line)
+_COMMANDS = {
+    "invariants": (_cmd_invariants, "full invariant report for one modulus"),
+    "scan": (_cmd_scan, "classify all irreducible moduli of a degree"),
+    "bpoly": (_cmd_bpoly, "generating polynomial of one exponent"),
+    "powersum": (_cmd_powersum, "power sum over monic polynomials of one degree"),
+    "genus": (_cmd_genus, "genus pair for all moduli of a degree"),
+    "verify": (_cmd_verify, "run the identity suites at (q, d)"),
 }
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    """Run the command argv[0] (argv: sys.argv[1:] when None); its exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        return _COMMANDS[args.command][0](args)
     except (DomainError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

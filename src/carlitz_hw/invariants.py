@@ -10,50 +10,47 @@ exceeds the combinatorial target floor(l(n)/(q-1)) (minus one in the zero
 class), the genus is the sum of the targets, and a strict drop at any n is a
 defect certifying non-ordinariness.
 
-All consumers read one degree engine, degree_stream, which yields
-(n, size, degree, target) once per orbit of n -> q*n mod (q^d - 1), n its
-least member, through one pass over it, defect_pass.  Its full pass reads
+The engine has two passes over the orbits of n -> q*n mod (q^d - 1),
+each in ascending n, its least member.  The full pass, defect_pass over
+degree_stream, which yields (n, size, degree, target) per orbit, reads
 lambda, lambda_plus, the least defects and the defective orbits, and
 checks the flags and g - lambda against the genus: scan's full mode reads
-it, and hasse_witt expands its defective orbits into their members.  Its
-early-exit pass reads only the least defects (scan's witness mode, and
-first_defects behind is_ordinary and is_ordinary_plus).  Multiplying n by
-q rotates its base-q digits, so the target and the zero class are
-constant on such an orbit; multiplying by p raises every coefficient to
-the p-th power and so preserves the u-degree, which the stream computes
-once per orbit of n -> p*n.  The orbits and their targets depend only on
-(q, d) and are read from the residue field's LogTable (LogTable.orbits),
-built once per table and so once per scan.
-The tests expand every orbit and compare it with _reduced_degree read at
-every exponent against digits.target_degree, and oracle.z_bar and the
-frobenius suite compute every degree without sharing, so they check the
-orbit reduction independently.
+it, and hasse_witt expands its defective orbits into their members.  The
+early-exit pass, first_defects, reads only the least defects (scan's
+witness mode, is_ordinary and is_ordinary_plus).  Multiplying n by q
+rotates its base-q digits, so the target and the zero class are constant
+on such an orbit; multiplying by p raises every coefficient to the p-th
+power, so each read is made once per orbit of n -> p*n, at its least
+member.  The orbits and their targets depend only on (q, d) and are read
+from the residue field's LogTable (LogTable.orbits), built once per table
+and so once per scan.  The tests expand every orbit and compare it with a
+top-down read at every exponent against digits.target_degree, and
+oracle.z_bar and the frobenius suite compute every degree without
+sharing, so they check the orbit reduction independently.
 
-A degree is read from the coefficients of B_n mod m from the target down,
-from the power sums of m at one of its roots (powersums.RootSums, on a
-discrete-log table of F_{q^d}): the degree is the first j whose u^j
-coefficient does not vanish, and 0 below that, as the u^0 coefficient is
-1.  Outside the zero class that coefficient is s_j(n).  In the zero class,
-where n is a trivial zero of the Carlitz-Goss zeta function and
-C_n(1) = 0, it is the partial sum 1 + s_1 + ... + s_j, which gathers
-(q^(j+1) - 1)/(q - 1) terms where s_(j+1), the coefficient that decides
-the same degree, would gather q^(j+1).  Both are a read over a range of
-degrees of the monic a.  The full pass reads every degree in one level
-walk (_level_degrees): the exponents wait at their targets, split by zero
-class, and from the highest level down each level and class is one
-RootSums.vanishing call, which gathers the logs of the monic a once and
-answers for every exponent there; one whose coefficient vanishes moves
-down a level.  The early-exit pass reads one exponent at a time as the
-stream reaches it, _reduced_degree's top-down loop of RootSums.vanishes
-reads, so that it reads nothing past its exit (a level walk over chunks
-of the stream was slower there).  Both ask each exponent the same reads.
-The engine reads one RootSums, which scan cuts from the field it builds.
-Only the public entry points, hasse_witt, is_ordinary and
-is_ordinary_plus, take a Modulus: they read it at its
+A degree is the largest j <= target whose u^j coefficient of B_n mod m
+does not vanish, and 0 when none does, as the u^0 coefficient is 1; it is
+read from the power sums of m at one of its roots (powersums.RootSums, on
+a discrete-log table of F_{q^d}).  Outside the zero class that coefficient
+is s_j(n).  In the zero class, where n is a trivial zero of the
+Carlitz-Goss zeta function and C_n(1) = 0, it is the partial sum
+1 + s_1 + ... + s_j, which gathers (q^(j+1) - 1)/(q - 1) terms where
+s_(j+1), the coefficient that decides the same degree, would gather
+q^(j+1).  Both are a read over a range of degrees of the monic a.  The
+full pass reads every degree in one level walk (_level_degrees): the
+exponents wait at their targets, split by zero class, and from the
+highest level down each level and class is one RootSums.vanishing call,
+which answers for every exponent there; one whose coefficient vanishes
+moves down a level.  The early-exit pass needs no degree: an orbit is
+defective exactly when its u^target coefficient vanishes, so it makes at
+most one RootSums.vanishes read per orbit, none at target 0, and reads
+nothing past its exit.  The engine reads one RootSums, which scan cuts
+from the field it builds.  Only the public entry points, hasse_witt,
+is_ordinary and is_ordinary_plus, take a Modulus: they read it at its
 root in the field of its (q, d) kept by the process (RootSums.of), which
 checks the budget (CARLITZ_HW_BUDGET) on every call.
-oracle._bbar_degree, which builds all of B_n mod m bottom-up through b_poly,
-is the oracle of both.
+oracle._bbar_degree, which builds all of B_n mod m bottom-up through
+b_poly, is the oracle of both passes.
 
 Over F_2 every modulus is ordinary and ordinary+ (README, "How degrees are
 computed").  There every n is zero-class with target w - 1,
@@ -117,27 +114,14 @@ class InvariantsReport(namedtuple("InvariantsReport", [
         return out
 
 
-def _reduced_degree(n: int, sums: RootSums, target: int, zero_class: bool) -> int:
-    """The u-degree of B_n mod m, read top-down from the power sums of m at
-    one of its roots: the largest j <= target whose u^j coefficient does not
-    vanish, and 0 when none does, as the u^0 coefficient is 1.  That
-    coefficient is s_j(n), and in the zero class, where n is a trivial zero
-    of the Carlitz-Goss zeta function and C_n(1) = 0, the partial sum
-    P_j = 1 + s_1 + ... + s_j.  An exponent at its target costs one read."""
-    for j in range(target, 0, -1):
-        if not sums.vanishes(range(0 if zero_class else j, j + 1), n):
-            return j
-    return 0
-
-
 def _level_degrees(sums: RootSums, orbits) -> dict[int, int]:
     """{r: degree} for the least member r of every orbit under n -> p*n,
     from its own (r, size, r, target) in orbits, read level by level from
     the highest target down with one sums.vanishing call per level and
     class: an r whose u^j coefficient does not vanish has degree j, one
     whose does moves down to level j - 1, and one that reaches level 0 has
-    degree 0.  So r is read at the same (degrees, r) pairs as by
-    _reduced_degree from its target."""
+    degree 0.  So r is read at the (degrees, r) pairs of a top-down walk
+    from its target."""
     q1 = sums.table.ctx.q - 1
     levels = [([], []) for _ in range(sums.table.d)]  # by target (< d), by zero class
     for n, _, r, tgt in orbits:
@@ -158,32 +142,20 @@ def _level_degrees(sums: RootSums, orbits) -> dict[int, int]:
     return degrees
 
 
-def degree_stream(sums: RootSums, keep=None):
+def degree_stream(sums: RootSums):
     """Yield (n, size, degree, target) once per orbit of n -> q*n mod
     (q^d - 1) but {0}, in ascending n, its least member, for the modulus
     whose power sums sums reads: the u-degree of the reduced generating
     polynomial and its digit-sum target, shared by the size members of the
-    orbit, both from sums.table.orbits.  An orbit for which keep(n) is
-    false, when keep is given, is skipped.
-
-    Each degree is computed at the first orbit visited in its Frobenius
-    orbit n -> p*n, its least member, and read back for the others there,
-    whose targets may differ when e > 1.  Without keep every degree is read
-    before the first yield, level by level (_level_degrees); with it, one
-    orbit at a time as the stream reaches it (_reduced_degree), so that an
-    early exit reads no further.
-    """
+    orbit, both from sums.table.orbits.  Every degree is read before the
+    first yield, level by level (_level_degrees), once per Frobenius orbit
+    n -> p*n at its least member, and read back for the orbits under q
+    there, whose targets may differ when e > 1."""
     table = sums.table
-    q1 = table.ctx.q - 1
     orbits = table.orbits[1:]
-    # degrees, by least member of the orbit under p
-    known = _level_degrees(sums, orbits) if keep is None else {}
+    known = _level_degrees(sums, orbits)  # by least member of the orbit under p
     for n, size, frob, tgt in orbits:
-        if keep is not None and not keep(n):
-            continue
-        deg = known.get(frob)
-        if deg is None:
-            deg = known[frob] = _reduced_degree(n, sums, tgt, n % q1 == 0)
+        deg = known[frob]
         if deg > tgt:
             raise InternalError(f"degree {deg} exceeds target {tgt} at n={n} "
                                 f"mod {format_coeffs(table.ctx, sums.codes)}")
@@ -213,26 +185,20 @@ def hasse_witt(m: Modulus) -> InvariantsReport:
         defects=defects, defects_plus=[f for f in defects if f.n % (q - 1) == 0])
 
 
-def defect_pass(sums: RootSums, genera=None) -> tuple:
+def defect_pass(sums: RootSums, genera: tuple[int, int]) -> tuple:
     """(first, first_plus, lambda, lambda_plus, defective) in one pass over
     the degree stream: the least defective exponent and the least defective
-    zero-class exponent, None where there is none, and the defective orbits
-    read, as (n, size, degree, target) in ascending n.  The least member of
-    the first defective orbit is the least defect, as the stream comes in
-    ascending least members.  Given genera = (g, g_plus), every orbit is
-    read, and InternalError is raised unless the flags agree with the lambda
-    sums and g - lambda is the total of target - degree over the defects.
-    Without, the pass exits early: after the first defect only zero-class
-    orbits are evaluated, and both lambdas are None."""
+    zero-class exponent, None where there is none, and the defective orbits,
+    as (n, size, degree, target) in ascending n.  The least member of the
+    first defective orbit is the least defect, as the stream comes in
+    ascending least members.  InternalError is raised unless the flags agree
+    with the lambda sums against genera = (g, g_plus) and g - lambda is the
+    total of target - degree over the defects."""
     q1 = sums.table.ctx.q - 1
     defective = []
     first = first_plus = None
     lam = lam_plus = 0
-
-    def keep(n):  # reads `first` as the stream asks about the next orbit
-        return first is None or n % q1 == 0
-
-    for n, size, deg, tgt in degree_stream(sums, keep if genera is None else None):
+    for n, size, deg, tgt in degree_stream(sums):
         zero_class = n % q1 == 0
         lam += size * deg
         if zero_class:
@@ -243,10 +209,6 @@ def defect_pass(sums: RootSums, genera=None) -> tuple:
                 first = n
             if zero_class and first_plus is None:
                 first_plus = n
-                if genera is None:
-                    break
-    if genera is None:
-        return first, first_plus, None, None, defective
     g, g_plus = genera
     if (first is None) != (lam == g) or (first_plus is None) != (lam_plus == g_plus):
         raise InternalError("ordinariness flags disagree with lambda sums")
@@ -257,8 +219,26 @@ def defect_pass(sums: RootSums, genera=None) -> tuple:
 
 def first_defects(sums: RootSums) -> tuple[int | None, int | None]:
     """The least defective exponent and the least defective zero-class
-    exponent, None where there is none, from the early-exit defect_pass."""
-    return defect_pass(sums)[:2]
+    exponent, None where there is none, from one read per class under p
+    and target at most, at its least member frob (s_j(p*n) = s_j(n)^p),
+    over the orbits at target >= 1 in ascending n: after the first defect
+    only zero-class orbits, up to the first defective one."""
+    q1 = sums.table.ctx.q - 1
+    first = None
+    flags = {}  # by (frob, target): targets differ within a class when e > 1
+    for n, _, frob, tgt in sums.table.orbits:
+        zero_class = n % q1 == 0
+        if tgt <= 0 or not (zero_class or first is None):
+            continue
+        vanishes = flags.get((frob, tgt))
+        if vanishes is None:
+            vanishes = flags[frob, tgt] = sums.vanishes(
+                range(0 if zero_class else tgt, tgt + 1), frob)
+        if vanishes:
+            if zero_class:
+                return n if first is None else first, n
+            first = n  # other orbits are visited only before the first defect
+    return first, None
 
 
 def is_ordinary(m: Modulus) -> tuple[bool, int | None]:

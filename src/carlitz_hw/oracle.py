@@ -58,7 +58,7 @@ def f_poly(n: int, ctx: FieldCtx) -> FqPoly:
 
 def _bbar_degree(n: int, m: Modulus) -> int:
     """The u-degree of B_n mod m, built bottom-up by b_poly: the oracle of
-    _reduced_degree."""
+    the degree engine's reads."""
     b = b_poly(n, m.ctx, m=m)
     if b.is_zero() or b.coeffs[0] != FqPoly.one(m.ctx):
         raise InternalError(

@@ -37,7 +37,7 @@ an image root maps back to its modulus by one lookup in LogTable.reps.
 The walk labels each modulus with its orbit (LogTable.first), from which
 scan classifies one modulus per orbit.  Only LogTable and RootSums know a modulus by the log k of one root;
 elsewhere, as in scan, a modulus is its coefficient codes.  RootSums, the
-one input of the degree engine (invariants.degree_stream), is one modulus,
+one input of the degree engine (invariants), is one modulus,
 its coefficient codes and its table: it reads s_i(n) mod m at one root
 theta = g^k as the sum of g^(log a(theta) * n mod (q^d - 1)) over the monic
 a of degree i, one index computation per a and no polynomial multiplication,
@@ -47,9 +47,12 @@ field by field.  The sum is taken over the monic a whose degree lies in a
 range (RootSums.packed_sum): one degree for s_i(n), and every degree up to j
 for the partial sum 1 + s_1(n) + ... + s_j(n), the u^j coefficient of B_n
 in the zero class, where the degree engine reads these sums and no s_i(n).
-A read asks about one exponent (RootSums.vanishes) or about a batch of
-them over one range (RootSums.vanishing, which lists the logs once); both
-test the packed sum by one zero test, RootSums.is_zero.
+A read asks about one exponent (RootSums.vanishes), as the early-exit pass
+of witness scans does once per class under p and target at most, or about
+a batch of them over one range (RootSums.vanishing), as the full pass does
+once per level and class.  Both read the logs of the range from one list,
+built the first time it is asked for (RootSums.range_logs), and test the
+packed sum by RootSums.is_zero.
 residue_field builds that table once per scan, and shared_field keeps it
 per process for scan's workers and RootSums.of.
 residue_cost bounds the memory of a degree stream from (q, d) alone, checked
@@ -419,17 +422,18 @@ class RootSums:
     packed sum: at p = 2 the XOR of the terms, the coordinate bits of the
     sum, which vanishes when it is 0, and at odd p their integer sum,
     reduced field by field mod p up to the first nonzero field (is_zero).
-    vanishes reads one exponent, and vanishing a batch over one range of
-    degrees, from one list of the logs.  A RootSums
+    vanishes reads one exponent, and vanishing a batch, over one range of
+    degrees, from its list of logs, kept (range_logs).  A RootSums
     is made from the coefficient codes of m, which table.roots maps to k;
     the field, d and N are the table's.
     """
 
-    __slots__ = ("table", "k", "codes", "_logs")
+    __slots__ = ("table", "k", "codes", "_logs", "_ranges")
 
     def __init__(self, table: LogTable, codes: tuple[int, ...]):
         self.table, self.k, self.codes = table, table.roots[codes], codes
         self._logs = [[0]]  # the monic a of degree 0 is 1, for any theta
+        self._ranges = {}
 
     @classmethod
     def of(cls, m: Modulus) -> "RootSums":
@@ -452,6 +456,14 @@ class RootSums:
                               for x in xs for lc in const])
         return logs[i]
 
+    def range_logs(self, degrees: range) -> list[int]:
+        """log a(theta) for the monic a whose degree lies in degrees, one
+        list per range, built the first time it is asked for."""
+        logs = self._ranges.get(degrees)
+        if logs is None:
+            logs = self._ranges[degrees] = [la for i in degrees for la in self.logs(i)]
+        return logs
+
     def packed_sum(self, degrees: range, n: int) -> int:
         """The sum of a(theta)^n over the monic a whose degree lies in
         degrees, packed: at p = 2 the XOR of the terms, its coordinate bits,
@@ -460,21 +472,19 @@ class RootSums:
         and range(j + 1) the partial sum 1 + s_1(n) + ... + s_j(n)."""
         table = self.table
         exp, order = table.exp, table.order
+        logs = self.range_logs(degrees)
         if table.p == 2:
             x = 0
-            for i in degrees:
-                for la in self.logs(i):
-                    x ^= exp[la * n % order]
+            for la in logs:
+                x ^= exp[la * n % order]
             return x
-        return sum([exp[la * n % order] for i in degrees for la in self.logs(i)])
+        return sum([exp[la * n % order] for la in logs])
 
     def vanishing(self, degrees: range, ns) -> list[bool]:
-        """[vanishes(degrees, n) for n in ns], from one list of the logs of
-        the monic a whose degree lies in degrees, gathered once for all of
-        ns."""
+        """[vanishes(degrees, n) for n in ns], in one gather."""
         table = self.table
         exp, order = table.exp, table.order
-        logs = [la for i in degrees for la in self.logs(i)]
+        logs = self.range_logs(degrees)
         if table.p == 2:
             sums = []
             for n in ns:

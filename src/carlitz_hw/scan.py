@@ -38,12 +38,13 @@ CSV writes lowercase booleans and empty cells for unknown values; only the
 three flag columns are converted, as csv.writer writes None as an empty
 cell and ints by str.  JSONL writes one object per line with the same key
 order and null for unknowns.  A copied row's m is formatted from its codes.
-Both modes read one pass over the degree stream (invariants.defect_pass),
-which lists defective orbits only, never their members.  Full mode reads
-every orbit for lambda, lambda_plus and first_defect_n, and checks the
-flags and g - lambda against the genus of the record, the check
-hasse_witt's report rests on too (InternalError, exit 2).  Witness mode
-exits early, and its lambda/supersingular fields stay unknown.
+Full mode reads one pass over the degree stream (invariants.defect_pass),
+which lists defective orbits only, never their members: every orbit for
+lambda, lambda_plus and first_defect_n, with the flags and g - lambda
+checked against the genus of the record, the check hasse_witt's report
+rests on too (InternalError, exit 2).  Witness mode reads the early-exit
+pass (invariants.first_defects), one read per orbit at most, and its
+lambda/supersingular fields stay unknown.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from time import perf_counter
 
 from .errors import DomainError, ResourceLimitError
 from .fieldcore import FieldCtx
-from .invariants import defect_pass, genus
+from .invariants import defect_pass, first_defects, genus
 from .polyring import field_order, format_coeffs
 from .powersums import LogTable, RootSums, residue_field, shared_field
 
@@ -86,8 +87,12 @@ def _scan_one(table: LogTable, task) -> ScanRecord:
     _, codes, mode = task
     start = perf_counter()
     g, g_plus = genus(table.ctx, table.d)
-    first, first_plus, lam, lam_plus, _ = defect_pass(
-        RootSums(table, codes), None if mode == MODE_WITNESS else (g, g_plus))
+    sums = RootSums(table, codes)
+    if mode == MODE_WITNESS:
+        first, first_plus = first_defects(sums)
+        lam = lam_plus = None
+    else:
+        first, first_plus, lam, lam_plus, _ = defect_pass(sums, (g, g_plus))
     return ScanRecord(
         m=format_coeffs(table.ctx, codes), d=table.d, g=g, g_plus=g_plus,
         lambda_=lam, lambda_plus=lam_plus,

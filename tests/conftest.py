@@ -1,6 +1,6 @@
 import pytest
 
-from carlitz_hw import Modulus, invariants, make_field, parse_poly
+from carlitz_hw import Modulus, make_field, parse_poly
 from carlitz_hw.digits import target_degree
 from carlitz_hw.powersums import RootSums
 
@@ -72,16 +72,31 @@ def m_headline(f3):
     return Modulus(parse_poly("T^3+2T+1", f3))
 
 
+def reduced_degree(n, sums, target, zero_class):
+    """The u-degree of B_n mod m, read top-down from the power sums of m at
+    one of its roots: the largest j <= target whose u^j coefficient does not
+    vanish, and 0 when none does, as the u^0 coefficient is 1.  That
+    coefficient is s_j(n), and in the zero class, where n is a trivial zero
+    of the Carlitz-Goss zeta function and C_n(1) = 0, the partial sum
+    P_j = 1 + s_1 + ... + s_j.  An exponent at its target costs one read.
+    The per-exponent oracle of the degree engine, whose reads it makes one
+    at a time; oracle._bbar_degree, which builds B_n mod m, is its own."""
+    for j in range(target, 0, -1):
+        if not sums.vanishes(range(0 if zero_class else j, j + 1), n):
+            return j
+    return 0
+
+
 def _naive_stream(m):
     """(n, degree, target) at every 1 <= n <= q^d - 2, each degree read by
-    invariants._reduced_degree from the target of its own exponent
+    reduced_degree from the target of its own exponent
     (digits.target_degree), with no orbit memo and no orbit table: the
-    oracle of invariants.degree_stream."""
+    oracle of invariants.degree_stream and invariants.first_defects."""
     sums, q1 = RootSums.of(m), m.ctx.q - 1
     out = []
     for n in range(1, m.group_order):
         tgt = target_degree(n, m.ctx)
-        out.append((n, invariants._reduced_degree(n, sums, tgt, n % q1 == 0), tgt))
+        out.append((n, reduced_degree(n, sums, tgt, n % q1 == 0), tgt))
     return out
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -27,9 +28,10 @@ from carlitz_hw import (
     run_verify_suite,
     scan,
 )
-from carlitz_hw.cli import run
+from carlitz_hw.cli import _Parser, run
 from carlitz_hw.errors import (
     CostCeilingError,
+    DomainError,
     InternalError,
     NotPrimeError,
     OverflowLimitError,
@@ -318,6 +320,93 @@ def test_verify_checks_every_suite_name_before_the_first_runs(capsys):
 def test_unknown_flag_is_error(capsys):
     code, _, err = _run(capsys, "scan", "--p", "3", "--d", "2", "--frobnicate")
     assert code == 1 and "unrecognized arguments" in err
+
+
+def _parser_with_every_command():
+    """The parser with the arguments of every command, the shared ones
+    copied in through parents=, as the CLI built it for every call before
+    a call built its own command's arguments only."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--p", type=int, required=True, help="characteristic (prime)")
+    shared.add_argument("--e", type=int, default=1, help="extension degree (default 1)")
+    shared.add_argument("--field-poly", default=None,
+                        help="defining polynomial of F_q over F_p in x "
+                             "(only with --e > 1; default: least irreducible)")
+    top = _Parser(prog="carlitz-hw",
+                  description="Hasse-Witt invariants and ordinariness of "
+                              "cyclotomic function fields over F_q(T)")
+    sub = top.add_subparsers(dest="command", required=True)
+    p_inv = sub.add_parser("invariants", parents=[shared],
+                           help="full invariant report for one modulus")
+    p_inv.add_argument("--m", required=True, help="monic irreducible modulus in T")
+    p_scan = sub.add_parser("scan", parents=[shared],
+                            help="classify all irreducible moduli of a degree")
+    p_scan.add_argument("--d", type=int, required=True)
+    p_scan.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p_scan.add_argument("--out", default=None, help="output path (default stdout)")
+    p_scan.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p_scan.add_argument("--mode", choices=("full", "witness"), default="full")
+    p_scan.add_argument("--limit", type=int, default=None)
+    p_bp = sub.add_parser("bpoly", parents=[shared],
+                          help="generating polynomial of one exponent")
+    p_bp.add_argument("--n", type=int, required=True)
+    group = p_bp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--mod", default=None, help="reduce mod this modulus")
+    group.add_argument("--exact", action="store_true")
+    p_ps = sub.add_parser("powersum", parents=[shared],
+                          help="power sum over monic polynomials of one degree")
+    p_ps.add_argument("--i", type=int, required=True)
+    p_ps.add_argument("--n", type=int, required=True)
+    group = p_ps.add_mutually_exclusive_group(required=True)
+    group.add_argument("--mod", default=None)
+    group.add_argument("--exact", action="store_true")
+    p_gen = sub.add_parser("genus", parents=[shared],
+                           help="genus pair for all moduli of a degree")
+    p_gen.add_argument("--d", type=int, required=True)
+    p_ver = sub.add_parser("verify", parents=[shared],
+                           help="run the identity suites at (q, d)")
+    p_ver.add_argument("--d", type=int, required=True)
+    p_ver.add_argument("--suites", default=",".join(SUITE_NAMES),
+                       help="comma-separated subset of: " + ",".join(SUITE_NAMES))
+    return top
+
+
+@pytest.mark.parametrize("command", [None, "invariants", "scan", "bpoly", "powersum",
+                                     "genus", "verify"])
+def test_help_is_that_of_the_parser_with_every_command(capsys, monkeypatch, command):
+    # a call builds the arguments of its own command only; --help prints
+    # the same bytes, at the top and for each command
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command is None else [command, "--help"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: carlitz-hw") and "--help" in out
+    with pytest.raises(SystemExit):
+        _parser_with_every_command().parse_args(argv)
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("argv", [[], ["foo"], ["Scan", "--p", "3", "--d", "2"],
+                                  ["--p", "3", "scan", "--d", "2"], ["--", "genus"], ["scan"],
+                                  ["scan", "--p", "3", "--d", "2", "--frobnicate"],
+                                  ["genus", "--p", "3", "--d", "2", "--m", "T"]])
+def test_usage_errors_are_those_of_the_parser_with_every_command(capsys, argv):
+    # an unknown command or option exits 1 through DomainError, with the
+    # message of the parser that has every command's arguments
+    with pytest.raises(DomainError) as exc:
+        _parser_with_every_command().parse_args(argv)
+    assert _run(capsys, *argv) == (1, "", f"error: {exc.value}\n")
+
+
+def test_run_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["carlitz-hw", "genus", "--p", "3", "--d", "3"])
+    assert run() == 0
+    assert capsys.readouterr().out == '{"p":3,"e":1,"q":3,"d":3,"g":19,"g_plus":6}\n'
+    monkeypatch.setattr(sys, "argv", ["carlitz-hw"])
+    assert run() == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: command\n"
 
 
 def test_missing_required_flag(capsys):

@@ -1,6 +1,7 @@
 import functools
 import json
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from carlitz_hw.polyring import (
     monic_enumerate,
 )
 from carlitz_hw.powersums import LogTable, RootSums, residue_cost, residue_field, s_mod
-from conftest import add_coordinates, coordinates, expand_orbits, spy_reads
+from conftest import add_coordinates, coordinates, expand_orbits, reduced_degree, spy_reads
 
 
 def test_genus_values(f3, f4):
@@ -168,22 +169,18 @@ def _orbit_of(n, p, order):
 
 
 def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline, f4):
-    # counted at the degree readers: the exponents whose degrees the level
-    # walk returns, in ascending n, and each exponent the early-exit pass
-    # reads one at a time
-    calls = []
-    real, real_walk = invariants._reduced_degree, invariants._level_degrees
-
-    def counted(n, *args):
-        calls.append(n)
-        return real(n, *args)
+    # full mode, counted at the level walk: the exponents whose degrees it
+    # returns, in ascending n; the early-exit pass, counted at the reader:
+    # one (degrees, frob) per class under p and target it visits, and none
+    # at target <= 0
+    calls, reads = [], []
+    real_walk = invariants._level_degrees
 
     def walked(*args):
         degrees = real_walk(*args)
         calls.extend(sorted(degrees))
         return degrees
 
-    monkeypatch.setattr(invariants, "_reduced_degree", counted)
     monkeypatch.setattr(invariants, "_level_degrees", walked)
     stream = list(degree_stream(RootSums.of(m_headline)))
     assert len(stream) == len(RootSums.of(m_headline).table.orbits) - 1
@@ -191,10 +188,12 @@ def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline, f4):
     orbits = {_orbit_of(n, 3, 26) for n in range(1, 26)}
     assert sorted(map(min, orbits)) == calls
 
-    calls.clear()
+    spy_reads(monkeypatch, lambda sums, degrees, n, _: reads.append((degrees, n)))
     assert first_defects(RootSums.of(m_headline)) == (13, None)
-    assert len({_orbit_of(n, 3, 26) for n in calls}) == len(calls)
-    assert calls == [1, 2, 4, 5, 7, 8, 13, 14]  # past 13, 17 is not zero-class
+    assert len({_orbit_of(n, 3, 26) for _, n in reads}) == len(reads)
+    # 1, 2 and 4 are at target 0, and past 13, 17 is not zero-class
+    assert reads == [(range(1, 2), 5), (range(1, 2), 7), (range(2), 8),
+                     (range(1, 2), 13), (range(2), 14)]
 
     # over F_4 the stream yields one item per orbit of n -> 4n mod 15 and
     # reads one degree per orbit of n -> 2n, the union of one or two of them
@@ -202,6 +201,77 @@ def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline, f4):
     calls.clear()
     assert [n for n, _, _, _ in degree_stream(RootSums.of(quadratic))] == [1, 2, 3, 5, 6, 7, 10, 11]
     assert calls == sorted(map(min, {_orbit_of(n, 2, 15) for n in range(1, 15)})) == [1, 3, 5, 7]
+    # 10 is read at 5, the least of its class under n -> 2n, where 5 itself
+    # is at target 0 and 10 at target 1; 10 is the universal defect n*
+    reads.clear()
+    assert first_defects(RootSums.of(quadratic)) == (10, None)
+    assert reads == [(range(1, 2), 7), (range(1, 2), 5)]
+
+
+def _early_exit_reads(table, first, first_plus):
+    """The orbits the early-exit pass visits at a modulus with these least
+    defects, those at target >= 1 up to first_plus, past first in the zero
+    class only, and its reads there: one (degrees, frob) per class under p
+    and target, in the order first visited."""
+    q1 = table.ctx.q - 1
+    visited, reads = [], []
+    for n, _, frob, tgt in table.orbits:
+        zero_class = n % q1 == 0
+        if (tgt < 1 or (first is not None and n > first and not zero_class)
+                or (first_plus is not None and n > first_plus)):
+            continue
+        visited.append(n)
+        read = (range(0 if zero_class else tgt, tgt + 1), frob)
+        if read not in reads:
+            reads.append(read)
+    return visited, reads
+
+
+@pytest.mark.parametrize("p,e,d,visits,total", [(2, 2, 6, 217, 186), (3, 2, 3, 36, 30)])
+def test_early_exit_reads_one_pair_per_class_and_target(monkeypatch, p, e, d, visits, total):
+    # at every orbit head scan classifies, the early-exit pass makes
+    # exactly the reads of its visits, with its exits taken from the full
+    # pass: at e > 1 an orbit under q shares the read of an orbit of its
+    # class under p at its target, so there are fewer reads than visits
+    table = residue_field(make_field(p, e), d)
+    reads = []
+    spy_reads(monkeypatch, lambda sums, degrees, n, _: reads.append((degrees, n)))
+    counts = [0, 0]
+    for i, codes in enumerate(table.roots):
+        if table.first[i] != i:
+            continue
+        sums = RootSums(table, codes)
+        first, first_plus = invariants.defect_pass(sums, genus(table.ctx, d))[:2]
+        reads.clear()
+        assert first_defects(sums) == (first, first_plus), codes
+        visited, want = _early_exit_reads(table, first, first_plus)
+        assert reads == want, codes
+        counts[0] += len(visited)
+        counts[1] += len(reads)
+    assert counts == [visits, total]
+
+
+def test_early_exit_flags_are_keyed_by_class_and_target():
+    # at e > 1 a class under p holds orbits under q at different targets
+    # (at (2, 2, 6) 138 classes hold two orbits at different targets),
+    # so a flag is shared by class and target, never by class alone.  The
+    # moduli of the fields above exit before any class is read at a second
+    # target, so a stub reads it here, whose flag depends on the range of
+    # degrees alone, over an orbit table (n, size, frob, target) at q = 4
+    # where the class of 1 holds targets 1 and 2, and so does the zero-class
+    # class of 3: only the reads at target 2 vanish
+    class Stub:
+        table = SimpleNamespace(ctx=SimpleNamespace(q=4), orbits=[
+            (0, 1, 0, -1), (1, 2, 1, 1), (2, 2, 1, 2), (3, 1, 3, 1), (4, 2, 1, 2),
+            (5, 1, 5, 0), (6, 1, 3, 2), (9, 1, 3, 2)])
+
+        def vanishes(self, degrees, n):
+            asked.append((degrees, n))
+            return degrees.stop == 3
+
+    asked = []
+    assert first_defects(Stub()) == (2, 6)
+    assert asked == [(range(1, 2), 1), (range(2, 3), 1), (range(2), 3), (range(3), 3)]
 
 
 class _SModOnly:
@@ -230,7 +300,7 @@ def _route_sources(m):
 def _degrees(n, m, sources):
     zero_class = n % (m.ctx.q - 1) == 0
     target = target_degree(n, m.ctx)
-    return [invariants._reduced_degree(n, sums, target, zero_class) for sums in sources]
+    return [reduced_degree(n, sums, target, zero_class) for sums in sources]
 
 
 _NINE_FIELDS = [(2, 1, 1), (3, 1, 1), (2, 1, 5), (3, 1, 3), (5, 1, 2),
@@ -246,7 +316,7 @@ def test_level_walk_matches_the_naive_stream(monkeypatch, naive_stream, p, e, d,
     # full mode reads every degree level by level: its stream, its report
     # and its least defects against the per-exponent naive stream, bit for
     # bit, and its reads, exponent by exponent, against the top-down reads
-    # of _reduced_degree at the least member of each orbit under p
+    # of reduced_degree at the least member of each orbit under p
     ctx = make_field(p, e)
     table = residue_field(ctx, d)
     reads = []
@@ -263,7 +333,7 @@ def test_level_walk_matches_the_naive_stream(monkeypatch, naive_stream, p, e, d,
         reads.clear()
         for n, _, r, tgt in table.orbits[1:]:
             if n == r:
-                invariants._reduced_degree(n, sums, tgt, n % (ctx.q - 1) == 0)
+                reduced_degree(n, sums, tgt, n % (ctx.q - 1) == 0)
         assert walked == sorted(reads), codes
         assert expand_orbits(m, degree_stream(sums)) == naive, codes
         assert (first, first_plus) == _firsts(*defects) == first_defects(sums), codes
@@ -395,7 +465,7 @@ def test_zero_class_reads_below_a_vanishing_sum_match_the_oracle(p, d, fell, two
         sums, m = RootSums(table, codes), Modulus(FqPoly(table.ctx, codes))
         for n, _, _, tgt in table.orbits[1:]:
             if n % (p - 1) == 0 and sums.vanishes(range(tgt + 1), n):
-                deg = invariants._reduced_degree(n, sums, tgt, True)
+                deg = reduced_degree(n, sums, tgt, True)
                 assert deg == oracle._bbar_degree(n, m), (codes, n)
                 drops.append(tgt - deg)
     assert (len(drops), drops.count(2)) == (fell, two_levels)
@@ -411,10 +481,10 @@ def test_a_reader_whose_every_read_vanishes_gives_degree_0():
             return True
 
     asked = []
-    assert invariants._reduced_degree(6, Vanishing(), 2, True) == 0
+    assert reduced_degree(6, Vanishing(), 2, True) == 0
     assert asked == [range(3), range(2)]
     asked.clear()
-    assert invariants._reduced_degree(5, Vanishing(), 2, False) == 0
+    assert reduced_degree(5, Vanishing(), 2, False) == 0
     assert asked == [range(2, 3), range(1, 2)]
 
 
