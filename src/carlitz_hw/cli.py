@@ -1,7 +1,9 @@
 """Command-line surface.
 
-Subcommands: invariants, scan, bpoly, powersum, genus, verify.  Machine
-payload goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
+Subcommands: invariants, scan, bpoly, powersum, genus, verify; argv[0]
+names one, parsed by its own parser alone (the parser of every command is
+built for top-level --help and usage errors only).  Machine payload goes
+to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 domain errors (bad input, reducible modulus, failed verify), 2 internal
 invariant violations, 3 resource limits (cost ceilings, including a verify
 suite whose whole-run estimate is over budget, refused before it starts;
@@ -38,17 +40,15 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _build_parser(command=None) -> _Parser:
-    # a call parses one command; the others need only their names and help
-    # lines, for --help and the invalid-choice error
+def _build_parser() -> _Parser:
+    # only when argv[0] names no command (top-level --help, usage errors):
+    # run gives a named one the parser that add_parser builds for it here
     top = _Parser(prog="carlitz-hw",
                   description="Hasse-Witt invariants and ordinariness of "
                               "cyclotomic function fields over F_q(T)")
     sub = top.add_subparsers(dest="command", required=True)
     for name, (_, text) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=text)
-        if name == command:
-            _add_arguments(cmd, name)
+        _add_arguments(sub.add_parser(name, help=text), name)
     return top
 
 
@@ -198,7 +198,11 @@ def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            parser = _Parser(prog=f"carlitz-hw {argv[0]}")
+            _add_arguments(parser, argv[0])
+            return _COMMANDS[argv[0]][0](parser.parse_args(argv[1:]))
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command][0](args)
     except (DomainError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,12 +43,13 @@ highest level down each level and class is one RootSums.vanishing call,
 which answers for every exponent there; one whose coefficient vanishes
 moves down a level.  The early-exit pass needs no degree: an orbit is
 defective exactly when its u^target coefficient vanishes, so it makes at
-most one RootSums.vanishes read per orbit, none at target 0, and reads
-nothing past its exit.  The engine reads one RootSums, which scan cuts
-from the field it builds.  Only the public entry points, hasse_witt,
-is_ordinary and is_ordinary_plus, take a Modulus: they read it at its
-root in the field of its (q, d) kept by the process (RootSums.of), which
-checks the budget (CARLITZ_HW_BUDGET) on every call.
+most one RootSums.vanishes read per orbit, none at target 0 or in a class
+under p whose least member is at target 0 (so the class is at degree 0),
+and reads nothing past its exit.  The engine reads one RootSums, which
+scan cuts from the field it builds.  Only the public entry points,
+hasse_witt, is_ordinary and is_ordinary_plus, take a Modulus: they read
+it at its root in the field of its (q, d) kept by the process
+(RootSums.of), which checks the budget (CARLITZ_HW_BUDGET) on every call.
 oracle._bbar_degree, which builds all of B_n mod m bottom-up through
 b_poly, is the oracle of both passes.
 
@@ -220,19 +221,22 @@ def defect_pass(sums: RootSums, genera: tuple[int, int]) -> tuple:
 def first_defects(sums: RootSums) -> tuple[int | None, int | None]:
     """The least defective exponent and the least defective zero-class
     exponent, None where there is none, from one read per class under p
-    and target at most, at its least member frob (s_j(p*n) = s_j(n)^p),
-    over the orbits at target >= 1 in ascending n: after the first defect
-    only zero-class orbits, up to the first defective one."""
+    and target at most, at its least member frob (s_j(p*n) = s_j(n)^p), none
+    if frob is at target 0, over the orbits at target >= 1 in ascending n:
+    after the first defect only zero-class ones, up to the first defective."""
     q1 = sums.table.ctx.q - 1
     first = None
     flags = {}  # by (frob, target): targets differ within a class when e > 1
+    flat = set()  # orbits at target 0: a class led by one is at degree 0
     for n, _, frob, tgt in sums.table.orbits:
         zero_class = n % q1 == 0
         if tgt <= 0 or not (zero_class or first is None):
+            if tgt == 0:
+                flat.add(n)
             continue
         vanishes = flags.get((frob, tgt))
         if vanishes is None:
-            vanishes = flags[frob, tgt] = sums.vanishes(
+            vanishes = flags[frob, tgt] = frob in flat or sums.vanishes(
                 range(0 if zero_class else tgt, tgt + 1), frob)
         if vanishes:
             if zero_class:

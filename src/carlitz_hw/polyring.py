@@ -44,7 +44,7 @@ from .errors import (
     PolyParseError,
     ReducibleModulusError,
 )
-from .fieldcore import DEFAULT_LIMIT, FieldCtx, checked_power, power
+from .fieldcore import _BUILT_BITS, DEFAULT_LIMIT, FieldCtx, checked_power, power
 
 NEG_INF = float("-inf")
 
@@ -242,6 +242,8 @@ def parse_poly(text: str, ctx: FieldCtx) -> FqPoly:
         else:
             k = _exponent(m.group("exp")) if m.group("exp") is not None else 1
         coeffs[k] = ctx.add(coeffs.get(k, 0), c)
+    if max(coeffs) * ctx.q.bit_length() > _BUILT_BITS:  # refused before the list is built
+        checked_power("q^d - 1", ctx.q, max(coeffs), minus_one=True)  # as Modulus would
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import re
+import resource
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -28,6 +29,7 @@ from carlitz_hw import (
     run_verify_suite,
     scan,
 )
+from carlitz_hw import cli
 from carlitz_hw.cli import _Parser, run
 from carlitz_hw.errors import (
     CostCeilingError,
@@ -409,6 +411,67 @@ def test_run_reads_sys_argv_when_given_none(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: the following arguments are required: command\n"
 
 
+_VALID_ARGV = [
+    ["invariants", "--p=3", "--m", "T^3+2T+1"],
+    ["scan", "--p", "3", "--d", "2", "--wor", "1", "--lim", "2"],
+    ["scan", "--p", "2", "--p", "3", "--d", "2", "--mode=witness", "--format", "jsonl"],
+    ["scan", "--p", "3", "--e", "2", "--field-poly", "x^2+1", "--d", "2", "--out", "rows.csv"],
+    ["bpoly", "--p", "3", "--n", "8", "--exact"],
+    ["bpoly", "--p=3", "--n", "8", "--mod", "T^3+2T+1"],
+    ["powersum", "--p", "3", "--i", "1", "--n", "5", "--mod", "T^3+2T+1"],
+    ["powersum", "--p", "3", "--i", "2", "--n", "5", "--ex"],
+    ["genus", "--p", "3", "--d", "3"],
+    ["verify", "--p", "2", "--d", "3"],
+    ["verify", "--p", "2", "--d", "2", "--suites", "digits"],
+]
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGV, ids=[" ".join(a) for a in _VALID_ARGV])
+def test_a_named_command_parses_as_with_every_command(monkeypatch, argv):
+    # run parses a named command with its own parser alone, into the
+    # namespace of the parser with every command but its command key
+    got = []
+    text = cli._COMMANDS[argv[0]][1]
+    monkeypatch.setitem(cli._COMMANDS, argv[0], (got.append, text))
+    run(argv)
+    want = vars(_parser_with_every_command().parse_args(argv))
+    assert want.pop("command") == argv[0]
+    assert [vars(args) for args in got] == [want]
+
+
+def _parsers_built(monkeypatch, argv):
+    """The prog of each _Parser that run(argv) constructs, in order."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Parser, "__init__", counted)
+    with contextlib.suppress(SystemExit):
+        run(argv)
+    return built
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--p", "3", "--m", "T^3+2T+1"], ["scan", "--p", "3", "--d", "2", "--workers", "1"],
+    ["bpoly", "--p", "3", "--n", "8", "--exact"], ["powersum", "--p", "3", "--i", "1", "--n", "5", "--exact"],
+    ["genus", "--p", "3", "--d", "3"], ["verify", "--p", "2", "--d", "2", "--suites", "digits"]],
+    ids=lambda argv: argv[0])
+def test_a_valid_call_builds_one_parser(capsys, monkeypatch, argv):
+    assert _parsers_built(monkeypatch, argv) == [f"carlitz-hw {argv[0]}"]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["foo"], ["--", "genus"]])
+def test_top_level_help_and_usage_errors_build_every_parser(capsys, monkeypatch, argv):
+    # the top-level parser and one per command
+    assert _parsers_built(monkeypatch, argv) == ["carlitz-hw"] + [
+        f"carlitz-hw {name}" for name in cli._COMMANDS]
+    assert capsys.readouterr().out.startswith("usage: carlitz-hw") == (argv == ["--help"])
+
+
 def test_missing_required_flag(capsys):
     code, _, err = _run(capsys, "invariants", "--m", "T")
     assert code == 1 and "--p" in err
@@ -510,18 +573,24 @@ _OVERSIZED_EXPONENTS = [
      "exponent = 99999999999999999999"),
     (("invariants", "--p", "3", "--m", "T^" + "9" * 5000), "exponent = <5000-digit integer>"),
     (("invariants", "--p", "3", "--m", "T^9999999+1"), "q^d - 1 = 3^9999999 - 1"),
+    (("invariants", "--p", "3", "--m", "T^9999999999+1"), "q^d - 1 = 3^9999999999 - 1"),
 ]
+
+
+def _one_gib_of_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
 @pytest.mark.parametrize("argv,named", _OVERSIZED_EXPONENTS,
                          ids=["genus-d", "scan-d", "verify-d", "genus-e", "m-20-digits",
-                              "m-5000-digits", "m-3^9999999"])
+                              "m-5000-digits", "m-3^9999999", "m-3^9999999999"])
 def test_an_oversized_exponent_is_refused_before_its_power_is_built(argv, named):
     # q^d, p^e and q^d - 1 past 2^20 bits are named by base and exponent,
-    # unbuilt, and a modulus's exponent is checked before its coefficient
-    # list is built; in a subprocess, so a power that is built times out
-    done = subprocess.run(_main_argv(*argv), capture_output=True, text=True,
-                          timeout=10, check=False)
+    # unbuilt, and a polynomial's degree is checked before its coefficient
+    # list is built; in a subprocess of 1 GiB of address space, so a power
+    # that is built times out and a list of 10^10 entries fails at once
+    done = subprocess.run(_main_argv(*argv), capture_output=True, text=True, timeout=10,
+                          check=False, preexec_fn=_one_gib_of_address_space)
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr.startswith(f"resource limit: {named} exceeds the configured limit ")
     assert done.stderr.count("\n") == 1 and len(done.stderr.encode()) < 200
