@@ -11,13 +11,13 @@ class), the genus is the sum of the targets, and a strict drop at any n is a
 defect certifying non-ordinariness.
 
 The engine has two passes over the orbits of n -> q*n mod (q^d - 1),
-each in ascending n, its least member.  The full pass, defect_pass over
-degree_stream, which yields (n, size, degree, target) per orbit, reads
-lambda, lambda_plus, the least defects and the defective orbits, and
-checks the flags and g - lambda against the genus: scan's full mode reads
-it, and hasse_witt expands its defective orbits into their members.  The
-early-exit pass, first_defects, reads only the least defects (scan's
-witness mode, is_ordinary and is_ordinary_plus).  Multiplying n by q
+each in ascending n, its least member.  The full pass, defect_pass, reads
+the degree and target of every orbit and from them lambda, lambda_plus,
+the least defects and the defective orbits, and checks each degree
+against its target and the flags and g - lambda against the genus: scan's
+full mode reads it, and hasse_witt expands its defective orbits into their
+members.  The early-exit pass, first_defects, reads only the least defects
+(scan's witness mode, is_ordinary and is_ordinary_plus).  Multiplying n by q
 rotates its base-q digits, so the target and the zero class are constant
 on such an orbit; multiplying by p raises every coefficient to the p-th
 power, so each read is made once per orbit of n -> p*n, at its least
@@ -143,26 +143,6 @@ def _level_degrees(sums: RootSums, orbits) -> dict[int, int]:
     return degrees
 
 
-def degree_stream(sums: RootSums):
-    """Yield (n, size, degree, target) once per orbit of n -> q*n mod
-    (q^d - 1) but {0}, in ascending n, its least member, for the modulus
-    whose power sums sums reads: the u-degree of the reduced generating
-    polynomial and its digit-sum target, shared by the size members of the
-    orbit, both from sums.table.orbits.  Every degree is read before the
-    first yield, level by level (_level_degrees), once per Frobenius orbit
-    n -> p*n at its least member, and read back for the orbits under q
-    there, whose targets may differ when e > 1."""
-    table = sums.table
-    orbits = table.orbits[1:]
-    known = _level_degrees(sums, orbits)  # by least member of the orbit under p
-    for n, size, frob, tgt in orbits:
-        deg = known[frob]
-        if deg > tgt:
-            raise InternalError(f"degree {deg} exceeds target {tgt} at n={n} "
-                                f"mod {format_coeffs(table.ctx, sums.codes)}")
-        yield n, size, deg, tgt
-
-
 def hasse_witt(m: Modulus) -> InvariantsReport:
     """Full invariant report for one modulus, read at its root by
     RootSums.of (which checks the budget first) in the checked full
@@ -188,18 +168,29 @@ def hasse_witt(m: Modulus) -> InvariantsReport:
 
 def defect_pass(sums: RootSums, genera: tuple[int, int]) -> tuple:
     """(first, first_plus, lambda, lambda_plus, defective) in one pass over
-    the degree stream: the least defective exponent and the least defective
-    zero-class exponent, None where there is none, and the defective orbits,
-    as (n, size, degree, target) in ascending n.  The least member of the
-    first defective orbit is the least defect, as the stream comes in
-    ascending least members.  InternalError is raised unless the flags agree
-    with the lambda sums against genera = (g, g_plus) and g - lambda is the
-    total of target - degree over the defects."""
-    q1 = sums.table.ctx.q - 1
+    the orbits of n -> q*n mod (q^d - 1) but {0} in sums.table.orbits, in
+    ascending n, its least member: the least defective exponent and the
+    least defective zero-class exponent, None where there is none, and the
+    defective orbits, as (n, size, degree, target) in ascending n.  Every
+    degree is read before the loop, level by level (_level_degrees), once
+    per Frobenius orbit n -> p*n at its least member frob, and read back
+    for the orbits under q there, whose targets may differ when e > 1.
+    The least member of the first defective orbit is the least defect.
+    InternalError is raised where a degree exceeds its target, where the
+    flags disagree with the lambda sums against genera = (g, g_plus), and
+    where g - lambda is not the total of target - degree over the defects."""
+    table = sums.table
+    q1 = table.ctx.q - 1
+    orbits = table.orbits[1:]
+    known = _level_degrees(sums, orbits)  # by least member of the orbit under p
     defective = []
     first = first_plus = None
     lam = lam_plus = 0
-    for n, size, deg, tgt in degree_stream(sums):
+    for n, size, frob, tgt in orbits:
+        deg = known[frob]
+        if deg > tgt:
+            raise InternalError(f"degree {deg} exceeds target {tgt} at n={n} "
+                                f"mod {format_coeffs(table.ctx, sums.codes)}")
         zero_class = n % q1 == 0
         lam += size * deg
         if zero_class:

@@ -482,6 +482,7 @@ class RootSums:
 
     def vanishing(self, degrees: range, ns) -> list[bool]:
         """[vanishes(degrees, n) for n in ns], in one gather."""
+        # its own loop: a packed_sum per n made the full pass 2 % slower
         table = self.table
         exp, order = table.exp, table.order
         logs = self.range_logs(degrees)

@@ -38,8 +38,8 @@ CSV writes lowercase booleans and empty cells for unknown values; only the
 three flag columns are converted, as csv.writer writes None as an empty
 cell and ints by str.  JSONL writes one object per line with the same key
 order and null for unknowns.  A copied row's m is formatted from its codes.
-Full mode reads one pass over the degree stream (invariants.defect_pass),
-which lists defective orbits only, never their members: every orbit for
+Full mode reads one pass over the orbits (invariants.defect_pass), which
+lists defective orbits only, never their members: every orbit for
 lambda, lambda_plus and first_defect_n, with the flags and g - lambda
 checked against the genus of the record, the check hasse_witt's report
 rests on too (InternalError, exit 2).  Witness mode reads the early-exit

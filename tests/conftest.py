@@ -2,6 +2,7 @@ import pytest
 
 from carlitz_hw import Modulus, make_field, parse_poly
 from carlitz_hw.digits import target_degree
+from carlitz_hw.invariants import defect_pass, genus
 from carlitz_hw.powersums import RootSums
 
 
@@ -91,7 +92,7 @@ def _naive_stream(m):
     """(n, degree, target) at every 1 <= n <= q^d - 2, each degree read by
     reduced_degree from the target of its own exponent
     (digits.target_degree), with no orbit memo and no orbit table: the
-    oracle of invariants.degree_stream and invariants.first_defects."""
+    oracle of invariants.defect_pass and invariants.first_defects."""
     sums, q1 = RootSums.of(m), m.ctx.q - 1
     out = []
     for n in range(1, m.group_order):
@@ -105,10 +106,21 @@ def naive_stream():
     return _naive_stream
 
 
+def full_pass_stream(sums):
+    """(n, size, degree, target) for every orbit of n -> q*n but {0} in
+    sums.table.orbits, in ascending n, as the full pass
+    (invariants.defect_pass) finds them: a defective orbit at the degree
+    defect_pass lists it with, every other one at its target."""
+    table = sums.table
+    defective = defect_pass(sums, genus(table.ctx, table.d))[4]
+    degrees = {n: deg for n, _, deg, _ in defective}
+    return [(n, size, degrees.get(n, tgt), tgt) for n, size, _, tgt in table.orbits[1:]]
+
+
 def expand_orbits(m, stream):
     """The (n, degree, target) of every member of each orbit
-    (n, size, degree, target) of invariants.degree_stream, in ascending n,
-    for comparison with naive_stream.  Each orbit's members are
+    (n, size, degree, target) of full_pass_stream, in ascending n, for
+    comparison with naive_stream.  Each orbit's members are
     {n*q^j mod N}; their count must be size and n the least of them."""
     q, order = m.ctx.q, m.group_order
     out = []

@@ -28,9 +28,8 @@ from carlitz_hw import (
 from carlitz_hw.bpoly import divide_by_one_minus_u
 from carlitz_hw.digits import ell, gekeler_degree_bound
 from carlitz_hw.errors import ClosedFormWindowError
-from carlitz_hw.invariants import degree_stream
 from carlitz_hw.powersums import RootSums
-from conftest import expand_orbits
+from conftest import expand_orbits, full_pass_stream
 
 
 def _report(label):
@@ -164,7 +163,7 @@ def test_criterion_7_structural_cross_checks(f3, f4, f2, m_headline, naive_strea
     for ctx, d in configs:
         for m in irreducible_enumerate(ctx, d):
             rep = hasse_witt(m)
-            assert expand_orbits(m, degree_stream(RootSums.of(m))) == naive_stream(m), rep.m
+            assert expand_orbits(m, full_pass_stream(RootSums.of(m))) == naive_stream(m), rep.m
             assert 0 <= rep.lambda_plus <= rep.lambda_ <= rep.g
             assert rep.lambda_plus <= rep.g_plus
             zf, zp = z_bar(m)

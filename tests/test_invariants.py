@@ -28,7 +28,7 @@ from carlitz_hw.errors import (
     OverflowLimitError,
 )
 from carlitz_hw import invariants, oracle, powersums
-from carlitz_hw.invariants import SUITE_NAMES, Defect, degree_stream, first_defects
+from carlitz_hw.invariants import SUITE_NAMES, Defect, first_defects
 from carlitz_hw.polyring import (
     FqPoly,
     format_poly,
@@ -37,7 +37,14 @@ from carlitz_hw.polyring import (
     monic_enumerate,
 )
 from carlitz_hw.powersums import LogTable, RootSums, residue_cost, residue_field, s_mod
-from conftest import add_coordinates, coordinates, expand_orbits, reduced_degree, spy_reads
+from conftest import (
+    add_coordinates,
+    coordinates,
+    expand_orbits,
+    full_pass_stream,
+    reduced_degree,
+    spy_reads,
+)
 
 
 def test_genus_values(f3, f4):
@@ -138,7 +145,7 @@ def test_orbit_and_naive_reports_are_identical(naive_stream, p, e, d):
     ctx = make_field(p, e)
     for m in irreducible_enumerate(ctx, d):
         naive = naive_stream(m)
-        assert expand_orbits(m, degree_stream(RootSums.of(m))) == naive
+        assert expand_orbits(m, full_pass_stream(RootSums.of(m))) == naive
         rep = hasse_witt(m)
         assert rep.lambda_ == sum(deg for _, deg, _ in naive)
         assert rep.lambda_plus == sum(deg for n, deg, _ in naive if n % (ctx.q - 1) == 0)
@@ -168,7 +175,7 @@ def _orbit_of(n, p, order):
     return frozenset(orbit)
 
 
-def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline, f4):
+def test_full_pass_one_evaluation_per_orbit(monkeypatch, m_headline, f4):
     # full mode, counted at the level walk: the exponents whose degrees it
     # returns, in ascending n; the early-exit pass, counted at the reader:
     # one (degrees, frob) per class under p and target it visits, and none
@@ -182,7 +189,7 @@ def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline, f4):
         return degrees
 
     monkeypatch.setattr(invariants, "_level_degrees", walked)
-    stream = list(degree_stream(RootSums.of(m_headline)))
+    stream = full_pass_stream(RootSums.of(m_headline))
     assert len(stream) == len(RootSums.of(m_headline).table.orbits) - 1
     assert [n for n, _, _ in expand_orbits(m_headline, stream)] == list(range(1, 26))
     orbits = {_orbit_of(n, 3, 26) for n in range(1, 26)}
@@ -195,11 +202,11 @@ def test_degree_stream_one_evaluation_per_orbit(monkeypatch, m_headline, f4):
     assert reads == [(range(1, 2), 5), (range(1, 2), 7), (range(2), 8),
                      (range(1, 2), 13), (range(2), 14)]
 
-    # over F_4 the stream yields one item per orbit of n -> 4n mod 15 and
+    # over F_4 the full pass has one item per orbit of n -> 4n mod 15 and
     # reads one degree per orbit of n -> 2n, the union of one or two of them
     quadratic = irreducible_enumerate(f4, 2)[0]
     calls.clear()
-    assert [n for n, _, _, _ in degree_stream(RootSums.of(quadratic))] == [1, 2, 3, 5, 6, 7, 10, 11]
+    assert [n for n, _, _, _ in full_pass_stream(RootSums.of(quadratic))] == [1, 2, 3, 5, 6, 7, 10, 11]
     assert calls == sorted(map(min, {_orbit_of(n, 2, 15) for n in range(1, 15)})) == [1, 3, 5, 7]
     # 10, at target 1, is a defect with no read: 5, the least of its class
     # under n -> 2n, is at target 0, so the class is at degree 0; 10 is the
@@ -339,7 +346,7 @@ def test_level_walk_matches_the_naive_stream(monkeypatch, naive_stream, p, e, d,
             if n == r:
                 reduced_degree(n, sums, tgt, n % (ctx.q - 1) == 0)
         assert walked == sorted(reads), codes
-        assert expand_orbits(m, degree_stream(sums)) == naive, codes
+        assert expand_orbits(m, full_pass_stream(sums)) == naive, codes
         assert (first, first_plus) == _firsts(*defects) == first_defects(sums), codes
         assert (lam, lam_plus) == (sum(deg for _, deg, _ in naive),
                                    sum(deg for n, deg, _ in naive if n % (ctx.q - 1) == 0))
@@ -348,9 +355,25 @@ def test_level_walk_matches_the_naive_stream(monkeypatch, naive_stream, p, e, d,
             lam, lam_plus, *defects), codes
 
 
+@pytest.mark.parametrize("p,e,d,message", [
+    (2, 2, 4, "degree 2 exceeds target 1 at n=86 mod T^4+T^2+[0,1]*T+[1,0]"),
+    (3, 2, 3, "degree 1 exceeds target 0 at n=102 mod T^3+T+[0,1]")], ids=["2-2-4", "3-2-3"])
+def test_full_pass_checks_each_degree_against_its_target(monkeypatch, p, e, d, message):
+    # a reader that finds no vanishing coefficient leaves every class under
+    # p at the target of its least member; when e > 1 that can sit above
+    # the target of another orbit under q in the class, which the full pass
+    # refuses (at e = 1 every class is one orbit under q, so it cannot)
+    monkeypatch.setattr(RootSums, "vanishing", lambda self, degrees, ns: [False] * len(ns))
+    ctx = make_field(p, e)
+    table = residue_field(ctx, d)
+    sums = RootSums(table, next(iter(table.roots)))
+    with pytest.raises(InternalError, match=re.escape(message)):
+        invariants.defect_pass(sums, genus(ctx, d))
+
+
 @pytest.mark.parametrize("p,e,d", _NINE_FIELDS)
 def test_targets_and_zero_class_are_constant_on_exponent_orbits(p, e, d):
-    # what degree_stream rests on: the target is constant on every orbit of
+    # what the full pass rests on: the target is constant on every orbit of
     # n -> q*n, and the zero class on every orbit of n -> p*n
     ctx = make_field(p, e)
     q, order = ctx.q, ctx.q**d - 1
@@ -570,7 +593,7 @@ def test_log_table_is_built_once_the_products_reach_its_size(monkeypatch, naive_
                                                              f3, f4):
     built = _count_tables(monkeypatch)
     moduli = irreducible_enumerate(f3, 3)
-    streams = [expand_orbits(m, degree_stream(RootSums.of(m))) for m in moduli]
+    streams = [expand_orbits(m, full_pass_stream(RootSums.of(m))) for m in moduli]
     # one table for the eight single-modulus streams, on the least primitive m0
     m0 = least_primitive(f3, 3)
     assert built == [m0]
@@ -602,7 +625,7 @@ def test_log_table_certifies_its_generator():
             LogTable(ctx, parse_poly(poly, ctx).coeffs)
 
 
-def test_degree_stream_cost_ceiling(monkeypatch, m_headline):
+def test_residue_cost_ceiling(monkeypatch, m_headline):
     built = _count_tables(monkeypatch)
     cost = residue_cost(m_headline.ctx, m_headline.d)
     assert cost == 26 * (3 + 1)
@@ -619,7 +642,7 @@ def test_degree_stream_cost_ceiling(monkeypatch, m_headline):
     assert at_cost == hasse_witt(m_headline)
 
 
-def test_degree_stream_cost_ceiling_on_a_warm_field(monkeypatch, m_headline):
+def test_residue_cost_ceiling_on_a_warm_field(monkeypatch, m_headline):
     # the field of (3, 3) is kept by the process, and the budget is still
     # checked on every call, before the cache is read
     built = _count_tables(monkeypatch)
@@ -684,7 +707,7 @@ def test_structural_bounds_at_larger_extensions(naive_stream, p, e):
     ctx = make_field(p, e)
     for m in irreducible_enumerate(ctx, 2)[:2]:
         rep = hasse_witt(m)
-        assert expand_orbits(m, degree_stream(RootSums.of(m))) == naive_stream(m)
+        assert expand_orbits(m, full_pass_stream(RootSums.of(m))) == naive_stream(m)
         assert 0 <= rep.lambda_plus <= rep.lambda_ <= rep.g
         assert not rep.ordinary  # no extension field is ordinary at d = 2
         zf, zp = z_bar(m)
