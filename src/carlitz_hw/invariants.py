@@ -20,13 +20,14 @@ members.  The early-exit pass, first_defects, reads only the least defects
 (scan's witness mode, is_ordinary and is_ordinary_plus).  Multiplying n by q
 rotates its base-q digits, so the target and the zero class are constant
 on such an orbit; multiplying by p raises every coefficient to the p-th
-power, so each read is made once per orbit of n -> p*n, at its least
-member.  The orbits and their targets depend only on (q, d) and are read
-from the residue field's LogTable (LogTable.orbits), built once per table
-and so once per scan.  The tests expand every orbit and compare it with a
-top-down read at every exponent against digits.target_degree, and
-oracle.z_bar and the frobenius suite compute every degree without
-sharing, so they check the orbit reduction independently.
+power, so the degree is constant on a class under n -> p*n and at most
+its cap, the least target of its orbits under q: each class is read once,
+at its least member, from its cap down.  The orbits, targets and caps
+depend only on (q, d) and are read from the residue field's LogTable,
+built once per table and so once per scan.  The tests expand every orbit
+and compare it with a top-down read of every exponent against
+digits.target_degree, and oracle.z_bar and the frobenius suite read every
+degree without sharing: independent checks of the orbit reduction.
 
 A degree is the largest j <= target whose u^j coefficient of B_n mod m
 does not vanish, and 0 when none does, as the u^0 coefficient is 1; it is
@@ -36,20 +37,19 @@ is s_j(n).  In the zero class, where n is a trivial zero of the
 Carlitz-Goss zeta function and C_n(1) = 0, it is the partial sum
 1 + s_1 + ... + s_j, which gathers (q^(j+1) - 1)/(q - 1) terms where
 s_(j+1), the coefficient that decides the same degree, would gather
-q^(j+1).  Both are a read over a range of degrees of the monic a.  The
-full pass reads every degree in one level walk (_level_degrees): the
-exponents wait at their targets, split by zero class, and from the
-highest level down each level and class is one RootSums.vanishing call,
-which answers for every exponent there; one whose coefficient vanishes
-moves down a level.  The early-exit pass needs no degree: an orbit is
-defective exactly when its u^target coefficient vanishes, so it makes at
-most one RootSums.vanishes read per orbit, none at target 0 or in a class
-under p whose least member is at target 0 (so the class is at degree 0),
-and reads nothing past its exit.  The engine reads one RootSums, which
+q^(j+1).  Both are a read over a range of degrees of the monic a.  The full
+pass reads every degree in one level walk (_level_degrees): the classes
+wait at their caps, split by zero class, and from the highest level down
+each level and class is one RootSums.vanishing call, which answers for
+every class there; one whose coefficient vanishes moves down a level.  The
+early-exit pass needs no degree: an orbit is defective exactly when its
+u^target coefficient vanishes, as it does above the cap, so it reads only
+orbits at their cap, at most one RootSums.vanishes read per class, none at
+target 0, and nothing past its exit.  The engine reads one RootSums, which
 scan cuts from the field it builds.  Only the public entry points,
-hasse_witt, is_ordinary and is_ordinary_plus, take a Modulus: they read
-it at its root in the field of its (q, d) kept by the process
-(RootSums.of), which checks the budget (CARLITZ_HW_BUDGET) on every call.
+hasse_witt, is_ordinary and is_ordinary_plus, take a Modulus: they read it
+at its root in the field of its (q, d) kept by the process (RootSums.of),
+which checks the budget (CARLITZ_HW_BUDGET) on every call.
 oracle._bbar_degree, which builds all of B_n mod m bottom-up through
 b_poly, is the oracle of both passes.
 
@@ -115,19 +115,17 @@ class InvariantsReport(namedtuple("InvariantsReport", [
         return out
 
 
-def _level_degrees(sums: RootSums, orbits) -> dict[int, int]:
-    """{r: degree} for the least member r of every orbit under n -> p*n,
-    from its own (r, size, r, target) in orbits, read level by level from
-    the highest target down with one sums.vanishing call per level and
-    class: an r whose u^j coefficient does not vanish has degree j, one
-    whose does moves down to level j - 1, and one that reaches level 0 has
-    degree 0.  So r is read at the (degrees, r) pairs of a top-down walk
-    from its target."""
+def _level_degrees(sums: RootSums) -> dict[int, int]:
+    """{r: degree} for the least member r of every class under n -> p*n but
+    {0}, read level by level from the highest cap (LogTable.caps) down with
+    one sums.vanishing call per level and class: an r whose u^j coefficient
+    does not vanish has degree j, one whose does moves down to level j - 1,
+    and one that reaches level 0 has degree 0.  So r is read at the
+    (degrees, r) pairs of a top-down walk from its cap."""
     q1 = sums.table.ctx.q - 1
-    levels = [([], []) for _ in range(sums.table.d)]  # by target (< d), by zero class
-    for n, _, r, tgt in orbits:
-        if n == r:
-            levels[tgt][n % q1 == 0].append(n)
+    levels = [([], []) for _ in range(sums.table.d)]  # by cap (< d), by zero class
+    for r, cap in sums.table.caps.items():
+        levels[cap][r % q1 == 0].append(r)
     degrees = {}
     for j in range(len(levels) - 1, 0, -1):
         for zero_class, ns in enumerate(levels[j]):
@@ -172,21 +170,20 @@ def defect_pass(sums: RootSums, genera: tuple[int, int]) -> tuple:
     ascending n, its least member: the least defective exponent and the
     least defective zero-class exponent, None where there is none, and the
     defective orbits, as (n, size, degree, target) in ascending n.  Every
-    degree is read before the loop, level by level (_level_degrees), once
-    per Frobenius orbit n -> p*n at its least member frob, and read back
-    for the orbits under q there, whose targets may differ when e > 1.
-    The least member of the first defective orbit is the least defect.
-    InternalError is raised where a degree exceeds its target, where the
-    flags disagree with the lambda sums against genera = (g, g_plus), and
-    where g - lambda is not the total of target - degree over the defects."""
+    degree is read before the loop, level by level from the cap down
+    (_level_degrees), once per class under n -> p*n at its least member
+    frob, and read back for the orbits under q there.  The least member of
+    the first defective orbit is the least defect.  InternalError is raised
+    where a degree exceeds its target (a cap above it), where the flags
+    disagree with the lambda sums against genera = (g, g_plus), and where
+    g - lambda is not the total of target - degree over the defects."""
     table = sums.table
     q1 = table.ctx.q - 1
-    orbits = table.orbits[1:]
-    known = _level_degrees(sums, orbits)  # by least member of the orbit under p
+    known = _level_degrees(sums)  # by least member of the orbit under p
     defective = []
     first = first_plus = None
     lam = lam_plus = 0
-    for n, size, frob, tgt in orbits:
+    for n, size, frob, tgt in table.orbits[1:]:
         deg = known[frob]
         if deg > tgt:
             raise InternalError(f"degree {deg} exceeds target {tgt} at n={n} "
@@ -211,23 +208,21 @@ def defect_pass(sums: RootSums, genera: tuple[int, int]) -> tuple:
 
 def first_defects(sums: RootSums) -> tuple[int | None, int | None]:
     """The least defective exponent and the least defective zero-class
-    exponent, None where there is none, from one read per class under p
-    and target at most, at its least member frob (s_j(p*n) = s_j(n)^p), none
-    if frob is at target 0, over the orbits at target >= 1 in ascending n:
-    after the first defect only zero-class ones, up to the first defective."""
-    q1 = sums.table.ctx.q - 1
+    exponent, None where there is none, over the orbits at target >= 1 in
+    ascending n: after the first defect only zero-class ones, up to the
+    first defective.  An orbit above its class's cap is defective with no
+    read; at the cap, a class under p is read once, at its least member."""
+    table = sums.table
+    q1 = table.ctx.q - 1
     first = None
-    flags = {}  # by (frob, target): targets differ within a class when e > 1
-    flat = set()  # orbits at target 0: a class led by one is at degree 0
-    for n, _, frob, tgt in sums.table.orbits:
+    flags = {}  # by frob: a class is read at its cap alone
+    for n, _, frob, tgt in table.orbits:
         zero_class = n % q1 == 0
         if tgt <= 0 or not (zero_class or first is None):
-            if tgt == 0:
-                flat.add(n)
             continue
-        vanishes = flags.get((frob, tgt))
+        vanishes = tgt > table.caps[frob] or flags.get(frob)
         if vanishes is None:
-            vanishes = flags[frob, tgt] = frob in flat or sums.vanishes(
+            vanishes = flags[frob] = sums.vanishes(
                 range(0 if zero_class else tgt, tgt + 1), frob)
         if vanishes:
             if zero_class:

@@ -48,7 +48,7 @@ range (RootSums.packed_sum): one degree for s_i(n), and every degree up to j
 for the partial sum 1 + s_1(n) + ... + s_j(n), the u^j coefficient of B_n
 in the zero class, where the degree engine reads these sums and no s_i(n).
 A read asks about one exponent (RootSums.vanishes), as the early-exit pass
-of witness scans does once per class under p and target at most, or about
+of witness scans does once per class under p at most, or about
 a batch of them over one range (RootSums.vanishing), as the full pass does
 once per level and class.  Both read the logs of the range from one list,
 built the first time it is asked for (RootSums.range_logs), and test the
@@ -200,7 +200,8 @@ class LogTable:
     under n -> p*n, a union of orbits under q, and target is
     floor(l(n)/(q - 1)), minus one in the zero class (digits.target_degree;
     -1 at n = 0), from the base-q digit sum l(n), which n -> q*n keeps, as
-    it only rotates the digits.
+    it only rotates the digits.  caps is {r: the least target of the orbits
+    under q in the class of r under p} for every such r but 0.
 
     For every monic irreducible m of degree d, A/mA is this field by
     T -> theta for a root theta of m, so one table serves every modulus of
@@ -232,8 +233,8 @@ class LogTable:
     i-th; first[i] <= i.
     """
 
-    __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "exp", "zech",
-                 "const_logs", "const_codes", "reps", "orbits", "roots", "first")
+    __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "exp", "zech", "const_logs",
+                 "const_codes", "reps", "orbits", "caps", "roots", "first")
 
     def __init__(self, ctx: FieldCtx, m0: tuple[int, ...]):
         p, e, q, d = ctx.p, ctx.e, ctx.q, len(m0) - 1
@@ -291,9 +292,13 @@ class LogTable:
             ells[n] = ells[n // q] + n % q
         # an orbit's least member is its first in n: the keys come ascending
         q1 = q - 1
-        self.orbits = [(n, size, frob[n],
-                        (ells[n % b] + ells[n // b]) // q1 - (n % q1 == 0))
-                       for n, size in Counter(reps).items()]
+        self.orbits = orbits = [(n, size, frob[n],
+                                 (ells[n % b] + ells[n // b]) // q1 - (n % q1 == 0))
+                                for n, size in Counter(reps).items()]
+        self.caps = caps = {}
+        for _, _, r, tgt in orbits[1:]:
+            if caps.get(r, d) > tgt:  # a target is below d
+                caps[r] = tgt
         listed = self._walk_moduli()
         # enumeration order: ascending code, the T^0 coefficient fastest
         listed.sort(key=lambda root: root[0][::-1])

@@ -39,12 +39,12 @@ three flag columns are converted, as csv.writer writes None as an empty
 cell and ints by str.  JSONL writes one object per line with the same key
 order and null for unknowns.  A copied row's m is formatted from its codes.
 Full mode reads one pass over the orbits (invariants.defect_pass), which
-lists defective orbits only, never their members: every orbit for
-lambda, lambda_plus and first_defect_n, with the flags and g - lambda
-checked against the genus of the record, the check hasse_witt's report
-rests on too (InternalError, exit 2).  Witness mode reads the early-exit
-pass (invariants.first_defects), one read per orbit at most, and its
-lambda/supersingular fields stay unknown.
+reads each class under n -> p*n from its cap down (LogTable.caps) and
+lists defective orbits only: every orbit for lambda, lambda_plus and
+first_defect_n, with the flags and g - lambda checked against the genus,
+the check hasse_witt's report rests on too (InternalError, exit 2).
+Witness mode reads the early-exit pass (invariants.first_defects), at
+most one read per class, and leaves lambda and supersingular unknown.
 """
 
 from __future__ import annotations

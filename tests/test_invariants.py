@@ -175,10 +175,21 @@ def _orbit_of(n, p, order):
     return frozenset(orbit)
 
 
+@functools.lru_cache(maxsize=None)
+def _brute_caps(p, e, d):
+    """{least member: least digits.target_degree} over each class
+    {n*p^k mod N}, n != 0, N = q^d - 1, one exponent at a time: the oracle
+    of LogTable.caps."""
+    ctx = make_field(p, e)
+    order = ctx.q**d - 1
+    classes = {_orbit_of(n, p, order) for n in range(1, order)}
+    return {min(c): min(target_degree(k, ctx) for k in c) for c in classes}
+
+
 def test_full_pass_one_evaluation_per_orbit(monkeypatch, m_headline, f4):
     # full mode, counted at the level walk: the exponents whose degrees it
     # returns, in ascending n; the early-exit pass, counted at the reader:
-    # one (degrees, frob) per class under p and target it visits, and none
+    # one (degrees, frob) per class under p it visits, at its cap, and none
     # at target <= 0
     calls, reads = [], []
     real_walk = invariants._level_degrees
@@ -219,11 +230,12 @@ def test_full_pass_one_evaluation_per_orbit(monkeypatch, m_headline, f4):
 def _early_exit_reads(table, first, first_plus):
     """The orbits the early-exit pass visits at a modulus with these least
     defects, those at target >= 1 up to first_plus, past first in the zero
-    class only, and its reads there: one (degrees, frob) per class under p
-    and target, in the order first visited, and none where frob is at
-    target 0."""
-    q1 = table.ctx.q - 1
-    targets = {n: tgt for n, _, _, tgt in table.orbits}
+    class only, and its reads there: one (degrees, frob) per class under p,
+    in the order first visited, at an orbit whose target is the class's
+    brute-force cap, and none elsewhere."""
+    ctx = table.ctx
+    q1 = ctx.q - 1
+    caps = _brute_caps(ctx.p, ctx.e, table.d)
     visited, reads = [], []
     for n, _, frob, tgt in table.orbits:
         zero_class = n % q1 == 0
@@ -232,7 +244,7 @@ def _early_exit_reads(table, first, first_plus):
             continue
         visited.append(n)
         read = (range(0 if zero_class else tgt, tgt + 1), frob)
-        if targets[frob] != 0 and read not in reads:
+        if tgt == caps[frob] and read not in reads:
             reads.append(read)
     return visited, reads
 
@@ -241,9 +253,9 @@ def _early_exit_reads(table, first, first_plus):
 def test_early_exit_reads_one_pair_per_class_and_target(monkeypatch, p, e, d, visits, total):
     # at every orbit head scan classifies, the early-exit pass makes
     # exactly the reads of its visits, with its exits taken from the full
-    # pass: at e > 1 an orbit under q shares the read of an orbit of its
-    # class under p at its target, and a class whose least member is at
-    # target 0 is read nowhere, so there are fewer reads than visits
+    # pass: at e > 1 an orbit under q shares the read of its class under
+    # p, made at the class's cap, and an orbit above the cap is read
+    # nowhere, so there are fewer reads than visits
     table = residue_field(make_field(p, e), d)
     reads = []
     spy_reads(monkeypatch, lambda sums, degrees, n, _: reads.append((degrees, n)))
@@ -262,19 +274,20 @@ def test_early_exit_reads_one_pair_per_class_and_target(monkeypatch, p, e, d, vi
     assert counts == [visits, total]
 
 
-def test_early_exit_flags_are_keyed_by_class_and_target():
+def test_early_exit_reads_each_class_once_at_its_cap():
     # at e > 1 a class under p holds orbits under q at different targets
-    # (at (2, 2, 6) 138 classes hold two orbits at different targets),
-    # so a flag is shared by class and target, never by class alone.  The
-    # moduli of the fields above exit before any class is read at a second
-    # target, so a stub reads it here, whose flag depends on the range of
+    # (at (2, 2, 6) 138 classes hold two orbits at different targets): an
+    # orbit above its class's cap is a defect with no read, and one at the
+    # cap reads the flag of its class, shared by every orbit there.  The
+    # moduli of the fields above exit before such a class is visited
+    # twice, so a stub reads it here, whose flag depends on the range of
     # degrees alone, over an orbit table (n, size, frob, target) at q = 4
-    # where the class of 1 holds targets 1 and 2, and so does the zero-class
-    # class of 3: only the reads at target 2 vanish
+    # where the class of 1 holds targets 1 and 2, and so does the
+    # zero-class class of 3: both caps are 1, and no read vanishes
     class Stub:
         table = SimpleNamespace(ctx=SimpleNamespace(q=4), orbits=[
             (0, 1, 0, -1), (1, 2, 1, 1), (2, 2, 1, 2), (3, 1, 3, 1), (4, 2, 1, 2),
-            (5, 1, 5, 0), (6, 1, 3, 2), (9, 1, 3, 2)])
+            (5, 1, 5, 0), (6, 1, 3, 2), (9, 1, 3, 2)], caps={1: 1, 3: 1, 5: 0})
 
         def vanishes(self, degrees, n):
             asked.append((degrees, n))
@@ -282,7 +295,7 @@ def test_early_exit_flags_are_keyed_by_class_and_target():
 
     asked = []
     assert first_defects(Stub()) == (2, 6)
-    assert asked == [(range(1, 2), 1), (range(2, 3), 1), (range(2), 3), (range(3), 3)]
+    assert asked == [(range(1, 2), 1), (range(2), 3)]
 
 
 class _SModOnly:
@@ -327,7 +340,8 @@ def test_level_walk_matches_the_naive_stream(monkeypatch, naive_stream, p, e, d,
     # full mode reads every degree level by level: its stream, its report
     # and its least defects against the per-exponent naive stream, bit for
     # bit, and its reads, exponent by exponent, against the top-down reads
-    # of reduced_degree at the least member of each orbit under p
+    # of reduced_degree at the least member of each orbit under p, from
+    # the brute-force cap of its class
     ctx = make_field(p, e)
     table = residue_field(ctx, d)
     reads = []
@@ -342,9 +356,8 @@ def test_level_walk_matches_the_naive_stream(monkeypatch, naive_stream, p, e, d,
         first, first_plus, lam, lam_plus, _ = invariants.defect_pass(sums, genus(ctx, d))
         walked = sorted(reads)
         reads.clear()
-        for n, _, r, tgt in table.orbits[1:]:
-            if n == r:
-                reduced_degree(n, sums, tgt, n % (ctx.q - 1) == 0)
+        for r, cap in _brute_caps(p, e, d).items():
+            reduced_degree(r, sums, cap, r % (ctx.q - 1) == 0)
         assert walked == sorted(reads), codes
         assert expand_orbits(m, full_pass_stream(sums)) == naive, codes
         assert (first, first_plus) == _firsts(*defects) == first_defects(sums), codes
@@ -359,13 +372,15 @@ def test_level_walk_matches_the_naive_stream(monkeypatch, naive_stream, p, e, d,
     (2, 2, 4, "degree 2 exceeds target 1 at n=86 mod T^4+T^2+[0,1]*T+[1,0]"),
     (3, 2, 3, "degree 1 exceeds target 0 at n=102 mod T^3+T+[0,1]")], ids=["2-2-4", "3-2-3"])
 def test_full_pass_checks_each_degree_against_its_target(monkeypatch, p, e, d, message):
-    # a reader that finds no vanishing coefficient leaves every class under
-    # p at the target of its least member; when e > 1 that can sit above
-    # the target of another orbit under q in the class, which the full pass
-    # refuses (at e = 1 every class is one orbit under q, so it cannot)
+    # with each class under p capped at the target of its least member, a
+    # reader that finds no vanishing coefficient leaves the class there;
+    # when e > 1 that can sit above the target of another orbit under q in
+    # the class, which the full pass refuses (at e = 1 every class is one
+    # orbit under q, so it cannot)
     monkeypatch.setattr(RootSums, "vanishing", lambda self, degrees, ns: [False] * len(ns))
     ctx = make_field(p, e)
     table = residue_field(ctx, d)
+    table.caps = {n: tgt for n, _, r, tgt in table.orbits[1:] if n == r}
     sums = RootSums(table, next(iter(table.roots)))
     with pytest.raises(InternalError, match=re.escape(message)):
         invariants.defect_pass(sums, genus(ctx, d))
@@ -380,6 +395,18 @@ def test_targets_and_zero_class_are_constant_on_exponent_orbits(p, e, d):
     for n in range(1, order):
         assert target_degree(n * q % order, ctx) == target_degree(n, ctx), n
         assert (n * p % order % (q - 1) == 0) == (n % (q - 1) == 0), n
+
+
+@pytest.mark.parametrize("p,e,d", _NINE_FIELDS + [(2, 2, 6), (3, 2, 4)])
+def test_class_caps_are_the_least_target_of_each_class(p, e, d):
+    # LogTable.caps against brute force: the least target over each class
+    # {n*p^k mod N}, n != 0, keyed by its least member; at e = 1 a class is
+    # one orbit under q, and each cap is that orbit's own target
+    table = residue_field(make_field(p, e), d)
+    assert table.caps == _brute_caps(p, e, d)
+    assert 0 not in table.caps
+    if e == 1:
+        assert table.caps == {n: tgt for n, _, _, tgt in table.orbits[1:]}
 
 
 @pytest.mark.parametrize("p,e,d", _NINE_FIELDS)
@@ -451,15 +478,21 @@ def test_sum_below_the_cap_is_minus_the_sum_at_the_cap(p, e, d):
                     == _at_root(-s_mod(target + 1, n, m), view)), (format_poly(m.poly), n)
 
 
-@pytest.mark.parametrize("p,d,total", [(7, 3, 5696), (5, 4, 31090), (3, 6, 72430)])
-def test_zero_class_reads_never_gather_the_cap(monkeypatch, p, d, total):
-    # the work of the orbit heads of the moduli of degree d over F_p, counted
+# named by q, d and the total; at e > 1 each class under p is read from
+# its cap, not from the target of its least member
+@pytest.mark.parametrize("p,e,d,total", [
+    (7, 1, 3, 5696), (5, 1, 4, 31090), (3, 1, 6, 72430),
+    (2, 2, 6, 504482), (3, 2, 4, 480634), (2, 3, 3, 523)],
+    ids=["7-3-5696", "5-4-31090", "3-6-72430", "4-6-504482", "9-4-480634", "8-3-523"])
+def test_zero_class_reads_never_gather_the_cap(monkeypatch, p, e, d, total):
+    # the work of the orbit heads of the moduli of degree d over F_q, counted
     # at the one reader: a zero-class degree reads only partial sums
-    # range(j + 1) with 1 <= j <= target, never P_0 = 1, whose answer is
-    # known, and never level target + 1, the q^(target+1) monic logs of
-    # that degree; every other read is one level, and the total of
-    # gathered terms is pinned
-    table = residue_field(make_field(p), d)
+    # range(j + 1) with 1 <= j <= the cap of its class (at most its
+    # target), never P_0 = 1, whose answer is known, and never level
+    # target + 1, the q^(target+1) monic logs of that degree; every other
+    # read is one level, and the total of gathered terms is pinned
+    table = residue_field(make_field(p, e), d)
+    q1 = table.ctx.q - 1
     heads = [codes for i, (codes, f) in enumerate(zip(table.roots, table.first)) if f == i]
     reads, terms = [], []
 
@@ -470,11 +503,11 @@ def test_zero_class_reads_never_gather_the_cap(monkeypatch, p, d, total):
     spy_reads(monkeypatch, record)
     for codes in heads:
         invariants.defect_pass(RootSums(table, codes), genus(table.ctx, d))
-    assert {n % (p - 1) == 0 for n, _ in reads} == {False, True}
+    assert {n % q1 == 0 for n, _ in reads} == {False, True}
     for n, degrees in reads:
         j = degrees[-1]
-        assert 1 <= j <= target_degree(n, table.ctx), (n, degrees)
-        if n % (p - 1) == 0:
+        assert 1 <= j <= _brute_caps(p, e, d)[n] <= target_degree(n, table.ctx), (n, degrees)
+        if n % q1 == 0:
             assert degrees == range(j + 1), (n, degrees)
         else:
             assert degrees == range(j, j + 1), (n, degrees)
