@@ -5,8 +5,8 @@ the expected degree of the generating polynomial attached to n (target_degree)
 and the digit-stripping recursion rho whose iterated partial sums bound the
 degrees of the power sums (checked by the gekeler verify suite); rho reads
 n as rho_exponents, its powers of q.  The degree engine reads its targets
-once per orbit of n -> q*n, from powersums.LogTable.orbits; target_degree
-is their per-exponent oracle.  deg 0 = -inf is modelled by the float
+once per orbit of n -> q*n, from powersums.LogTable.orbit_target;
+target_degree is their per-exponent oracle.  deg 0 = -inf is modelled by the float
 NEG_INF, which already satisfies NEG_INF + x = NEG_INF and NEG_INF < x for
 every int.
 

@@ -23,8 +23,13 @@ on such an orbit; multiplying by p raises every coefficient to the p-th
 power, so the degree is constant on a class under n -> p*n and at most
 its cap, the least target of its orbits under q: each class is read once,
 at its least member, from its cap down.  The orbits, targets and caps
-depend only on (q, d) and are read from the residue field's LogTable,
-built once per table and so once per scan.  The tests expand every orbit
+depend only on (q, d) and are read from the residue field's LogTable, as
+parallel lists over the orbits and over the classes, with the classes
+binned by cap and zero class and the lambda sums of a modulus whose every
+class stays at its cap, built once per table and so once per scan.  The
+targets sum to the genus, so when no class falls below its cap and every
+orbit is at its class's cap, the modulus is ordinary and the full pass
+returns those sums with no orbit visited.  The tests expand every orbit
 and compare it with a top-down read of every exponent against
 digits.target_degree, and oracle.z_bar and the frobenius suite read every
 degree without sharing: independent checks of the orbit reduction.
@@ -39,9 +44,10 @@ Carlitz-Goss zeta function and C_n(1) = 0, it is the partial sum
 s_(j+1), the coefficient that decides the same degree, would gather
 q^(j+1).  Both are a read over a range of degrees of the monic a.  The full
 pass reads every degree in one level walk (_level_degrees): the classes
-wait at their caps, split by zero class, and from the highest level down
-each level and class is one RootSums.vanishing call, which answers for
-every class there; one whose coefficient vanishes moves down a level.  The
+wait at their caps, in the table's bins by cap and zero class, and from the
+highest level down each level and class is one RootSums.vanishing call,
+which answers for every class there; one whose coefficient vanishes moves
+down a level.  The
 early-exit pass needs no degree: an orbit is defective exactly when its
 u^target coefficient vanishes, as it does above the cap, so it reads only
 orbits at their cap, at most one RootSums.vanishes read per class, none at
@@ -68,6 +74,7 @@ engine has no shortcut for this.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import mul, sub
 
 from .errors import InternalError, ParityError
 from .fieldcore import FieldCtx
@@ -115,30 +122,35 @@ class InvariantsReport(namedtuple("InvariantsReport", [
         return out
 
 
-def _level_degrees(sums: RootSums) -> dict[int, int]:
-    """{r: degree} for the least member r of every class under n -> p*n but
-    {0}, read level by level from the highest cap (LogTable.caps) down with
-    one sums.vanishing call per level and class: an r whose u^j coefficient
-    does not vanish has degree j, one whose does moves down to level j - 1,
-    and one that reaches level 0 has degree 0.  So r is read at the
-    (degrees, r) pairs of a top-down walk from its cap."""
-    q1 = sums.table.ctx.q - 1
-    levels = [([], []) for _ in range(sums.table.d)]  # by cap (< d), by zero class
-    for r, cap in sums.table.caps.items():
-        levels[cap][r % q1 == 0].append(r)
-    degrees = {}
-    for j in range(len(levels) - 1, 0, -1):
-        for zero_class, ns in enumerate(levels[j]):
-            if ns:
-                flags = sums.vanishing(range(0 if zero_class else j, j + 1), ns)
-                for n, vanishes in zip(ns, flags):
-                    if vanishes:
-                        levels[j - 1][zero_class].append(n)
-                    else:
-                        degrees[n] = j
-    for ns in levels[0]:
-        degrees.update(dict.fromkeys(ns, 0))
-    return degrees
+def _level_degrees(sums: RootSums) -> tuple[list[int], bool]:
+    """(degrees, fell): the degree of every class under n -> p*n, indexed
+    as in sums.table (class_n), and whether any is below its cap.  Read
+    level by level from the highest cap down, each class at its least
+    member, with one sums.vanishing call per level and class of the
+    table's bins, the classes that fell from the level above after them:
+    a class whose u^j coefficient does not vanish has degree j, one whose
+    does falls to level j - 1, and one that reaches level 0 has degree 0.
+    So each class is read at the (degrees, r) pairs of a top-down walk from
+    its cap.  When nothing falls, degrees is the table's class_cap itself."""
+    table = sums.table
+    least, bins = table.class_n, table.bins
+    degrees = caps = table.class_cap
+    fallen = [[], []]  # by zero class: the classes that vanished a level up
+    for j in range(table.d - 1, 0, -1):
+        for zero_class, (cs, ns) in enumerate(bins[j]):
+            down = fallen[zero_class]
+            if down:
+                cs, ns = cs + down, ns + [least[c] for c in down]
+            elif not cs:
+                continue
+            flags = sums.vanishing(range(0 if zero_class else j, j + 1), ns)
+            fallen[zero_class] = down = [c for c, vanishes in zip(cs, flags) if vanishes]
+            if down:
+                if degrees is caps:
+                    degrees = caps[:]
+                for c in down:
+                    degrees[c] = j - 1
+    return degrees, degrees is not caps
 
 
 def hasse_witt(m: Modulus) -> InvariantsReport:
@@ -165,43 +177,46 @@ def hasse_witt(m: Modulus) -> InvariantsReport:
 
 
 def defect_pass(sums: RootSums, genera: tuple[int, int]) -> tuple:
-    """(first, first_plus, lambda, lambda_plus, defective) in one pass over
-    the orbits of n -> q*n mod (q^d - 1) but {0} in sums.table.orbits, in
-    ascending n, its least member: the least defective exponent and the
-    least defective zero-class exponent, None where there is none, and the
-    defective orbits, as (n, size, degree, target) in ascending n.  Every
-    degree is read before the loop, level by level from the cap down
-    (_level_degrees), once per class under n -> p*n at its least member
-    frob, and read back for the orbits under q there.  The least member of
-    the first defective orbit is the least defect.  InternalError is raised
-    where a degree exceeds its target (a cap above it), where the flags
-    disagree with the lambda sums against genera = (g, g_plus), and where
-    g - lambda is not the total of target - degree over the defects."""
+    """(first, first_plus, lambda, lambda_plus, defective) over the orbits
+    of n -> q*n mod (q^d - 1) but {0} in sums.table, in ascending n, its
+    least member: the least defective exponent and the least defective
+    zero-class exponent, None where there is none, and the defective
+    orbits, as (n, size, degree, target) in ascending n.  Every class's
+    degree is read first, from its cap down (_level_degrees).  When no
+    class fell and every orbit is at its class's cap (table.at_caps), every
+    degree is at its target: lambda and lambda_plus are the table's
+    cap_sums, with no orbit visited.  Otherwise each orbit takes its
+    class's degree, and its deficit target - degree, in one list; the least
+    member of the first orbit with a deficit is the least defect.
+    InternalError is raised where a degree exceeds its target (a cap above
+    it), where the flags disagree with the lambda sums against
+    genera = (g, g_plus), and where g - lambda is not the total of the
+    deficits."""
     table = sums.table
-    q1 = table.ctx.q - 1
-    known = _level_degrees(sums)  # by least member of the orbit under p
-    defective = []
-    first = first_plus = None
-    lam = lam_plus = 0
-    for n, size, frob, tgt in table.orbits[1:]:
-        deg = known[frob]
-        if deg > tgt:
-            raise InternalError(f"degree {deg} exceeds target {tgt} at n={n} "
-                                f"mod {format_coeffs(table.ctx, sums.codes)}")
-        zero_class = n % q1 == 0
-        lam += size * deg
-        if zero_class:
-            lam_plus += size * deg
-        if deg != tgt:
-            defective.append((n, size, deg, tgt))
-            if first is None:
-                first = n
-            if zero_class and first_plus is None:
-                first_plus = n
     g, g_plus = genera
+    degrees, fell = _level_degrees(sums)
+    if not fell and table.at_caps:
+        if table.cap_sums != (g, g_plus):
+            raise InternalError("ordinariness flags disagree with lambda sums")
+        return None, None, *table.cap_sums, []
+    ns, sizes, targets = table.orbit_n, table.orbit_size, table.orbit_target
+    got = [degrees[c] for c in table.orbit_class]
+    deficits = list(map(sub, targets, got))
+    if min(deficits) < 0:
+        i = next(i for i, x in enumerate(deficits) if x < 0)
+        raise InternalError(f"degree {got[i]} exceeds target {targets[i]} at n={ns[i]} "
+                            f"mod {format_coeffs(table.ctx, sums.codes)}")
+    q1 = table.ctx.q - 1
+    defective = [(n, size, deg, tgt) for n, size, deg, tgt, x
+                 in zip(ns, sizes, got, targets, deficits) if x]
+    first = defective[0][0] if defective else None
+    first_plus = next((n for n, _, _, _ in defective if n % q1 == 0), None)
+    weights, zeros = table.class_weight, table.class_zero
+    lam = sum(map(mul, weights, degrees))
+    lam_plus = sum(w * deg for w, deg, zero in zip(weights, degrees, zeros) if zero)
     if (first is None) != (lam == g) or (first_plus is None) != (lam_plus == g_plus):
         raise InternalError("ordinariness flags disagree with lambda sums")
-    if g - lam != sum(size * (tgt - deg) for _, size, deg, tgt in defective):
+    if g - lam != sum(map(mul, sizes, deficits)):
         raise InternalError("defect total disagrees with g - lambda")
     return first, first_plus, lam, lam_plus, defective
 
@@ -213,17 +228,17 @@ def first_defects(sums: RootSums) -> tuple[int | None, int | None]:
     first defective.  An orbit above its class's cap is defective with no
     read; at the cap, a class under p is read once, at its least member."""
     table = sums.table
-    q1 = table.ctx.q - 1
+    least, caps, zeros = table.class_n, table.class_cap, table.class_zero
     first = None
-    flags = {}  # by frob: a class is read at its cap alone
-    for n, _, frob, tgt in table.orbits:
-        zero_class = n % q1 == 0
+    flags = [None] * len(least)  # by class: a class is read at its cap alone
+    for n, c, tgt in zip(table.orbit_n, table.orbit_class, table.orbit_target):
+        zero_class = zeros[c]
         if tgt <= 0 or not (zero_class or first is None):
             continue
-        vanishes = tgt > table.caps[frob] or flags.get(frob)
+        vanishes = tgt > caps[c] or flags[c]
         if vanishes is None:
-            vanishes = flags[frob] = sums.vanishes(
-                range(0 if zero_class else tgt, tgt + 1), frob)
+            vanishes = flags[c] = sums.vanishes(
+                range(0 if zero_class else tgt, tgt + 1), least[c])
         if vanishes:
             if zero_class:
                 return n if first is None else first, n

@@ -22,10 +22,12 @@ the discrete-log table of F_{q^d} = A/m0A, serves every modulus of degree d.
 m0 is the least primitive polynomial of degree d (polyring.least_primitive),
 so the generator is g = T and the table is one shift-and-reduce walk over
 packed residues: at p = 2 one bit per F_2 coordinate, so that x*T is a shift
-and an XOR, and at odd p one field per F_p coordinate, wide enough for a sum
-of q^d residues.  The table also lists the orbits of n -> q*n mod (q^d - 1)
-with their digit-sum targets (LogTable.orbits): the degree engine walks them
-as exponent orbits, and LogTable.roots enumerates the moduli of degree d as
+and an XOR, and at odd p one field per F_p coordinate, wide enough for the
+widest read, a sum over every monic a of degree below d.  The table also
+lists the orbits of n -> q*n mod (q^d - 1) with their digit-sum targets and
+their classes under n -> p*n with their caps, as parallel lists
+(LogTable.orbit_n, LogTable.class_n): the degree engine walks them as
+exponent orbits, and LogTable.roots enumerates the moduli of degree d as
 the minimal polynomials of the roots g^k, one per orbit of size d, with no
 irreducibility test.  They are listed by one walk over the orbits of the
 moduli under T -> alpha*T + c (and the Frobenius on coefficients), taken at
@@ -178,10 +180,11 @@ class LogTable:
     in bit field j*e + t, shifts[j*e + t] bits up, mask wide.  At p = 2 a
     field is one bit (mask = 1): a residue is its d*e-bit coordinate vector,
     the nonzero ones are exactly 1..N, and a power sum over the exp entries
-    is their XOR.  At odd p every field is wide enough for a sum of q^d
-    residues, so that a power sum takes integer additions only and is
-    reduced mod p as it is read.  Each exp entry is the previous one times
-    T: its low coefficients shifted up one slot, plus one of q packed
+    is their XOR.  At odd p every field is wide enough for the widest read,
+    the sum of a(theta)^n over every monic a of degree below d,
+    (q^d - 1)/(q - 1) residues, so that a power sum takes integer additions
+    only and is reduced mod p as it is read.  Each exp entry is the previous
+    one times T: its low coefficients shifted up one slot, plus one of q packed
     residues c*T^d mod m0 for its top coefficient c; at p = 2 the addition is
     an XOR, and at odd p every field is then reduced mod p at once, by one
     mask-and-subtract.  The walk must meet N distinct residues and return to
@@ -195,13 +198,20 @@ class LogTable:
     q - 1 multiples of N/(q - 1): minimal_polynomial reads each
     coefficient's code from its log there, with no packed residue decoded.
     reps[n] is the least member of the orbit of n under n -> q*n mod N, for
-    0 <= n < N.  orbits holds one (n, size, r, target) per such orbit, in
-    ascending n, its least member: r is the least member of the orbit of n
-    under n -> p*n, a union of orbits under q, and target is
-    floor(l(n)/(q - 1)), minus one in the zero class (digits.target_degree;
-    -1 at n = 0), from the base-q digit sum l(n), which n -> q*n keeps, as
-    it only rotates the digits.  caps is {r: the least target of the orbits
-    under q in the class of r under p} for every such r but 0.
+    0 <= n < N.  The degree engine reads the orbits but {0} and their
+    classes from parallel lists, built here once.  Per orbit, in ascending
+    n, its least member: orbit_n, orbit_size, orbit_class, the index of its
+    class under n -> p*n, a union of orbits under q, and orbit_target,
+    floor(l(n)/(q - 1)), minus one in the zero class (digits.target_degree),
+    from the base-q digit sum l(n), which n -> q*n keeps, as it only
+    rotates the digits.  Per class, in ascending least member: class_n, that
+    member; class_cap, the least target of its orbits; class_weight, the sum
+    of their sizes; and class_zero, whether it is zero-class.
+    bins[cap][zero class] is (class indices, least members) of the classes
+    there, ascending; cap_sums is (sum of weight*cap over all classes, over
+    the zero-class ones), the lambda and lambda_plus of a modulus whose
+    every class stays at its cap; and at_caps is whether every orbit's target
+    is its class's cap, so that such a modulus is ordinary.
 
     For every monic irreducible m of degree d, A/mA is this field by
     T -> theta for a root theta of m, so one table serves every modulus of
@@ -234,14 +244,18 @@ class LogTable:
     """
 
     __slots__ = ("ctx", "d", "p", "order", "shifts", "mask", "exp", "zech", "const_logs",
-                 "const_codes", "reps", "orbits", "caps", "roots", "first")
+                 "const_codes", "reps", "orbit_n", "orbit_size", "orbit_class",
+                 "orbit_target", "class_n", "class_cap", "class_weight", "class_zero",
+                 "bins", "cap_sums", "at_caps", "roots", "first")
 
     def __init__(self, ctx: FieldCtx, m0: tuple[int, ...]):
         p, e, q, d = ctx.p, ctx.e, ctx.q, len(m0) - 1
         order = q**d - 1
         # at p = 2 a coordinate is one bit and a sum of residues is their
-        # XOR; at odd p every field is wide enough for a sum of q^d residues
-        width = 1 if p == 2 else (q**d * (p - 1)).bit_length()
+        # XOR; at odd p every field holds the widest read, the partial sum
+        # over every degree below d, (q^d - 1)/(q - 1) residues of fields at
+        # most p - 1, and the 2p - 2 of the walk below
+        width = 1 if p == 2 else max((q**d - 1) // (q - 1) * (p - 1), 2 * p - 2).bit_length()
         self.ctx, self.d, self.p, self.order = ctx, d, p, order
         self.shifts = shifts = range(0, width * d * e, width)
         self.mask = mask = (1 << width) - 1
@@ -261,7 +275,7 @@ class LogTable:
             # each field of the sum is at most 2p - 2; it is >= p exactly when
             # adding 2^(width-1) - p sets its top bit, and then p is subtracted;
             # this needs 2^(width-1) >= p, which holds because
-            # 2^(width-1) > q^d (p - 1)/2 >= p - 1
+            # 2^width > 2p - 2
             assert p <= 1 << (width - 1), (p, width)
             carry = width - 1
             ones = sum(1 << s for s in shifts)  # the lowest bit of every field
@@ -292,13 +306,33 @@ class LogTable:
             ells[n] = ells[n // q] + n % q
         # an orbit's least member is its first in n: the keys come ascending
         q1 = q - 1
-        self.orbits = orbits = [(n, size, frob[n],
-                                 (ells[n % b] + ells[n // b]) // q1 - (n % q1 == 0))
-                                for n, size in Counter(reps).items()]
-        self.caps = caps = {}
-        for _, _, r, tgt in orbits[1:]:
-            if caps.get(r, d) > tgt:  # a target is below d
-                caps[r] = tgt
+        sizes = Counter(reps)
+        del sizes[0]  # n = 0 is no exponent
+        self.orbit_n = ns = list(sizes)
+        self.orbit_size = list(sizes.values())
+        self.orbit_target = targets = [(ells[n % b] + ells[n // b]) // q1 - (n % q1 == 0)
+                                       for n in ns]
+        # a class under p is indexed in the order of its least member, the n
+        # of its first orbit under q
+        index = {}
+        self.orbit_class = classes = [index.setdefault(frob[n], len(index)) for n in ns]
+        self.class_n = least = list(index)
+        self.class_zero = zeros = [r % q1 == 0 for r in least]
+        caps, weights = [d] * len(least), [0] * len(least)  # a target is below d
+        for c, size, tgt in zip(classes, self.orbit_size, targets):
+            weights[c] += size
+            if caps[c] > tgt:
+                caps[c] = tgt
+        self.class_cap, self.class_weight = caps, weights
+        self.at_caps = targets == [caps[c] for c in classes]
+        # bins[cap][zero class]: the classes there, and their least members
+        self.bins = bins = [(([], []), ([], [])) for _ in range(d)]
+        for c, (r, cap, zero) in enumerate(zip(least, caps, zeros)):
+            cs, rs = bins[cap][zero]
+            cs.append(c)
+            rs.append(r)
+        self.cap_sums = (sum(w * cap for w, cap in zip(weights, caps)),
+                         sum(w * cap for w, cap, zero in zip(weights, caps, zeros) if zero))
         listed = self._walk_moduli()
         # enumeration order: ascending code, the T^0 coefficient fastest
         listed.sort(key=lambda root: root[0][::-1])
@@ -355,8 +389,10 @@ class LogTable:
         scale = [[mul(c, codes[(i - d) * step % order]) for c in range(q)]
                  for i in range(d)]
         frob = [0] + [codes[c * p % order] for c in self.const_logs[1:]]
-        # the codes of each root orbit of size d, once reached, in ascending n
-        found = {n: None for n, size, _, _ in self.orbits if size == d}
+        # the codes of each root orbit of size d, once reached, in ascending n:
+        # at d = 1 also that of 0, as g^0 = 1 is the root of T - 1
+        found = dict.fromkeys([0] * (d == 1) + [
+            n for n, size in zip(self.orbit_n, self.orbit_size) if size == d])
         if d == 1:
             found[None] = None  # T, whose root 0 is no power of g
 

@@ -37,12 +37,16 @@ Output formats share one column set, COLUMNS, the fields of ScanRecord.
 CSV writes lowercase booleans and empty cells for unknown values; only the
 three flag columns are converted, as csv.writer writes None as an empty
 cell and ints by str.  JSONL writes one object per line with the same key
-order and null for unknowns.  A copied row's m is formatted from its codes.
+order and null for unknowns.  A copied row is built from its head's
+record field by field, its m formatted from its codes and elapsed_ms 0.
 Full mode reads one pass over the orbits (invariants.defect_pass), which
-reads each class under n -> p*n from its cap down (LogTable.caps) and
+reads each class under n -> p*n from its cap down (LogTable.class_cap) and
 lists defective orbits only: every orbit for lambda, lambda_plus and
 first_defect_n, with the flags and g - lambda checked against the genus,
-the check hasse_witt's report rests on too (InternalError, exit 2).
+the check hasse_witt's report rests on too (InternalError, exit 2).  A
+modulus whose every class stays at its cap, with every orbit at its
+class's cap, is ordinary: its lambda sums are the table's, checked against
+the genus with no orbit visited.
 Witness mode reads the early-exit pass (invariants.first_defects), at
 most one read per class, and leaves lambda and supersingular unknown.
 """
@@ -159,9 +163,8 @@ def _stream(ctx, d, mode, limit, workers):
             if f == i:
                 records[i] = next(done)
                 yield records[i]
-            else:
-                yield records[f]._replace(
-                    elapsed_ms=0, m=format_coeffs(ctx, moduli[i]))
+            else:  # the head's record, with this modulus's m and elapsed_ms 0
+                yield ScanRecord(format_coeffs(ctx, moduli[i]), *records[f][1:-1], 0)
 
 
 @contextmanager

@@ -108,13 +108,14 @@ def naive_stream():
 
 def full_pass_stream(sums):
     """(n, size, degree, target) for every orbit of n -> q*n but {0} in
-    sums.table.orbits, in ascending n, as the full pass
-    (invariants.defect_pass) finds them: a defective orbit at the degree
-    defect_pass lists it with, every other one at its target."""
+    sums.table (orbit_n, orbit_size, orbit_target), in ascending n, as the
+    full pass (invariants.defect_pass) finds them: a defective orbit at the
+    degree defect_pass lists it with, every other one at its target."""
     table = sums.table
     defective = defect_pass(sums, genus(table.ctx, table.d))[4]
     degrees = {n: deg for n, _, deg, _ in defective}
-    return [(n, size, degrees.get(n, tgt), tgt) for n, size, _, tgt in table.orbits[1:]]
+    return [(n, size, degrees.get(n, tgt), tgt)
+            for n, size, tgt in zip(table.orbit_n, table.orbit_size, table.orbit_target)]
 
 
 def expand_orbits(m, stream):

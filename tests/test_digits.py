@@ -35,13 +35,13 @@ def test_target_degree_examples(f3):
                                    (2, 2, 6), (3, 2, 2)])
 def test_target_degrees_table_matches_per_exponent(p, e, d):
     # the degree engine reads each target once per orbit of n -> q*n, from
-    # LogTable.orbits; every member n*q^j of the orbit has it
+    # the table's orbit lists; every member n*q^j of the orbit has it
     ctx = make_field(p, e)
     table = residue_field(ctx, d)
     q, order = ctx.q, table.order
-    assert table.orbits[0][0] == 0  # n = 0, which the engine skips
+    assert 0 not in table.orbit_n  # n = 0, which the engine skips
     members = []
-    for n, size, _, target in table.orbits[1:]:
+    for n, size, target in zip(table.orbit_n, table.orbit_size, table.orbit_target):
         for j in range(size):
             members.append(n * q**j % order)
             assert target_degree(members[-1], ctx) == target, (n, j)

@@ -187,21 +187,26 @@ def _brute_caps(p, e, d):
 
 
 def test_full_pass_one_evaluation_per_orbit(monkeypatch, m_headline, f4):
-    # full mode, counted at the level walk: the exponents whose degrees it
-    # returns, in ascending n; the early-exit pass, counted at the reader:
-    # one (degrees, frob) per class under p it visits, at its cap, and none
-    # at target <= 0
+    # full mode, counted at the level walk: the least members of the classes
+    # whose degrees it returns, in ascending n, one degree per class, the
+    # caps list itself when none fell; the early-exit pass, counted at the
+    # reader: one (degrees, frob) per class under p it visits, at its cap,
+    # and none at target <= 0
     calls, reads = [], []
     real_walk = invariants._level_degrees
 
-    def walked(*args):
-        degrees = real_walk(*args)
-        calls.extend(sorted(degrees))
-        return degrees
+    def walked(sums):
+        degrees, fell = real_walk(sums)
+        table = sums.table
+        assert len(degrees) == len(table.class_n)
+        assert fell == (degrees is not table.class_cap)
+        assert fell == (degrees != table.class_cap)
+        calls.extend(table.class_n)
+        return degrees, fell
 
     monkeypatch.setattr(invariants, "_level_degrees", walked)
     stream = full_pass_stream(RootSums.of(m_headline))
-    assert len(stream) == len(RootSums.of(m_headline).table.orbits) - 1
+    assert len(stream) == len(RootSums.of(m_headline).table.orbit_n)
     assert [n for n, _, _ in expand_orbits(m_headline, stream)] == list(range(1, 26))
     orbits = {_orbit_of(n, 3, 26) for n in range(1, 26)}
     assert sorted(map(min, orbits)) == calls
@@ -237,7 +242,8 @@ def _early_exit_reads(table, first, first_plus):
     q1 = ctx.q - 1
     caps = _brute_caps(ctx.p, ctx.e, table.d)
     visited, reads = [], []
-    for n, _, frob, tgt in table.orbits:
+    for n, c, tgt in zip(table.orbit_n, table.orbit_class, table.orbit_target):
+        frob = table.class_n[c]
         zero_class = n % q1 == 0
         if (tgt < 1 or (first is not None and n > first and not zero_class)
                 or (first_plus is not None and n > first_plus)):
@@ -281,13 +287,14 @@ def test_early_exit_reads_each_class_once_at_its_cap():
     # cap reads the flag of its class, shared by every orbit there.  The
     # moduli of the fields above exit before such a class is visited
     # twice, so a stub reads it here, whose flag depends on the range of
-    # degrees alone, over an orbit table (n, size, frob, target) at q = 4
-    # where the class of 1 holds targets 1 and 2, and so does the
-    # zero-class class of 3: both caps are 1, and no read vanishes
+    # degrees alone, over orbit lists (n, class, target) at q = 4 where the
+    # class of 1 holds targets 1 and 2, and so does the zero-class class of
+    # 3: both caps are 1, and no read vanishes
     class Stub:
-        table = SimpleNamespace(ctx=SimpleNamespace(q=4), orbits=[
-            (0, 1, 0, -1), (1, 2, 1, 1), (2, 2, 1, 2), (3, 1, 3, 1), (4, 2, 1, 2),
-            (5, 1, 5, 0), (6, 1, 3, 2), (9, 1, 3, 2)], caps={1: 1, 3: 1, 5: 0})
+        table = SimpleNamespace(
+            orbit_n=[1, 2, 3, 4, 5, 6, 9], orbit_class=[0, 0, 1, 0, 2, 1, 1],
+            orbit_target=[1, 2, 1, 2, 0, 2, 2], class_n=[1, 3, 5], class_cap=[1, 1, 0],
+            class_zero=[False, True, True])
 
         def vanishes(self, degrees, n):
             asked.append((degrees, n))
@@ -380,10 +387,60 @@ def test_full_pass_checks_each_degree_against_its_target(monkeypatch, p, e, d, m
     monkeypatch.setattr(RootSums, "vanishing", lambda self, degrees, ns: [False] * len(ns))
     ctx = make_field(p, e)
     table = residue_field(ctx, d)
-    table.caps = {n: tgt for n, _, r, tgt in table.orbits[1:] if n == r}
+    table.class_cap = [tgt for n, c, tgt in zip(table.orbit_n, table.orbit_class,
+                                                table.orbit_target) if n == table.class_n[c]]
+    assert len(table.class_cap) == len(table.class_n)
     sums = RootSums(table, next(iter(table.roots)))
     with pytest.raises(InternalError, match=re.escape(message)):
         invariants.defect_pass(sums, genus(ctx, d))
+
+
+def _reference_pass(sums, genera):
+    """defect_pass as one loop over the orbits, each degree read on its own
+    by reduced_degree from the orbit's own target at its own n, with no
+    class, cap, bin or early return: the reference of the list form."""
+    table = sums.table
+    q1 = table.ctx.q - 1
+    defective = []
+    lam = lam_plus = 0
+    for n, size, tgt in zip(table.orbit_n, table.orbit_size, table.orbit_target):
+        deg = reduced_degree(n, sums, tgt, n % q1 == 0)
+        lam += size * deg
+        lam_plus += size * deg * (n % q1 == 0)
+        if deg != tgt:
+            defective.append((n, size, deg, tgt))
+    first = defective[0][0] if defective else None
+    first_plus = next((n for n, _, _, _ in defective if n % q1 == 0), None)
+    assert ((first is None) == (lam == genera[0])
+            and (first_plus is None) == (lam_plus == genera[1]))
+    return first, first_plus, lam, lam_plus, defective
+
+
+# named by p, e, d, the orbit heads and those where no class falls below
+# its cap and every orbit is at its class's cap, so that defect_pass returns
+# the table's cap sums at once (never at e > 1 here: there a class joins
+# orbits at different targets, and the heads where nothing falls take the
+# list path)
+@pytest.mark.parametrize("p,e,d,heads,early", [
+    (2, 1, 1, 1, 1), (3, 1, 1, 1, 1), (2, 1, 5, 3, 3), (3, 1, 3, 2, 1), (5, 1, 2, 1, 1),
+    (7, 1, 2, 1, 1), (2, 2, 3, 2, 0), (3, 2, 2, 1, 0), (2, 3, 2, 1, 0),
+    (3, 1, 6, 22, 8), (5, 1, 4, 10, 3), (2, 2, 6, 31, 0)])
+def test_full_pass_matches_a_per_orbit_reference_loop(p, e, d, heads, early):
+    # at every orbit head scan classifies: the list-form full pass, early
+    # return included, against one read per orbit from its own target
+    ctx = make_field(p, e)
+    table = residue_field(ctx, d)
+    genera = genus(ctx, d)
+    counts = [0, 0]
+    for i, codes in enumerate(table.roots):
+        if table.first[i] != i:
+            continue
+        sums = RootSums(table, codes)
+        got = invariants.defect_pass(sums, genera)
+        assert got == _reference_pass(sums, genera), codes
+        counts[0] += 1
+        counts[1] += not invariants._level_degrees(sums)[1] and table.at_caps
+    assert counts == [heads, early]
 
 
 @pytest.mark.parametrize("p,e,d", _NINE_FIELDS)
@@ -399,14 +456,32 @@ def test_targets_and_zero_class_are_constant_on_exponent_orbits(p, e, d):
 
 @pytest.mark.parametrize("p,e,d", _NINE_FIELDS + [(2, 2, 6), (3, 2, 4)])
 def test_class_caps_are_the_least_target_of_each_class(p, e, d):
-    # LogTable.caps against brute force: the least target over each class
-    # {n*p^k mod N}, n != 0, keyed by its least member; at e = 1 a class is
-    # one orbit under q, and each cap is that orbit's own target
+    # LogTable.class_cap against brute force: the least target over each
+    # class {n*p^k mod N}, n != 0, keyed by its least member; at e = 1 a
+    # class is one orbit under q, and each cap is that orbit's own target
     table = residue_field(make_field(p, e), d)
-    assert table.caps == _brute_caps(p, e, d)
-    assert 0 not in table.caps
+    assert dict(zip(table.class_n, table.class_cap)) == _brute_caps(p, e, d)
+    assert 0 not in table.class_n
     if e == 1:
-        assert table.caps == {n: tgt for n, _, _, tgt in table.orbits[1:]}
+        assert table.class_cap == table.orbit_target
+        assert table.class_n == table.orbit_n
+    # and the rest of the class lists: the size and the zero class of each
+    # class, its bin, and the sums over the classes at their caps
+    order, q1 = table.order, table.ctx.q - 1
+    assert table.class_weight == [len(_orbit_of(r, p, order)) for r in table.class_n]
+    assert table.class_zero == [r % q1 == 0 for r in table.class_n]
+    for j, levels in enumerate(table.bins):
+        for zero, (cs, rs) in enumerate(levels):
+            assert cs == [c for c, cap in enumerate(table.class_cap)
+                          if (cap, table.class_zero[c]) == (j, zero)], (j, zero)
+            assert rs == [table.class_n[c] for c in cs]
+    weighted = [w * cap for w, cap in zip(table.class_weight, table.class_cap)]
+    assert table.cap_sums == (sum(weighted), sum(
+        x for x, zero in zip(weighted, table.class_zero) if zero))
+    at_caps = all(table.class_cap[c] == tgt
+                  for c, tgt in zip(table.orbit_class, table.orbit_target))
+    assert table.at_caps == at_caps
+    assert (table.cap_sums == genus(table.ctx, d)) == at_caps
 
 
 @pytest.mark.parametrize("p,e,d", _NINE_FIELDS)
@@ -464,7 +539,9 @@ def test_sum_below_the_cap_is_minus_the_sum_at_the_cap(p, e, d):
     # the zero-class coefficients of B_n the reader reads, at the root of
     # every modulus: every partial sum P_j = 1 + s_1(n) + ... + s_j(n),
     # j < d, against s_mod coordinate by coordinate, and the identity the
-    # first read rests on: at a trivial zero n, P_target = -s_(target+1)(n)
+    # first read rests on: at a trivial zero n, P_target = -s_(target+1)(n),
+    # the sum up to the target is minus the sum at the level above the
+    # target ("the cap" of the test's name, not a class's cap)
     ctx = make_field(p, e)
     for m in irreducible_enumerate(ctx, d):
         view = RootSums.of(m)
@@ -479,7 +556,9 @@ def test_sum_below_the_cap_is_minus_the_sum_at_the_cap(p, e, d):
 
 
 # named by q, d and the total; at e > 1 each class under p is read from
-# its cap, not from the target of its least member
+# its cap, not from the target of its least member.  "The cap" in the test's
+# name is the level above the target, target + 1, which no read gathers;
+# a class's cap (LogTable.class_cap) is where its reads start
 @pytest.mark.parametrize("p,e,d,total", [
     (7, 1, 3, 5696), (5, 1, 4, 31090), (3, 1, 6, 72430),
     (2, 2, 6, 504482), (3, 2, 4, 480634), (2, 3, 3, 523)],
@@ -523,7 +602,7 @@ def test_zero_class_reads_below_a_vanishing_sum_match_the_oracle(p, d, fell, two
     drops = []
     for codes in table.roots:
         sums, m = RootSums(table, codes), Modulus(FqPoly(table.ctx, codes))
-        for n, _, _, tgt in table.orbits[1:]:
+        for n, tgt in zip(table.orbit_n, table.orbit_target):
             if n % (p - 1) == 0 and sums.vanishes(range(tgt + 1), n):
                 deg = reduced_degree(n, sums, tgt, True)
                 assert deg == oracle._bbar_degree(n, m), (codes, n)

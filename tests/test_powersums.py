@@ -29,7 +29,7 @@ from carlitz_hw.errors import (
 )
 from carlitz_hw.polyring import is_irreducible, least_primitive, monic_enumerate, residue_pow
 from carlitz_hw.powersums import LogTable, RootSums, residue_field
-from conftest import add_coordinates
+from conftest import add_coordinates, coordinates
 
 
 def _s_oracle(i, n, ctx):
@@ -280,13 +280,15 @@ def test_degree_bound_at_extension_field(f4):
 @pytest.mark.parametrize("p,e,d", [(2, 1, 6), (3, 1, 3), (5, 1, 1), (2, 2, 3),
                                    (3, 2, 2), (2, 3, 2)])
 def test_log_table_exponent_orbits(p, e, d):
-    # each orbit of n -> q*n with its size, the least member of its orbit
-    # under n -> p*n and its target, by brute force; p^(e*d) = 1 mod q^d - 1,
-    # and for e > 1 the orbits under p join those under q
+    # each orbit of n -> q*n but {0} with its size, the least member of its
+    # class under n -> p*n and its target, by brute force; p^(e*d) = 1 mod
+    # q^d - 1, and for e > 1 the orbits under p join those under q
     table = residue_field(make_field(p, e), d)
     order, q = table.order, p**e
-    orbits = {frozenset(n * q**j % order for j in range(d)) for n in range(order)}
-    assert table.orbits == sorted(
+    orbits = {frozenset(n * q**j % order for j in range(d)) for n in range(1, order)}
+    listed = list(zip(table.orbit_n, table.orbit_size,
+                      [table.class_n[c] for c in table.orbit_class], table.orbit_target))
+    assert listed == sorted(
         (min(o), len(o), min(n * p**j % order for n in o for j in range(e)),
          ell(min(o), q) // (q - 1) - (min(o) % (q - 1) == 0))
         for o in orbits)
@@ -331,6 +333,28 @@ def test_characteristic_two_vanishes_matches_s_mod(e, d):
             assert got == s_mod(i, n, m).is_zero(), (codes, i, n)
             seen.add(got)
     assert seen == {False, True}
+
+
+@pytest.mark.parametrize("p,d", [(3, 6), (5, 5), (11, 4), (13, 4)])
+def test_odd_characteristic_fields_hold_the_widest_read_in_one_word(p, d):
+    # a field holds the partial sum over every degree below d,
+    # (q^d - 1)/(q - 1) residues of coordinates at most p - 1, so that the
+    # packed sums of these fields fit one 63-bit word, where a field wide
+    # enough for q^d residues took 66, 70, 72 and 76 bits; at (3, 6) that
+    # widest read, P_5 = 1 + s_1(n) + ... + s_5(n) at every zero-class n,
+    # against its terms added coordinate by coordinate
+    table = residue_field(make_field(p), d)
+    width = table.mask.bit_length()
+    assert width == ((p**d - 1) // (p - 1) * (p - 1)).bit_length()
+    assert d * width <= 63
+    if p == 3:
+        view = RootSums(table, next(iter(table.roots)))
+        top = len(table.shifts) * width
+        for n in range(p - 1, table.order, p - 1):
+            packed = view.packed_sum(range(d), n)
+            terms = [table.exp[la * n % table.order] for la in view.range_logs(range(d))]
+            assert packed >> top == 0, n
+            assert coordinates(table, packed) == add_coordinates(table, terms), n
 
 
 def _order_of_t(m):
